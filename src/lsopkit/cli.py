@@ -24,12 +24,14 @@ from . import serialize
 from .errors import LsopkitError
 from .lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
 from .lsop import evaluate_family, lsop_via_recurrence, recurrence_from_measure
+from .modes import MODES, validate_mode
 from .moments import DiscreteMeasure, random_measure
 from .numerics import dense_eigs, spectra_distance, sym_tridiag_eigs
 from .spectra import (ButterflyParams, build_butterfly, build_pencil,
                       butterfly_from_params, butterfly_params, butterfly_to_tridiagonal,
                       canonical_z_list, determine_diagonal_convention, eig_correspondence,
-                      pencil_eigenvalues, pencil_residual, symplectic_pencil_check)
+                      pencil_eigenvalues, pencil_residual, support_spectrum,
+                      symplectic_pencil_check)
 from .verify import DEFAULT_TOLERANCES, RunConfig, run_verification
 
 EXIT_PASS = 0
@@ -63,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, measure_arg: bool = False) -> None:
         p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
         p.add_argument("--order", type=int, default=4, help="family order N (default 4)")
-        p.add_argument("--mode", choices=["double", "rational"], default=None,
+        p.add_argument("--mode", choices=MODES, default=None,
                        help="scalar backend (default: LSOPKIT_MODE or double)")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
         if measure_arg:
@@ -96,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-butterfly", help="eigensolve a butterfly parameter file")
     p.add_argument("params", help="butterfly parameter file")
-    p.add_argument("--mode", choices=["double", "rational"], default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_solve_butterfly)
 
@@ -104,14 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _mode(args) -> str:
-    if getattr(args, "mode", None):
-        return args.mode
-    env = os.environ.get("LSOPKIT_MODE", "").strip()
-    if env:
-        if env not in ("double", "rational"):
-            raise ValueError(f"LSOPKIT_MODE must be 'double' or 'rational', got {env!r}")
-        return env
-    return "double"
+    return validate_mode(getattr(args, "mode", None)
+                         or os.environ.get("LSOPKIT_MODE", "").strip() or "double")
 
 
 def _emit(args, text: str) -> None:
@@ -194,17 +190,14 @@ def cmd_pencil(args) -> int:
     mode = _mode(args)
     m = _measure(args, mode)
     n = _order_of(args, m)
-    rec = recurrence_from_measure(m, n)
-    rec_f = rec.as_float() if mode == "rational" else rec
     fv = evaluate_family(m, n)
+    rec_f = fv.rec.as_float()
     textbook = build_pencil(rec_f)
     report = pencil_residual(textbook, fv, rec_f)
     res_textbook = symplectic_pencil_check(textbook)
     res_corrected = symplectic_pencil_check(report.corrected)
     eigs = pencil_eigenvalues(report.corrected)
-    expected = sorted([complex(float(z)) for z in m.nodes]
-                      + [complex(1.0 / float(z)) for z in m.nodes],
-                      key=lambda c: (c.real, c.imag))
+    mismatch = spectra_distance(eigs, support_spectrum(m))
     doc = {
         "order": n,
         "textbook_layout": {
@@ -223,18 +216,18 @@ def cmd_pencil(args) -> int:
         },
         "largest_entry_difference": report.entry_difference,
         "generalized_eigenvalues": _complex_list(eigs),
-        "eigenvalue_mismatch": spectra_distance(eigs, expected),
+        "eigenvalue_mismatch": mismatch,
     }
     _emit(args, serialize.dumps(doc))
-    return EXIT_PASS
+    return _exit_status(mismatch, "pencil-eigenvalues")
 
 
 def cmd_butterfly(args) -> int:
     mode = _mode(args)
     m = _measure(args, mode)
     n = _order_of(args, m)
-    rec = recurrence_from_measure(m, n)
-    rec_f = rec.as_float() if mode == "rational" else rec
+    fv = evaluate_family(m, n)
+    rec_f = fv.rec.as_float()
     if args.gauge_seed is None:
         gauge = GaugeParams.trivial(n)
     else:
@@ -245,13 +238,11 @@ def cmd_butterfly(args) -> int:
                             lam=tuple(rng.uniform(-2.0, 2.0) for _ in range(n)))
     bp = butterfly_params(rec_f, gauge)
     bt = build_butterfly(rec_f, gauge)
-    fam = gauge_transform_scaled(lsolp_from_values(evaluate_family(m, n)), gauge)
+    fam = gauge_transform_scaled(lsolp_from_values(fv), gauge)
     mult = multiplication_matrix(fam)
     convention, residuals = determine_diagonal_convention(mult, rec_f, gauge)
     eigs = dense_eigs(bt)
-    expected = sorted([complex(float(z)) for z in m.nodes]
-                      + [complex(1.0 / float(z)) for z in m.nodes],
-                      key=lambda c: (c.real, c.imag))
+    mismatch = spectra_distance(eigs, support_spectrum(m))
     doc = {
         "order": n,
         "gauge": {"r": list(gauge.r), "lambda": list(gauge.lam)},
@@ -260,10 +251,10 @@ def cmd_butterfly(args) -> int:
         "diagonal_convention": convention,
         "convention_residuals": {k: v for k, v in sorted(residuals.items())},
         "spectrum": _complex_list(eigs),
-        "spectrum_mismatch": spectra_distance(eigs, expected),
+        "spectrum_mismatch": mismatch,
     }
     _emit(args, serialize.dumps(doc))
-    return EXIT_PASS
+    return _exit_status(mismatch, "butterfly-spectrum")
 
 
 def cmd_solve_butterfly(args) -> int:
@@ -290,7 +281,11 @@ def cmd_solve_butterfly(args) -> int:
         "max_mismatch": mismatch,
     }
     _emit(args, serialize.dumps(doc))
-    return EXIT_PASS if mismatch <= 1e-7 else EXIT_FLAGGED
+    return _exit_status(mismatch, "butterfly-tridiagonal-roundtrip")
+
+
+def _exit_status(mismatch: float, claim_id: str) -> int:
+    return EXIT_PASS if mismatch <= DEFAULT_TOLERANCES[claim_id] else EXIT_FLAGGED
 
 
 def _complex_list(zs) -> List[List[float]]:

@@ -8,7 +8,7 @@ values: every operation returns a fresh polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .modes import Scalar
 
@@ -39,13 +39,6 @@ class LaurentPoly:
     @staticmethod
     def monomial(exponent: int, c: Scalar = 1) -> "LaurentPoly":
         return LaurentPoly({exponent: c})
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[Tuple[int, Scalar]]) -> "LaurentPoly":
-        acc: Dict[int, Scalar] = {}
-        for k, c in pairs:
-            acc[int(k)] = acc.get(int(k), 0) + c
-        return LaurentPoly(acc)
 
     def to_pairs(self) -> List[Tuple[int, Scalar]]:
         """Sorted [exponent, coefficient] pairs (the serialization form)."""
@@ -124,7 +117,7 @@ class LaurentPoly:
             return self.coeffs.get(0, 0) * 1
         total = 0
         for e, c in self.coeffs.items():
-            total += c * _power(z, e)
+            total += c * int_power(z, e)
         return total
 
     # -- comparisons -----------------------------------------------------
@@ -157,9 +150,6 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
-def _power(z: Scalar, e: int) -> Scalar:
-    if e >= 0:
-        return z**e
-    if isinstance(z, Fraction):
-        return (Fraction(1) / z) ** (-e)
-    return (1.0 / z) ** (-e)
+def int_power(z: Scalar, e: int) -> Scalar:
+    """z**e for any integer e; a negative power inverts first (exact on Fractions)."""
+    return z**e if e >= 0 else (1 / z) ** (-e)

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
 from .laurent import LaurentPoly
-from .lsop import FamilyValues
+from .lsop import FamilyValues, skew_pattern_defect, support_pairing
 from .modes import is_exact
 from .moments import DiscreteMeasure, skew_inner
 
@@ -79,10 +79,7 @@ class LsolpFamily:
         return 2 * self.order
 
     def pairing(self, a: int, b: int) -> float:
-        tot = 0.0
-        for (w, vz, vr) in zip(self.measure.weights, self.node_values, self.recip_values):
-            tot += (vr[a] * vz[b] - vz[a] * vr[b]) * float(w)
-        return tot
+        return support_pairing(self.measure.weights, self.node_values, self.recip_values, a, b)
 
     def gram(self) -> List[List[float]]:
         d = self.size
@@ -90,16 +87,7 @@ class LsolpFamily:
 
     def pairing_defect(self) -> float:
         """Max deviation of the Gram matrix from the canonical skew pattern."""
-        worst = 0.0
-        for a in range(self.size):
-            for b in range(self.size):
-                expect = 0.0
-                if a % 2 == 0 and b % 2 == 1 and a // 2 == b // 2:
-                    expect = 1.0
-                elif a % 2 == 1 and b % 2 == 0 and a // 2 == b // 2:
-                    expect = -1.0
-                worst = max(worst, abs(self.pairing(a, b) - expect))
-        return worst
+        return skew_pattern_defect(self.gram())
 
 
 def _require_orthonormal(fam: LsolpFamily, tol: float, where: str) -> None:

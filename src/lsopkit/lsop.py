@@ -21,6 +21,11 @@ ill-conditioned parameterization of the family: correctly rounded
 1e-7 at order 8, while value tables rounded from the exact walk reach
 1e-11.  Double mode therefore rounds once, at the outputs.
 
+The walk runs once per measure and order: evaluate_family returns it as a
+FamilyValues, from which the recurrence data, the float value tables of the
+orthonormal family, the exact monic tables and every lower-order family
+are read.
+
 Even-degree members fold into monic orthogonal polynomials in w = z + 1/z;
 that reduction and its Hankel-determinant counterpart live here too,
 together with the squared-variable comparison family q_2n = p_n(z^2),
@@ -30,14 +35,15 @@ q_2n+1 = z p_n(z^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import AdmissibilityError, DegeneracyError, StructureError
 from .laurent import LaurentPoly
 from .modes import Scalar, is_exact
-from .moments import DiscreteMeasure, MomentTable, skew_inner
+from .moments import DiscreteMeasure, MomentTable
 from .numerics import dense_det, solve_linear
 from .pfaffian import SkewArray, pf_indices
 
@@ -153,7 +159,7 @@ def folded_support(m: DiscreteMeasure) -> Tuple[List[Scalar], List[Scalar]]:
     """Folded nodes x_k = z_k + 1/z_k and weights (z_k - 1/z_k) w_k."""
     xs, ws = [], []
     for z, w in zip(m.nodes, m.weights):
-        zi = 1 / z if isinstance(z, Fraction) else 1.0 / z
+        zi = 1 / z
         xs.append(z + zi)
         ws.append((z - zi) * w)
     return xs, ws
@@ -164,12 +170,14 @@ class _FoldedWalk:
 
     Carries the monic folded polynomials p_j by their values on the support
     (all the functional ever sees) and records the three-term data
-    (a_j, b_j, h_j) plus the value table p_j(x_k) for later reuse.
+    (a_j, b_j, h_j) plus the value table p_j(x_k) for later reuse.  Step j
+    depends only on the steps before it, so the first n steps of a longer
+    walk are the walk of order n.
     """
 
     def __init__(self, m_exact: DiscreteMeasure, n: int):
         xs, ws = folded_support(m_exact)
-        self.xs, self.ws = xs, ws
+        self.nodes = m_exact.nodes
         self.a: List[Fraction] = []
         self.b: List[Fraction] = [Fraction(0)]
         self.h: List[Fraction] = []
@@ -207,133 +215,133 @@ class _FoldedWalk:
                               tau=tuple(tau), sigma=tuple(sigma))
 
 
-def _lift_exact(m: DiscreteMeasure) -> Optional[DiscreteMeasure]:
+def _lift_exact(m: DiscreteMeasure) -> DiscreteMeasure:
+    if m.is_exact():
+        return m
     try:
         return DiscreteMeasure([Fraction(z) for z in m.nodes],
                                [Fraction(w) for w in m.weights], strict=m.strict)
-    except (TypeError, ValueError):
-        return None  # complex or otherwise unliftable nodes
+    except TypeError:
+        raise AdmissibilityError("the folded walk needs real nodes and weights") from None
 
 
-def recurrence_from_measure(m: DiscreteMeasure, n: Optional[int] = None) -> RecurrenceData:
-    """Recurrence data by the folded Stieltjes walk.
+def _member_rows(z: Scalar, pvs: Sequence[Scalar], scale: Sequence[Scalar],
+                 alpha: Sequence[Scalar], coef: Sequence[Scalar]):
+    """Members 0..2n-1 at z and at 1/z from the folded values pvs[j] = p_j(z + 1/z).
 
-    The walk is exact on the measure's rational image; a float measure gets
-    float outputs (rounded once), an exact measure gets exact outputs.
+    Even members are z^j pvs[j] / scale[j], reflected exactly for 1/z; odd
+    members follow the recurrence line v_2j+1 = z (v_2j - coef_j v_2j-2) +
+    alpha_j v_2j.  Exact on Fractions; on floats the running power and the
+    division by z keep the rounding of the orthonormal tables.
     """
-    if n is None:
-        n = m.size
-    if n > m.size:
-        raise DegeneracyError(f"order {n} exceeds the measure's {m.size} nodes")
-    m_exact = m if m.is_exact() else _lift_exact(m)
-    if m_exact is None:
-        return _recurrence_inexact(m, n)
-    walk = _FoldedWalk(m_exact, n)
-    rec = walk.recurrence_data(n)
-    return rec if m.is_exact() else rec.as_float()
-
-
-def tau_sequence(m: DiscreteMeasure, n: int) -> List[Scalar]:
-    """tau_0..tau_n of a measure via the folded Stieltjes route."""
-    return list(recurrence_from_measure(m, n).tau)
-
-
-def _recurrence_inexact(m: DiscreteMeasure, n: int) -> RecurrenceData:
-    # complex-node fallback: same walk in ambient arithmetic
-    xs, ws = folded_support(m)
-    p_prev = [w * 0 for w in xs]
-    p_cur = [1 + w * 0 for w in xs]
-    a, b, h = [], [0.0], []
+    n = len(pvs)
+    vz, vr = [0] * (2 * n), [0] * (2 * n)
+    zpow = 1
+    for j, pv in enumerate(pvs):
+        vz[2 * j] = zpow * pv / scale[j]
+        vr[2 * j] = pv / (zpow * scale[j])
+        zpow *= z
     for j in range(n):
-        hj = sum(w * p * p for w, p in zip(ws, p_cur))
-        if hj == 0:
-            raise DegeneracyError(f"folded norm h_{j} vanished; tau_{j + 1} = 0")
-        h.append(hj)
-        aj = sum(w * x * p * p for w, x, p in zip(ws, xs, p_cur)) / hj
-        a.append(aj)
-        if j >= 1:
-            b.append(h[j] / h[j - 1])
-        p_next = [(x - aj) * pc - (b[j] * pp if j >= 1 else 0)
-                  for x, pc, pp in zip(xs, p_cur, p_prev)]
-        p_prev, p_cur = p_cur, p_next
-    tau = [1.0]
-    for k in range(n):
-        tau.append(tau[-1] * h[k])
-    alpha = [0.0]
-    for k in range(n):
-        alpha.append(alpha[-1] + a[k])
-    beta = [0.0] + [b[k] if k < n else 0.0 for k in range(1, n + 1)]
-    sigma = [alpha[k] * tau[k] for k in range(n + 1)]
-    return RecurrenceData(order=n, alpha=tuple(alpha), beta=tuple(beta),
-                          tau=tuple(tau), sigma=tuple(sigma))
+        t = vz[2 * j] - (coef[j] * vz[2 * j - 2] if j >= 1 else 0)
+        vz[2 * j + 1] = z * t + alpha[j] * vz[2 * j]
+        t = vr[2 * j] - (coef[j] * vr[2 * j - 2] if j >= 1 else 0)
+        vr[2 * j + 1] = t / z + alpha[j] * vr[2 * j]
+    return vz, vr
+
+
+def support_pairing(weights: Sequence[Scalar], node_rows, recip_rows, a: int, b: int) -> float:
+    """<f_a | f_b> by summation over the support, from value tables of the f_j."""
+    tot = 0.0
+    for w, vz, vr in zip(weights, node_rows, recip_rows):
+        tot += (vr[a] * vz[b] - vz[a] * vr[b]) * float(w)
+    return tot
+
+
+def skew_pattern_defect(gram: Sequence[Sequence[float]]) -> float:
+    """Largest deviation of a Gram matrix from the canonical skew pattern:
+    <f_2m | f_2m+1> = 1 = -<f_2m+1 | f_2m>, every other pairing 0."""
+    worst = 0.0
+    for a, row in enumerate(gram):
+        for b, value in enumerate(row):
+            expect = 0.0
+            if a != b and a // 2 == b // 2:
+                expect = 1.0 if a % 2 == 0 else -1.0
+            worst = max(worst, abs(value - expect))
+    return worst
 
 
 @dataclass(frozen=True)
 class FamilyValues:
-    """Accurate values of the orthonormal family on the measure's support.
+    """One exact folded walk of a measure and the family read off it.
 
-    qt_node[k][j]  = qt_j(z_k) and qt_recip[k][j] = qt_j(1/z_k) for
-    j = 0..2*order-1, rounded from the exact walk; these tables, not the
-    coefficient arrays, are the numerically trustworthy representation.
+    rec holds the recurrence data, exact for an exact measure and rounded
+    once otherwise; exact_rec is the walk's own exact data either way.
+    qt_node[k][j] = qt_j(z_k) and qt_recip[k][j] = qt_j(1/z_k) for
+    j = 0..2*order-1 are rounded from the exact walk on first use and need
+    tau > 0; these tables, not the coefficient arrays, are the numerically
+    trustworthy representation.  monic_values() gives the exact monic
+    tables, and prefix(n) the lower-order family, from the same walk.
     """
 
     measure: DiscreteMeasure
-    rec: RecurrenceData
     order: int
-    qt_node: Tuple[Tuple[float, ...], ...]
-    qt_recip: Tuple[Tuple[float, ...], ...]
+    walk: _FoldedWalk = field(repr=False, compare=False)
 
-    def pairing(self, a: int, b: int) -> float:
-        """<qt_a | qt_b> by summation over the support."""
-        tot = 0.0
-        for (z, w, vz, vr) in zip(self.measure.nodes, self.measure.weights,
-                                  self.qt_node, self.qt_recip):
-            tot += (vr[a] * vz[b] - vz[a] * vr[b]) * float(w)
-        return tot
+    @cached_property
+    def exact_rec(self) -> RecurrenceData:
+        return self.walk.recurrence_data(self.order)
+
+    @cached_property
+    def rec(self) -> RecurrenceData:
+        return self.exact_rec if self.measure.is_exact() else self.exact_rec.as_float()
+
+    @cached_property
+    def _tables(self):
+        rec = self.exact_rec
+        rec.require_admissible()
+        alpha = [float(x) for x in rec.alpha]
+        sqrt_b = [0.0] + [math.sqrt(float(x)) for x in rec.beta[1:]]
+        sqrt_h = [math.sqrt(float(x)) for x in self.walk.h[:self.order]]
+        rows = [_member_rows(float(z), [float(p[k]) for p in self.walk.p_values[:self.order]],
+                             sqrt_h, alpha, sqrt_b)
+                for k, z in enumerate(self.walk.nodes)]
+        return tuple(tuple(vz) for vz, _ in rows), tuple(tuple(vr) for _, vr in rows)
+
+    @property
+    def qt_node(self) -> Tuple[Tuple[float, ...], ...]:
+        return self._tables[0]
+
+    @property
+    def qt_recip(self) -> Tuple[Tuple[float, ...], ...]:
+        return self._tables[1]
+
+    def monic_values(self):
+        """Exact monic values (node, recip): node[k][j] = q_j(z_k) and
+        recip[k][j] = q_j(1/z_k) as Fractions for j = 0..2*order, where
+        q_2order vanishes on the support."""
+        n = self.order
+        rec = self.exact_rec
+        node, recip = [], []
+        for k, z in enumerate(self.walk.nodes):
+            vz, vr = _member_rows(z, [p[k] for p in self.walk.p_values[:n]], [1] * n,
+                                  rec.alpha, rec.beta)
+            node.append(vz + [Fraction(0)])
+            recip.append(vr + [Fraction(0)])
+        return node, recip
+
+    def prefix(self, n: int) -> "FamilyValues":
+        """The family of order n <= order, read off the same walk."""
+        return FamilyValues(measure=self.measure, order=n, walk=self.walk)
 
     def gram(self) -> List[List[float]]:
         d = 2 * self.order
-        return [[self.pairing(a, b) for b in range(d)] for a in range(d)]
-
-
-def exact_support_values(m: DiscreteMeasure, n: Optional[int] = None):
-    """Exact monic values q_0..q_2n at every node and reciprocal.
-
-    Returns (monic_node, monic_recip, rec) with monic_node[k][j] = q_j(z_k)
-    as Fractions; built from the exact walk: even members are
-    q_2j(z) = z^j p_j(z + 1/z), odd members follow the recurrence line
-    q_2j+1 = z (q_2j - beta_j q_2j-2) + alpha_j q_2j.
-    """
-    if n is None:
-        n = m.size
-    m_exact = m if m.is_exact() else _lift_exact(m)
-    if m_exact is None:
-        raise AdmissibilityError("exact support values need real nodes")
-    walk = _FoldedWalk(m_exact, n)
-    rec = walk.recurrence_data(n)
-    monic_node, monic_recip = [], []
-    for k, z in enumerate(m_exact.nodes):
-        zi = 1 / z
-        vz = [Fraction(0)] * (2 * n + 1)
-        vr = [Fraction(0)] * (2 * n + 1)
-        for j in range(n):
-            pv = walk.p_values[j][k]
-            vz[2 * j] = z**j * pv
-            vr[2 * j] = zi**j * pv
-        vz[2 * n] = Fraction(0)  # p_n vanishes on the folded support
-        vr[2 * n] = Fraction(0)
-        for j in range(n):
-            t = vz[2 * j] - (rec.beta[j] * vz[2 * j - 2] if j >= 1 else 0)
-            vz[2 * j + 1] = z * t + rec.alpha[j] * vz[2 * j]
-            t = vr[2 * j] - (rec.beta[j] * vr[2 * j - 2] if j >= 1 else 0)
-            vr[2 * j + 1] = zi * t + rec.alpha[j] * vr[2 * j]
-        monic_node.append(vz)
-        monic_recip.append(vr)
-    return monic_node, monic_recip, rec
+        return [[support_pairing(self.measure.weights, self.qt_node, self.qt_recip, a, b)
+                 for b in range(d)] for a in range(d)]
 
 
 def evaluate_family(m: DiscreteMeasure, n: Optional[int] = None) -> FamilyValues:
-    """Orthonormal family values on the support, via the exact walk.
+    """Fold m once: the exact walk of order n (default: every node) and the
+    family read off it.
 
     Even members come directly from the folded value table,
     qt_2j(z) = z^j p_j(z + 1/z) / sqrt(h_j), reflected exactly for 1/z;
@@ -342,36 +350,23 @@ def evaluate_family(m: DiscreteMeasure, n: Optional[int] = None) -> FamilyValues
     """
     if n is None:
         n = m.size
-    m_exact = m if m.is_exact() else _lift_exact(m)
-    if m_exact is None:
-        raise AdmissibilityError("family evaluation needs real nodes")
-    walk = _FoldedWalk(m_exact, n)
-    rec_exact = walk.recurrence_data(n)
-    rec_exact.require_admissible()
-    alpha = [float(x) for x in rec_exact.alpha]
-    sqrt_b = [0.0] + [math.sqrt(float(x)) for x in rec_exact.beta[1:]]
-    sqrt_h = [math.sqrt(float(x)) for x in walk.h]
-    qt_node, qt_recip = [], []
-    for k, z in enumerate(m_exact.nodes):
-        zf = float(z)
-        vz = [0.0] * (2 * n)
-        vr = [0.0] * (2 * n)
-        zpow = 1.0
-        for j in range(n):
-            pv = float(walk.p_values[j][k])
-            vz[2 * j] = zpow * pv / sqrt_h[j]
-            vr[2 * j] = pv / (zpow * sqrt_h[j])
-            zpow *= zf
-        for j in range(n):
-            t = vz[2 * j] - (sqrt_b[j] * vz[2 * j - 2] if j >= 1 else 0.0)
-            vz[2 * j + 1] = zf * t + alpha[j] * vz[2 * j]
-            t = vr[2 * j] - (sqrt_b[j] * vr[2 * j - 2] if j >= 1 else 0.0)
-            vr[2 * j + 1] = t / zf + alpha[j] * vr[2 * j]
-        qt_node.append(tuple(vz))
-        qt_recip.append(tuple(vr))
-    rec = rec_exact if m.is_exact() else rec_exact.as_float()
-    return FamilyValues(measure=m, rec=rec, order=n,
-                        qt_node=tuple(qt_node), qt_recip=tuple(qt_recip))
+    if n > m.size:
+        raise DegeneracyError(f"order {n} exceeds the measure's {m.size} nodes")
+    return FamilyValues(measure=m, order=n, walk=_FoldedWalk(_lift_exact(m), n))
+
+
+def recurrence_from_measure(m: DiscreteMeasure, n: Optional[int] = None) -> RecurrenceData:
+    """Recurrence data by the folded Stieltjes walk.
+
+    The walk is exact on the measure's rational image; a float measure gets
+    float outputs (rounded once), an exact measure gets exact outputs.
+    """
+    return evaluate_family(m, n).rec
+
+
+def tau_sequence(m: DiscreteMeasure, n: int) -> List[Scalar]:
+    """tau_0..tau_n of a measure via the folded Stieltjes route."""
+    return list(recurrence_from_measure(m, n).tau)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +596,3 @@ def _poly_pow(p: LaurentPoly, k: int) -> LaurentPoly:
     for _ in range(k):
         out = out * p
     return out
-
-
-def skew_gram(m: DiscreteMeasure, fs: Sequence[LaurentPoly], gs: Sequence[LaurentPoly]):
-    """Matrix of <f_i | g_j> pairings (test and report helper)."""
-    return [[skew_inner(m, f, g) for g in gs] for f in fs]

@@ -17,6 +17,7 @@ mu_n = sum_k (-1)^k C(n-1-k, k) c_{n-1-2k}.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from .errors import GenerationError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, int_power
 from .modes import Scalar, is_exact
 
 NODE_RANGE = (1.2, 5.0)
@@ -41,7 +42,8 @@ class DiscreteMeasure:
     carries the same spectral content, so one representative is stored);
     the inner-product layer itself only needs nodes to be nonzero, distinct,
     and not mutually reciprocal.  Pass strict=False to skip the distinctness
-    checks when deliberately building a degenerate measure.
+    checks when deliberately building a degenerate measure.  Int nodes and
+    weights are stored as Fractions; non-finite ones are refused.
     """
 
     nodes: tuple
@@ -49,8 +51,8 @@ class DiscreteMeasure:
     strict: bool = field(default=True, compare=False)
 
     def __init__(self, nodes: Sequence[Scalar], weights: Sequence[Scalar], strict: bool = True):
-        nodes = tuple(nodes)
-        weights = tuple(weights)
+        nodes = tuple(_checked_scalar(z, "node") for z in nodes)
+        weights = tuple(_checked_scalar(w, "weight") for w in weights)
         if len(nodes) != len(weights):
             raise ValueError(f"{len(nodes)} nodes but {len(weights)} weights")
         if any(z == 0 for z in nodes):
@@ -82,15 +84,20 @@ class DiscreteMeasure:
     def as_float(self) -> "DiscreteMeasure":
         return DiscreteMeasure([float(z) for z in self.nodes], [float(w) for w in self.weights])
 
-    def as_rational(self) -> "DiscreteMeasure":
-        return DiscreteMeasure([Fraction(z) for z in self.nodes], [Fraction(w) for w in self.weights])
+
+def _checked_scalar(x: Scalar, what: str) -> Scalar:
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+        raise ValueError(f"{what} {x} is not finite")
+    return x
 
 
 def skew_inner(m: DiscreteMeasure, f: LaurentPoly, g: LaurentPoly) -> Scalar:
     """<f|g> by direct summation over the support."""
     total = 0
     for z, w in zip(m.nodes, m.weights):
-        zi = 1 / z if isinstance(z, Fraction) else 1.0 / z
+        zi = 1 / z
         total += (f(zi) * g(z) - f(z) * g(zi)) * w
     return total
 
@@ -99,8 +106,8 @@ def mu_moment(m: DiscreteMeasure, n: int) -> Scalar:
     """Skew moment mu_n = <1|z^n> = sum_k (z_k^n - z_k^-n) w_k."""
     total = 0
     for z, w in zip(m.nodes, m.weights):
-        zi = 1 / z if isinstance(z, Fraction) else 1.0 / z
-        total += (_ipow(z, n) - _ipow(zi, n)) * w
+        zi = 1 / z
+        total += (int_power(z, n) - int_power(zi, n)) * w
     return total
 
 
@@ -110,8 +117,8 @@ def c_moment(m: DiscreteMeasure, i: int) -> Scalar:
         raise ValueError("c moments are indexed by non-negative integers")
     total = 0
     for z, w in zip(m.nodes, m.weights):
-        zi = 1 / z if isinstance(z, Fraction) else 1.0 / z
-        total += _ipow(z + zi, i) * (z - zi) * w
+        zi = 1 / z
+        total += int_power(z + zi, i) * (z - zi) * w
     return total
 
 
@@ -219,11 +226,3 @@ def _tau_positive(m: DiscreteMeasure, n: int) -> bool:
         if float(t) <= TAU_REJECT_RELATIVE * scale:
             return False
     return True
-
-
-def _ipow(z: Scalar, n: int) -> Scalar:
-    if n >= 0:
-        return z**n
-    if isinstance(z, Fraction):
-        return (Fraction(1) / z) ** (-n)
-    return (1.0 / z) ** (-n)

@@ -57,20 +57,8 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Matrix, s: Scalar) -> Matrix:
-    return [[x * s for x in row] for row in a]
-
-
 def inf_norm(a: Matrix) -> float:
     return max((sum(abs(float(x)) for x in row) for row in a), default=0.0)
-
-
-def max_abs(a: Matrix) -> float:
-    return max((abs(float(x)) for row in a for x in row), default=0.0)
-
-
-def vec_inf_norm(v: Sequence[Scalar]) -> float:
-    return max((abs(float(x)) for x in v), default=0.0)
 
 
 def _check_square(a: Matrix, cap: int = MAX_DENSE_SIZE) -> int:
@@ -206,9 +194,6 @@ class SymTridiag:
         for i in range(n - 1):
             m[i][i + 1] = m[i + 1][i] = self.offdiag[i]
         return m
-
-    def norm_inf(self) -> float:
-        return inf_norm(self.dense()) if self.size else 0.0
 
 
 def sym_tridiag_eigs(t: SymTridiag) -> List[float]:

@@ -49,11 +49,6 @@ class SkewArray:
     def from_entry_fn(size: int, fn: Callable[[int, int], Scalar]) -> "SkewArray":
         return SkewArray(size, {(i, j): fn(i, j) for i in range(size) for j in range(i + 1, size)})
 
-    @staticmethod
-    def from_dense(rows: Sequence[Sequence[Scalar]]) -> "SkewArray":
-        n = len(rows)
-        return SkewArray(n, {(i, j): rows[i][j] for i in range(n) for j in range(i + 1, n)})
-
     def entry(self, i: int, j: int) -> Scalar:
         if i == j:
             return 0

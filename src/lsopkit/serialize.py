@@ -3,15 +3,16 @@
 All artifacts (measure files, butterfly parameter files, matrix files,
 verification reports) are JSON documents written by a deterministic
 serializer: keys keep insertion order, floats are printed at 17
-significant digits (lossless for binary64), exact scalars are printed as
-"p/q" strings.  Loading in rational mode parses decimal literals as exact
-decimal fractions, so a rational round trip never touches binary floating
-point.
+significant digits (lossless for binary64) and non-finite floats as null,
+exact scalars are printed as "p/q" strings.  Loading in rational mode
+parses decimal literals as exact decimal fractions, so a rational round
+trip never touches binary floating point.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from io import StringIO
 from typing import Any, Dict, List, Optional, Sequence
@@ -73,7 +74,7 @@ def _scalar_text(x: Any) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        return format(x, ".17g")
+        return format(x, ".17g") if math.isfinite(x) else "null"
     if isinstance(x, str):
         return json.dumps(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
@@ -142,9 +143,9 @@ def load_measure(text: str, mode: str = "double") -> DiscreteMeasure:
     if mode == "double":
         nodes = [float(x) for x in nodes]
         weights = [float(x) for x in weights]
-    else:
-        nodes = [x if isinstance(x, Fraction) else Fraction(x) for x in nodes]
-        weights = [x if isinstance(x, Fraction) else Fraction(x) for x in weights]
+    else:  # DiscreteMeasure turns ints into Fractions and refuses Infinity and NaN
+        nodes = [Fraction(x) if isinstance(x, str) else x for x in nodes]
+        weights = [Fraction(x) if isinstance(x, str) else x for x in weights]
     return DiscreteMeasure(nodes, weights)
 
 

@@ -30,6 +30,7 @@ from typing import List, Sequence, Tuple
 from .errors import AdmissibilityError, DimensionError
 from .lsop import FamilyValues, RecurrenceData
 from .lsolp import GaugeParams, family_vector_order
+from .moments import DiscreteMeasure
 from .numerics import (Matrix, SymTridiag, dense_eigs, identity, inf_norm, mat_mul,
                        mat_sub, mat_vec, solve_linear, transpose, zeros)
 
@@ -140,6 +141,16 @@ def _pencil_support_residual(p: PencilPair, fv: FamilyValues) -> float:
         den = max(abs(x) for x in vec)
         worst = max(worst, num / den)
     return worst
+
+
+def support_spectrum(m: DiscreteMeasure) -> List[complex]:
+    """The nodes and their reciprocals, the spectrum every structured matrix
+    of the measure should reproduce, sorted by (real, imag)."""
+    out = []
+    for z in m.nodes:
+        zf = float(z)
+        out.extend([complex(zf), complex(1.0 / zf)])
+    return sorted(out, key=lambda c: (c.real, c.imag))
 
 
 def symplectic_j(n: int) -> Matrix:

@@ -30,7 +30,8 @@ from .lsolp import (GaugeParams, butterfly_sparsity_defect, gauge_transform_scal
 from .lsop import (FamilyValues, evaluate_family, even_to_op, hankel_det,
                    kodama_residuals, kodama_sops, lsop_via_pfaffian,
                    lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
-                   recurrence_from_measure, shifted_hankel_det)
+                   shifted_hankel_det, skew_pattern_defect)
+from .modes import Scalar, validate_mode
 from .moments import (DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment,
                       random_measure, skew_inner)
 from .numerics import dense_det, dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
@@ -40,7 +41,7 @@ from .spectra import (CONVENTION_DIFFERENCE, build_butterfly, build_pencil,
                       butterfly_to_tridiagonal, canonical_z_list,
                       determine_diagonal_convention, eig_correspondence,
                       inversion_closure_defect, pencil_eigenvalues, pencil_residual,
-                      symplectic_pencil_check)
+                      support_spectrum, symplectic_pencil_check)
 
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "pfaffian-route-agreement": 1e-12,
@@ -96,8 +97,7 @@ class RunConfig:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if self.mode not in ("double", "rational"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        validate_mode(self.mode)
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance name {name!r}")
@@ -166,9 +166,11 @@ class VerificationReport:
 class _Context:
     """Shared artifacts for the claims of one run.
 
-    Derived artifacts (recurrence data, value tables, polynomials) are
-    built lazily and cached, so a failure in one of them surfaces inside
-    the claim that needs it rather than aborting the whole suite.
+    Derived artifacts (the folded measure, polynomials, moments) are built
+    lazily and cached, so a failure in one of them surfaces inside the claim
+    that needs it rather than aborting the whole suite.  The measure is
+    folded once: the recurrence data, the value tables and the exact monic
+    tables all come from ctx.fv.
     """
 
     def __init__(self, cfg: RunConfig, measure: Optional[DiscreteMeasure]):
@@ -187,12 +189,12 @@ class _Context:
         return self._cache[key]
 
     @property
-    def rec(self):
-        return self._cached("rec", lambda: recurrence_from_measure(self.measure, self.cfg.order))
-
-    @property
     def fv(self) -> FamilyValues:
         return self._cached("fv", lambda: evaluate_family(self.measure, self.cfg.order))
+
+    @property
+    def rec(self):
+        return self.fv.rec
 
     @property
     def qs(self):
@@ -221,6 +223,12 @@ def _claim(claim_id: str, cfg: RunConfig, residual: float, summary: str,
                        status="pass" if ok else "flag", exact=exact)
 
 
+def _residual(ctx: _Context, size: float, scale: Scalar = 1.0) -> float:
+    """Residual of one comparison: its size in rational mode, where only an
+    exact match passes, and its size relative to max(1, |scale|) in double."""
+    return size if ctx.exact else size / max(1.0, abs(float(scale)))
+
+
 # ---------------------------------------------------------------------------
 # Pfaffian layer
 # ---------------------------------------------------------------------------
@@ -238,12 +246,7 @@ def claim_pfaffian_routes(ctx: _Context) -> ClaimResult:
             s = _random_skew(ctx, rng, size)
             a = pf_eliminate(s)
             b = pf_expand(s)
-            if ctx.exact:
-                if a != b:
-                    worst = max(worst, abs(float(a - b)))
-            else:
-                scale = max(1.0, abs(float(b)))
-                worst = max(worst, abs(float(a) - float(b)) / scale)
+            worst = max(worst, _residual(ctx, abs(float(a - b)), b))
     return _claim("pfaffian-route-agreement", ctx.cfg, worst,
                   "elimination equals recursive expansion on sizes 0..10",
                   exact=exact_all)
@@ -257,12 +260,7 @@ def claim_pfaffian_determinant(ctx: _Context) -> ClaimResult:
             s = _random_skew(ctx, rng, size)
             pf = pf_eliminate(s)
             det = dense_det(s.dense())
-            diff = pf * pf - det
-            if ctx.exact:
-                if diff != 0:
-                    worst = max(worst, abs(float(diff)))
-            else:
-                worst = max(worst, abs(float(diff)) / max(1.0, abs(float(det))))
+            worst = max(worst, _residual(ctx, abs(float(pf * pf - det)), det))
     return _claim("pfaffian-square-determinant", ctx.cfg, worst,
                   "squared Pfaffian equals the dense determinant, sizes 2..8",
                   exact=ctx.exact)
@@ -277,12 +275,8 @@ def claim_minor_identity_even(ctx: _Context) -> ClaimResult:
         base = list(range(base_size))
         extras = list(range(base_size, base_size + 4))
         resid = check_identity_even(s, base, *extras)
-        if ctx.exact:
-            if resid != 0:
-                worst = max(worst, abs(float(resid)))
-        else:
-            scale = max(1.0, _identity_scale_even(s, base, extras))
-            worst = max(worst, float(resid) / scale)
+        scale = 1.0 if ctx.exact else _identity_scale_even(s, base, extras)
+        worst = max(worst, _residual(ctx, float(resid), scale))
     return _claim("pfaffian-minor-identity-even", ctx.cfg, worst,
                   "even-base bordered-minor identity on 50 seeded tables",
                   exact=ctx.exact)
@@ -297,12 +291,8 @@ def claim_minor_identity_odd(ctx: _Context) -> ClaimResult:
         base = list(range(base_size))
         extras = list(range(base_size, base_size + 4))
         resid = check_identity_odd(s, base, *extras)
-        if ctx.exact:
-            if resid != 0:
-                worst = max(worst, abs(float(resid)))
-        else:
-            scale = max(1.0, _identity_scale_odd(s, base, extras))
-            worst = max(worst, float(resid) / scale)
+        scale = 1.0 if ctx.exact else _identity_scale_odd(s, base, extras)
+        worst = max(worst, _residual(ctx, float(resid), scale))
     return _claim("pfaffian-minor-identity-odd", ctx.cfg, worst,
                   "odd-base bordered-minor identity on 50 seeded tables",
                   exact=ctx.exact)
@@ -364,12 +354,7 @@ def claim_shift_invariance(ctx: _Context) -> ClaimResult:
         i, j, k = (rng.randint(-4, 4) for _ in range(3))
         lhs = skew_inner(m, LaurentPoly.monomial(i + k), LaurentPoly.monomial(j + k))
         rhs = skew_inner(m, LaurentPoly.monomial(i), LaurentPoly.monomial(j))
-        diff = lhs - rhs
-        if ctx.exact:
-            if diff != 0:
-                worst = max(worst, abs(float(diff)))
-        else:
-            worst = max(worst, abs(float(diff)) / max(1.0, abs(float(rhs))))
+        worst = max(worst, _residual(ctx, abs(float(lhs - rhs)), rhs))
     return _claim("moment-shift-invariance", ctx.cfg, worst,
                   "pairings of monomials depend only on the exponent difference",
                   exact=ctx.exact)
@@ -384,12 +369,7 @@ def claim_argument_symmetry(ctx: _Context) -> ClaimResult:
         g = _random_laurent(ctx, rng)
         lhs = skew_inner(m, f, g)
         rhs = skew_inner(m, g.reciprocal_arg(), f.reciprocal_arg())
-        diff = lhs - rhs
-        if ctx.exact:
-            if diff != 0:
-                worst = max(worst, abs(float(diff)))
-        else:
-            worst = max(worst, abs(float(diff)) / max(1.0, abs(float(lhs))))
+        worst = max(worst, _residual(ctx, abs(float(lhs - rhs)), lhs))
     return _claim("laurent-argument-symmetry", ctx.cfg, worst,
                   "<f(z)|g(z)> equals <g(1/z)|f(1/z)> for random Laurent polynomials",
                   exact=ctx.exact)
@@ -407,11 +387,7 @@ def claim_moment_roundtrip(ctx: _Context) -> ClaimResult:
     worst = 0.0
     for n in range(1, n_hi + 1):
         diff = mus[n - 1] - mu_moment(m, n)
-        if ctx.exact:
-            if diff != 0:
-                worst = max(worst, abs(float(diff)))
-        else:
-            worst = max(worst, abs(float(diff)) / max(1.0, abs(float(mus[n - 1]))))
+        worst = max(worst, _residual(ctx, abs(float(diff)), mus[n - 1]))
     return _claim("chebyshev-moment-roundtrip", ctx.cfg, worst,
                   "binomial transform of folded moments reproduces the skew moments",
                   exact=ctx.exact)
@@ -424,17 +400,11 @@ def claim_moment_roundtrip(ctx: _Context) -> ClaimResult:
 def claim_route_agreement(ctx: _Context) -> ClaimResult:
     n = ctx.coeff_order
     mu = ctx.moments
-    rec = ctx.rec
     qs = ctx.qs
     worst = 0.0
     for k in range(2 * n + 1):
-        q_pf = lsop_via_pfaffian(mu, k)
-        diff = q_pf - qs[k]
-        if ctx.exact:
-            if not diff.is_zero():
-                worst = max(worst, diff.max_abs_coeff())
-        else:
-            worst = max(worst, diff.max_abs_coeff() / max(1.0, qs[k].max_abs_coeff()))
+        diff = lsop_via_pfaffian(mu, k) - qs[k]
+        worst = max(worst, _residual(ctx, diff.max_abs_coeff(), qs[k].max_abs_coeff()))
     return _claim("lsop-route-agreement", ctx.cfg, worst,
                   f"moment-minor and recurrence constructions agree through degree {2 * n}",
                   exact=ctx.exact)
@@ -457,12 +427,8 @@ def claim_self_reciprocity(ctx: _Context) -> ClaimResult:
         q = ctx.qs[2 * k]
         for e, c in q.coeffs.items():
             diff = q.coeff(2 * k - e) - c
-            if ctx.exact:
-                if diff != 0:
-                    exact_ok = False
-                    worst = max(worst, abs(float(diff)))
-            else:
-                worst = max(worst, abs(float(diff)) / max(1.0, q.max_abs_coeff()))
+            exact_ok = exact_ok and diff == 0
+            worst = max(worst, _residual(ctx, abs(float(diff)), q.max_abs_coeff()))
     return _claim("lsop-self-reciprocity", ctx.cfg, worst,
                   "even members are self-reciprocal",
                   exact=ctx.exact and exact_ok)
@@ -474,13 +440,8 @@ def claim_top_factorization(ctx: _Context) -> ClaimResult:
     one = Fraction(1) if ctx.exact else 1.0
     prod = LaurentPoly.constant(one)
     for z in m.nodes:
-        zi = 1 / z if isinstance(z, Fraction) else 1.0 / z
-        prod = prod * LaurentPoly({1: one, 0: -z}) * LaurentPoly({1: one, 0: -zi})
-    diff = ctx.qs[2 * n] - prod
-    if ctx.exact:
-        worst = diff.max_abs_coeff()
-    else:
-        worst = diff.max_abs_coeff() / max(1.0, prod.max_abs_coeff())
+        prod = prod * LaurentPoly({1: one, 0: -z}) * LaurentPoly({1: one, 0: -1 / z})
+    worst = _residual(ctx, (ctx.qs[2 * n] - prod).max_abs_coeff(), prod.max_abs_coeff())
     return _claim("lsop-top-factorization", ctx.cfg, worst,
                   "the first member beyond the family vanishes on nodes and reciprocals",
                   exact=ctx.exact)
@@ -492,30 +453,17 @@ def claim_orthonormality(ctx: _Context) -> ClaimResult:
         return _claim("skew-orthonormality", ctx.cfg, worst,
                       "scaled family pairs to the canonical skew pattern (exact identity)",
                       exact=exact_ok)
-    gram = ctx.fv.gram()
-    worst = 0.0
-    d = 2 * ctx.cfg.order
-    for a in range(d):
-        for b in range(d):
-            expect = 0.0
-            if a % 2 == 0 and b % 2 == 1 and a // 2 == b // 2:
-                expect = 1.0
-            elif a % 2 == 1 and b % 2 == 0 and a // 2 == b // 2:
-                expect = -1.0
-            worst = max(worst, abs(gram[a][b] - expect))
-    return _claim("skew-orthonormality", ctx.cfg, worst,
+    return _claim("skew-orthonormality", ctx.cfg, skew_pattern_defect(ctx.fv.gram()),
                   "orthonormal family pairs to the canonical skew pattern on the support")
 
 
 def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
     # <q_2m|q_2n+1> tau_n/tau_{n+1} = delta_mn plus vanishing same-parity
     # pairings: exactly equivalent to orthonormality of the scaled family.
-    from .lsop import exact_support_values
-
     m = ctx.measure
     n = ctx.cfg.order
-    monic_node, monic_recip, rec = exact_support_values(m, n)
-    scales = rec.scale_squares()
+    monic_node, monic_recip = ctx.fv.monic_values()
+    scales = ctx.fv.exact_rec.scale_squares()
     weights = list(m.weights)
 
     def pairing(a: int, b: int):
@@ -548,11 +496,7 @@ def claim_folded_reduction(ctx: _Context) -> ClaimResult:
         via_fold = even_to_op(ctx.qs[2 * k])
         via_hankel = op_via_hankel(cs, k)
         diff = via_fold - via_hankel
-        if ctx.exact:
-            if not diff.is_zero():
-                worst = max(worst, diff.max_abs_coeff())
-        else:
-            worst = max(worst, diff.max_abs_coeff() / max(1.0, via_hankel.max_abs_coeff()))
+        worst = max(worst, _residual(ctx, diff.max_abs_coeff(), via_hankel.max_abs_coeff()))
     return _claim("folded-reduction-agreement", ctx.cfg, worst,
                   "peeling even members to w = z + 1/z matches the Hankel construction",
                   exact=ctx.exact)
@@ -593,7 +537,7 @@ def claim_folded_orthogonality(ctx: _Context) -> ClaimResult:
 def _folded_functional(m: DiscreteMeasure, poly_in_w: LaurentPoly):
     total = 0
     for z, w in zip(m.nodes, m.weights):
-        zi = 1 / z if isinstance(z, Fraction) else 1.0 / z
+        zi = 1 / z
         total += poly_in_w(z + zi) * (z - zi) * w
     return total
 
@@ -609,11 +553,7 @@ def claim_three_term(ctx: _Context) -> ClaimResult:
         res = (w_var - LaurentPoly.constant(gamma)) * rbars[k] - rbars[k + 1]
         if k >= 1:
             res = res - rbars[k - 1].scale(rec.beta[k])
-        if ctx.exact:
-            if not res.is_zero():
-                worst = max(worst, res.max_abs_coeff())
-        else:
-            worst = max(worst, res.max_abs_coeff() / max(1.0, rbars[k].max_abs_coeff()))
+        worst = max(worst, _residual(ctx, res.max_abs_coeff(), rbars[k].max_abs_coeff()))
     return _claim("three-term-relation", ctx.cfg, worst,
                   "reduced members satisfy the three-term recurrence with "
                   "difference diagonal and beta off-diagonal",
@@ -634,12 +574,8 @@ def claim_pfaffian_hankel(ctx: _Context) -> ClaimResult:
     for k in range(n + 1):
         td = rec_pf.tau[k] - hankel_det(cs, k)
         sd = rec_pf.sigma[k] - shifted_hankel_det(cs, k)
-        if ctx.exact:
-            if td != 0 or sd != 0:
-                worst = max(worst, abs(float(td)), abs(float(sd)))
-        else:
-            denom = max(1.0, abs(float(rec_pf.tau[k])), abs(float(rec_pf.sigma[k])))
-            worst = max(worst, abs(float(td)) / denom, abs(float(sd)) / denom)
+        scale = max(abs(float(rec_pf.tau[k])), abs(float(rec_pf.sigma[k])))
+        worst = max(worst, _residual(ctx, abs(float(td)), scale), _residual(ctx, abs(float(sd)), scale))
     worst = max(worst, link)
     return _claim("pfaffian-hankel-identity", ctx.cfg, worst,
                   f"leading minors equal (shifted) Hankel determinants through order {n}",
@@ -655,11 +591,7 @@ def claim_squared_variable(ctx: _Context) -> ClaimResult:
         b = [ctx.scalar(rng, 1, 5) for _ in range(n)]
         qs = kodama_sops(a, b, n)
         for res in kodama_residuals(qs, a, b):
-            if ctx.exact:
-                if not res.is_zero():
-                    worst = max(worst, res.max_abs_coeff())
-            else:
-                worst = max(worst, res.max_abs_coeff())
+            worst = max(worst, res.max_abs_coeff())
     return _claim("squared-variable-recurrence", ctx.cfg, worst,
                   "the squared-variable family satisfies its two-line recurrence identically",
                   exact=ctx.exact)
@@ -709,7 +641,7 @@ def claim_pencil_eigenvalues(ctx: _Context) -> ClaimResult:
     rec = _float_rec(ctx)
     rep = pencil_residual(build_pencil(rec), ctx.fv, rec)
     eigs = pencil_eigenvalues(rep.corrected)
-    expected = _support_spectrum(ctx.measure)
+    expected = support_spectrum(ctx.measure)
     dist = spectra_distance(eigs, expected)
     return _claim("pencil-eigenvalues", ctx.cfg, dist,
                   "generalized eigenvalues are the nodes and their reciprocals",
@@ -746,9 +678,8 @@ def claim_lsolp_construction(ctx: _Context) -> ClaimResult:
                       "(exact, leading-normalized)",
                       exact=exact_ok)
     n = min(ctx.cfg.order, 4)
-    sub = ctx.measure
-    fam_shift = lsolp_from_values(evaluate_family(sub, n))
-    fam_gs = gram_schmidt_lsolp(sub, 2 * n)
+    fam_shift = lsolp_from_values(ctx.fv.prefix(n))
+    fam_gs = gram_schmidt_lsolp(ctx.measure, 2 * n)
     worst = 0.0
     for r1, r2 in zip(fam_shift.node_values, fam_gs.node_values):
         worst = max(worst, max(abs(a - b) for a, b in zip(r1, r2)))
@@ -800,7 +731,7 @@ def claim_butterfly_spectrum(ctx: _Context) -> ClaimResult:
     rec = _float_rec(ctx)
     g = _random_gauge(ctx, ctx.rng(44))
     bt = build_butterfly(rec, g)
-    dist = spectra_distance(dense_eigs(bt), _support_spectrum(ctx.measure))
+    dist = spectra_distance(dense_eigs(bt), support_spectrum(ctx.measure))
     return _claim("butterfly-spectrum", ctx.cfg, dist,
                   "butterfly spectrum is the nodes and their reciprocals")
 
@@ -874,14 +805,6 @@ def _random_gauge(ctx: _Context, rng: random.Random) -> GaugeParams:
         r=tuple(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0) for _ in range(n)),
         lam=tuple(rng.uniform(-2.0, 2.0) for _ in range(n)),
     )
-
-
-def _support_spectrum(m: DiscreteMeasure) -> List[complex]:
-    out = []
-    for z in m.nodes:
-        zf = float(z)
-        out.extend([complex(zf), complex(1.0 / zf)])
-    return sorted(out, key=lambda c: (c.real, c.imag))
 
 
 def _float_rec(ctx: _Context):

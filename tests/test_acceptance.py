@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from lsopkit.lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
-from lsopkit.lsop import (evaluate_family, even_to_op, exact_support_values, hankel_det,
+from lsopkit.lsop import (evaluate_family, even_to_op, hankel_det,
                           kodama_residuals, kodama_sops, lsop_via_pfaffian,
                           lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
                           recurrence_from_measure, shifted_hankel_det)
@@ -90,7 +90,9 @@ def test_criterion_02_skew_orthonormality():
                 worst = max(worst, abs(gram[a][b] - expect))
         # rational mode: exactly 0 / 1 through the scale-squared identity
         mr = random_measure(seed, n, mode="rational")
-        node_vals, recip_vals, rec = exact_support_values(mr, n)
+        fam = evaluate_family(mr, n)
+        node_vals, recip_vals = fam.monic_values()
+        rec = fam.rec
         scales = rec.scale_squares()
         for a in range(n):
             for b in range(n):

@@ -1,0 +1,84 @@
+"""Verify reports against recorded digests, and one folded walk per measure.
+
+tests/data/golden_report_digests.json holds the sha256 of
+run_verification(RunConfig(seed=s, order=n, mode=m)).render() for seeds
+1-10, orders 1-8 and both modes, recorded before the value-table, Gram and
+residual code was consolidated.  The suite checks orders 1-5; the whole grid
+(about two minutes) runs with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import hashlib
+import io
+import json
+import pathlib
+import sys
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from lsopkit import cli, lsop, serialize
+from lsopkit.moments import DiscreteMeasure
+from lsopkit.verify import RunConfig, run_verification
+
+DIGESTS = json.loads((pathlib.Path(__file__).parent / "data" / "golden_report_digests.json").read_text())
+MODES = ("double", "rational")
+SEEDS = range(1, 11)
+SUITE_ORDERS = range(1, 6)
+
+
+def _digest(seed: int, order: int, mode: str) -> str:
+    text = run_verification(RunConfig(seed=seed, order=order, mode=mode)).render()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("order", SUITE_ORDERS)
+def test_report_matches_golden_digest(order, mode):
+    for seed in SEEDS:
+        assert _digest(seed, order, mode) == DIGESTS[f"{mode}/{order}/{seed}"], f"seed {seed}"
+
+
+def _fixed_measure(n: int) -> DiscreteMeasure:
+    return DiscreteMeasure([1.2 + 3.8 * k / n for k in range(n)],
+                           [0.5 + 0.5 * ((7 * k) % 5) / 5 for k in range(n)])
+
+
+@pytest.fixture
+def walk_count(monkeypatch):
+    built = []
+
+    class CountingWalk(lsop._FoldedWalk):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(lsop, "_FoldedWalk", CountingWalk)
+    return built
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_report_folds_its_measure_once(walk_count, mode):
+    m = _fixed_measure(5)
+    if mode == "rational":
+        m = DiscreteMeasure([Fraction(z) for z in m.nodes], [Fraction(w) for w in m.weights])
+    run_verification(RunConfig(seed=1, order=5, mode=mode), m)
+    assert len(walk_count) == 1
+
+
+@pytest.mark.parametrize("command", ["pencil", "butterfly"])
+def test_cli_folds_its_measure_once(walk_count, tmp_path, command):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(serialize.save_measure(_fixed_measure(5)))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main([command, str(mfile)]) == 0
+    assert len(walk_count) == 1
+
+
+if __name__ == "__main__":
+    bad = [f"{mode}/{n}/{s}" for mode in MODES for n in range(1, 9) for s in SEEDS
+           if _digest(s, n, mode) != DIGESTS[f"{mode}/{n}/{s}"]]
+    print(f"{len(DIGESTS) - len(bad)}/{len(DIGESTS)} reports match", *bad, sep="\n")
+    sys.exit(1 if bad else 0)

@@ -8,7 +8,7 @@ import pytest
 
 from lsopkit.errors import AdmissibilityError, DegeneracyError, StructureError
 from lsopkit.laurent import LaurentPoly
-from lsopkit.lsop import (evaluate_family, even_to_op, exact_support_values,
+from lsopkit.lsop import (evaluate_family, even_to_op,
                           hankel_det, kodama_residuals, kodama_sops, lsop_via_pfaffian,
                           lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
                           orthonormalize, recurrence_from_measure, shifted_hankel_det,
@@ -144,12 +144,38 @@ def test_family_gram_is_canonical():
 
 def test_exact_support_values_consistent():
     m = random_measure(18, 3, mode="rational")
-    node_vals, recip_vals, rec = exact_support_values(m, 3)
-    qs = lsop_via_recurrence(rec, 3)
+    fam = evaluate_family(m, 3)
+    node_vals, recip_vals = fam.monic_values()
+    qs = lsop_via_recurrence(fam.rec, 3)
     for k, z in enumerate(m.nodes):
         for j in range(7):
             assert node_vals[k][j] == qs[j](z)
             assert recip_vals[k][j] == qs[j](1 / z)
+
+
+def test_int_measure_folds_exactly():
+    rec = recurrence_from_measure(DiscreteMeasure([2, 3], [1, 1]), 2)
+    assert rec.alpha[1] == Fraction(91, 30)
+    assert all(isinstance(x, Fraction) for x in rec.alpha + rec.beta + rec.tau + rec.sigma)
+
+
+def test_complex_nodes_refused_by_the_walk():
+    m = DiscreteMeasure([2.0 + 1.0j, 3.0], [1.0, 1.0])
+    with pytest.raises(AdmissibilityError):
+        recurrence_from_measure(m, 2)
+    with pytest.raises(AdmissibilityError):
+        evaluate_family(m, 2)
+
+
+def test_lower_order_family_is_a_prefix_of_the_walk():
+    m = random_measure(3, 6, mode="double")
+    full = evaluate_family(m, 6)
+    for n in range(1, 7):
+        low, prefix = evaluate_family(m, n), full.prefix(n)
+        assert prefix.rec == low.rec
+        assert prefix.qt_node == low.qt_node and prefix.qt_recip == low.qt_recip
+        for row_full, row_low in zip(full.qt_node, low.qt_node):
+            assert row_full[:2 * n] == row_low
 
 
 def test_even_to_op_basics():

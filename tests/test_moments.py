@@ -31,6 +31,20 @@ def test_measure_validation():
     DiscreteMeasure([2.0, 2.0], [1.0, 1.0], strict=False)
 
 
+def test_measure_rejects_non_finite_entries():
+    for bad in (float("inf"), float("-inf"), float("nan"), complex(2.0, float("nan"))):
+        with pytest.raises(ValueError):
+            DiscreteMeasure([2.0, bad], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            DiscreteMeasure([2.0, 3.0], [1.0, bad])
+
+
+def test_int_entries_are_stored_as_fractions():
+    m = DiscreteMeasure([2, 3], [1, 1])
+    assert all(type(x) is Fraction for x in m.nodes + m.weights)
+    assert m == DiscreteMeasure([Fraction(2), Fraction(3)], [Fraction(1), Fraction(1)])
+
+
 def test_skew_inner_of_equal_arguments_vanishes():
     rng = random.Random(0)
     for _ in range(5):

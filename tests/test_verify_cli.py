@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsopkit import serialize
+from lsopkit import cli, serialize
 from lsopkit.cli import main
 from lsopkit.moments import DiscreteMeasure, random_measure
 from lsopkit.verify import CLAIMS, DEFAULT_TOLERANCES, RunConfig, run_verification
@@ -87,6 +87,13 @@ def test_corrupted_measure_flags_without_aborting():
     assert "skew-orthonormality" in flagged
     # measure-independent claims still pass
     assert "pfaffian-route-agreement" not in flagged
+
+
+def test_report_with_aborted_claim_is_valid_json():
+    rep = run_verification(RunConfig(seed=12, order=4, mode="double"))
+    doc = json.loads(rep.render())
+    aborted = [c for c in doc["claims"] if c["summary"].startswith("evaluation aborted")]
+    assert aborted and all(c["residual"] is None for c in aborted)
 
 
 def test_conventions_are_reported():
@@ -215,6 +222,25 @@ def test_cli_lsop_pencil_butterfly(tmp_path):
     bdoc = json.loads((tmp_path / "butterfly.json").read_text())
     assert bdoc["diagonal_convention"] == "difference-of-alphas"
     assert bdoc["spectrum_mismatch"] <= 1e-7
+
+
+def test_cli_pencil_butterfly_flag_spectrum_mismatch(tmp_path, monkeypatch):
+    mfile = tmp_path / "m.json"
+    run_cli("gen-measure", "--seed", "5", "--order", "3", "--out", str(mfile))
+    pencil_eigenvalues, dense_eigs = cli.pencil_eigenvalues, cli.dense_eigs
+    monkeypatch.setattr(cli, "pencil_eigenvalues", lambda p: [z + 1e-3 for z in pencil_eigenvalues(p)])
+    monkeypatch.setattr(cli, "dense_eigs", lambda a: [z + 1e-3 for z in dense_eigs(a)])
+    assert run_cli("pencil", str(mfile), "--out", str(tmp_path / "p.json")) == 2
+    assert run_cli("butterfly", str(mfile), "--out", str(tmp_path / "b.json")) == 2
+
+
+@pytest.mark.parametrize("mode", ["double", "rational"])
+def test_cli_refuses_non_finite_measure_file(tmp_path, capsys, mode):
+    mfile = tmp_path / "m.json"
+    mfile.write_text('{"nodes": [2.0, Infinity], "weights": [1.0, 1.0]}')
+    assert run_cli("lsop", str(mfile), "--mode", mode) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_solve_butterfly(tmp_path):
