@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -194,32 +195,30 @@ def cmd_pencil(args) -> int:
     rec_f = fv.rec.as_float()
     textbook = build_pencil(rec_f)
     report = pencil_residual(textbook, fv, rec_f)
-    res_textbook = symplectic_pencil_check(textbook)
-    res_corrected = symplectic_pencil_check(report.corrected)
+    layouts = {"textbook_layout": _layout_document(textbook, report.residual_given),
+               "recurrence_layout": _layout_document(report.corrected, report.residual_corrected)}
     eigs = pencil_eigenvalues(report.corrected)
     mismatch = spectra_distance(eigs, support_spectrum(m))
     doc = {
         "order": n,
-        "textbook_layout": {
-            "U": serialize.matrix_document(textbook.u),
-            "V": serialize.matrix_document(textbook.v),
-            "support_residual": report.residual_given,
-            "pencil_symplecticity": res_textbook[0],
-            "transfer_symplecticity": res_textbook[1],
-        },
-        "recurrence_layout": {
-            "U": serialize.matrix_document(report.corrected.u),
-            "V": serialize.matrix_document(report.corrected.v),
-            "support_residual": report.residual_corrected,
-            "pencil_symplecticity": res_corrected[0],
-            "transfer_symplecticity": res_corrected[1],
-        },
+        **layouts,
         "largest_entry_difference": report.entry_difference,
         "generalized_eigenvalues": _complex_list(eigs),
         "eigenvalue_mismatch": mismatch,
     }
     _emit(args, serialize.dumps(doc))
     return _exit_status(mismatch, "pencil-eigenvalues")
+
+
+def _layout_document(p, support_residual: float) -> Dict[str, object]:
+    pencil_res, transfer_res = symplectic_pencil_check(p)
+    return {
+        "U": serialize.matrix_document(p.u),
+        "V": serialize.matrix_document(p.v),
+        "support_residual": support_residual,
+        "pencil_symplecticity": pencil_res,
+        "transfer_symplecticity": transfer_res,
+    }
 
 
 def cmd_butterfly(args) -> int:
@@ -231,11 +230,7 @@ def cmd_butterfly(args) -> int:
     if args.gauge_seed is None:
         gauge = GaugeParams.trivial(n)
     else:
-        import random as _random
-
-        rng = _random.Random(args.gauge_seed)
-        gauge = GaugeParams(r=tuple(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0) for _ in range(n)),
-                            lam=tuple(rng.uniform(-2.0, 2.0) for _ in range(n)))
+        gauge = GaugeParams.random(random.Random(args.gauge_seed), n)
     bp = butterfly_params(rec_f, gauge)
     bt = build_butterfly(rec_f, gauge)
     fam = gauge_transform_scaled(lsolp_from_values(fv), gauge)

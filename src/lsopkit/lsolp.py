@@ -54,6 +54,13 @@ class GaugeParams:
     def trivial(n: int) -> "GaugeParams":
         return GaugeParams(r=(1.0,) * n, lam=(0.0,) * n)
 
+    @staticmethod
+    def random(rng, n: int) -> "GaugeParams":
+        """Seeded gauge: |r_n| uniform in [0.5, 2] with a random sign, lambda_n
+        uniform in [-2, 2]; all r draws come before the lambda draws."""
+        return GaugeParams(r=tuple(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0) for _ in range(n)),
+                           lam=tuple(rng.uniform(-2.0, 2.0) for _ in range(n)))
+
     @property
     def order(self) -> int:
         return len(self.r)
@@ -255,11 +262,12 @@ def _apply_gauge(fam: LsolpFamily, g: GaugeParams, scaled_shear: bool, validate:
     if g.order != fam.order:
         raise ValueError(f"gauge order {g.order} != family order {fam.order}")
 
+    pairs = [(float(r), float(r) * float(lam) if scaled_shear else float(lam))
+             for r, lam in zip(g.r, g.lam)]
+
     def transform_row(row: Sequence[float]) -> Tuple[float, ...]:
         out = list(row)
-        for k in range(fam.order):
-            r, lam = float(g.r[k]), float(g.lam[k])
-            shear = r * lam if scaled_shear else lam
+        for k, (r, shear) in enumerate(pairs):
             out[2 * k] = row[2 * k] / r
             out[2 * k + 1] = r * row[2 * k + 1] + shear * row[2 * k]
         return tuple(out)
@@ -267,9 +275,7 @@ def _apply_gauge(fam: LsolpFamily, g: GaugeParams, scaled_shear: bool, validate:
     members = None
     if fam.members is not None:
         members = []
-        for k in range(fam.order):
-            r, lam = float(g.r[k]), float(g.lam[k])
-            shear = r * lam if scaled_shear else lam
+        for k, (r, shear) in enumerate(pairs):
             members.append(fam.members[2 * k].as_float().scale(1.0 / r))
             members.append(fam.members[2 * k + 1].as_float().scale(r)
                            + fam.members[2 * k].as_float().scale(shear))

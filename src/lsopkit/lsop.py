@@ -249,11 +249,12 @@ def _member_rows(z: Scalar, pvs: Sequence[Scalar], scale: Sequence[Scalar],
     return vz, vr
 
 
-def support_pairing(weights: Sequence[Scalar], node_rows, recip_rows, a: int, b: int) -> float:
-    """<f_a | f_b> by summation over the support, from value tables of the f_j."""
-    tot = 0.0
+def support_pairing(weights: Sequence[Scalar], node_rows, recip_rows, a: int, b: int) -> Scalar:
+    """<f_a | f_b> by summation over the support, from value tables of the f_j;
+    exact on exact tables and weights."""
+    tot = 0
     for w, vz, vr in zip(weights, node_rows, recip_rows):
-        tot += (vr[a] * vz[b] - vz[a] * vr[b]) * float(w)
+        tot += (vr[a] * vz[b] - vz[a] * vr[b]) * w
     return tot
 
 
@@ -426,13 +427,7 @@ def orthonormalize(qs: Sequence[LaurentPoly], rec: RecurrenceData) -> List[Laure
     numerical statements through FamilyValues tables.
     """
     scales = rec.scale_squares()
-    out = []
-    for j in range(2 * rec.order):
-        s = scales[j // 2]
-        if not s > 0:
-            raise AdmissibilityError(f"scale square tau_{j//2}/tau_{j//2+1} = {s} not positive")
-        out.append(qs[j].as_float().scale(math.sqrt(float(s))))
-    return out
+    return [qs[j].as_float().scale(math.sqrt(float(scales[j // 2]))) for j in range(2 * rec.order)]
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,10 @@ def random_measure(seed: int, n: int, mode: str = "double") -> DiscreteMeasure:
     Candidates whose leading Pfaffian minors tau_1..tau_n fall below
     1e-8 x scale are rejected and resampled, up to 100 attempts.  In
     rational mode the sampled values are snapped to small exact fractions
-    and the tau check is exact.
+    and the first candidate with the node gap is returned: its folded
+    weights (z - 1/z) w are positive and its folded nodes distinct, so
+    every exact tau_k is positive and the measure is folded only by its
+    consumer.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -199,8 +202,8 @@ def random_measure(seed: int, n: int, mode: str = "double") -> DiscreteMeasure:
         if any(abs(a - b) < NODE_MIN_GAP for i, a in enumerate(nodes) for b in nodes[:i]):
             continue
         if mode == "rational":
-            nodes = [Fraction(z).limit_denominator(10**6) for z in nodes]
-            weights = [Fraction(w).limit_denominator(10**6) for w in weights]
+            return DiscreteMeasure([Fraction(z).limit_denominator(10**6) for z in nodes],
+                                   [Fraction(w).limit_denominator(10**6) for w in weights])
         m = DiscreteMeasure(nodes, weights)
         if _tau_positive(m, n):
             return m
@@ -218,8 +221,6 @@ def _tau_positive(m: DiscreteMeasure, n: int) -> bool:
         taus = tau_sequence(m, n)
     except Exception:
         return False
-    if m.is_exact():
-        return all(t > 0 for t in taus[1:])
     scale = 1.0
     for k, t in enumerate(taus[1:], start=1):
         scale = max(scale, abs(float(t)))

@@ -1,10 +1,12 @@
 """Dense linear-algebra kernels at desk scale (n <= 64).
 
 Everything here is implemented in-repo on plain lists so that the numerical
-oracles stay auditable: a pivoted determinant (exact on Fractions), a linear
-solver, an implicit-shift QL eigensolver for symmetric tridiagonal matrices,
-and a Hessenberg + double-shift QR eigensolver for general real matrices
-with a characteristic-polynomial root oracle for sizes <= 6.
+oracles stay auditable: one pivoted forward elimination (exact on
+Fractions) that serves the determinant, the linear solves, the inverse and
+the pencil's transfer matrix V^-1 U, an implicit-shift QL eigensolver for
+symmetric tridiagonal matrices, and a Hessenberg + double-shift QR
+eigensolver for general real matrices with a characteristic-polynomial root
+oracle for sizes <= 6.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ def inf_norm(a: Matrix) -> float:
     return max((sum(abs(float(x)) for x in row) for row in a), default=0.0)
 
 
+def max_abs_diff(a: Matrix, b: Matrix) -> float:
+    """Largest entrywise |a - b| of two equally shaped tables."""
+    return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
 def _check_square(a: Matrix, cap: int = MAX_DENSE_SIZE) -> int:
     n = len(a)
     if any(len(row) != n for row in a):
@@ -75,74 +82,86 @@ def _exact_matrix(a: Matrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# determinant and linear solves
+# determinant and linear solves: one pivoted elimination
 # ---------------------------------------------------------------------------
 
-def dense_det(a: Matrix) -> Scalar:
-    """Determinant by pivoted elimination; exact when all entries are exact."""
+def _eliminate(a: Matrix, cols: Sequence[Sequence[Scalar]] = ()):
+    """Forward elimination with partial pivoting of a, carrying the
+    right-hand-side columns cols along.
+
+    Returns (rows, pivots, sign): the reduced augmented rows, the pivots in
+    order and the sign of the row permutation.  Fewer than n pivots means
+    a is singular; elimination stopped at the first column without one.
+    Pivots are chosen from a alone, so every column sees the same steps.
+    """
     n = _check_square(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    exact = _exact_matrix(m)
-    det = Fraction(1) if exact else 1.0
+    width = n + len(cols)
+    m = [list(row) + [col[i] for col in cols] for i, row in enumerate(a)]
+    exact = _exact_matrix(a) and all(is_exact(x) for col in cols for x in col)
+    pivots: List[Scalar] = []
     sign = 1
     for k in range(n):
         p = _pick_pivot(m, k, exact)
         if p is None:
-            return det * 0
+            break
         if p != k:
             m[k], m[p] = m[p], m[k]
             sign = -sign
         piv = m[k][k]
-        det *= piv
+        pivots.append(piv)
+        row_k = m[k]
         for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / piv
-                row_i, row_k = m[i], m[k]
-                for j in range(k, n):
+            row_i = m[i]
+            if row_i[k] != 0:
+                f = row_i[k] / piv
+                for j in range(k, width):
                     row_i[j] -= f * row_k[j]
+    return m, pivots, sign
+
+
+def dense_det(a: Matrix) -> Scalar:
+    """Determinant by pivoted elimination; exact when all entries are exact."""
+    if not a:
+        return 1
+    m, pivots, sign = _eliminate(a)
+    det = Fraction(1) if _exact_matrix(a) else 1.0
+    for piv in pivots:
+        det *= piv
+    if len(pivots) < len(m):
+        return det * 0
     return det if sign > 0 else -det
 
 
-def solve_linear(a: Matrix, b: Sequence[Scalar]) -> List[Scalar]:
-    """Solve a x = b by Gaussian elimination with partial pivoting.
+def solve_columns(a: Matrix, cols: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
+    """Solve a x = b for every column b in cols with one elimination of a.
 
-    Exact on Fraction input; raises DegeneracyError-free ValueError on a
-    singular system (callers wrap it in the domain-specific error).
+    Exact on Fraction input; raises ValueError on a singular system
+    (callers wrap it in the domain-specific error).
     """
-    n = _check_square(a)
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    exact = _exact_matrix(a) and all(is_exact(x) for x in b)
-    for k in range(n):
-        p = _pick_pivot(m, k, exact)
-        if p is None:
-            raise ValueError("singular linear system")
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / piv
-                for j in range(k, n + 1):
-                    m[i][j] -= f * m[k][j]
-    x: List[Scalar] = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = m[i][n]
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return x
+    m, pivots, _ = _eliminate(a, cols)
+    n = len(m)
+    if len(pivots) < n:
+        raise ValueError("singular linear system")
+    out = []
+    for c in range(n, n + len(cols)):
+        x: List[Scalar] = [0] * n
+        for i in range(n - 1, -1, -1):
+            acc = m[i][c]
+            for j in range(i + 1, n):
+                acc -= m[i][j] * x[j]
+            x[i] = acc / m[i][i]
+        out.append(x)
+    return out
+
+
+def solve_linear(a: Matrix, b: Sequence[Scalar]) -> List[Scalar]:
+    """Solve a x = b by Gaussian elimination with partial pivoting."""
+    return solve_columns(a, [b])[0]
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    n = _check_square(a)
-    cols = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        cols.append(solve_linear(a, e))
-    return transpose(cols)
+    n = len(a)
+    return transpose(solve_columns(a, [[int(i == j) for i in range(n)] for j in range(n)]))
 
 
 def _pick_pivot(m: Matrix, k: int, exact: bool):
@@ -444,10 +463,7 @@ def charpoly(a: Matrix) -> List[Scalar]:
     for k in range(1, n + 1):
         am = mat_mul(a, m)
         tr = sum(am[i][i] for i in range(n))
-        if exact:
-            c = -Fraction(tr, k)
-        else:
-            c = -tr / k
+        c = -tr / k
         coeffs[n - k] = c
         m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
     return coeffs

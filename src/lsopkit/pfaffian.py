@@ -148,7 +148,7 @@ def pf_eliminate(s: SkewArray) -> Scalar:
     return result if sign > 0 else -result
 
 
-def pf_indices(s: SkewArray, indices: Sequence[int], method: str = "eliminate") -> Scalar:
+def pf_indices(s: SkewArray, indices: Sequence[int]) -> Scalar:
     """Pfaffian of the sub-array picked out by an ordered index list.
 
     A repeated index forces the value 0 (antisymmetry).  The order of the
@@ -160,10 +160,7 @@ def pf_indices(s: SkewArray, indices: Sequence[int], method: str = "eliminate") 
         raise DimensionError(f"index list must have even length, got {len(idx)}")
     if len(set(idx)) != len(idx):
         return 0
-    sub = s.submatrix(idx)
-    if method == "expand":
-        return pf_expand(sub)
-    return pf_eliminate(sub)
+    return pf_eliminate(s.submatrix(idx))
 
 
 def check_identity_even(s: SkewArray, base: Sequence[int], a: int, b: int, c: int, d: int) -> Scalar:

@@ -98,8 +98,6 @@ def _coerce(obj: Any, mode: str) -> Any:
     if isinstance(obj, str) and _looks_rational(obj):
         frac = Fraction(obj)
         return frac if mode == "rational" else float(frac)
-    if isinstance(obj, (int, Fraction)) and mode == "double" and not isinstance(obj, bool):
-        return obj
     return obj
 
 

@@ -32,7 +32,8 @@ from .lsop import FamilyValues, RecurrenceData
 from .lsolp import GaugeParams, family_vector_order
 from .moments import DiscreteMeasure
 from .numerics import (Matrix, SymTridiag, dense_eigs, identity, inf_norm, mat_mul,
-                       mat_sub, mat_vec, solve_linear, transpose, zeros)
+                       mat_sub, mat_vec, max_abs_diff, solve_columns, sort_complex,
+                       transpose, zeros)
 
 DOUBLE_ROOT_TOL = 1e-12
 
@@ -56,14 +57,18 @@ class PencilPair:
         return len(self.u) // 2
 
 
+def _require_positive_beta(rec: RecurrenceData) -> None:
+    for k in range(1, rec.order):
+        if not rec.beta[k] > 0:
+            raise AdmissibilityError(f"beta_{k} = {rec.beta[k]} must be positive")
+
+
 def _pencil_blocks(rec: RecurrenceData) -> Tuple[Matrix, Matrix, Matrix]:
     """F, G, H blocks shared by both pencil layouts (floats)."""
     n = rec.order
     if n < 1:
         raise DimensionError("pencil needs order >= 1")
-    for k in range(1, n):
-        if not rec.beta[k] > 0:
-            raise AdmissibilityError(f"beta_{k} = {rec.beta[k]} must be positive")
+    _require_positive_beta(rec)
     f = identity(n)
     for k in range(1, n):
         f[k][k - 1] = -math.sqrt(float(rec.beta[k]))
@@ -121,10 +126,7 @@ def pencil_residual(p: PencilPair, fv: FamilyValues, rec: RecurrenceData,
     res_given = _pencil_support_residual(p, fv)
     corrected = pencil_from_recurrence(rec)
     res_corr = _pencil_support_residual(corrected, fv)
-    diff = max(
-        max(abs(a - b) for ra, rb in zip(p.u, corrected.u) for a, b in zip(ra, rb)),
-        max(abs(a - b) for ra, rb in zip(p.v, corrected.v) for a, b in zip(ra, rb)),
-    )
+    diff = max(max_abs_diff(p.u, corrected.u), max_abs_diff(p.v, corrected.v))
     return PencilReport(residual_given=res_given, residual_corrected=res_corr,
                         corrected=corrected, entry_difference=diff)
 
@@ -149,8 +151,8 @@ def support_spectrum(m: DiscreteMeasure) -> List[complex]:
     out = []
     for z in m.nodes:
         zf = float(z)
-        out.extend([complex(zf), complex(1.0 / zf)])
-    return sorted(out, key=lambda c: (c.real, c.imag))
+        out.extend([zf, 1.0 / zf])
+    return sort_complex(out)
 
 
 def symplectic_j(n: int) -> Matrix:
@@ -180,12 +182,8 @@ def symplectic_pencil_check(p: PencilPair) -> Tuple[float, float]:
 
 
 def transfer_matrix(p: PencilPair) -> Matrix:
-    """S = V^-1 U by columnwise solves."""
-    cols = []
-    ut = transpose(p.u)
-    for col in ut:
-        cols.append(solve_linear(p.v, col))
-    return transpose(cols)
+    """S = V^-1 U: one elimination of V carries every column of U."""
+    return transpose(solve_columns(p.v, transpose(p.u)))
 
 
 def pencil_eigenvalues(p: PencilPair) -> List[complex]:
@@ -201,10 +199,8 @@ def build_tridiagonal(rec: RecurrenceData) -> SymTridiag:
     """T with diagonal (alpha_1, alpha_2 - alpha_1, ..., alpha_N - alpha_N-1)
     and off-diagonal (sqrt(beta_1), ..., sqrt(beta_N-1)); eig T = {z_k + 1/z_k}."""
     n = rec.order
-    for k in range(1, n):
-        if not rec.beta[k] > 0:
-            raise AdmissibilityError(f"beta_{k} = {rec.beta[k]} must be positive")
-    diag = [float(rec.alpha[k + 1]) - float(rec.alpha[k]) for k in range(n)]
+    _require_positive_beta(rec)
+    diag = _gamma(rec, CONVENTION_DIFFERENCE)
     off = [math.sqrt(float(rec.beta[k])) for k in range(1, n)]
     return SymTridiag(diag, off)
 
@@ -256,9 +252,7 @@ def butterfly_params(rec: RecurrenceData, g: GaugeParams,
     n = rec.order
     if g.order != n:
         raise ValueError(f"gauge order {g.order} != recurrence order {n}")
-    for k in range(1, n):
-        if not rec.beta[k] > 0:
-            raise AdmissibilityError(f"beta_{k} = {rec.beta[k]} must be positive")
+    _require_positive_beta(rec)
     gamma = _gamma(rec, convention)
     a = [1.0 / (float(g.r[i]) ** 2) for i in range(n)]
     b = [float(g.lam[i]) for i in range(n)]
@@ -324,10 +318,7 @@ def determine_diagonal_convention(mult: Matrix, rec: RecurrenceData,
     """
     residuals = {}
     for convention in (CONVENTION_DIFFERENCE, CONVENTION_PLAIN):
-        bt = build_butterfly(rec, g, convention)
-        residuals[convention] = max(
-            abs(x - y) for rx, ry in zip(mult, bt) for x, y in zip(rx, ry)
-        )
+        residuals[convention] = max_abs_diff(mult, build_butterfly(rec, g, convention))
     winner = min(residuals, key=residuals.get)
     return winner, residuals
 
@@ -387,10 +378,7 @@ def eig_correspondence(lambdas: Sequence[float]) -> List[Tuple[complex, complex]
 
 def canonical_z_list(pairs: Sequence[Tuple[complex, complex]]) -> List[complex]:
     """Flatten correspondence pairs into a sorted spectrum list."""
-    flat: List[complex] = []
-    for z, zi in pairs:
-        flat.extend([z, zi])
-    return sorted(flat, key=lambda c: (c.real, c.imag))
+    return sort_complex([z for pair in pairs for z in pair])
 
 
 def inversion_closure_defect(spectrum: Sequence[complex]) -> float:

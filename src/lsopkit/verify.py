@@ -24,22 +24,24 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import serialize
 from .laurent import LaurentPoly
-from .lsolp import (GaugeParams, butterfly_sparsity_defect, gauge_transform_scaled,
-                    gram_schmidt_lsolp, gram_schmidt_pairs, lsolp_from_values,
-                    multiplication_matrix)
-from .lsop import (FamilyValues, evaluate_family, even_to_op, hankel_det,
+from .lsolp import (GaugeParams, LsolpFamily, butterfly_sparsity_defect,
+                    gauge_transform_scaled, gram_schmidt_lsolp, gram_schmidt_pairs,
+                    lsolp_from_values, multiplication_matrix)
+from .lsop import (FamilyValues, RecurrenceData, evaluate_family, even_to_op,
                    kodama_residuals, kodama_sops, lsop_via_pfaffian,
                    lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
-                   shifted_hankel_det, skew_pattern_defect)
+                   skew_pattern_defect, support_pairing, verify_pfaffian_det)
 from .modes import Scalar, validate_mode
 from .moments import (DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment,
                       random_measure, skew_inner)
-from .numerics import dense_det, dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
-from .pfaffian import SkewArray, check_identity_even, check_identity_odd, pf_eliminate, pf_expand
-from .spectra import (CONVENTION_DIFFERENCE, build_butterfly, build_pencil,
-                      build_tridiagonal, butterfly_from_params, butterfly_params,
-                      butterfly_to_tridiagonal, canonical_z_list,
-                      determine_diagonal_convention, eig_correspondence,
+from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, spectra_distance,
+                       sym_tridiag_eigs)
+from .pfaffian import (SkewArray, check_identity_even, check_identity_odd, pf_eliminate,
+                       pf_expand, pf_indices)
+from .spectra import (CONVENTION_DIFFERENCE, ButterflyParams, PencilPair, PencilReport,
+                      build_butterfly, build_pencil, build_tridiagonal,
+                      butterfly_from_params, butterfly_params, butterfly_to_tridiagonal,
+                      canonical_z_list, determine_diagonal_convention, eig_correspondence,
                       inversion_closure_defect, pencil_eigenvalues, pencil_residual,
                       support_spectrum, symplectic_pencil_check)
 
@@ -166,11 +168,15 @@ class VerificationReport:
 class _Context:
     """Shared artifacts for the claims of one run.
 
-    Derived artifacts (the folded measure, polynomials, moments) are built
-    lazily and cached, so a failure in one of them surfaces inside the claim
-    that needs it rather than aborting the whole suite.  The measure is
-    folded once: the recurrence data, the value tables and the exact monic
-    tables all come from ctx.fv.
+    Each artifact is built on first read and cached for the rest of the
+    run: the folded walk fv (the recurrence data, the value tables and the
+    exact monic tables all come from it), its float recurrence rec_f, the
+    monic family qs, the moment table, the textbook pencil, its
+    pencil_residual report (which carries the recurrence-derived layout),
+    the symplecticity checks of both layouts with their |U|_inf |V|_inf scales, and
+    the full-order alternating-basis family lsolp.  A builder that raises
+    is cached as its failure: the error surfaces inside each claim that
+    reads the artifact, never aborts the suite, and is never rebuilt.
     """
 
     def __init__(self, cfg: RunConfig, measure: Optional[DiscreteMeasure]):
@@ -185,16 +191,26 @@ class _Context:
 
     def _cached(self, key: str, builder):
         if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+            try:
+                self._cache[key] = (True, builder())
+            except Exception as exc:
+                self._cache[key] = (False, exc)
+        ok, value = self._cache[key]
+        if not ok:
+            raise value
+        return value
 
     @property
     def fv(self) -> FamilyValues:
         return self._cached("fv", lambda: evaluate_family(self.measure, self.cfg.order))
 
     @property
-    def rec(self):
+    def rec(self) -> RecurrenceData:
         return self.fv.rec
+
+    @property
+    def rec_f(self) -> RecurrenceData:
+        return self._cached("rec_f", lambda: self.rec.as_float() if self.exact else self.rec)
 
     @property
     def qs(self):
@@ -203,6 +219,31 @@ class _Context:
     @property
     def moments(self) -> MomentTable:
         return self._cached("moments", lambda: MomentTable.from_measure(self.measure, self.coeff_order))
+
+    @property
+    def textbook(self) -> PencilPair:
+        return self._cached("textbook", lambda: build_pencil(self.rec_f))
+
+    @property
+    def pencil_report(self) -> PencilReport:
+        return self._cached("pencil_report",
+                            lambda: pencil_residual(self.textbook, self.fv, self.rec_f))
+
+    @property
+    def symplectic(self) -> Tuple[Tuple[float, float, float], ...]:
+        """(pencil residual, transfer residual, |U|_inf |V|_inf scale) for the textbook
+        and the recurrence-derived layout."""
+        def build():
+            out = []
+            for p in (self.textbook, self.pencil_report.corrected):
+                pres, tres = symplectic_pencil_check(p)
+                out.append((pres, tres, max(1.0, inf_norm(p.u) * inf_norm(p.v))))
+            return tuple(out)
+        return self._cached("symplectic", build)
+
+    @property
+    def lsolp(self) -> LsolpFamily:
+        return self._cached("lsolp", lambda: lsolp_from_values(self.fv))
 
     def rng(self, offset: int) -> random.Random:
         return random.Random(100003 * self.cfg.seed + offset)
@@ -267,59 +308,36 @@ def claim_pfaffian_determinant(ctx: _Context) -> ClaimResult:
 
 
 def claim_minor_identity_even(ctx: _Context) -> ClaimResult:
-    rng = ctx.rng(13)
-    worst = 0.0
-    for trial in range(50):
-        base_size = 2 * rng.randint(0, 2)
-        s = _random_skew(ctx, rng, base_size + 4)
-        base = list(range(base_size))
-        extras = list(range(base_size, base_size + 4))
-        resid = check_identity_even(s, base, *extras)
-        scale = 1.0 if ctx.exact else _identity_scale_even(s, base, extras)
-        worst = max(worst, _residual(ctx, float(resid), scale))
-    return _claim("pfaffian-minor-identity-even", ctx.cfg, worst,
-                  "even-base bordered-minor identity on 50 seeded tables",
-                  exact=ctx.exact)
+    return _minor_identity(ctx, "even", 13, lambda rng: 2 * rng.randint(0, 2), check_identity_even,
+                           (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))))
 
 
 def claim_minor_identity_odd(ctx: _Context) -> ClaimResult:
-    rng = ctx.rng(14)
+    return _minor_identity(ctx, "odd", 14, lambda rng: 1 + 2 * rng.randint(0, 1), check_identity_odd,
+                           (((0, 1, 3), (2,)), ((0, 2, 3), (1,)), ((1, 2, 3), (0,))))
+
+
+def _minor_identity(ctx: _Context, parity: str, offset: int, base_size_of, check,
+                    products) -> ClaimResult:
+    """One bordered-minor identity on 50 seeded tables.  In double mode its
+    residual is relative to the largest of the three Pfaffian products on
+    the right-hand side, each given as two lists of positions among the four
+    extra indices."""
+    rng = ctx.rng(offset)
     worst = 0.0
     for trial in range(50):
-        base_size = 1 + 2 * rng.randint(0, 1)
+        base_size = base_size_of(rng)
         s = _random_skew(ctx, rng, base_size + 4)
         base = list(range(base_size))
-        extras = list(range(base_size, base_size + 4))
-        resid = check_identity_odd(s, base, *extras)
-        scale = 1.0 if ctx.exact else _identity_scale_odd(s, base, extras)
+        resid = check(s, base, *range(base_size, base_size + 4))
+        scale = 1.0
+        if not ctx.exact:
+            pf = lambda pos: pf_indices(s, base + [base_size + i for i in pos])
+            scale = max(abs(float(pf(left) * pf(right))) for left, right in products)
         worst = max(worst, _residual(ctx, float(resid), scale))
-    return _claim("pfaffian-minor-identity-odd", ctx.cfg, worst,
-                  "odd-base bordered-minor identity on 50 seeded tables",
+    return _claim(f"pfaffian-minor-identity-{parity}", ctx.cfg, worst,
+                  f"{parity}-base bordered-minor identity on 50 seeded tables",
                   exact=ctx.exact)
-
-
-def _identity_scale_even(s: SkewArray, base: List[int], extras: List[int]) -> float:
-    from .pfaffian import pf_indices
-
-    a, b, c, d = extras
-    terms = [
-        pf_indices(s, base + [a, b]) * pf_indices(s, base + [c, d]),
-        pf_indices(s, base + [a, c]) * pf_indices(s, base + [b, d]),
-        pf_indices(s, base + [a, d]) * pf_indices(s, base + [b, c]),
-    ]
-    return max(abs(float(t)) for t in terms)
-
-
-def _identity_scale_odd(s: SkewArray, base: List[int], extras: List[int]) -> float:
-    from .pfaffian import pf_indices
-
-    a, b, c, d = extras
-    terms = [
-        pf_indices(s, base + [a, b, d]) * pf_indices(s, base + [c]),
-        pf_indices(s, base + [a, c, d]) * pf_indices(s, base + [b]),
-        pf_indices(s, base + [b, c, d]) * pf_indices(s, base + [a]),
-    ]
-    return max(abs(float(t)) for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +482,9 @@ def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
     n = ctx.cfg.order
     monic_node, monic_recip = ctx.fv.monic_values()
     scales = ctx.fv.exact_rec.scale_squares()
-    weights = list(m.weights)
 
     def pairing(a: int, b: int):
-        tot = Fraction(0)
-        for k in range(m.size):
-            tot += (monic_recip[k][a] * monic_node[k][b]
-                    - monic_node[k][a] * monic_recip[k][b]) * weights[k]
-        return tot
+        return support_pairing(m.weights, monic_node, monic_recip, a, b)
 
     worst = 0.0
     ok = True
@@ -570,13 +583,9 @@ def claim_pfaffian_hankel(ctx: _Context) -> ClaimResult:
     for k in range(1, 2 * n):
         diff = mus_from_c[k - 1] - mu.mu_at(k)
         link = max(link, abs(float(diff)))
-    worst = 0.0
-    for k in range(n + 1):
-        td = rec_pf.tau[k] - hankel_det(cs, k)
-        sd = rec_pf.sigma[k] - shifted_hankel_det(cs, k)
-        scale = max(abs(float(rec_pf.tau[k])), abs(float(rec_pf.sigma[k])))
-        worst = max(worst, _residual(ctx, abs(float(td)), scale), _residual(ctx, abs(float(sd)), scale))
-    worst = max(worst, link)
+    rep = verify_pfaffian_det(rec_pf, cs, n)
+    minors = max(rep.tau_deviation + rep.sigma_deviation) if ctx.exact else rep.max_relative
+    worst = max(minors, link)
     return _claim("pfaffian-hankel-identity", ctx.cfg, worst,
                   f"leading minors equal (shifted) Hankel determinants through order {n}",
                   exact=ctx.exact)
@@ -602,9 +611,7 @@ def claim_squared_variable(ctx: _Context) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 def claim_pencil_residual(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
-    textbook = build_pencil(rec)
-    rep = pencil_residual(textbook, ctx.fv, rec)
+    rep = ctx.pencil_report
     convention = ("textbook-layout" if rep.residual_given <= ctx.cfg.tolerance("pencil-recurrence-residual")
                   else "rearranged-layout")
     return _claim("pencil-recurrence-residual", ctx.cfg, rep.residual_corrected,
@@ -615,32 +622,19 @@ def claim_pencil_residual(ctx: _Context) -> ClaimResult:
 
 
 def claim_pencil_symplecticity(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
-    worst = 0.0
-    for pencil in (build_pencil(rec), pencil_residual(build_pencil(rec), ctx.fv, rec).corrected):
-        pres, _ = symplectic_pencil_check(pencil)
-        scale = max(1.0, inf_norm(pencil.u) * inf_norm(pencil.v))
-        worst = max(worst, pres / scale)
+    worst = max(0.0, *(pres / scale for pres, _, scale in ctx.symplectic))
     return _claim("pencil-symplecticity", ctx.cfg, worst,
                   "U J U^T = V J V^T for both pencil layouts")
 
 
 def claim_transfer_symplecticity(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
-    rep = pencil_residual(build_pencil(rec), ctx.fv, rec)
-    worst = 0.0
-    for pencil in (build_pencil(rec), rep.corrected):
-        _, tres = symplectic_pencil_check(pencil)
-        s_scale = max(1.0, inf_norm(pencil.u) * inf_norm(pencil.v))
-        worst = max(worst, tres / s_scale)
+    worst = max(0.0, *(tres / scale for _, tres, scale in ctx.symplectic))
     return _claim("transfer-symplecticity", ctx.cfg, worst,
                   "V^-1 U preserves the canonical skew form")
 
 
 def claim_pencil_eigenvalues(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
-    rep = pencil_residual(build_pencil(rec), ctx.fv, rec)
-    eigs = pencil_eigenvalues(rep.corrected)
+    eigs = pencil_eigenvalues(ctx.pencil_report.corrected)
     expected = support_spectrum(ctx.measure)
     dist = spectra_distance(eigs, expected)
     return _claim("pencil-eigenvalues", ctx.cfg, dist,
@@ -649,8 +643,7 @@ def claim_pencil_eigenvalues(ctx: _Context) -> ClaimResult:
 
 
 def claim_tridiagonal_spectrum(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
-    t = build_tridiagonal(rec)
+    t = build_tridiagonal(ctx.rec_f)
     lam = sym_tridiag_eigs(t)
     target = sorted(float(z) + 1.0 / float(z) for z in ctx.measure.nodes)
     worst = max(abs(a - b) for a, b in zip(lam, target))
@@ -680,20 +673,14 @@ def claim_lsolp_construction(ctx: _Context) -> ClaimResult:
     n = min(ctx.cfg.order, 4)
     fam_shift = lsolp_from_values(ctx.fv.prefix(n))
     fam_gs = gram_schmidt_lsolp(ctx.measure, 2 * n)
-    worst = 0.0
-    for r1, r2 in zip(fam_shift.node_values, fam_gs.node_values):
-        worst = max(worst, max(abs(a - b) for a, b in zip(r1, r2)))
-    for r1, r2 in zip(fam_shift.recip_values, fam_gs.recip_values):
-        worst = max(worst, max(abs(a - b) for a, b in zip(r1, r2)))
+    worst = max(max_abs_diff(fam_shift.node_values, fam_gs.node_values),
+                max_abs_diff(fam_shift.recip_values, fam_gs.recip_values))
     return _claim("lsolp-construction-agreement", ctx.cfg, worst,
                   f"Gram-Schmidt and shift constructions agree on the support (order {n})")
 
 
 def claim_multiplication_sparsity(ctx: _Context) -> ClaimResult:
-    fam = lsolp_from_values(ctx.fv)
-    g = _random_gauge(ctx, ctx.rng(41))
-    gauged = gauge_transform_scaled(fam, g)
-    mult = multiplication_matrix(gauged)
+    _, mult = _gauged_multiplication(ctx, 41)
     scale = max(1.0, max(abs(x) for row in mult for x in row))
     defect = butterfly_sparsity_defect(mult) / scale
     return _claim("lsolp-multiplication-sparsity", ctx.cfg, defect,
@@ -701,12 +688,8 @@ def claim_multiplication_sparsity(ctx: _Context) -> ClaimResult:
 
 
 def claim_diagonal_convention(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
-    fam = lsolp_from_values(ctx.fv)
-    g = _random_gauge(ctx, ctx.rng(42))
-    gauged = gauge_transform_scaled(fam, g)
-    mult = multiplication_matrix(gauged)
-    winner, residuals = determine_diagonal_convention(mult, rec, g)
+    g, mult = _gauged_multiplication(ctx, 42)
+    winner, residuals = determine_diagonal_convention(mult, ctx.rec_f, g)
     loser = max(residuals, key=residuals.get)
     return _claim("butterfly-diagonal-convention", ctx.cfg, residuals[winner],
                   f"diagonal coefficients follow the {winner} convention; "
@@ -715,35 +698,28 @@ def claim_diagonal_convention(ctx: _Context) -> ClaimResult:
 
 
 def claim_butterfly_vs_multiplication(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
-    fam = lsolp_from_values(ctx.fv)
-    g = _random_gauge(ctx, ctx.rng(43))
-    gauged = gauge_transform_scaled(fam, g)
-    mult = multiplication_matrix(gauged)
-    bt = build_butterfly(rec, g, CONVENTION_DIFFERENCE)
-    worst = max(abs(x - y) for rx, ry in zip(mult, bt) for x, y in zip(rx, ry))
+    g, mult = _gauged_multiplication(ctx, 43)
+    worst = max_abs_diff(mult, build_butterfly(ctx.rec_f, g, CONVENTION_DIFFERENCE))
     return _claim("butterfly-vs-multiplication", ctx.cfg, worst,
                   "assembled butterfly equals the multiplication operator entrywise",
                   convention=CONVENTION_DIFFERENCE)
 
 
 def claim_butterfly_spectrum(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
-    g = _random_gauge(ctx, ctx.rng(44))
-    bt = build_butterfly(rec, g)
+    g = GaugeParams.random(ctx.rng(44), ctx.cfg.order)
+    bt = build_butterfly(ctx.rec_f, g)
     dist = spectra_distance(dense_eigs(bt), support_spectrum(ctx.measure))
     return _claim("butterfly-spectrum", ctx.cfg, dist,
                   "butterfly spectrum is the nodes and their reciprocals")
 
 
 def claim_gauge_invariance(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
+    rec = ctx.rec_f
     rng = ctx.rng(45)
-    reference = sorted(dense_eigs(build_butterfly(rec, GaugeParams.trivial(ctx.cfg.order))),
-                       key=lambda z: (z.real, z.imag))
+    reference = dense_eigs(build_butterfly(rec, GaugeParams.trivial(ctx.cfg.order)))
     worst = 0.0
     for _ in range(GAUGE_INVARIANCE_TRIALS):
-        g = _random_gauge(ctx, rng)
+        g = GaugeParams.random(rng, ctx.cfg.order)
         eigs = dense_eigs(build_butterfly(rec, g))
         worst = max(worst, spectra_distance(eigs, reference))
     return _claim("butterfly-gauge-invariance", ctx.cfg, worst,
@@ -751,9 +727,8 @@ def claim_gauge_invariance(ctx: _Context) -> ClaimResult:
 
 
 def claim_butterfly_roundtrip(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
-    g = _random_gauge(ctx, ctx.rng(46))
-    bp = butterfly_params(rec, g)
+    g = GaugeParams.random(ctx.rng(46), ctx.cfg.order)
+    bp = butterfly_params(ctx.rec_f, g)
     tri = butterfly_to_tridiagonal(bp)
     lams = sym_tridiag_eigs(tri)
     recovered = canonical_z_list(eig_correspondence(lams))
@@ -770,8 +745,6 @@ def claim_unit_modulus(ctx: _Context) -> ClaimResult:
     a = [1.0 + 0.5 * rng.random() for _ in range(n)]
     b = [0.1 * rng.random() for _ in range(n)]
     d = [0.05 * rng.random() for _ in range(n - 1)]
-    from .spectra import ButterflyParams
-
     c = [(0.5 * (rng.random() - 0.5)) / a[i] for i in range(n)]  # keep |a c + b| < 2
     bp = ButterflyParams(a=tuple(a), b=tuple(b), c=tuple(c), d=tuple(d))
     lams = sym_tridiag_eigs(butterfly_to_tridiagonal(bp))
@@ -791,24 +764,17 @@ def claim_unit_modulus(ctx: _Context) -> ClaimResult:
 
 
 def claim_inversion_closure(ctx: _Context) -> ClaimResult:
-    rec = _float_rec(ctx)
-    g = _random_gauge(ctx, ctx.rng(48))
-    eigs = dense_eigs(build_butterfly(rec, g))
+    g = GaugeParams.random(ctx.rng(48), ctx.cfg.order)
+    eigs = dense_eigs(build_butterfly(ctx.rec_f, g))
     defect = inversion_closure_defect(eigs)
     return _claim("spectrum-inversion-closure", ctx.cfg, defect,
                   "butterfly spectrum is closed under z -> 1/z")
 
 
-def _random_gauge(ctx: _Context, rng: random.Random) -> GaugeParams:
-    n = ctx.cfg.order
-    return GaugeParams(
-        r=tuple(rng.choice([-1, 1]) * rng.uniform(0.5, 2.0) for _ in range(n)),
-        lam=tuple(rng.uniform(-2.0, 2.0) for _ in range(n)),
-    )
-
-
-def _float_rec(ctx: _Context):
-    return ctx.rec.as_float() if ctx.exact else ctx.rec
+def _gauged_multiplication(ctx: _Context, offset: int):
+    """A seeded gauge and the multiplication operator of the gauged family."""
+    g = GaugeParams.random(ctx.rng(offset), ctx.cfg.order)
+    return g, multiplication_matrix(gauge_transform_scaled(ctx.lsolp, g))
 
 
 CLAIMS: Tuple[Tuple[str, Callable[[_Context], ClaimResult]], ...] = (

@@ -1,4 +1,4 @@
-"""Verify reports against recorded digests, and one folded walk per measure.
+"""Verify reports against recorded digests, and each shared artifact built once.
 
 tests/data/golden_report_digests.json holds the sha256 of
 run_verification(RunConfig(seed=s, order=n, mode=m)).render() for seeds
@@ -9,6 +9,7 @@ residual code was consolidated.  The suite checks orders 1-5; the whole grid
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
+import collections
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsopkit import cli, lsop, serialize
+from lsopkit import cli, lsolp, lsop, serialize, spectra, verify
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.verify import RunConfig, run_verification
 
@@ -66,6 +67,54 @@ def test_report_folds_its_measure_once(walk_count, mode):
         m = DiscreteMeasure([Fraction(z) for z in m.nodes], [Fraction(w) for w in m.weights])
     run_verification(RunConfig(seed=1, order=5, mode=mode), m)
     assert len(walk_count) == 1
+
+
+def test_failed_walk_is_built_once(walk_count):
+    m = DiscreteMeasure([2.0, 2.0, 3.0], [0.3, 0.4, 0.5], strict=False)
+    report = run_verification(RunConfig(seed=1, order=3), m)
+    assert len(walk_count) == 1
+    aborted = {c.summary for c in report.claims if "h_2 vanished" in c.summary}
+    assert aborted == {"evaluation aborted (DegeneracyError): folded norm h_2 vanished; tau_3 = 0"}
+    assert sum("h_2 vanished" in c.summary for c in report.claims) == 21
+
+
+@pytest.fixture
+def build_count(monkeypatch):
+    """Counts calls of the pencil, transfer and alternating-family builders
+    wherever a module has bound them; lsolp_from_values counts full-order
+    families only."""
+    counts = collections.Counter()
+    watched = {
+        "build_pencil": spectra, "pencil_from_recurrence": spectra,
+        "symplectic_pencil_check": spectra, "transfer_matrix": spectra,
+        "lsolp_from_values": lsolp,
+    }
+    for name, home in watched.items():
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            if _name != "lsolp_from_values" or args[0].order == 6:
+                counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in (spectra, lsolp, verify):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_report_builds_each_artifact_once(build_count, mode):
+    m = _fixed_measure(6)
+    if mode == "rational":
+        m = DiscreteMeasure([Fraction(z) for z in m.nodes], [Fraction(w) for w in m.weights])
+    report = run_verification(RunConfig(seed=1, order=6, mode=mode), m)
+    assert report.all_pass
+    # one textbook pencil, one rederived layout, one symplecticity check per
+    # layout (each with its transfer matrix) plus the eigenvalue route's
+    assert build_count == {"build_pencil": 1, "pencil_from_recurrence": 1,
+                           "symplectic_pencil_check": 2, "transfer_matrix": 3,
+                           "lsolp_from_values": 1}
 
 
 @pytest.mark.parametrize("command", ["pencil", "butterfly"])

@@ -7,9 +7,13 @@ from fractions import Fraction
 import pytest
 
 from lsopkit.errors import DimensionError
+from lsopkit.lsop import recurrence_from_measure
+from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import (SymTridiag, charpoly, dense_det, dense_eigs,
                               mat_inverse, mat_mul, min_cost_assignment,
-                              solve_linear, spectra_distance, sym_tridiag_eigs)
+                              solve_linear, spectra_distance, sym_tridiag_eigs,
+                              transpose)
+from lsopkit.spectra import build_pencil, pencil_from_recurrence, transfer_matrix
 
 
 def test_det_identity_and_rotation():
@@ -40,6 +44,24 @@ def test_inverse_roundtrip():
     for i in range(5):
         for j in range(5):
             assert ident[i][j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
+
+
+def test_inverse_exact_on_fractions():
+    rng = random.Random(6)
+    a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(5)] for _ in range(5)]
+    for i in range(5):
+        a[i][i] += 10  # diagonally dominant, hence invertible
+    assert mat_mul(mat_inverse(a), a) == [[int(i == j) for j in range(5)] for i in range(5)]
+
+
+@pytest.mark.parametrize("layout", [build_pencil, pencil_from_recurrence])
+def test_transfer_matrix_equals_columnwise_solves(layout):
+    n = 8
+    m = DiscreteMeasure([1.2 + 3.8 * k / n for k in range(n)],
+                        [0.5 + 0.5 * ((7 * k) % 5) / 5 for k in range(n)])
+    p = layout(recurrence_from_measure(m, n))
+    cols = [solve_linear(p.v, col) for col in transpose(p.u)]
+    assert transfer_matrix(p) == transpose(cols)
 
 
 def test_tridiag_singleton():
