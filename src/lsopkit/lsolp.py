@@ -32,6 +32,7 @@ from .laurent import LaurentPoly
 from .lsop import FamilyValues, skew_pattern_defect, support_pairing
 from .modes import is_exact
 from .moments import DiscreteMeasure, skew_inner
+from .numerics import nan_max
 
 PAIRING_VALIDATION_TOL = 1e-8
 REPRESENTATION_TOL = 1e-8
@@ -99,7 +100,7 @@ class LsolpFamily:
 
 def _require_orthonormal(fam: LsolpFamily, tol: float, where: str) -> None:
     defect = fam.pairing_defect()
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise StructureError(f"{where}: family is not skew orthonormal "
                              f"(defect {defect:.3e} > {tol:g})")
 
@@ -372,7 +373,7 @@ def butterfly_sparsity_defect(a: List[List[float]]) -> float:
             else:
                 allowed = abs(ii - jj) <= 1
             if not allowed:
-                worst = max(worst, abs(a[i][j]))
+                worst = nan_max(worst, abs(a[i][j]))
     return worst
 
 

@@ -12,19 +12,17 @@ Two independent routes build the same monic family {q_n}:
   driven by alpha_n = sigma_n / tau_n and beta_n = tau_n+1 tau_n-1 / tau_n^2
   (the production path).
 
-The recurrence coefficients come from a discrete Stieltjes walk on the
-folded measure (nodes z + 1/z, weights (z - 1/z) w).  The walk always runs
-in exact rational arithmetic -- a binary64 measure is lifted to its exact
-rational image first -- because the coefficient array is a brutally
-ill-conditioned parameterization of the family: correctly rounded
-(alpha, beta) alone cap the achievable skew-orthonormality defect near
-1e-7 at order 8, while value tables rounded from the exact walk reach
-1e-11.  Double mode therefore rounds once, at the outputs.
-
-The walk runs once per measure and order: evaluate_family returns it as a
-FamilyValues, from which the recurrence data, the float value tables of the
-orthonormal family, the exact monic tables and every lower-order family
-are read.
+The recurrence coefficients come from the folded measure (nodes z + 1/z,
+weights (z - 1/z) w), folded once per measure and order by evaluate_family.
+A double-mode measure with positive folded weights on pairwise distinct
+folded nodes takes the float fold, Lanczos on diag(x) (the reconstruction
+of a Jacobi matrix from its spectral data); every other measure takes the
+exact Stieltjes walk on its rational image, rounded once at the outputs in
+double mode.  Neither route rebuilds the value tables from float
+coefficients, a brutally ill-conditioned parameterization of the family:
+correctly rounded (alpha, beta) alone cap the skew-orthonormality defect
+near 1e-7 at order 8, while tables rounded from the exact walk, or read off
+the Lanczos vectors, reach about 1e-11.
 
 Even-degree members fold into monic orthogonal polynomials in w = z + 1/z;
 that reduction and its Hankel-determinant counterpart live here too,
@@ -44,7 +42,7 @@ from .errors import AdmissibilityError, DegeneracyError, StructureError
 from .laurent import LaurentPoly
 from .modes import Scalar, is_exact
 from .moments import DiscreteMeasure, MomentTable
-from .numerics import dense_det, solve_linear
+from .numerics import dense_det, nan_max, solve_linear
 from .pfaffian import SkewArray, pf_indices
 
 TAU_DEGENERACY_RELATIVE = 1e-8
@@ -165,23 +163,39 @@ def folded_support(m: DiscreteMeasure) -> Tuple[List[Scalar], List[Scalar]]:
     return xs, ws
 
 
-class _FoldedWalk:
+class _Fold:
+    """Three-term data (a_j, b_j, h_j) of the folded measure, j < n, and
+    value tables p_values[j][k] = p_j(x_k) of its orthogonal polynomials.
+    Step j depends only on the steps before it, so the first n steps of a
+    longer fold are the fold of order n."""
+
+    exact: bool
+
+    def recurrence_data(self, n: int) -> RecurrenceData:
+        one = Fraction(1) if self.exact else 1.0
+        tau, alpha, beta = [one], [one * 0], [one * 0]
+        for k in range(n):
+            tau.append(tau[-1] * self.h[k])
+            alpha.append(alpha[-1] + self.a[k])
+            beta.append(self.b[k + 1] if k + 1 < n else one * 0)
+        sigma = [alpha[k] * tau[k] for k in range(n + 1)]
+        return RecurrenceData(order=n, alpha=tuple(alpha), beta=tuple(beta),
+                              tau=tuple(tau), sigma=tuple(sigma))
+
+
+class _FoldedWalk(_Fold):
     """Exact discrete Stieltjes walk on the folded measure.
 
     Carries the monic folded polynomials p_j by their values on the support
-    (all the functional ever sees) and records the three-term data
-    (a_j, b_j, h_j) plus the value table p_j(x_k) for later reuse.  Step j
-    depends only on the steps before it, so the first n steps of a longer
-    walk are the walk of order n.
+    (all the functional ever sees).
     """
+
+    exact = True
 
     def __init__(self, m_exact: DiscreteMeasure, n: int):
         xs, ws = folded_support(m_exact)
         self.nodes = m_exact.nodes
-        self.a: List[Fraction] = []
-        self.b: List[Fraction] = [Fraction(0)]
-        self.h: List[Fraction] = []
-        self.p_values: List[List[Fraction]] = []
+        self.a, self.b, self.h, self.p_values = [], [Fraction(0)], [], []
         p_prev = [Fraction(0)] * len(xs)
         p_cur = [Fraction(1)] * len(xs)
         for j in range(n):
@@ -200,19 +214,52 @@ class _FoldedWalk:
             ]
             p_prev, p_cur = p_cur, p_next
 
-    def recurrence_data(self, n: int) -> RecurrenceData:
-        tau: List[Fraction] = [Fraction(1)]
-        for k in range(n):
-            tau.append(tau[-1] * self.h[k])
-        alpha: List[Fraction] = [Fraction(0)]
-        for k in range(n):
-            alpha.append(alpha[-1] + self.a[k])
-        beta: List[Fraction] = [Fraction(0)]
-        for k in range(1, n + 1):
-            beta.append(self.b[k] if k < n else Fraction(0))
-        sigma = [alpha[k] * tau[k] for k in range(n + 1)]
-        return RecurrenceData(order=n, alpha=tuple(alpha), beta=tuple(beta),
-                              tau=tuple(tau), sigma=tuple(sigma))
+
+class _FloatFold(_Fold):
+    """Binary64 Lanczos on diag(x) from q_0 = sqrt(w) / |sqrt(w)|, each
+    three-term step orthogonalized twice more against every earlier vector:
+    the reconstruction of the folded Jacobi matrix from its spectral data
+    (Golub & Welsch 1969; Gragg & Harrod 1984).  Its vectors are
+    q_j[k] = sqrt(w_k) p_j(x_k) for the orthonormal p_j, so p_values holds
+    orthonormal values.  a_j = q_j^T X q_j and b_j = |r_j|^2 are stored as
+    computed; h_0 is the folded mass and h_j = h_{j-1} b_j.
+    """
+
+    exact = False
+
+    def __init__(self, nodes: Sequence[Scalar], xs: List[float], ws: List[float], n: int):
+        self.nodes = nodes
+        self.a, self.b, self.h, self.p_values = [], [0.0], [], []
+        vectors: List[List[float]] = []
+        sqrt_w = [math.sqrt(w) for w in ws]
+        mass = math.fsum(ws)
+        q = [s / math.sqrt(mass) for s in sqrt_w]
+        for j in range(n):
+            vectors.append(q)
+            self.p_values.append([qk / s for qk, s in zip(q, sqrt_w)])
+            self.h.append(mass if j == 0 else self.h[-1] * self.b[j])
+            self.a.append(math.fsum(x * qk * qk for x, qk in zip(xs, q)))
+            if j + 1 == n:
+                break
+            off, prev = (math.sqrt(self.b[j]), vectors[-2]) if j else (0.0, q)
+            r = [(x - self.a[j]) * qk - off * pk for x, qk, pk in zip(xs, q, prev)]
+            for _ in range(2):
+                for v in vectors:
+                    c = math.fsum(rk * vk for rk, vk in zip(r, v))
+                    r = [rk - c * vk for rk, vk in zip(r, v)]
+            self.b.append(math.fsum(rk * rk for rk in r))
+            q = [rk / math.sqrt(self.b[-1]) for rk in r]
+
+
+def _float_support(m: DiscreteMeasure) -> Optional[Tuple[List[float], List[float]]]:
+    """Binary64 folded nodes and weights if m is a double-mode measure with
+    positive folded weights on pairwise distinct folded nodes, else None."""
+    if m.is_exact() or any(isinstance(v, complex) for v in m.nodes + m.weights):
+        return None
+    xs, ws = (list(map(float, col)) for col in folded_support(m))
+    ordered = sorted(xs)
+    distinct = all(lo < hi for lo, hi in zip(ordered, ordered[1:]))
+    return (xs, ws) if distinct and all(w > 0 for w in ws) else None
 
 
 def _lift_exact(m: DiscreteMeasure) -> DiscreteMeasure:
@@ -267,45 +314,52 @@ def skew_pattern_defect(gram: Sequence[Sequence[float]]) -> float:
             expect = 0.0
             if a != b and a // 2 == b // 2:
                 expect = 1.0 if a % 2 == 0 else -1.0
-            worst = max(worst, abs(value - expect))
+            worst = nan_max(worst, abs(value - expect))
     return worst
 
 
 @dataclass(frozen=True)
 class FamilyValues:
-    """One exact folded walk of a measure and the family read off it.
+    """One fold of a measure (see evaluate_family) and the family read off it.
 
-    rec holds the recurrence data, exact for an exact measure and rounded
-    once otherwise; exact_rec is the walk's own exact data either way.
-    qt_node[k][j] = qt_j(z_k) and qt_recip[k][j] = qt_j(1/z_k) for
-    j = 0..2*order-1 are rounded from the exact walk on first use and need
-    tau > 0; these tables, not the coefficient arrays, are the numerically
-    trustworthy representation.  monic_values() gives the exact monic
-    tables, and prefix(n) the lower-order family, from the same walk.
+    rec holds the recurrence data: exact for an exact measure, float for a
+    double one.  qt_node[k][j] = qt_j(z_k) and qt_recip[k][j] = qt_j(1/z_k)
+    for j = 0..2*order-1 are built on first use and need tau > 0; these
+    tables, not the coefficient arrays, are the numerically trustworthy
+    representation.  prefix(n) gives the lower-order family of the same
+    fold.  exact_rec and monic_values() are the exact walk's own data and
+    refuse a float fold.
     """
 
     measure: DiscreteMeasure
     order: int
-    walk: _FoldedWalk = field(repr=False, compare=False)
+    fold: _Fold = field(repr=False, compare=False)
 
     @cached_property
     def exact_rec(self) -> RecurrenceData:
-        return self.walk.recurrence_data(self.order)
+        if not self.fold.exact:
+            raise StructureError("exact recurrence data needs the exact walk; "
+                                 "this family was folded in binary64")
+        return self.fold.recurrence_data(self.order)
 
     @cached_property
     def rec(self) -> RecurrenceData:
+        if not self.fold.exact:
+            return self.fold.recurrence_data(self.order)
         return self.exact_rec if self.measure.is_exact() else self.exact_rec.as_float()
 
     @cached_property
     def _tables(self):
-        rec = self.exact_rec
-        rec.require_admissible()
-        alpha = [float(x) for x in rec.alpha]
-        sqrt_b = [0.0] + [math.sqrt(float(x)) for x in rec.beta[1:]]
-        sqrt_h = [math.sqrt(float(x)) for x in self.walk.h[:self.order]]
-        rows = [_member_rows(float(z), [float(p[k]) for p in self.walk.p_values[:self.order]],
-                             sqrt_h, alpha, sqrt_b)
-                for k, z in enumerate(self.walk.nodes)]
+        n, fold = self.order, self.fold
+        if fold.exact:
+            self.exact_rec.require_admissible()
+        alpha = [float(x) for x in self.rec.alpha]
+        sqrt_b = [0.0] + [math.sqrt(float(x)) for x in self.rec.beta[1:]]
+        # the walk carries monic p_j, the float fold orthonormal ones
+        scale = [math.sqrt(float(x)) for x in fold.h[:n]] if fold.exact else [1.0] * n
+        rows = [_member_rows(float(z), [float(p[k]) for p in fold.p_values[:n]],
+                             scale, alpha, sqrt_b)
+                for k, z in enumerate(fold.nodes)]
         return tuple(tuple(vz) for vz, _ in rows), tuple(tuple(vr) for _, vr in rows)
 
     @property
@@ -323,16 +377,16 @@ class FamilyValues:
         n = self.order
         rec = self.exact_rec
         node, recip = [], []
-        for k, z in enumerate(self.walk.nodes):
-            vz, vr = _member_rows(z, [p[k] for p in self.walk.p_values[:n]], [1] * n,
+        for k, z in enumerate(self.fold.nodes):
+            vz, vr = _member_rows(z, [p[k] for p in self.fold.p_values[:n]], [1] * n,
                                   rec.alpha, rec.beta)
             node.append(vz + [Fraction(0)])
             recip.append(vr + [Fraction(0)])
         return node, recip
 
     def prefix(self, n: int) -> "FamilyValues":
-        """The family of order n <= order, read off the same walk."""
-        return FamilyValues(measure=self.measure, order=n, walk=self.walk)
+        """The family of order n <= order, read off the same fold."""
+        return FamilyValues(measure=self.measure, order=n, fold=self.fold)
 
     def gram(self) -> List[List[float]]:
         d = 2 * self.order
@@ -341,32 +395,36 @@ class FamilyValues:
 
 
 def evaluate_family(m: DiscreteMeasure, n: Optional[int] = None) -> FamilyValues:
-    """Fold m once: the exact walk of order n (default: every node) and the
-    family read off it.
+    """Fold m once to order n (default: every node); the family read off it.
 
-    Even members come directly from the folded value table,
-    qt_2j(z) = z^j p_j(z + 1/z) / sqrt(h_j), reflected exactly for 1/z;
-    odd members are assembled from the evens through
-    qt_2j+1 = z (qt_2j - sqrt(beta_j) qt_2j-2) + alpha_j qt_2j.
+    A double-mode measure whose folded weights are all positive and whose
+    folded nodes are pairwise distinct takes the float fold; every other
+    measure (rational mode, a node in (0, 1) under a positive weight, a
+    z / 1/z pair, a repeated node) takes the exact walk, with its errors.
+    Even members come from the folded value table, qt_2j(z) =
+    z^j p_j(z + 1/z) / sqrt(h_j) for monic p_j, reflected exactly for 1/z;
+    odd ones from the evens, qt_2j+1 = z (qt_2j - sqrt(beta_j) qt_2j-2) +
+    alpha_j qt_2j.
     """
     if n is None:
         n = m.size
     if n > m.size:
         raise DegeneracyError(f"order {n} exceeds the measure's {m.size} nodes")
-    return FamilyValues(measure=m, order=n, walk=_FoldedWalk(_lift_exact(m), n))
+    support = _float_support(m)
+    fold = _FloatFold(m.nodes, *support, n) if support else _FoldedWalk(_lift_exact(m), n)
+    return FamilyValues(measure=m, order=n, fold=fold)
 
 
 def recurrence_from_measure(m: DiscreteMeasure, n: Optional[int] = None) -> RecurrenceData:
-    """Recurrence data by the folded Stieltjes walk.
-
-    The walk is exact on the measure's rational image; a float measure gets
-    float outputs (rounded once), an exact measure gets exact outputs.
+    """Recurrence data of the fold evaluate_family picks: exact outputs for an
+    exact measure, float outputs (from the float fold, or rounded once from
+    the exact walk) for a double-mode one.
     """
     return evaluate_family(m, n).rec
 
 
 def tau_sequence(m: DiscreteMeasure, n: int) -> List[Scalar]:
-    """tau_0..tau_n of a measure via the folded Stieltjes route."""
+    """tau_0..tau_n of a measure via the folded route."""
     return list(recurrence_from_measure(m, n).tau)
 
 

@@ -63,9 +63,18 @@ def inf_norm(a: Matrix) -> float:
     return max((sum(abs(float(x)) for x in row) for row in a), default=0.0)
 
 
+def nan_max(*values: float) -> float:
+    """The largest of values, or NaN if any of them is NaN (the built-in max
+    drops a NaN that does not come first)."""
+    for v in values:
+        if v != v:
+            return v
+    return max(values)
+
+
 def max_abs_diff(a: Matrix, b: Matrix) -> float:
-    """Largest entrywise |a - b| of two equally shaped tables."""
-    return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    """Largest entrywise |a - b| of two equally shaped tables; NaN if any is."""
+    return nan_max(*(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)))
 
 
 def _check_square(a: Matrix, cap: int = MAX_DENSE_SIZE) -> int:

@@ -32,7 +32,7 @@ from .lsop import FamilyValues, RecurrenceData
 from .lsolp import GaugeParams, family_vector_order
 from .moments import DiscreteMeasure
 from .numerics import (Matrix, SymTridiag, dense_eigs, identity, inf_norm, mat_mul,
-                       mat_sub, mat_vec, max_abs_diff, solve_columns, sort_complex,
+                       mat_sub, mat_vec, max_abs_diff, nan_max, solve_columns, sort_complex,
                        transpose, zeros)
 
 DOUBLE_ROOT_TOL = 1e-12
@@ -139,9 +139,9 @@ def _pencil_support_residual(p: PencilPair, fv: FamilyValues) -> float:
         uv = mat_vec(p.u, vec)
         vv = mat_vec(p.v, vec)
         zf = float(z)
-        num = max(abs(a - zf * b) for a, b in zip(uv, vv))
+        num = nan_max(*(abs(a - zf * b) for a, b in zip(uv, vv)))
         den = max(abs(x) for x in vec)
-        worst = max(worst, num / den)
+        worst = nan_max(worst, num / den)
     return worst
 
 
@@ -391,7 +391,7 @@ def inversion_closure_defect(spectrum: Sequence[complex]) -> float:
     worst = 0.0
     for z in zs:
         best = min(abs(z * w - 1.0) for w in zs)
-        worst = max(worst, best)
+        worst = nan_max(worst, best)
     return worst
 
 

@@ -34,7 +34,7 @@ from .lsop import (FamilyValues, RecurrenceData, evaluate_family, even_to_op,
 from .modes import Scalar, validate_mode
 from .moments import (DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment,
                       random_measure, skew_inner)
-from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, spectra_distance,
+from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, nan_max, spectra_distance,
                        sym_tridiag_eigs)
 from .pfaffian import (SkewArray, check_identity_even, check_identity_odd, pf_eliminate,
                        pf_expand, pf_indices)
@@ -287,7 +287,7 @@ def claim_pfaffian_routes(ctx: _Context) -> ClaimResult:
             s = _random_skew(ctx, rng, size)
             a = pf_eliminate(s)
             b = pf_expand(s)
-            worst = max(worst, _residual(ctx, abs(float(a - b)), b))
+            worst = nan_max(worst, _residual(ctx, abs(float(a - b)), b))
     return _claim("pfaffian-route-agreement", ctx.cfg, worst,
                   "elimination equals recursive expansion on sizes 0..10",
                   exact=exact_all)
@@ -301,7 +301,7 @@ def claim_pfaffian_determinant(ctx: _Context) -> ClaimResult:
             s = _random_skew(ctx, rng, size)
             pf = pf_eliminate(s)
             det = dense_det(s.dense())
-            worst = max(worst, _residual(ctx, abs(float(pf * pf - det)), det))
+            worst = nan_max(worst, _residual(ctx, abs(float(pf * pf - det)), det))
     return _claim("pfaffian-square-determinant", ctx.cfg, worst,
                   "squared Pfaffian equals the dense determinant, sizes 2..8",
                   exact=ctx.exact)
@@ -334,7 +334,7 @@ def _minor_identity(ctx: _Context, parity: str, offset: int, base_size_of, check
         if not ctx.exact:
             pf = lambda pos: pf_indices(s, base + [base_size + i for i in pos])
             scale = max(abs(float(pf(left) * pf(right))) for left, right in products)
-        worst = max(worst, _residual(ctx, float(resid), scale))
+        worst = nan_max(worst, _residual(ctx, float(resid), scale))
     return _claim(f"pfaffian-minor-identity-{parity}", ctx.cfg, worst,
                   f"{parity}-base bordered-minor identity on 50 seeded tables",
                   exact=ctx.exact)
@@ -355,8 +355,8 @@ def claim_sign_convention(ctx: _Context) -> ClaimResult:
         ours = mu_moment(m, j - i)
         flipped = mu_moment(m, i - j)
         scale = max(1.0, abs(float(direct)))
-        worst_ours = max(worst_ours, abs(float(direct - ours)) / scale)
-        worst_flipped = max(worst_flipped, abs(float(direct - flipped)) / scale)
+        worst_ours = nan_max(worst_ours, abs(float(direct - ours)) / scale)
+        worst_flipped = nan_max(worst_flipped, abs(float(direct - flipped)) / scale)
     convention = "entries-mu(j-i)" if worst_ours <= worst_flipped else "entries-mu(i-j)"
     return _claim("skew-moment-sign-convention", ctx.cfg, worst_ours,
                   "moment-table entry <z^i|z^j> equals mu_{j-i}; the opposite "
@@ -372,7 +372,7 @@ def claim_shift_invariance(ctx: _Context) -> ClaimResult:
         i, j, k = (rng.randint(-4, 4) for _ in range(3))
         lhs = skew_inner(m, LaurentPoly.monomial(i + k), LaurentPoly.monomial(j + k))
         rhs = skew_inner(m, LaurentPoly.monomial(i), LaurentPoly.monomial(j))
-        worst = max(worst, _residual(ctx, abs(float(lhs - rhs)), rhs))
+        worst = nan_max(worst, _residual(ctx, abs(float(lhs - rhs)), rhs))
     return _claim("moment-shift-invariance", ctx.cfg, worst,
                   "pairings of monomials depend only on the exponent difference",
                   exact=ctx.exact)
@@ -387,7 +387,7 @@ def claim_argument_symmetry(ctx: _Context) -> ClaimResult:
         g = _random_laurent(ctx, rng)
         lhs = skew_inner(m, f, g)
         rhs = skew_inner(m, g.reciprocal_arg(), f.reciprocal_arg())
-        worst = max(worst, _residual(ctx, abs(float(lhs - rhs)), lhs))
+        worst = nan_max(worst, _residual(ctx, abs(float(lhs - rhs)), lhs))
     return _claim("laurent-argument-symmetry", ctx.cfg, worst,
                   "<f(z)|g(z)> equals <g(1/z)|f(1/z)> for random Laurent polynomials",
                   exact=ctx.exact)
@@ -405,7 +405,7 @@ def claim_moment_roundtrip(ctx: _Context) -> ClaimResult:
     worst = 0.0
     for n in range(1, n_hi + 1):
         diff = mus[n - 1] - mu_moment(m, n)
-        worst = max(worst, _residual(ctx, abs(float(diff)), mus[n - 1]))
+        worst = nan_max(worst, _residual(ctx, abs(float(diff)), mus[n - 1]))
     return _claim("chebyshev-moment-roundtrip", ctx.cfg, worst,
                   "binomial transform of folded moments reproduces the skew moments",
                   exact=ctx.exact)
@@ -422,7 +422,7 @@ def claim_route_agreement(ctx: _Context) -> ClaimResult:
     worst = 0.0
     for k in range(2 * n + 1):
         diff = lsop_via_pfaffian(mu, k) - qs[k]
-        worst = max(worst, _residual(ctx, diff.max_abs_coeff(), qs[k].max_abs_coeff()))
+        worst = nan_max(worst, _residual(ctx, diff.max_abs_coeff(), qs[k].max_abs_coeff()))
     return _claim("lsop-route-agreement", ctx.cfg, worst,
                   f"moment-minor and recurrence constructions agree through degree {2 * n}",
                   exact=ctx.exact)
@@ -432,7 +432,7 @@ def claim_odd_normalization(ctx: _Context) -> ClaimResult:
     worst = 0.0
     for k in range(ctx.cfg.order):
         c = ctx.qs[2 * k + 1].coeff(2 * k)
-        worst = max(worst, abs(float(c)))
+        worst = nan_max(worst, abs(float(c)))
     return _claim("lsop-odd-normalization", ctx.cfg, worst,
                   "odd members carry no subleading (one-below-top) term",
                   exact=True)
@@ -446,7 +446,7 @@ def claim_self_reciprocity(ctx: _Context) -> ClaimResult:
         for e, c in q.coeffs.items():
             diff = q.coeff(2 * k - e) - c
             exact_ok = exact_ok and diff == 0
-            worst = max(worst, _residual(ctx, abs(float(diff)), q.max_abs_coeff()))
+            worst = nan_max(worst, _residual(ctx, abs(float(diff)), q.max_abs_coeff()))
     return _claim("lsop-self-reciprocity", ctx.cfg, worst,
                   "even members are self-reciprocal",
                   exact=ctx.exact and exact_ok)
@@ -497,7 +497,7 @@ def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
             for v in (ee, oo, eo - target):
                 if v != 0:
                     ok = False
-                    worst = max(worst, abs(float(v)))
+                    worst = nan_max(worst, abs(float(v)))
     return worst, ok
 
 
@@ -509,7 +509,7 @@ def claim_folded_reduction(ctx: _Context) -> ClaimResult:
         via_fold = even_to_op(ctx.qs[2 * k])
         via_hankel = op_via_hankel(cs, k)
         diff = via_fold - via_hankel
-        worst = max(worst, _residual(ctx, diff.max_abs_coeff(), via_hankel.max_abs_coeff()))
+        worst = nan_max(worst, _residual(ctx, diff.max_abs_coeff(), via_hankel.max_abs_coeff()))
     return _claim("folded-reduction-agreement", ctx.cfg, worst,
                   "peeling even members to w = z + 1/z matches the Hankel construction",
                   exact=ctx.exact)
@@ -525,7 +525,7 @@ def claim_folded_orthogonality(ctx: _Context) -> ClaimResult:
             for b in range(a):
                 v = _folded_functional(m, rbars[a] * rbars[b])
                 if v != 0:
-                    worst = max(worst, abs(float(v)))
+                    worst = nan_max(worst, abs(float(v)))
         return _claim("folded-functional-orthogonality", ctx.cfg, worst,
                       "reduced members are orthogonal under the folded functional",
                       exact=True)
@@ -542,7 +542,7 @@ def claim_folded_orthogonality(ctx: _Context) -> ClaimResult:
                 ra = fv.qt_node[k][2 * a] / zf**a
                 rb = fv.qt_node[k][2 * b] / zf**b
                 total += ra * rb * (zf - 1.0 / zf) * float(w)
-            worst = max(worst, abs(total - (1.0 if a == b else 0.0)))
+            worst = nan_max(worst, abs(total - (1.0 if a == b else 0.0)))
     return _claim("folded-functional-orthogonality", ctx.cfg, worst,
                   "folded members are orthonormal under the folded functional")
 
@@ -566,7 +566,7 @@ def claim_three_term(ctx: _Context) -> ClaimResult:
         res = (w_var - LaurentPoly.constant(gamma)) * rbars[k] - rbars[k + 1]
         if k >= 1:
             res = res - rbars[k - 1].scale(rec.beta[k])
-        worst = max(worst, _residual(ctx, res.max_abs_coeff(), rbars[k].max_abs_coeff()))
+        worst = nan_max(worst, _residual(ctx, res.max_abs_coeff(), rbars[k].max_abs_coeff()))
     return _claim("three-term-relation", ctx.cfg, worst,
                   "reduced members satisfy the three-term recurrence with "
                   "difference diagonal and beta off-diagonal",
@@ -582,10 +582,10 @@ def claim_pfaffian_hankel(ctx: _Context) -> ClaimResult:
     link = 0.0
     for k in range(1, 2 * n):
         diff = mus_from_c[k - 1] - mu.mu_at(k)
-        link = max(link, abs(float(diff)))
+        link = nan_max(link, abs(float(diff)))
     rep = verify_pfaffian_det(rec_pf, cs, n)
     minors = max(rep.tau_deviation + rep.sigma_deviation) if ctx.exact else rep.max_relative
-    worst = max(minors, link)
+    worst = nan_max(minors, link)
     return _claim("pfaffian-hankel-identity", ctx.cfg, worst,
                   f"leading minors equal (shifted) Hankel determinants through order {n}",
                   exact=ctx.exact)
@@ -600,7 +600,7 @@ def claim_squared_variable(ctx: _Context) -> ClaimResult:
         b = [ctx.scalar(rng, 1, 5) for _ in range(n)]
         qs = kodama_sops(a, b, n)
         for res in kodama_residuals(qs, a, b):
-            worst = max(worst, res.max_abs_coeff())
+            worst = nan_max(worst, res.max_abs_coeff())
     return _claim("squared-variable-recurrence", ctx.cfg, worst,
                   "the squared-variable family satisfies its two-line recurrence identically",
                   exact=ctx.exact)
@@ -622,13 +622,13 @@ def claim_pencil_residual(ctx: _Context) -> ClaimResult:
 
 
 def claim_pencil_symplecticity(ctx: _Context) -> ClaimResult:
-    worst = max(0.0, *(pres / scale for pres, _, scale in ctx.symplectic))
+    worst = nan_max(0.0, *(pres / scale for pres, _, scale in ctx.symplectic))
     return _claim("pencil-symplecticity", ctx.cfg, worst,
                   "U J U^T = V J V^T for both pencil layouts")
 
 
 def claim_transfer_symplecticity(ctx: _Context) -> ClaimResult:
-    worst = max(0.0, *(tres / scale for _, tres, scale in ctx.symplectic))
+    worst = nan_max(0.0, *(tres / scale for _, tres, scale in ctx.symplectic))
     return _claim("transfer-symplecticity", ctx.cfg, worst,
                   "V^-1 U preserves the canonical skew form")
 
@@ -646,7 +646,7 @@ def claim_tridiagonal_spectrum(ctx: _Context) -> ClaimResult:
     t = build_tridiagonal(ctx.rec_f)
     lam = sym_tridiag_eigs(t)
     target = sorted(float(z) + 1.0 / float(z) for z in ctx.measure.nodes)
-    worst = max(abs(a - b) for a, b in zip(lam, target))
+    worst = nan_max(*(abs(a - b) for a, b in zip(lam, target)))
     return _claim("tridiagonal-spectrum", ctx.cfg, worst,
                   "tridiagonal eigenvalues equal z + 1/z over the nodes")
 
@@ -665,7 +665,7 @@ def claim_lsolp_construction(ctx: _Context) -> ClaimResult:
             for bad in (d1.max_abs_coeff(), d2.max_abs_coeff(), abs(float(d3))):
                 if bad != 0:
                     exact_ok = False
-                    worst = max(worst, bad)
+                    worst = nan_max(worst, bad)
         return _claim("lsolp-construction-agreement", ctx.cfg, worst,
                       "alternating-basis Gram-Schmidt reproduces the shifted family "
                       "(exact, leading-normalized)",
@@ -673,7 +673,7 @@ def claim_lsolp_construction(ctx: _Context) -> ClaimResult:
     n = min(ctx.cfg.order, 4)
     fam_shift = lsolp_from_values(ctx.fv.prefix(n))
     fam_gs = gram_schmidt_lsolp(ctx.measure, 2 * n)
-    worst = max(max_abs_diff(fam_shift.node_values, fam_gs.node_values),
+    worst = nan_max(max_abs_diff(fam_shift.node_values, fam_gs.node_values),
                 max_abs_diff(fam_shift.recip_values, fam_gs.recip_values))
     return _claim("lsolp-construction-agreement", ctx.cfg, worst,
                   f"Gram-Schmidt and shift constructions agree on the support (order {n})")
@@ -721,7 +721,7 @@ def claim_gauge_invariance(ctx: _Context) -> ClaimResult:
     for _ in range(GAUGE_INVARIANCE_TRIALS):
         g = GaugeParams.random(rng, ctx.cfg.order)
         eigs = dense_eigs(build_butterfly(rec, g))
-        worst = max(worst, spectra_distance(eigs, reference))
+        worst = nan_max(worst, spectra_distance(eigs, reference))
     return _claim("butterfly-gauge-invariance", ctx.cfg, worst,
                   f"butterfly spectrum is invariant over {GAUGE_INVARIANCE_TRIALS} random gauges")
 
@@ -753,7 +753,7 @@ def claim_unit_modulus(ctx: _Context) -> ClaimResult:
     for lam, (z, zbar) in zip(lams, eig_correspondence(lams)):
         if abs(lam) < 2.0 - 1e-9:
             inside += 1
-            worst = max(worst, abs(abs(z) - 1.0), abs(abs(zbar) - 1.0))
+            worst = nan_max(worst, abs(abs(z) - 1.0), abs(abs(zbar) - 1.0))
     if inside == 0:
         worst = float("inf")
     dist = spectra_distance(canonical_z_list(eig_correspondence(lams)),

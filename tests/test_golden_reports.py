@@ -2,9 +2,10 @@
 
 tests/data/golden_report_digests.json holds the sha256 of
 run_verification(RunConfig(seed=s, order=n, mode=m)).render() for seeds
-1-10, orders 1-8 and both modes, recorded before the value-table, Gram and
-residual code was consolidated.  The suite checks orders 1-5; the whole grid
-(about two minutes) runs with
+1-10, orders 1-8 and both modes.  The rational digests were recorded before
+the value-table, Gram and residual code was consolidated; the double ones
+were recorded again when double-mode measures moved to the float fold.  The
+suite checks orders 1-5; the whole grid (about a minute) runs with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -48,31 +49,34 @@ def _fixed_measure(n: int) -> DiscreteMeasure:
 
 
 @pytest.fixture
-def walk_count(monkeypatch):
+def fold_count(monkeypatch):
+    """Names the fold class of every fold built: the exact walk or the float fold."""
     built = []
+    for name in ("_FoldedWalk", "_FloatFold"):
+        fold = getattr(lsop, name)
 
-    class CountingWalk(lsop._FoldedWalk):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+        class Counting(fold):
+            def __init__(self, *args, _name=name, _fold=fold):
+                built.append(_name)
+                _fold.__init__(self, *args)
 
-    monkeypatch.setattr(lsop, "_FoldedWalk", CountingWalk)
+        monkeypatch.setattr(lsop, name, Counting)
     return built
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_report_folds_its_measure_once(walk_count, mode):
+def test_report_folds_its_measure_once(fold_count, mode):
     m = _fixed_measure(5)
     if mode == "rational":
         m = DiscreteMeasure([Fraction(z) for z in m.nodes], [Fraction(w) for w in m.weights])
     run_verification(RunConfig(seed=1, order=5, mode=mode), m)
-    assert len(walk_count) == 1
+    assert fold_count == ["_FloatFold" if mode == "double" else "_FoldedWalk"]
 
 
-def test_failed_walk_is_built_once(walk_count):
+def test_failed_walk_is_built_once(fold_count):
     m = DiscreteMeasure([2.0, 2.0, 3.0], [0.3, 0.4, 0.5], strict=False)
     report = run_verification(RunConfig(seed=1, order=3), m)
-    assert len(walk_count) == 1
+    assert fold_count == ["_FoldedWalk"]
     aborted = {c.summary for c in report.claims if "h_2 vanished" in c.summary}
     assert aborted == {"evaluation aborted (DegeneracyError): folded norm h_2 vanished; tau_3 = 0"}
     assert sum("h_2 vanished" in c.summary for c in report.claims) == 21
@@ -118,12 +122,12 @@ def test_report_builds_each_artifact_once(build_count, mode):
 
 
 @pytest.mark.parametrize("command", ["pencil", "butterfly"])
-def test_cli_folds_its_measure_once(walk_count, tmp_path, command):
+def test_cli_folds_its_measure_once(fold_count, tmp_path, command):
     mfile = tmp_path / "m.json"
     mfile.write_text(serialize.save_measure(_fixed_measure(5)))
     with redirect_stdout(io.StringIO()):
         assert cli.main([command, str(mfile)]) == 0
-    assert len(walk_count) == 1
+    assert fold_count == ["_FloatFold"]
 
 
 if __name__ == "__main__":

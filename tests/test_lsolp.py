@@ -73,6 +73,13 @@ def test_validation_rejects_non_orthonormal():
         lsolp_from_lsop(m, qt)
 
 
+def test_validation_rejects_nan_values():
+    fv = evaluate_family(random_measure(33, 3, mode="double"), 3)
+    fv.fold.p_values[1][0] = float("nan")
+    with pytest.raises(StructureError, match="defect nan"):
+        lsolp_from_values(fv)
+
+
 def test_gram_schmidt_count_one():
     fam = gram_schmidt_lsolp(REF.as_float(), 1)
     assert fam.members[0].coeffs == pytest.approx({0: math.sqrt(2.0 / 3.0)})

@@ -12,7 +12,7 @@ from lsopkit.lsop import (evaluate_family, even_to_op,
                           hankel_det, kodama_residuals, kodama_sops, lsop_via_pfaffian,
                           lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
                           orthonormalize, recurrence_from_measure, shifted_hankel_det,
-                          verify_pfaffian_det)
+                          skew_pattern_defect, verify_pfaffian_det)
 from lsopkit.moments import DiscreteMeasure, MomentTable, mu_moment, random_measure, skew_inner
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])
@@ -176,6 +176,13 @@ def test_lower_order_family_is_a_prefix_of_the_walk():
         assert prefix.qt_node == low.qt_node and prefix.qt_recip == low.qt_recip
         for row_full, row_low in zip(full.qt_node, low.qt_node):
             assert row_full[:2 * n] == row_low
+
+
+def test_nan_gram_entry_is_the_defect():
+    nan = float("nan")
+    assert math.isnan(skew_pattern_defect([[0.0, nan], [-1.0, 0.0]]))
+    assert math.isnan(skew_pattern_defect([[0.0, 1.0], [-1.0, nan]]))
+    assert skew_pattern_defect([[0.0, 1.0], [-1.0, 0.5]]) == 0.5
 
 
 def test_even_to_op_basics():

@@ -1,6 +1,7 @@
 """Dense kernels: determinants, tridiagonal QL, Hessenberg QR."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ import pytest
 from lsopkit.errors import DimensionError
 from lsopkit.lsop import recurrence_from_measure
 from lsopkit.moments import DiscreteMeasure
-from lsopkit.numerics import (SymTridiag, charpoly, dense_det, dense_eigs,
-                              mat_inverse, mat_mul, min_cost_assignment,
+from lsopkit.numerics import (SymTridiag, charpoly, dense_det, dense_eigs, mat_inverse,
+                              mat_mul, max_abs_diff, min_cost_assignment, nan_max,
                               solve_linear, spectra_distance, sym_tridiag_eigs,
                               transpose)
 from lsopkit.spectra import build_pencil, pencil_from_recurrence, transfer_matrix
@@ -62,6 +63,16 @@ def test_transfer_matrix_equals_columnwise_solves(layout):
     p = layout(recurrence_from_measure(m, n))
     cols = [solve_linear(p.v, col) for col in transpose(p.u)]
     assert transfer_matrix(p) == transpose(cols)
+
+
+def test_largest_value_keeps_nan():
+    nan = float("nan")
+    assert nan_max(0.0, 2.0, 1.0) == 2.0
+    assert max(0.0, nan) == 0.0  # the built-in drops it
+    for values in ((0.0, nan), (nan, 0.0), (1.0, nan, 3.0)):
+        assert math.isnan(nan_max(*values))
+    assert math.isnan(max_abs_diff([[1.0, 2.0]], [[1.0, nan]]))
+    assert max_abs_diff([[1.0, 2.0]], [[1.5, 2.0]]) == 0.5
 
 
 def test_tridiag_singleton():

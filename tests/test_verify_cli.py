@@ -1,13 +1,15 @@
 """Verification reports, file formats, and the command-line interface."""
 
 import json
+import math
 import os
 from fractions import Fraction
 
 import pytest
 
-from lsopkit import cli, serialize
+from lsopkit import cli, serialize, verify
 from lsopkit.cli import main
+from lsopkit.lsop import evaluate_family
 from lsopkit.moments import DiscreteMeasure, random_measure
 from lsopkit.verify import CLAIMS, DEFAULT_TOLERANCES, RunConfig, run_verification
 
@@ -87,6 +89,19 @@ def test_corrupted_measure_flags_without_aborting():
     assert "skew-orthonormality" in flagged
     # measure-independent claims still pass
     assert "pfaffian-route-agreement" not in flagged
+
+
+def test_nan_in_the_value_tables_flags(monkeypatch):
+    m = random_measure(2, 3, mode="double")
+    fv = evaluate_family(m, 3)
+    fv.fold.p_values[1][0] = float("nan")  # one folded value, before any table is built
+    monkeypatch.setattr(verify, "evaluate_family", lambda *args: fv)
+    claims = {c.claim_id: c for c in run_verification(RunConfig(seed=2, order=3), m).claims}
+    for cid in ("skew-orthonormality", "folded-functional-orthogonality",
+                "pencil-recurrence-residual"):
+        assert claims[cid].status == "flag" and math.isnan(claims[cid].residual), cid
+    assert "not skew orthonormal (defect nan" in claims["lsolp-multiplication-sparsity"].summary
+    assert claims["pfaffian-route-agreement"].status == "pass"
 
 
 def test_report_with_aborted_claim_is_valid_json():
