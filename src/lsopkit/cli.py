@@ -192,9 +192,8 @@ def cmd_pencil(args) -> int:
     m = _measure(args, mode)
     n = _order_of(args, m)
     fv = evaluate_family(m, n)
-    rec_f = fv.rec.as_float()
-    textbook = build_pencil(rec_f)
-    report = pencil_residual(textbook, fv, rec_f)
+    textbook = build_pencil(fv.rec)
+    report = pencil_residual(textbook, fv, fv.rec)
     layouts = {"textbook_layout": _layout_document(textbook, report.residual_given),
                "recurrence_layout": _layout_document(report.corrected, report.residual_corrected)}
     eigs = pencil_eigenvalues(report.corrected)
@@ -226,16 +225,15 @@ def cmd_butterfly(args) -> int:
     m = _measure(args, mode)
     n = _order_of(args, m)
     fv = evaluate_family(m, n)
-    rec_f = fv.rec.as_float()
     if args.gauge_seed is None:
         gauge = GaugeParams.trivial(n)
     else:
         gauge = GaugeParams.random(random.Random(args.gauge_seed), n)
-    bp = butterfly_params(rec_f, gauge)
-    bt = build_butterfly(rec_f, gauge)
+    bp = butterfly_params(fv.rec, gauge)
+    bt = build_butterfly(fv.rec, gauge)
     fam = gauge_transform_scaled(lsolp_from_values(fv), gauge)
     mult = multiplication_matrix(fam)
-    convention, residuals = determine_diagonal_convention(mult, rec_f, gauge)
+    convention, residuals = determine_diagonal_convention(mult, fv.rec, gauge)
     eigs = dense_eigs(bt)
     mismatch = spectra_distance(eigs, support_spectrum(m))
     doc = {

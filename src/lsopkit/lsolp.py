@@ -98,18 +98,18 @@ class LsolpFamily:
         return skew_pattern_defect(self.gram())
 
 
-def _require_orthonormal(fam: LsolpFamily, tol: float, where: str) -> None:
+def _require_orthonormal(fam: LsolpFamily, where: str) -> None:
     defect = fam.pairing_defect()
-    if not defect <= tol:  # a NaN defect fails too
+    if not defect <= PAIRING_VALIDATION_TOL:  # a NaN defect fails too
         raise StructureError(f"{where}: family is not skew orthonormal "
-                             f"(defect {defect:.3e} > {tol:g})")
+                             f"(defect {defect:.3e} > {PAIRING_VALIDATION_TOL:g})")
 
 
 # ---------------------------------------------------------------------------
 # construction from the orthonormal monomial-basis family
 # ---------------------------------------------------------------------------
 
-def lsolp_from_values(fv: FamilyValues, validate: bool = True) -> LsolpFamily:
+def lsolp_from_values(fv: FamilyValues) -> LsolpFamily:
     """Alternating-basis family from orthonormal value tables (production path)."""
     n = fv.order
     node_vals, recip_vals = [], []
@@ -127,13 +127,11 @@ def lsolp_from_values(fv: FamilyValues, validate: bool = True) -> LsolpFamily:
         recip_vals.append(tuple(row_r))
     fam = LsolpFamily(measure=fv.measure, order=n,
                       node_values=tuple(node_vals), recip_values=tuple(recip_vals))
-    if validate:
-        _require_orthonormal(fam, PAIRING_VALIDATION_TOL, "lsolp_from_values")
+    _require_orthonormal(fam, "lsolp_from_values")
     return fam
 
 
-def lsolp_from_lsop(m: DiscreteMeasure, qtilde: Sequence[LaurentPoly],
-                    validate: bool = True) -> LsolpFamily:
+def lsolp_from_lsop(m: DiscreteMeasure, qtilde: Sequence[LaurentPoly]) -> LsolpFamily:
     """Alternating-basis family from orthonormal coefficient polynomials.
 
     Q_2m = z^-m qt_2m and Q_2m+1 = -z^-m-1 qt_2m; the odd members reuse the
@@ -149,8 +147,7 @@ def lsolp_from_lsop(m: DiscreteMeasure, qtilde: Sequence[LaurentPoly],
         members.append(qtilde[2 * k].shift(-k))
         members.append(qtilde[2 * k].shift(-k - 1).scale(-1))
     fam = _family_from_polys(m, members)
-    if validate:
-        _require_orthonormal(fam, PAIRING_VALIDATION_TOL, "lsolp_from_lsop")
+    _require_orthonormal(fam, "lsolp_from_lsop")
     return fam
 
 
@@ -201,7 +198,7 @@ def gram_schmidt_pairs(m: DiscreteMeasure, count: int):
     return pairs
 
 
-def gram_schmidt_lsolp(m: DiscreteMeasure, count: int, validate: bool = True) -> LsolpFamily:
+def gram_schmidt_lsolp(m: DiscreteMeasure, count: int) -> LsolpFamily:
     """Skew orthonormal family by Gram-Schmidt in the alternating basis.
 
     Normalization matches the shift construction: the even leading
@@ -222,8 +219,7 @@ def gram_schmidt_lsolp(m: DiscreteMeasure, count: int, validate: bool = True) ->
         members.append(p_even.as_float().scale(u))
         members.append(p_odd.as_float().scale(v))
     fam = _family_from_polys(m, members)
-    if validate:
-        _require_orthonormal(fam, PAIRING_VALIDATION_TOL, "gram_schmidt_lsolp")
+    _require_orthonormal(fam, "gram_schmidt_lsolp")
     return fam
 
 
@@ -243,12 +239,12 @@ def _project(m: DiscreteMeasure, v: LaurentPoly, pairs) -> LaurentPoly:
 # gauge action
 # ---------------------------------------------------------------------------
 
-def gauge_transform(fam: LsolpFamily, g: GaugeParams, validate: bool = True) -> LsolpFamily:
+def gauge_transform(fam: LsolpFamily, g: GaugeParams) -> LsolpFamily:
     """Gauged family Qt_2n = Q_2n / r_n, Qt_2n+1 = r_n Q_2n+1 + lambda_n Q_2n."""
-    return _apply_gauge(fam, g, scaled_shear=False, validate=validate)
+    return _apply_gauge(fam, g, scaled_shear=False)
 
 
-def gauge_transform_scaled(fam: LsolpFamily, g: GaugeParams, validate: bool = True) -> LsolpFamily:
+def gauge_transform_scaled(fam: LsolpFamily, g: GaugeParams) -> LsolpFamily:
     """Gauge variant with the shear applied inside the scaling:
     Qt_2n+1 = r_n (Q_2n+1 + lambda_n Q_2n).
 
@@ -256,10 +252,10 @@ def gauge_transform_scaled(fam: LsolpFamily, g: GaugeParams, validate: bool = Tr
     parameterization under which the butterfly parameter map is the stated
     one-to-one correspondence (see spectra.butterfly_params).
     """
-    return _apply_gauge(fam, g, scaled_shear=True, validate=validate)
+    return _apply_gauge(fam, g, scaled_shear=True)
 
 
-def _apply_gauge(fam: LsolpFamily, g: GaugeParams, scaled_shear: bool, validate: bool) -> LsolpFamily:
+def _apply_gauge(fam: LsolpFamily, g: GaugeParams, scaled_shear: bool) -> LsolpFamily:
     if g.order != fam.order:
         raise ValueError(f"gauge order {g.order} != family order {fam.order}")
 
@@ -285,8 +281,7 @@ def _apply_gauge(fam: LsolpFamily, g: GaugeParams, scaled_shear: bool, validate:
                       node_values=tuple(transform_row(r) for r in fam.node_values),
                       recip_values=tuple(transform_row(r) for r in fam.recip_values),
                       members=members)
-    if validate:
-        _require_orthonormal(out, PAIRING_VALIDATION_TOL, "gauge_transform")
+    _require_orthonormal(out, "gauge_transform")
     return out
 
 
@@ -299,7 +294,7 @@ def family_vector_order(n: int) -> List[int]:
     return [2 * k + 1 for k in range(n)] + [2 * k for k in range(n)]
 
 
-def multiplication_matrix(fam: LsolpFamily, tol: float = REPRESENTATION_TOL) -> List[List[float]]:
+def multiplication_matrix(fam: LsolpFamily) -> List[List[float]]:
     """Matrix A of the multiplication operator f -> z f in the gauged basis.
 
     Row ordering follows the eigenvector layout (odd members first); the
@@ -332,12 +327,12 @@ def multiplication_matrix(fam: LsolpFamily, tol: float = REPRESENTATION_TOL) -> 
             row[mm] = coeff_odd[mm]
             row[n + mm] = coeff_even[mm]
         rows.append(row)
-    _validate_representation(fam, rows, order_map, tol)
+    _validate_representation(fam, rows, order_map)
     return rows
 
 
 def _validate_representation(fam: LsolpFamily, rows: List[List[float]],
-                             order_map: List[int], tol: float) -> None:
+                             order_map: List[int]) -> None:
     n = fam.order
     nodes = [float(z) for z in fam.measure.nodes]
     scale = max(1.0, max(abs(x) for row in rows for x in row))
@@ -348,10 +343,10 @@ def _validate_representation(fam: LsolpFamily, rows: List[List[float]],
             for r in range(2 * n):
                 lhs = sum(rows[r][c] * vec[c] for c in range(2 * n))
                 err = abs(lhs - point * vec[r]) / (scale * vec_norm)
-                if err > tol:
+                if err > REPRESENTATION_TOL:
                     raise RepresentationError(
                         f"multiplication operator fails at support point {point:.6g}: "
-                        f"row {r} residual {err:.3e} > {tol:g}"
+                        f"row {r} residual {err:.3e} > {REPRESENTATION_TOL:g}"
                     )
 
 

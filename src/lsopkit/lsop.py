@@ -46,6 +46,8 @@ from .numerics import dense_det, nan_max, solve_linear
 from .pfaffian import SkewArray, pf_indices
 
 TAU_DEGENERACY_RELATIVE = 1e-8
+# largest relative mirror defect of a float even member that even_to_op accepts
+REDUCTION_SYMMETRY_TOL = 1e-8
 
 ONE = LaurentPoly.constant(1)
 Z = LaurentPoly.monomial(1)
@@ -492,13 +494,13 @@ def orthonormalize(qs: Sequence[LaurentPoly], rec: RecurrenceData) -> List[Laure
 # reduction of even members to orthogonal polynomials in w = z + 1/z
 # ---------------------------------------------------------------------------
 
-def even_to_op(q2n: LaurentPoly, rel_tol: float = 1e-8) -> LaurentPoly:
+def even_to_op(q2n: LaurentPoly) -> LaurentPoly:
     """The unique monic P with q_2n(z) = z^n P(z + 1/z).
 
     Peels binomial expansions of (z + 1/z)^k from the top.  Exact input
     must be exactly self-reciprocal; float input is accepted up to a
-    relative symmetry defect of rel_tol and symmetrized before peeling
-    (rounding breaks the mirror identity bitwise).
+    relative symmetry defect of REDUCTION_SYMMETRY_TOL and symmetrized
+    before peeling (rounding breaks the mirror identity bitwise).
     """
     if q2n.is_zero():
         raise StructureError("zero polynomial has no reduction")
@@ -514,8 +516,9 @@ def even_to_op(q2n: LaurentPoly, rel_tol: float = 1e-8) -> LaurentPoly:
     else:
         scale = max(q2n.max_abs_coeff(), 1.0)
         defect = max(abs(float(q2n.coeff(order - e)) - float(c)) for e, c in q2n.coeffs.items())
-        if defect > rel_tol * scale:
-            raise StructureError(f"symmetry defect {defect:.3e} exceeds {rel_tol:g} x scale; "
+        if defect > REDUCTION_SYMMETRY_TOL * scale:
+            raise StructureError(f"symmetry defect {defect:.3e} exceeds "
+                                 f"{REDUCTION_SYMMETRY_TOL:g} x scale; "
                                  "no representation in z + 1/z")
         sym = {}
         for e in set(q2n.coeffs) | {order - e for e in q2n.coeffs}:

@@ -335,7 +335,8 @@ def _hessenberg(a: Matrix) -> None:
 def _hqr(a: Matrix) -> List[complex]:
     """Eigenvalues of an upper Hessenberg matrix (Francis double shift).
 
-    Exceptional shifts after 10 and 20 stalled sweeps, failure at 30.
+    Exceptional shifts after every 10 stalled sweeps (10, 20, ..., 50),
+    failure at 60.
     """
     n = len(a)
     anorm = 0.0
@@ -380,9 +381,9 @@ def _hqr(a: Matrix) -> List[complex]:
                     eigs.append(complex(x + p, -z))
                 nn -= 2
                 break
-            if its == 30:
-                raise ConvergenceError("QR iteration failed to deflate after 30 sweeps")
-            if its in (10, 20):
+            if its == 60:
+                raise ConvergenceError("QR iteration failed to deflate after 60 sweeps")
+            if its and its % 10 == 0:
                 t += x
                 for i in range(nn + 1):
                     a[i][i] -= x

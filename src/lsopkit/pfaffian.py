@@ -170,17 +170,7 @@ def check_identity_even(s: SkewArray, base: Sequence[int], a: int, b: int, c: in
     sum Pf(base,a,b)Pf(base,c,d) - Pf(base,a,c)Pf(base,b,d)
     + Pf(base,a,d)Pf(base,b,c).  Exact zero on Fraction input.
     """
-    base = list(base)
-    if len(base) % 2:
-        raise DimensionError(f"even identity needs an even base set, got {len(base)} indices")
-    pf = lambda ix: pf_indices(s, ix)
-    lhs = pf(base + [a, b, c, d]) * pf(base)
-    rhs = (
-        pf(base + [a, b]) * pf(base + [c, d])
-        - pf(base + [a, c]) * pf(base + [b, d])
-        + pf(base + [a, d]) * pf(base + [b, c])
-    )
-    return abs(lhs - rhs)
+    return _minor_identity_terms(s, base, (a, b, c, d), "even")[0]
 
 
 def check_identity_odd(s: SkewArray, base: Sequence[int], a: int, b: int, c: int, d: int) -> Scalar:
@@ -189,17 +179,30 @@ def check_identity_odd(s: SkewArray, base: Sequence[int], a: int, b: int, c: int
     LHS = Pf(base,a,b,c) * Pf(base,d); RHS = Pf(base,a,b,d)Pf(base,c)
     - Pf(base,a,c,d)Pf(base,b) + Pf(base,b,c,d)Pf(base,a).
     """
+    return _minor_identity_terms(s, base, (a, b, c, d), "odd")[0]
+
+
+# Each side of a minor identity as products of two Pfaffians, each factor given
+# by its positions among the four extra indices (a, b, c, d): the left-hand
+# side, then the three right-hand products whose alternating sum is the RHS.
+_MINOR_IDENTITIES = {
+    "even": (((0, 1, 2, 3), ()), (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))),
+    "odd": (((0, 1, 2), (3,)), (((0, 1, 3), (2,)), ((0, 2, 3), (1,)), ((1, 2, 3), (0,)))),
+}
+
+
+def _minor_identity_terms(s: SkewArray, base: Sequence[int], extra: Sequence[int],
+                         parity: str) -> Tuple[Scalar, Tuple[Scalar, Scalar, Scalar]]:
+    """(|LHS - RHS|, the three right-hand products) of the even- or odd-base
+    minor identity bordered by the four extra indices."""
     base = list(base)
-    if len(base) % 2 == 0:
-        raise DimensionError(f"odd identity needs an odd base set, got {len(base)} indices")
-    pf = lambda ix: pf_indices(s, ix)
-    lhs = pf(base + [a, b, c]) * pf(base + [d])
-    rhs = (
-        pf(base + [a, b, d]) * pf(base + [c])
-        - pf(base + [a, c, d]) * pf(base + [b])
-        + pf(base + [b, c, d]) * pf(base + [a])
-    )
-    return abs(lhs - rhs)
+    if (len(base) % 2 == 1) != (parity == "odd"):
+        raise DimensionError(f"{parity} identity needs an {parity} base set, got {len(base)} indices")
+    (left, right), products = _MINOR_IDENTITIES[parity]
+    pf = lambda pos: pf_indices(s, base + [extra[i] for i in pos])
+    lhs = pf(left) * pf(right)
+    first, second, third = (pf(p) * pf(q) for p, q in products)
+    return abs(lhs - (first - second + third)), (first, second, third)
 
 
 def _magnitude(v: Scalar) -> float:

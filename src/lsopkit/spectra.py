@@ -59,8 +59,9 @@ class PencilPair:
 
 def _require_positive_beta(rec: RecurrenceData) -> None:
     for k in range(1, rec.order):
-        if not rec.beta[k] > 0:
-            raise AdmissibilityError(f"beta_{k} = {rec.beta[k]} must be positive")
+        beta = float(rec.beta[k])
+        if not beta > 0:
+            raise AdmissibilityError(f"beta_{k} = {beta} must be positive")
 
 
 def _pencil_blocks(rec: RecurrenceData) -> Tuple[Matrix, Matrix, Matrix]:
@@ -114,14 +115,12 @@ class PencilReport:
     entry_difference: float
 
 
-def pencil_residual(p: PencilPair, fv: FamilyValues, rec: RecurrenceData,
-                    tol: float = 1e-10) -> PencilReport:
+def pencil_residual(p: PencilPair, fv: FamilyValues, rec: RecurrenceData) -> PencilReport:
     """max_k |U v(z_k) - z_k V v(z_k)|_inf / |v(z_k)|_inf over the support.
 
-    The eigenvector v(z) stacks the family values odd-first.  When the given
-    pencil misses the tolerance, the report carries the recurrence-derived
-    layout, its (small) residual, and the largest entry difference between
-    the two assemblies.
+    The eigenvector v(z) stacks the family values odd-first.  The report
+    also carries the recurrence-derived layout, its (small) residual, and
+    the largest entry difference between the two assemblies.
     """
     res_given = _pencil_support_residual(p, fv)
     corrected = pencil_from_recurrence(rec)

@@ -7,6 +7,14 @@ convention under which the statement holds, the measured residual, the
 tolerance applied, and pass/flag status.  Exact-arithmetic claims report
 residual 0 with the exact flag set when run in rational mode.
 
+Each claim is declared once, in the suite table _SUITE at the end of this
+module: its id, its default tolerance and its claim function, in report
+order.  CLAIMS and DEFAULT_TOLERANCES are derived from that table.  A claim
+function returns only what it measured, a Measured (residual, summary,
+convention, exact flag); run_verification looks up the tolerance, decides
+the status (residual == 0 under a zero tolerance, residual <= tolerance
+otherwise) and builds every record, that of an aborted claim included.
+
 Where the source conventions are ambiguous the suite does not guess: it
 measures both candidates and records the winner (see the pencil layout and
 the butterfly diagonal claims).
@@ -20,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import serialize
 from .laurent import LaurentPoly
@@ -36,49 +44,13 @@ from .moments import (DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_mome
                       random_measure, skew_inner)
 from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, nan_max, spectra_distance,
                        sym_tridiag_eigs)
-from .pfaffian import (SkewArray, check_identity_even, check_identity_odd, pf_eliminate,
-                       pf_expand, pf_indices)
+from .pfaffian import SkewArray, _minor_identity_terms, pf_eliminate, pf_expand
 from .spectra import (CONVENTION_DIFFERENCE, ButterflyParams, PencilPair, PencilReport,
                       build_butterfly, build_pencil, build_tridiagonal,
                       butterfly_from_params, butterfly_params, butterfly_to_tridiagonal,
                       canonical_z_list, determine_diagonal_convention, eig_correspondence,
                       inversion_closure_defect, pencil_eigenvalues, pencil_residual,
                       support_spectrum, symplectic_pencil_check)
-
-DEFAULT_TOLERANCES: Dict[str, float] = {
-    "pfaffian-route-agreement": 1e-12,
-    "pfaffian-square-determinant": 1e-10,
-    "pfaffian-minor-identity-even": 1e-10,
-    "pfaffian-minor-identity-odd": 1e-10,
-    "skew-moment-sign-convention": 1e-12,
-    "moment-shift-invariance": 1e-12,
-    "laurent-argument-symmetry": 1e-12,
-    "chebyshev-moment-roundtrip": 1e-9,
-    "lsop-route-agreement": 1e-8,
-    "lsop-odd-normalization": 0.0,
-    "lsop-self-reciprocity": 1e-9,
-    "lsop-top-factorization": 1e-8,
-    "skew-orthonormality": 1e-9,
-    "folded-reduction-agreement": 1e-8,
-    "folded-functional-orthogonality": 1e-9,
-    "three-term-relation": 1e-9,
-    "pfaffian-hankel-identity": 1e-8,
-    "squared-variable-recurrence": 1e-10,
-    "pencil-recurrence-residual": 1e-10,
-    "pencil-symplecticity": 1e-10,
-    "transfer-symplecticity": 1e-8,
-    "pencil-eigenvalues": 1e-6,
-    "tridiagonal-spectrum": 1e-8,
-    "lsolp-construction-agreement": 1e-9,
-    "lsolp-multiplication-sparsity": 1e-9,
-    "butterfly-diagonal-convention": 1e-9,
-    "butterfly-vs-multiplication": 1e-9,
-    "butterfly-spectrum": 1e-7,
-    "butterfly-gauge-invariance": 1e-8,
-    "butterfly-tridiagonal-roundtrip": 1e-7,
-    "unit-modulus-pairs": 1e-12,
-    "spectrum-inversion-closure": 1e-7,
-}
 
 GAUGE_INVARIANCE_TRIALS = 20
 # coefficient-route comparisons are capped: conditioning caps the double
@@ -108,6 +80,16 @@ class RunConfig:
 
     def tolerance(self, claim_id: str) -> float:
         return self.tolerances.get(claim_id, DEFAULT_TOLERANCES[claim_id])
+
+
+class Measured(NamedTuple):
+    """What one claim function measured.  The claim's id, tolerance and
+    status are run_verification's business."""
+
+    residual: float
+    summary: str
+    convention: str = ""
+    exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -170,13 +152,15 @@ class _Context:
 
     Each artifact is built on first read and cached for the rest of the
     run: the folded walk fv (the recurrence data, the value tables and the
-    exact monic tables all come from it), its float recurrence rec_f, the
-    monic family qs, the moment table, the textbook pencil, its
-    pencil_residual report (which carries the recurrence-derived layout),
-    the symplecticity checks of both layouts with their |U|_inf |V|_inf scales, and
-    the full-order alternating-basis family lsolp.  A builder that raises
-    is cached as its failure: the error surfaces inside each claim that
-    reads the artifact, never aborts the suite, and is never rebuilt.
+    exact monic tables all come from it), the monic family qs, the moment
+    table, the textbook pencil, its pencil_residual report (which carries
+    the recurrence-derived layout), the symplecticity checks of both
+    layouts with their |U|_inf |V|_inf scales, and the full-order
+    alternating-basis family lsolp.  The pencil, tridiagonal and butterfly
+    builders read the recurrence data through float(), exact or not.  A
+    builder that raises is cached as its failure: the error surfaces inside
+    each claim that reads the artifact, never aborts the suite, and is
+    never rebuilt.
     """
 
     def __init__(self, cfg: RunConfig, measure: Optional[DiscreteMeasure]):
@@ -209,10 +193,6 @@ class _Context:
         return self.fv.rec
 
     @property
-    def rec_f(self) -> RecurrenceData:
-        return self._cached("rec_f", lambda: self.rec.as_float() if self.exact else self.rec)
-
-    @property
     def qs(self):
         return self._cached("qs", lambda: lsop_via_recurrence(self.rec, self.cfg.order))
 
@@ -222,12 +202,12 @@ class _Context:
 
     @property
     def textbook(self) -> PencilPair:
-        return self._cached("textbook", lambda: build_pencil(self.rec_f))
+        return self._cached("textbook", lambda: build_pencil(self.rec))
 
     @property
     def pencil_report(self) -> PencilReport:
         return self._cached("pencil_report",
-                            lambda: pencil_residual(self.textbook, self.fv, self.rec_f))
+                            lambda: pencil_residual(self.textbook, self.fv, self.rec))
 
     @property
     def symplectic(self) -> Tuple[Tuple[float, float, float], ...]:
@@ -254,16 +234,6 @@ class _Context:
         return rng.uniform(lo, hi)
 
 
-def _claim(claim_id: str, cfg: RunConfig, residual: float, summary: str,
-           convention: str = "", exact: bool = False,
-           tolerance: Optional[float] = None) -> ClaimResult:
-    tol = cfg.tolerance(claim_id) if tolerance is None else tolerance
-    ok = residual == 0 if tol == 0 else residual <= tol
-    return ClaimResult(claim_id=claim_id, summary=summary, convention=convention,
-                       residual=float(residual), tolerance=tol,
-                       status="pass" if ok else "flag", exact=exact)
-
-
 def _residual(ctx: _Context, size: float, scale: Scalar = 1.0) -> float:
     """Residual of one comparison: its size in rational mode, where only an
     exact match passes, and its size relative to max(1, |scale|) in double."""
@@ -278,7 +248,7 @@ def _random_skew(ctx: _Context, rng: random.Random, size: int) -> SkewArray:
     return SkewArray.from_entry_fn(size, lambda i, j: ctx.scalar(rng))
 
 
-def claim_pfaffian_routes(ctx: _Context) -> ClaimResult:
+def claim_pfaffian_routes(ctx: _Context) -> Measured:
     rng = ctx.rng(11)
     worst = 0.0
     exact_all = ctx.exact
@@ -288,12 +258,11 @@ def claim_pfaffian_routes(ctx: _Context) -> ClaimResult:
             a = pf_eliminate(s)
             b = pf_expand(s)
             worst = nan_max(worst, _residual(ctx, abs(float(a - b)), b))
-    return _claim("pfaffian-route-agreement", ctx.cfg, worst,
-                  "elimination equals recursive expansion on sizes 0..10",
-                  exact=exact_all)
+    return Measured(worst, "elimination equals recursive expansion on sizes 0..10",
+                    exact=exact_all)
 
 
-def claim_pfaffian_determinant(ctx: _Context) -> ClaimResult:
+def claim_pfaffian_determinant(ctx: _Context) -> Measured:
     rng = ctx.rng(12)
     worst = 0.0
     for size in range(2, 9, 2):
@@ -302,49 +271,40 @@ def claim_pfaffian_determinant(ctx: _Context) -> ClaimResult:
             pf = pf_eliminate(s)
             det = dense_det(s.dense())
             worst = nan_max(worst, _residual(ctx, abs(float(pf * pf - det)), det))
-    return _claim("pfaffian-square-determinant", ctx.cfg, worst,
-                  "squared Pfaffian equals the dense determinant, sizes 2..8",
-                  exact=ctx.exact)
+    return Measured(worst, "squared Pfaffian equals the dense determinant, sizes 2..8",
+                    exact=ctx.exact)
 
 
-def claim_minor_identity_even(ctx: _Context) -> ClaimResult:
-    return _minor_identity(ctx, "even", 13, lambda rng: 2 * rng.randint(0, 2), check_identity_even,
-                           (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))))
+def claim_minor_identity_even(ctx: _Context) -> Measured:
+    return _minor_identity(ctx, "even", 13, lambda rng: 2 * rng.randint(0, 2))
 
 
-def claim_minor_identity_odd(ctx: _Context) -> ClaimResult:
-    return _minor_identity(ctx, "odd", 14, lambda rng: 1 + 2 * rng.randint(0, 1), check_identity_odd,
-                           (((0, 1, 3), (2,)), ((0, 2, 3), (1,)), ((1, 2, 3), (0,))))
+def claim_minor_identity_odd(ctx: _Context) -> Measured:
+    return _minor_identity(ctx, "odd", 14, lambda rng: 1 + 2 * rng.randint(0, 1))
 
 
-def _minor_identity(ctx: _Context, parity: str, offset: int, base_size_of, check,
-                    products) -> ClaimResult:
+def _minor_identity(ctx: _Context, parity: str, offset: int, base_size_of) -> Measured:
     """One bordered-minor identity on 50 seeded tables.  In double mode its
     residual is relative to the largest of the three Pfaffian products on
-    the right-hand side, each given as two lists of positions among the four
-    extra indices."""
+    the right-hand side."""
     rng = ctx.rng(offset)
     worst = 0.0
     for trial in range(50):
         base_size = base_size_of(rng)
         s = _random_skew(ctx, rng, base_size + 4)
-        base = list(range(base_size))
-        resid = check(s, base, *range(base_size, base_size + 4))
-        scale = 1.0
-        if not ctx.exact:
-            pf = lambda pos: pf_indices(s, base + [base_size + i for i in pos])
-            scale = max(abs(float(pf(left) * pf(right))) for left, right in products)
+        resid, products = _minor_identity_terms(s, range(base_size),
+                                                range(base_size, base_size + 4), parity)
+        scale = max(abs(float(p)) for p in products)
         worst = nan_max(worst, _residual(ctx, float(resid), scale))
-    return _claim(f"pfaffian-minor-identity-{parity}", ctx.cfg, worst,
-                  f"{parity}-base bordered-minor identity on 50 seeded tables",
-                  exact=ctx.exact)
+    return Measured(worst, f"{parity}-base bordered-minor identity on 50 seeded tables",
+                    exact=ctx.exact)
 
 
 # ---------------------------------------------------------------------------
 # moment layer
 # ---------------------------------------------------------------------------
 
-def claim_sign_convention(ctx: _Context) -> ClaimResult:
+def claim_sign_convention(ctx: _Context) -> Measured:
     rng = ctx.rng(21)
     m = ctx.measure
     worst_ours = 0.0
@@ -358,13 +318,13 @@ def claim_sign_convention(ctx: _Context) -> ClaimResult:
         worst_ours = nan_max(worst_ours, abs(float(direct - ours)) / scale)
         worst_flipped = nan_max(worst_flipped, abs(float(direct - flipped)) / scale)
     convention = "entries-mu(j-i)" if worst_ours <= worst_flipped else "entries-mu(i-j)"
-    return _claim("skew-moment-sign-convention", ctx.cfg, worst_ours,
-                  "moment-table entry <z^i|z^j> equals mu_{j-i}; the opposite "
-                  f"sign misses by {worst_flipped:.3e}",
-                  convention=convention, exact=ctx.exact and worst_ours == 0)
+    return Measured(worst_ours,
+                    "moment-table entry <z^i|z^j> equals mu_{j-i}; the opposite "
+                    f"sign misses by {worst_flipped:.3e}",
+                    convention=convention, exact=ctx.exact and worst_ours == 0)
 
 
-def claim_shift_invariance(ctx: _Context) -> ClaimResult:
+def claim_shift_invariance(ctx: _Context) -> Measured:
     rng = ctx.rng(22)
     m = ctx.measure
     worst = 0.0
@@ -373,12 +333,11 @@ def claim_shift_invariance(ctx: _Context) -> ClaimResult:
         lhs = skew_inner(m, LaurentPoly.monomial(i + k), LaurentPoly.monomial(j + k))
         rhs = skew_inner(m, LaurentPoly.monomial(i), LaurentPoly.monomial(j))
         worst = nan_max(worst, _residual(ctx, abs(float(lhs - rhs)), rhs))
-    return _claim("moment-shift-invariance", ctx.cfg, worst,
-                  "pairings of monomials depend only on the exponent difference",
-                  exact=ctx.exact)
+    return Measured(worst, "pairings of monomials depend only on the exponent difference",
+                    exact=ctx.exact)
 
 
-def claim_argument_symmetry(ctx: _Context) -> ClaimResult:
+def claim_argument_symmetry(ctx: _Context) -> Measured:
     rng = ctx.rng(23)
     m = ctx.measure
     worst = 0.0
@@ -388,16 +347,15 @@ def claim_argument_symmetry(ctx: _Context) -> ClaimResult:
         lhs = skew_inner(m, f, g)
         rhs = skew_inner(m, g.reciprocal_arg(), f.reciprocal_arg())
         worst = nan_max(worst, _residual(ctx, abs(float(lhs - rhs)), lhs))
-    return _claim("laurent-argument-symmetry", ctx.cfg, worst,
-                  "<f(z)|g(z)> equals <g(1/z)|f(1/z)> for random Laurent polynomials",
-                  exact=ctx.exact)
+    return Measured(worst, "<f(z)|g(z)> equals <g(1/z)|f(1/z)> for random Laurent polynomials",
+                    exact=ctx.exact)
 
 
 def _random_laurent(ctx: _Context, rng: random.Random) -> LaurentPoly:
     return LaurentPoly({e: ctx.scalar(rng, -5, 5) for e in range(-3, 4) if rng.random() < 0.7})
 
 
-def claim_moment_roundtrip(ctx: _Context) -> ClaimResult:
+def claim_moment_roundtrip(ctx: _Context) -> Measured:
     m = ctx.measure
     n_hi = 2 * ctx.cfg.order
     cs = [c_moment(m, i) for i in range(n_hi)]
@@ -406,16 +364,15 @@ def claim_moment_roundtrip(ctx: _Context) -> ClaimResult:
     for n in range(1, n_hi + 1):
         diff = mus[n - 1] - mu_moment(m, n)
         worst = nan_max(worst, _residual(ctx, abs(float(diff)), mus[n - 1]))
-    return _claim("chebyshev-moment-roundtrip", ctx.cfg, worst,
-                  "binomial transform of folded moments reproduces the skew moments",
-                  exact=ctx.exact)
+    return Measured(worst, "binomial transform of folded moments reproduces the skew moments",
+                    exact=ctx.exact)
 
 
 # ---------------------------------------------------------------------------
 # family construction layer
 # ---------------------------------------------------------------------------
 
-def claim_route_agreement(ctx: _Context) -> ClaimResult:
+def claim_route_agreement(ctx: _Context) -> Measured:
     n = ctx.coeff_order
     mu = ctx.moments
     qs = ctx.qs
@@ -423,22 +380,20 @@ def claim_route_agreement(ctx: _Context) -> ClaimResult:
     for k in range(2 * n + 1):
         diff = lsop_via_pfaffian(mu, k) - qs[k]
         worst = nan_max(worst, _residual(ctx, diff.max_abs_coeff(), qs[k].max_abs_coeff()))
-    return _claim("lsop-route-agreement", ctx.cfg, worst,
-                  f"moment-minor and recurrence constructions agree through degree {2 * n}",
-                  exact=ctx.exact)
+    return Measured(worst,
+                    f"moment-minor and recurrence constructions agree through degree {2 * n}",
+                    exact=ctx.exact)
 
 
-def claim_odd_normalization(ctx: _Context) -> ClaimResult:
+def claim_odd_normalization(ctx: _Context) -> Measured:
     worst = 0.0
     for k in range(ctx.cfg.order):
         c = ctx.qs[2 * k + 1].coeff(2 * k)
         worst = nan_max(worst, abs(float(c)))
-    return _claim("lsop-odd-normalization", ctx.cfg, worst,
-                  "odd members carry no subleading (one-below-top) term",
-                  exact=True)
+    return Measured(worst, "odd members carry no subleading (one-below-top) term", exact=True)
 
 
-def claim_self_reciprocity(ctx: _Context) -> ClaimResult:
+def claim_self_reciprocity(ctx: _Context) -> Measured:
     worst = 0.0
     exact_ok = True
     for k in range(ctx.cfg.order + 1):
@@ -447,12 +402,10 @@ def claim_self_reciprocity(ctx: _Context) -> ClaimResult:
             diff = q.coeff(2 * k - e) - c
             exact_ok = exact_ok and diff == 0
             worst = nan_max(worst, _residual(ctx, abs(float(diff)), q.max_abs_coeff()))
-    return _claim("lsop-self-reciprocity", ctx.cfg, worst,
-                  "even members are self-reciprocal",
-                  exact=ctx.exact and exact_ok)
+    return Measured(worst, "even members are self-reciprocal", exact=ctx.exact and exact_ok)
 
 
-def claim_top_factorization(ctx: _Context) -> ClaimResult:
+def claim_top_factorization(ctx: _Context) -> Measured:
     n = ctx.cfg.order
     m = ctx.measure
     one = Fraction(1) if ctx.exact else 1.0
@@ -460,19 +413,18 @@ def claim_top_factorization(ctx: _Context) -> ClaimResult:
     for z in m.nodes:
         prod = prod * LaurentPoly({1: one, 0: -z}) * LaurentPoly({1: one, 0: -1 / z})
     worst = _residual(ctx, (ctx.qs[2 * n] - prod).max_abs_coeff(), prod.max_abs_coeff())
-    return _claim("lsop-top-factorization", ctx.cfg, worst,
-                  "the first member beyond the family vanishes on nodes and reciprocals",
-                  exact=ctx.exact)
+    return Measured(worst, "the first member beyond the family vanishes on nodes and reciprocals",
+                    exact=ctx.exact)
 
 
-def claim_orthonormality(ctx: _Context) -> ClaimResult:
+def claim_orthonormality(ctx: _Context) -> Measured:
     if ctx.exact:
         worst, exact_ok = _exact_orthonormality(ctx)
-        return _claim("skew-orthonormality", ctx.cfg, worst,
-                      "scaled family pairs to the canonical skew pattern (exact identity)",
-                      exact=exact_ok)
-    return _claim("skew-orthonormality", ctx.cfg, skew_pattern_defect(ctx.fv.gram()),
-                  "orthonormal family pairs to the canonical skew pattern on the support")
+        return Measured(worst,
+                        "scaled family pairs to the canonical skew pattern (exact identity)",
+                        exact=exact_ok)
+    return Measured(skew_pattern_defect(ctx.fv.gram()),
+                    "orthonormal family pairs to the canonical skew pattern on the support")
 
 
 def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
@@ -501,7 +453,7 @@ def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
     return worst, ok
 
 
-def claim_folded_reduction(ctx: _Context) -> ClaimResult:
+def claim_folded_reduction(ctx: _Context) -> Measured:
     n = ctx.coeff_order
     cs = ctx.moments.c_list(2 * n + 1)
     worst = 0.0
@@ -510,12 +462,11 @@ def claim_folded_reduction(ctx: _Context) -> ClaimResult:
         via_hankel = op_via_hankel(cs, k)
         diff = via_fold - via_hankel
         worst = nan_max(worst, _residual(ctx, diff.max_abs_coeff(), via_hankel.max_abs_coeff()))
-    return _claim("folded-reduction-agreement", ctx.cfg, worst,
-                  "peeling even members to w = z + 1/z matches the Hankel construction",
-                  exact=ctx.exact)
+    return Measured(worst, "peeling even members to w = z + 1/z matches the Hankel construction",
+                    exact=ctx.exact)
 
 
-def claim_folded_orthogonality(ctx: _Context) -> ClaimResult:
+def claim_folded_orthogonality(ctx: _Context) -> Measured:
     if ctx.exact:
         n = ctx.coeff_order
         m = ctx.measure
@@ -526,9 +477,8 @@ def claim_folded_orthogonality(ctx: _Context) -> ClaimResult:
                 v = _folded_functional(m, rbars[a] * rbars[b])
                 if v != 0:
                     worst = nan_max(worst, abs(float(v)))
-        return _claim("folded-functional-orthogonality", ctx.cfg, worst,
-                      "reduced members are orthogonal under the folded functional",
-                      exact=True)
+        return Measured(worst, "reduced members are orthogonal under the folded functional",
+                        exact=True)
     # double mode: the normalized folded Gram from the value tables,
     # r_n(x_k) = qt_2n(z_k) / z_k^n, must be the identity
     n = ctx.cfg.order
@@ -543,8 +493,7 @@ def claim_folded_orthogonality(ctx: _Context) -> ClaimResult:
                 rb = fv.qt_node[k][2 * b] / zf**b
                 total += ra * rb * (zf - 1.0 / zf) * float(w)
             worst = nan_max(worst, abs(total - (1.0 if a == b else 0.0)))
-    return _claim("folded-functional-orthogonality", ctx.cfg, worst,
-                  "folded members are orthonormal under the folded functional")
+    return Measured(worst, "folded members are orthonormal under the folded functional")
 
 
 def _folded_functional(m: DiscreteMeasure, poly_in_w: LaurentPoly):
@@ -555,7 +504,7 @@ def _folded_functional(m: DiscreteMeasure, poly_in_w: LaurentPoly):
     return total
 
 
-def claim_three_term(ctx: _Context) -> ClaimResult:
+def claim_three_term(ctx: _Context) -> Measured:
     n = ctx.coeff_order
     rec = ctx.rec
     rbars = [even_to_op(ctx.qs[2 * k]) for k in range(n + 1)]
@@ -567,13 +516,13 @@ def claim_three_term(ctx: _Context) -> ClaimResult:
         if k >= 1:
             res = res - rbars[k - 1].scale(rec.beta[k])
         worst = nan_max(worst, _residual(ctx, res.max_abs_coeff(), rbars[k].max_abs_coeff()))
-    return _claim("three-term-relation", ctx.cfg, worst,
-                  "reduced members satisfy the three-term recurrence with "
-                  "difference diagonal and beta off-diagonal",
-                  convention="diagonal-difference-of-alphas", exact=ctx.exact)
+    return Measured(worst,
+                    "reduced members satisfy the three-term recurrence with "
+                    "difference diagonal and beta off-diagonal",
+                    convention="diagonal-difference-of-alphas", exact=ctx.exact)
 
 
-def claim_pfaffian_hankel(ctx: _Context) -> ClaimResult:
+def claim_pfaffian_hankel(ctx: _Context) -> Measured:
     n = min(ctx.coeff_order, 6)
     mu = ctx.moments
     rec_pf = moment_pfaffian_table(mu, n)
@@ -586,12 +535,11 @@ def claim_pfaffian_hankel(ctx: _Context) -> ClaimResult:
     rep = verify_pfaffian_det(rec_pf, cs, n)
     minors = max(rep.tau_deviation + rep.sigma_deviation) if ctx.exact else rep.max_relative
     worst = nan_max(minors, link)
-    return _claim("pfaffian-hankel-identity", ctx.cfg, worst,
-                  f"leading minors equal (shifted) Hankel determinants through order {n}",
-                  exact=ctx.exact)
+    return Measured(worst, f"leading minors equal (shifted) Hankel determinants through order {n}",
+                    exact=ctx.exact)
 
 
-def claim_squared_variable(ctx: _Context) -> ClaimResult:
+def claim_squared_variable(ctx: _Context) -> Measured:
     rng = ctx.rng(31)
     worst = 0.0
     for trial in range(10):
@@ -601,57 +549,53 @@ def claim_squared_variable(ctx: _Context) -> ClaimResult:
         qs = kodama_sops(a, b, n)
         for res in kodama_residuals(qs, a, b):
             worst = nan_max(worst, res.max_abs_coeff())
-    return _claim("squared-variable-recurrence", ctx.cfg, worst,
-                  "the squared-variable family satisfies its two-line recurrence identically",
-                  exact=ctx.exact)
+    return Measured(worst,
+                    "the squared-variable family satisfies its two-line recurrence identically",
+                    exact=ctx.exact)
 
 
 # ---------------------------------------------------------------------------
 # pencil and spectra layer
 # ---------------------------------------------------------------------------
 
-def claim_pencil_residual(ctx: _Context) -> ClaimResult:
+def claim_pencil_residual(ctx: _Context) -> Measured:
     rep = ctx.pencil_report
     convention = ("textbook-layout" if rep.residual_given <= ctx.cfg.tolerance("pencil-recurrence-residual")
                   else "rearranged-layout")
-    return _claim("pencil-recurrence-residual", ctx.cfg, rep.residual_corrected,
-                  f"recurrence-derived pencil reproduces the support relations; the "
-                  f"textbook layout misses by {rep.residual_given:.3e} "
-                  f"(largest entry difference {rep.entry_difference:.3e})",
-                  convention=convention)
+    return Measured(rep.residual_corrected,
+                    f"recurrence-derived pencil reproduces the support relations; the "
+                    f"textbook layout misses by {rep.residual_given:.3e} "
+                    f"(largest entry difference {rep.entry_difference:.3e})",
+                    convention=convention)
 
 
-def claim_pencil_symplecticity(ctx: _Context) -> ClaimResult:
+def claim_pencil_symplecticity(ctx: _Context) -> Measured:
     worst = nan_max(0.0, *(pres / scale for pres, _, scale in ctx.symplectic))
-    return _claim("pencil-symplecticity", ctx.cfg, worst,
-                  "U J U^T = V J V^T for both pencil layouts")
+    return Measured(worst, "U J U^T = V J V^T for both pencil layouts")
 
 
-def claim_transfer_symplecticity(ctx: _Context) -> ClaimResult:
+def claim_transfer_symplecticity(ctx: _Context) -> Measured:
     worst = nan_max(0.0, *(tres / scale for _, tres, scale in ctx.symplectic))
-    return _claim("transfer-symplecticity", ctx.cfg, worst,
-                  "V^-1 U preserves the canonical skew form")
+    return Measured(worst, "V^-1 U preserves the canonical skew form")
 
 
-def claim_pencil_eigenvalues(ctx: _Context) -> ClaimResult:
+def claim_pencil_eigenvalues(ctx: _Context) -> Measured:
     eigs = pencil_eigenvalues(ctx.pencil_report.corrected)
     expected = support_spectrum(ctx.measure)
     dist = spectra_distance(eigs, expected)
-    return _claim("pencil-eigenvalues", ctx.cfg, dist,
-                  "generalized eigenvalues are the nodes and their reciprocals",
-                  convention="rearranged-layout")
+    return Measured(dist, "generalized eigenvalues are the nodes and their reciprocals",
+                    convention="rearranged-layout")
 
 
-def claim_tridiagonal_spectrum(ctx: _Context) -> ClaimResult:
-    t = build_tridiagonal(ctx.rec_f)
+def claim_tridiagonal_spectrum(ctx: _Context) -> Measured:
+    t = build_tridiagonal(ctx.rec)
     lam = sym_tridiag_eigs(t)
     target = sorted(float(z) + 1.0 / float(z) for z in ctx.measure.nodes)
     worst = nan_max(*(abs(a - b) for a, b in zip(lam, target)))
-    return _claim("tridiagonal-spectrum", ctx.cfg, worst,
-                  "tridiagonal eigenvalues equal z + 1/z over the nodes")
+    return Measured(worst, "tridiagonal eigenvalues equal z + 1/z over the nodes")
 
 
-def claim_lsolp_construction(ctx: _Context) -> ClaimResult:
+def claim_lsolp_construction(ctx: _Context) -> Measured:
     if ctx.exact:
         worst = 0.0
         exact_ok = True
@@ -666,55 +610,50 @@ def claim_lsolp_construction(ctx: _Context) -> ClaimResult:
                 if bad != 0:
                     exact_ok = False
                     worst = nan_max(worst, bad)
-        return _claim("lsolp-construction-agreement", ctx.cfg, worst,
-                      "alternating-basis Gram-Schmidt reproduces the shifted family "
-                      "(exact, leading-normalized)",
-                      exact=exact_ok)
+        return Measured(worst,
+                        "alternating-basis Gram-Schmidt reproduces the shifted family "
+                        "(exact, leading-normalized)", exact=exact_ok)
     n = min(ctx.cfg.order, 4)
     fam_shift = lsolp_from_values(ctx.fv.prefix(n))
     fam_gs = gram_schmidt_lsolp(ctx.measure, 2 * n)
     worst = nan_max(max_abs_diff(fam_shift.node_values, fam_gs.node_values),
                 max_abs_diff(fam_shift.recip_values, fam_gs.recip_values))
-    return _claim("lsolp-construction-agreement", ctx.cfg, worst,
-                  f"Gram-Schmidt and shift constructions agree on the support (order {n})")
+    return Measured(worst,
+                    f"Gram-Schmidt and shift constructions agree on the support (order {n})")
 
 
-def claim_multiplication_sparsity(ctx: _Context) -> ClaimResult:
+def claim_multiplication_sparsity(ctx: _Context) -> Measured:
     _, mult = _gauged_multiplication(ctx, 41)
     scale = max(1.0, max(abs(x) for row in mult for x in row))
     defect = butterfly_sparsity_defect(mult) / scale
-    return _claim("lsolp-multiplication-sparsity", ctx.cfg, defect,
-                  "multiplication operator vanishes outside the butterfly pattern")
+    return Measured(defect, "multiplication operator vanishes outside the butterfly pattern")
 
 
-def claim_diagonal_convention(ctx: _Context) -> ClaimResult:
+def claim_diagonal_convention(ctx: _Context) -> Measured:
     g, mult = _gauged_multiplication(ctx, 42)
-    winner, residuals = determine_diagonal_convention(mult, ctx.rec_f, g)
+    winner, residuals = determine_diagonal_convention(mult, ctx.rec, g)
     loser = max(residuals, key=residuals.get)
-    return _claim("butterfly-diagonal-convention", ctx.cfg, residuals[winner],
-                  f"diagonal coefficients follow the {winner} convention; "
-                  f"{loser} misses by {residuals[loser]:.3e}",
-                  convention=winner)
+    return Measured(residuals[winner],
+                    f"diagonal coefficients follow the {winner} convention; "
+                    f"{loser} misses by {residuals[loser]:.3e}", convention=winner)
 
 
-def claim_butterfly_vs_multiplication(ctx: _Context) -> ClaimResult:
+def claim_butterfly_vs_multiplication(ctx: _Context) -> Measured:
     g, mult = _gauged_multiplication(ctx, 43)
-    worst = max_abs_diff(mult, build_butterfly(ctx.rec_f, g, CONVENTION_DIFFERENCE))
-    return _claim("butterfly-vs-multiplication", ctx.cfg, worst,
-                  "assembled butterfly equals the multiplication operator entrywise",
-                  convention=CONVENTION_DIFFERENCE)
+    worst = max_abs_diff(mult, build_butterfly(ctx.rec, g, CONVENTION_DIFFERENCE))
+    return Measured(worst, "assembled butterfly equals the multiplication operator entrywise",
+                    convention=CONVENTION_DIFFERENCE)
 
 
-def claim_butterfly_spectrum(ctx: _Context) -> ClaimResult:
+def claim_butterfly_spectrum(ctx: _Context) -> Measured:
     g = GaugeParams.random(ctx.rng(44), ctx.cfg.order)
-    bt = build_butterfly(ctx.rec_f, g)
+    bt = build_butterfly(ctx.rec, g)
     dist = spectra_distance(dense_eigs(bt), support_spectrum(ctx.measure))
-    return _claim("butterfly-spectrum", ctx.cfg, dist,
-                  "butterfly spectrum is the nodes and their reciprocals")
+    return Measured(dist, "butterfly spectrum is the nodes and their reciprocals")
 
 
-def claim_gauge_invariance(ctx: _Context) -> ClaimResult:
-    rec = ctx.rec_f
+def claim_gauge_invariance(ctx: _Context) -> Measured:
+    rec = ctx.rec
     rng = ctx.rng(45)
     reference = dense_eigs(build_butterfly(rec, GaugeParams.trivial(ctx.cfg.order)))
     worst = 0.0
@@ -722,23 +661,22 @@ def claim_gauge_invariance(ctx: _Context) -> ClaimResult:
         g = GaugeParams.random(rng, ctx.cfg.order)
         eigs = dense_eigs(build_butterfly(rec, g))
         worst = nan_max(worst, spectra_distance(eigs, reference))
-    return _claim("butterfly-gauge-invariance", ctx.cfg, worst,
-                  f"butterfly spectrum is invariant over {GAUGE_INVARIANCE_TRIALS} random gauges")
+    return Measured(worst,
+                    f"butterfly spectrum is invariant over {GAUGE_INVARIANCE_TRIALS} random gauges")
 
 
-def claim_butterfly_roundtrip(ctx: _Context) -> ClaimResult:
+def claim_butterfly_roundtrip(ctx: _Context) -> Measured:
     g = GaugeParams.random(ctx.rng(46), ctx.cfg.order)
-    bp = butterfly_params(ctx.rec_f, g)
+    bp = butterfly_params(ctx.rec, g)
     tri = butterfly_to_tridiagonal(bp)
     lams = sym_tridiag_eigs(tri)
     recovered = canonical_z_list(eig_correspondence(lams))
     direct = dense_eigs(butterfly_from_params(bp))
     worst = spectra_distance(recovered, direct)
-    return _claim("butterfly-tridiagonal-roundtrip", ctx.cfg, worst,
-                  "tridiagonal reduction recovers the butterfly spectrum through z + 1/z")
+    return Measured(worst, "tridiagonal reduction recovers the butterfly spectrum through z + 1/z")
 
 
-def claim_unit_modulus(ctx: _Context) -> ClaimResult:
+def claim_unit_modulus(ctx: _Context) -> Measured:
     # synthetic quadruples whose folded eigenvalues fall inside (-2, 2)
     rng = ctx.rng(47)
     n = max(2, min(ctx.cfg.order, 4))
@@ -760,15 +698,14 @@ def claim_unit_modulus(ctx: _Context) -> ClaimResult:
                             dense_eigs(butterfly_from_params(bp)))
     summary = (f"{inside}/{len(lams)} folded eigenvalues inside (-2,2) map to unit-modulus "
                f"pairs; spectrum round trip misses by {dist:.3e}")
-    return _claim("unit-modulus-pairs", ctx.cfg, worst, summary)
+    return Measured(worst, summary)
 
 
-def claim_inversion_closure(ctx: _Context) -> ClaimResult:
+def claim_inversion_closure(ctx: _Context) -> Measured:
     g = GaugeParams.random(ctx.rng(48), ctx.cfg.order)
-    eigs = dense_eigs(build_butterfly(ctx.rec_f, g))
+    eigs = dense_eigs(build_butterfly(ctx.rec, g))
     defect = inversion_closure_defect(eigs)
-    return _claim("spectrum-inversion-closure", ctx.cfg, defect,
-                  "butterfly spectrum is closed under z -> 1/z")
+    return Measured(defect, "butterfly spectrum is closed under z -> 1/z")
 
 
 def _gauged_multiplication(ctx: _Context, offset: int):
@@ -777,57 +714,62 @@ def _gauged_multiplication(ctx: _Context, offset: int):
     return g, multiplication_matrix(gauge_transform_scaled(ctx.lsolp, g))
 
 
-CLAIMS: Tuple[Tuple[str, Callable[[_Context], ClaimResult]], ...] = (
-    ("pfaffian-route-agreement", claim_pfaffian_routes),
-    ("pfaffian-square-determinant", claim_pfaffian_determinant),
-    ("pfaffian-minor-identity-even", claim_minor_identity_even),
-    ("pfaffian-minor-identity-odd", claim_minor_identity_odd),
-    ("skew-moment-sign-convention", claim_sign_convention),
-    ("moment-shift-invariance", claim_shift_invariance),
-    ("laurent-argument-symmetry", claim_argument_symmetry),
-    ("chebyshev-moment-roundtrip", claim_moment_roundtrip),
-    ("lsop-route-agreement", claim_route_agreement),
-    ("lsop-odd-normalization", claim_odd_normalization),
-    ("lsop-self-reciprocity", claim_self_reciprocity),
-    ("lsop-top-factorization", claim_top_factorization),
-    ("skew-orthonormality", claim_orthonormality),
-    ("folded-reduction-agreement", claim_folded_reduction),
-    ("folded-functional-orthogonality", claim_folded_orthogonality),
-    ("three-term-relation", claim_three_term),
-    ("pfaffian-hankel-identity", claim_pfaffian_hankel),
-    ("squared-variable-recurrence", claim_squared_variable),
-    ("pencil-recurrence-residual", claim_pencil_residual),
-    ("pencil-symplecticity", claim_pencil_symplecticity),
-    ("transfer-symplecticity", claim_transfer_symplecticity),
-    ("pencil-eigenvalues", claim_pencil_eigenvalues),
-    ("tridiagonal-spectrum", claim_tridiagonal_spectrum),
-    ("lsolp-construction-agreement", claim_lsolp_construction),
-    ("lsolp-multiplication-sparsity", claim_multiplication_sparsity),
-    ("butterfly-diagonal-convention", claim_diagonal_convention),
-    ("butterfly-vs-multiplication", claim_butterfly_vs_multiplication),
-    ("butterfly-spectrum", claim_butterfly_spectrum),
-    ("butterfly-gauge-invariance", claim_gauge_invariance),
-    ("butterfly-tridiagonal-roundtrip", claim_butterfly_roundtrip),
-    ("unit-modulus-pairs", claim_unit_modulus),
-    ("spectrum-inversion-closure", claim_inversion_closure),
+# The suite in report order: (claim id, default tolerance, claim function).
+# A tolerance of 0 passes only an exact zero; any other passes residual <= tolerance.
+_SUITE: Tuple[Tuple[str, float, Callable[[_Context], Measured]], ...] = (
+    ("pfaffian-route-agreement", 1e-12, claim_pfaffian_routes),
+    ("pfaffian-square-determinant", 1e-10, claim_pfaffian_determinant),
+    ("pfaffian-minor-identity-even", 1e-10, claim_minor_identity_even),
+    ("pfaffian-minor-identity-odd", 1e-10, claim_minor_identity_odd),
+    ("skew-moment-sign-convention", 1e-12, claim_sign_convention),
+    ("moment-shift-invariance", 1e-12, claim_shift_invariance),
+    ("laurent-argument-symmetry", 1e-12, claim_argument_symmetry),
+    ("chebyshev-moment-roundtrip", 1e-9, claim_moment_roundtrip),
+    ("lsop-route-agreement", 1e-8, claim_route_agreement),
+    ("lsop-odd-normalization", 0.0, claim_odd_normalization),
+    ("lsop-self-reciprocity", 1e-9, claim_self_reciprocity),
+    ("lsop-top-factorization", 1e-8, claim_top_factorization),
+    ("skew-orthonormality", 1e-9, claim_orthonormality),
+    ("folded-reduction-agreement", 1e-8, claim_folded_reduction),
+    ("folded-functional-orthogonality", 1e-9, claim_folded_orthogonality),
+    ("three-term-relation", 1e-9, claim_three_term),
+    ("pfaffian-hankel-identity", 1e-8, claim_pfaffian_hankel),
+    ("squared-variable-recurrence", 1e-10, claim_squared_variable),
+    ("pencil-recurrence-residual", 1e-10, claim_pencil_residual),
+    ("pencil-symplecticity", 1e-10, claim_pencil_symplecticity),
+    ("transfer-symplecticity", 1e-8, claim_transfer_symplecticity),
+    ("pencil-eigenvalues", 1e-6, claim_pencil_eigenvalues),
+    ("tridiagonal-spectrum", 1e-8, claim_tridiagonal_spectrum),
+    ("lsolp-construction-agreement", 1e-9, claim_lsolp_construction),
+    ("lsolp-multiplication-sparsity", 1e-9, claim_multiplication_sparsity),
+    ("butterfly-diagonal-convention", 1e-9, claim_diagonal_convention),
+    ("butterfly-vs-multiplication", 1e-9, claim_butterfly_vs_multiplication),
+    ("butterfly-spectrum", 1e-7, claim_butterfly_spectrum),
+    ("butterfly-gauge-invariance", 1e-8, claim_gauge_invariance),
+    ("butterfly-tridiagonal-roundtrip", 1e-7, claim_butterfly_roundtrip),
+    ("unit-modulus-pairs", 1e-12, claim_unit_modulus),
+    ("spectrum-inversion-closure", 1e-7, claim_inversion_closure),
 )
+
+CLAIMS: Tuple[Tuple[str, Callable[[_Context], Measured]], ...] = tuple(
+    (claim_id, fn) for claim_id, _, fn in _SUITE)
+DEFAULT_TOLERANCES: Dict[str, float] = {claim_id: tol for claim_id, tol, _ in _SUITE}
 
 
 def run_verification(cfg: RunConfig, measure: Optional[DiscreteMeasure] = None) -> VerificationReport:
-    """Evaluate every claim; failures are recorded per claim, never raised."""
+    """Evaluate every claim of CLAIMS, read at call time, and decide its status
+    against the run's tolerance; failures are recorded per claim, never raised."""
     ctx = _Context(cfg, measure)
     results = []
     for claim_id, fn in CLAIMS:
+        tol = cfg.tolerance(claim_id)
         try:
-            results.append(fn(ctx))
+            residual, summary, convention, exact = fn(ctx)
+            ok = residual == 0 if tol == 0 else residual <= tol
         except Exception as exc:  # per-claim failures must never abort the suite
-            results.append(ClaimResult(
-                claim_id=claim_id,
-                summary=f"evaluation aborted ({type(exc).__name__}): {exc}",
-                convention="",
-                residual=float("inf"),
-                tolerance=cfg.tolerance(claim_id),
-                status="flag",
-                exact=False,
-            ))
+            residual, convention, exact, ok = float("inf"), "", False, False
+            summary = f"evaluation aborted ({type(exc).__name__}): {exc}"
+        results.append(ClaimResult(claim_id=claim_id, summary=summary, convention=convention,
+                                   residual=float(residual), tolerance=tol,
+                                   status="pass" if ok else "flag", exact=exact))
     return VerificationReport(config=cfg, claims=tuple(results))

@@ -1,4 +1,5 @@
-"""Verify reports against recorded digests, and each shared artifact built once.
+"""Verify reports and CLI outputs against recorded digests, and each shared
+artifact built once.
 
 tests/data/golden_report_digests.json holds the sha256 of
 run_verification(RunConfig(seed=s, order=n, mode=m)).render() for seeds
@@ -8,6 +9,11 @@ were recorded again when double-mode measures moved to the float fold.  The
 suite checks orders 1-5; the whole grid (about a minute) runs with
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+tests/data/golden_cli_digests.json holds the exit status and the sha256 of
+the --out file of gen-measure, lsop, pencil and butterfly --gauge-seed 9 at
+seeds 1-3, order 5, and of solve-butterfly on tests/data/butterfly_params.json,
+each in both modes.  Both the suite and the full-grid run check all of them.
 """
 
 import collections
@@ -16,6 +22,7 @@ import io
 import json
 import pathlib
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -25,10 +32,13 @@ from lsopkit import cli, lsolp, lsop, serialize, spectra, verify
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.verify import RunConfig, run_verification
 
-DIGESTS = json.loads((pathlib.Path(__file__).parent / "data" / "golden_report_digests.json").read_text())
+DATA = pathlib.Path(__file__).parent / "data"
+DIGESTS = json.loads((DATA / "golden_report_digests.json").read_text())
+CLI_DIGESTS = json.loads((DATA / "golden_cli_digests.json").read_text())
 MODES = ("double", "rational")
 SEEDS = range(1, 11)
 SUITE_ORDERS = range(1, 6)
+CLI_COMMANDS = ("gen-measure", "lsop", "pencil", "butterfly", "solve-butterfly")
 
 
 def _digest(seed: int, order: int, mode: str) -> str:
@@ -41,6 +51,30 @@ def _digest(seed: int, order: int, mode: str) -> str:
 def test_report_matches_golden_digest(order, mode):
     for seed in SEEDS:
         assert _digest(seed, order, mode) == DIGESTS[f"{mode}/{order}/{seed}"], f"seed {seed}"
+
+
+def _cli_calls(command: str):
+    """(digest key, argv) of every guarded call of one subcommand."""
+    for mode in MODES:
+        if command == "solve-butterfly":
+            yield f"{command}/{mode}", [command, str(DATA / "butterfly_params.json"), "--mode", mode]
+            continue
+        for seed in range(1, 4):
+            argv = [command, "--seed", str(seed), "--order", "5", "--mode", mode]
+            if command == "butterfly":
+                argv += ["--gauge-seed", "9"]
+            yield f"{command}/{mode}/{seed}", argv
+
+
+def _cli_digest(argv, out: pathlib.Path) -> list:
+    code = cli.main([*argv, "--out", str(out)])
+    return [code, hashlib.sha256(out.read_bytes()).hexdigest()]
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_cli_output_matches_golden_digest(command, tmp_path):
+    for key, argv in _cli_calls(command):
+        assert _cli_digest(argv, tmp_path / "out.json") == CLI_DIGESTS[key], key
 
 
 def _fixed_measure(n: int) -> DiscreteMeasure:
@@ -134,4 +168,9 @@ if __name__ == "__main__":
     bad = [f"{mode}/{n}/{s}" for mode in MODES for n in range(1, 9) for s in SEEDS
            if _digest(s, n, mode) != DIGESTS[f"{mode}/{n}/{s}"]]
     print(f"{len(DIGESTS) - len(bad)}/{len(DIGESTS)} reports match", *bad, sep="\n")
-    sys.exit(1 if bad else 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out.json"
+        bad_cli = [key for command in CLI_COMMANDS for key, argv in _cli_calls(command)
+                   if _cli_digest(argv, out) != CLI_DIGESTS[key]]
+    print(f"{len(CLI_DIGESTS) - len(bad_cli)}/{len(CLI_DIGESTS)} CLI outputs match", *bad_cli, sep="\n")
+    sys.exit(1 if bad or bad_cli else 0)

@@ -7,9 +7,9 @@ import pytest
 
 from lsopkit.errors import AdmissibilityError
 from lsopkit.lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
-from lsopkit.lsop import evaluate_family, recurrence_from_measure
+from lsopkit.lsop import RecurrenceData, evaluate_family, recurrence_from_measure
 from lsopkit.moments import DiscreteMeasure, random_measure
-from lsopkit.numerics import dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
+from lsopkit.numerics import SymTridiag, dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
 from lsopkit.spectra import (CONVENTION_DIFFERENCE, CONVENTION_PLAIN, ButterflyParams,
                              build_butterfly, build_pencil, build_tridiagonal,
                              butterfly_from_params, butterfly_inverse_params,
@@ -110,6 +110,28 @@ def test_generalized_eigenvalues_match_support():
     rec = recurrence_from_measure(m, 5)
     pencil = pencil_from_recurrence(rec)
     assert spectra_distance(pencil_eigenvalues(pencil), support_spectrum(m)) < 1e-8
+
+
+def test_pencil_eigenvalues_after_slow_deflation():
+    # a seeded N = 16 tridiagonal whose transfer matrix takes more than 30
+    # Francis sweeps to deflate one eigenvalue; alpha_k sums the diagonal
+    diag = [5.0084734282604355, 0.16180907983213388, 0.25301725495030003, -4.00388218894364,
+            -0.025960624557502365, 6.52254043957153, 5.220674310876781, 5.937081428702749,
+            0.48121796647977644, 4.9612370202475375, -4.934245851975561, -0.5870714846263043,
+            6.19853709918705, 0.8048639746300452, -4.721054314676751, 5.571267643868795]
+    off = [0.16557658647288792, 0.28945518144051763, 0.3546177915459511, 0.13001684031455796,
+           0.30797609268131276, 0.3152087648568529, 0.37081485147492144, 0.36022267834565946,
+           0.14758940559281042, 0.2685031471345136, 0.17503378024154198, 0.39420314583113725,
+           0.3068096843754784, 0.14105217095604483, 0.1700969239698219]
+    alpha = [0.0]
+    for gamma in diag:
+        alpha.append(alpha[-1] + gamma)
+    rec = RecurrenceData(order=16, alpha=tuple(alpha),
+                         beta=tuple([0.0] + [e * e for e in off] + [0.0]),
+                         tau=(1.0,) * 17, sigma=tuple(alpha))
+    eigs = pencil_eigenvalues(pencil_from_recurrence(rec))
+    pairs = eig_correspondence(sym_tridiag_eigs(SymTridiag(diag, off)))
+    assert spectra_distance(eigs, [z for pair in pairs for z in pair]) < 1e-10
 
 
 def test_transfer_matrix_solves_pencil():

@@ -27,9 +27,30 @@ def test_run_config_validation():
 
 def test_every_claim_has_default_tolerance():
     ids = [cid for cid, _ in CLAIMS]
-    assert len(ids) == len(set(ids))
-    for cid in ids:
-        assert cid in DEFAULT_TOLERANCES
+    assert len(ids) == len(set(ids)) == 32
+    assert list(DEFAULT_TOLERANCES) == ids
+
+
+def test_status_and_records_are_decided_in_one_place(monkeypatch):
+    def aborts(ctx):
+        raise ValueError("no measurement")
+
+    # run_verification reads CLAIMS when called, so a swapped suite runs as is
+    monkeypatch.setattr(verify, "CLAIMS", (
+        ("lsop-odd-normalization", lambda ctx: verify.Measured(1e-300, "tiny")),
+        ("tridiagonal-spectrum", lambda ctx: verify.Measured(1e-8, "at tolerance", "c", True)),
+        ("pencil-eigenvalues", aborts),
+    ))
+    rep = run_verification(RunConfig(seed=1, order=2, tolerances={"pencil-eigenvalues": math.inf}))
+    assert [c.record() for c in rep.claims] == [
+        {"id": "lsop-odd-normalization", "summary": "tiny", "convention": "",
+         "residual": 1e-300, "tolerance": 0.0, "status": "flag", "exact": False},
+        {"id": "tridiagonal-spectrum", "summary": "at tolerance", "convention": "c",
+         "residual": 1e-8, "tolerance": 1e-8, "status": "pass", "exact": True},
+        {"id": "pencil-eigenvalues", "summary": "evaluation aborted (ValueError): no measurement",
+         "convention": "", "residual": math.inf, "tolerance": math.inf, "status": "flag",
+         "exact": False},
+    ]
 
 
 def test_report_contains_each_claim_once():
