@@ -16,9 +16,8 @@ from .errors import (AdmissibilityError, ConvergenceError, DegeneracyError,
                      IncompleteTableError, LsopkitError, RepresentationError,
                      StructureError)
 from .laurent import LaurentPoly
-from .lsolp import (GaugeParams, LsolpFamily, gauge_transform, gauge_transform_scaled,
-                    gram_schmidt_lsolp, lsolp_from_lsop, lsolp_from_values,
-                    multiplication_matrix)
+from .lsolp import (GaugeParams, LsolpFamily, gauge_transform_scaled, gram_schmidt_lsolp,
+                    lsolp_from_lsop, lsolp_from_values, multiplication_matrix)
 from .lsop import (FamilyValues, RecurrenceData, evaluate_family, even_to_op,
                    kodama_residuals, kodama_sops, lsop_via_pfaffian,
                    lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,

@@ -27,12 +27,10 @@ from .lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multi
 from .lsop import evaluate_family, lsop_via_recurrence, recurrence_from_measure
 from .modes import MODES, validate_mode
 from .moments import DiscreteMeasure, random_measure
-from .numerics import dense_eigs, spectra_distance, sym_tridiag_eigs
-from .spectra import (ButterflyParams, build_butterfly, build_pencil,
-                      butterfly_from_params, butterfly_params, butterfly_to_tridiagonal,
-                      canonical_z_list, determine_diagonal_convention, eig_correspondence,
-                      pencil_eigenvalues, pencil_residual, support_spectrum,
-                      symplectic_pencil_check)
+from .numerics import dense_eigs, spectra_distance
+from .spectra import (ButterflyParams, build_pencil, butterfly_from_params, butterfly_params,
+                      determine_diagonal_convention, pencil_eigenvalues, pencil_residual,
+                      solve_butterfly, support_spectrum, symplectic_pencil_check)
 from .verify import DEFAULT_TOLERANCES, RunConfig, run_verification
 
 EXIT_PASS = 0
@@ -99,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-butterfly", help="eigensolve a butterfly parameter file")
     p.add_argument("params", help="butterfly parameter file")
-    p.add_argument("--mode", choices=MODES, default=None)
+    p.add_argument("--mode", choices=MODES, default=None,
+                   help="ignored: parameter files are read as binary64 in both modes")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_solve_butterfly)
 
@@ -230,7 +229,7 @@ def cmd_butterfly(args) -> int:
     else:
         gauge = GaugeParams.random(random.Random(args.gauge_seed), n)
     bp = butterfly_params(fv.rec, gauge)
-    bt = build_butterfly(fv.rec, gauge)
+    bt = butterfly_from_params(bp)
     fam = gauge_transform_scaled(lsolp_from_values(fv), gauge)
     mult = multiplication_matrix(fam)
     convention, residuals = determine_diagonal_convention(mult, fv.rec, gauge)
@@ -251,30 +250,23 @@ def cmd_butterfly(args) -> int:
 
 
 def cmd_solve_butterfly(args) -> int:
-    mode = _mode(args)
     with open(args.params) as fh:
-        a, b, c, d = serialize.load_butterfly_params(fh.read(), mode)
-    bp = ButterflyParams(a=tuple(a), b=tuple(b), c=tuple(c), d=tuple(d))
+        bp = ButterflyParams(*map(tuple, serialize.load_butterfly_params(fh.read())))
     if not bp.hypothesis_holds():
         print("error: reduction hypothesis a_i * a_{i+1} > 0 violated; "
               "the symmetric tridiagonal reduction does not apply", file=sys.stderr)
         return EXIT_USAGE
-    tri = butterfly_to_tridiagonal(bp)
-    lams = sym_tridiag_eigs(tri)
-    pairs = eig_correspondence(lams)
-    recovered = canonical_z_list(pairs)
-    direct = dense_eigs(butterfly_from_params(bp))
-    mismatch = spectra_distance(recovered, direct)
+    s = solve_butterfly(bp)
     doc = {
         "order": bp.order,
-        "tridiagonal": {"diag": list(tri.diag), "offdiag": list(tri.offdiag)},
-        "folded_eigenvalues": list(lams),
-        "pairs": [_complex_list(p) for p in pairs],
-        "dense_spectrum": _complex_list(direct),
-        "max_mismatch": mismatch,
+        "tridiagonal": {"diag": list(s.tridiagonal.diag), "offdiag": list(s.tridiagonal.offdiag)},
+        "folded_eigenvalues": list(s.folded),
+        "pairs": [_complex_list(p) for p in s.pairs],
+        "dense_spectrum": _complex_list(s.dense),
+        "max_mismatch": s.mismatch,
     }
     _emit(args, serialize.dumps(doc))
-    return _exit_status(mismatch, "butterfly-tridiagonal-roundtrip")
+    return _exit_status(s.mismatch, "butterfly-tridiagonal-roundtrip")
 
 
 def _exit_status(mismatch: float, claim_id: str) -> int:

@@ -10,22 +10,23 @@ with skew orthonormality <Q_2m|Q_2n+1> = delta_mn and vanishing same-parity
 pairings.  The same family also arises by skew Gram-Schmidt directly in the
 alternating basis; both constructions are provided and cross-checked.
 
-Two one-parameter freedoms act on each pair without disturbing the pairing
-pattern: member scaling (r_n) and adding a multiple of the even member to
-the odd one (lambda_n).  The multiplication-by-z operator in a gauged basis
-is computed here by skew-duality extraction; it is the numerical ground
-truth the butterfly assembly in `spectra` is checked against.
+A family has one representation: value tables at the measure's nodes and
+their reciprocals.  The reference routes (shifted coefficient polynomials,
+alternating-basis Gram-Schmidt) build polynomials and keep only their
+values; gram_schmidt_pairs returns the unnormalized polynomials themselves.
 
-Families carry two representations: coefficient polynomials (exact-mode
-algebra, serialization) and value tables on the measure's support (the
-numerically accurate route, inherited from lsop.FamilyValues).
+One gauge action, gauge_transform_scaled, realizes the two freedoms of each
+pair that keep the pairing pattern: member scaling (r_n) and a shear of the
+odd member along the even one (lambda_n).  The multiplication-by-z operator
+in a gauged basis is computed here by skew-duality extraction; it is the
+numerical ground truth the butterfly assembly in `spectra` is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
 from .laurent import LaurentPoly
@@ -69,18 +70,13 @@ class GaugeParams:
 
 @dataclass(frozen=True)
 class LsolpFamily:
-    """A skew orthonormal family in the alternating basis.
-
-    members[j] are coefficient polynomials (may be None for value-only
-    families); node_values[k][j] and recip_values[k][j] hold member j at
-    z_k and 1/z_k.
-    """
+    """A skew orthonormal family in the alternating basis, as value tables:
+    node_values[k][j] and recip_values[k][j] hold member j at z_k and 1/z_k."""
 
     measure: DiscreteMeasure
     order: int
     node_values: Tuple[Tuple[float, ...], ...]
     recip_values: Tuple[Tuple[float, ...], ...]
-    members: Optional[Tuple[LaurentPoly, ...]] = None
 
     @property
     def size(self) -> int:
@@ -135,9 +131,10 @@ def lsolp_from_lsop(m: DiscreteMeasure, qtilde: Sequence[LaurentPoly]) -> LsolpF
     """Alternating-basis family from orthonormal coefficient polynomials.
 
     Q_2m = z^-m qt_2m and Q_2m+1 = -z^-m-1 qt_2m; the odd members reuse the
-    even polynomial, so only the even inputs matter.  Coefficient arithmetic
-    is exact-friendly but ill-conditioned at higher order; prefer
-    lsolp_from_values inside numerical pipelines.
+    even polynomial, so only the even inputs matter.  The members are
+    evaluated on the support and only their values are kept.  Coefficient
+    arithmetic is ill-conditioned at higher order; prefer lsolp_from_values
+    inside numerical pipelines.
     """
     if len(qtilde) % 2:
         raise ValueError("expected an even count of family members")
@@ -158,8 +155,7 @@ def _family_from_polys(m: DiscreteMeasure, members: Sequence[LaurentPoly]) -> Ls
         node_vals.append(tuple(float(p(zf)) for p in members))
         recip_vals.append(tuple(float(p(1.0 / zf)) for p in members))
     return LsolpFamily(measure=m, order=len(members) // 2,
-                       node_values=tuple(node_vals), recip_values=tuple(recip_vals),
-                       members=tuple(members))
+                       node_values=tuple(node_vals), recip_values=tuple(recip_vals))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +200,7 @@ def gram_schmidt_lsolp(m: DiscreteMeasure, count: int) -> LsolpFamily:
     Normalization matches the shift construction: the even leading
     coefficient is positive and the odd leading coefficient is its negative.
     An odd count rounds up to the full pair; the requested members are the
-    first `count` entries of `members`.
+    first `count` columns of the value tables.
     """
     pairs = gram_schmidt_pairs(m, count)
     members: List[LaurentPoly] = []
@@ -239,28 +235,17 @@ def _project(m: DiscreteMeasure, v: LaurentPoly, pairs) -> LaurentPoly:
 # gauge action
 # ---------------------------------------------------------------------------
 
-def gauge_transform(fam: LsolpFamily, g: GaugeParams) -> LsolpFamily:
-    """Gauged family Qt_2n = Q_2n / r_n, Qt_2n+1 = r_n Q_2n+1 + lambda_n Q_2n."""
-    return _apply_gauge(fam, g, scaled_shear=False)
-
-
 def gauge_transform_scaled(fam: LsolpFamily, g: GaugeParams) -> LsolpFamily:
-    """Gauge variant with the shear applied inside the scaling:
-    Qt_2n+1 = r_n (Q_2n+1 + lambda_n Q_2n).
+    """Gauged family Qt_2n = Q_2n / r_n, Qt_2n+1 = r_n (Q_2n+1 + lambda_n Q_2n).
 
-    Equivalent to gauge_transform with lambda_n -> r_n lambda_n; this is the
-    parameterization under which the butterfly parameter map is the stated
-    one-to-one correspondence (see spectra.butterfly_params).
+    This is the parameterization under which the butterfly parameter map is
+    the stated one-to-one correspondence (see spectra.butterfly_params).  The
+    unscaled shear Qt_2n+1 = r_n Q_2n+1 + lambda_n Q_2n is the same action
+    with lambda_n -> lambda_n / r_n.
     """
-    return _apply_gauge(fam, g, scaled_shear=True)
-
-
-def _apply_gauge(fam: LsolpFamily, g: GaugeParams, scaled_shear: bool) -> LsolpFamily:
     if g.order != fam.order:
         raise ValueError(f"gauge order {g.order} != family order {fam.order}")
-
-    pairs = [(float(r), float(r) * float(lam) if scaled_shear else float(lam))
-             for r, lam in zip(g.r, g.lam)]
+    pairs = [(float(r), float(r) * float(lam)) for r, lam in zip(g.r, g.lam)]
 
     def transform_row(row: Sequence[float]) -> Tuple[float, ...]:
         out = list(row)
@@ -269,19 +254,10 @@ def _apply_gauge(fam: LsolpFamily, g: GaugeParams, scaled_shear: bool) -> LsolpF
             out[2 * k + 1] = r * row[2 * k + 1] + shear * row[2 * k]
         return tuple(out)
 
-    members = None
-    if fam.members is not None:
-        members = []
-        for k, (r, shear) in enumerate(pairs):
-            members.append(fam.members[2 * k].as_float().scale(1.0 / r))
-            members.append(fam.members[2 * k + 1].as_float().scale(r)
-                           + fam.members[2 * k].as_float().scale(shear))
-        members = tuple(members)
     out = LsolpFamily(measure=fam.measure, order=fam.order,
                       node_values=tuple(transform_row(r) for r in fam.node_values),
-                      recip_values=tuple(transform_row(r) for r in fam.recip_values),
-                      members=members)
-    _require_orthonormal(out, "gauge_transform")
+                      recip_values=tuple(transform_row(r) for r in fam.recip_values))
+    _require_orthonormal(out, "gauge_transform_scaled")
     return out
 
 

@@ -77,12 +77,12 @@ def max_abs_diff(a: Matrix, b: Matrix) -> float:
     return nan_max(*(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)))
 
 
-def _check_square(a: Matrix, cap: int = MAX_DENSE_SIZE) -> int:
+def _check_square(a: Matrix) -> int:
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionError("matrix is not square")
-    if n > cap:
-        raise DimensionError(f"matrix size {n} exceeds the desk-scale cap {cap}")
+    if n > MAX_DENSE_SIZE:
+        raise DimensionError(f"matrix size {n} exceeds the desk-scale cap {MAX_DENSE_SIZE}")
     return n
 
 
@@ -284,21 +284,12 @@ def sym_tridiag_eigs(t: SymTridiag) -> List[float]:
 # general real eigenvalues (Hessenberg + double-shift QR)
 # ---------------------------------------------------------------------------
 
-def dense_eigs(a: Matrix, method: str = "qr") -> List[complex]:
-    """All eigenvalues of a real square matrix, sorted by (re, im).
-
-    method="qr" (default): stabilized-elimination Hessenberg reduction
-    followed by Francis double-shift QR.  method="charpoly": exact
-    characteristic polynomial plus simultaneous root iteration, available
-    for sizes <= 6 as the independent oracle.
-    """
-    n = _check_square(a)
-    if n == 0:
+def dense_eigs(a: Matrix) -> List[complex]:
+    """All eigenvalues of a real square matrix, sorted by (re, im):
+    stabilized-elimination Hessenberg reduction followed by Francis
+    double-shift QR (charpoly_eigs is the independent oracle)."""
+    if _check_square(a) == 0:
         return []
-    if method == "charpoly":
-        if n > 6:
-            raise DimensionError("charpoly oracle limited to size <= 6")
-        return sort_complex(_charpoly_roots(a))
     h = [[float(x) for x in row] for row in a]
     _hessenberg(h)
     return sort_complex(_hqr(h))
@@ -335,10 +326,13 @@ def _hessenberg(a: Matrix) -> None:
 def _hqr(a: Matrix) -> List[complex]:
     """Eigenvalues of an upper Hessenberg matrix (Francis double shift).
 
-    Exceptional shifts after every 10 stalled sweeps (10, 20, ..., 50),
-    failure at 60.
+    Exceptional shifts after every 10 stalled sweeps on one eigenvalue;
+    failure after 30 * max(10, n) sweeps over the whole matrix, the
+    iteration budget of LAPACK's dlahqr.
     """
     n = len(a)
+    budget = 30 * max(10, n)
+    sweeps = 0
     anorm = 0.0
     for i in range(n):
         for j in range(max(i - 1, 0), n):
@@ -381,8 +375,8 @@ def _hqr(a: Matrix) -> List[complex]:
                     eigs.append(complex(x + p, -z))
                 nn -= 2
                 break
-            if its == 60:
-                raise ConvergenceError("QR iteration failed to deflate after 60 sweeps")
+            if sweeps == budget:
+                raise ConvergenceError(f"QR iteration failed to converge in {budget} sweeps")
             if its and its % 10 == 0:
                 t += x
                 for i in range(nn + 1):
@@ -391,6 +385,7 @@ def _hqr(a: Matrix) -> List[complex]:
                 y = x = 0.75 * s
                 w = -0.4375 * s * s
             its += 1
+            sweeps += 1
             m = nn - 2
             while m >= l:
                 z = a[m][m]
@@ -479,9 +474,12 @@ def charpoly(a: Matrix) -> List[Scalar]:
     return coeffs
 
 
-def _charpoly_roots(a: Matrix) -> List[complex]:
-    coeffs = [complex(float(c), 0.0) for c in charpoly(a)]
-    return polynomial_roots(coeffs)
+def charpoly_eigs(a: Matrix) -> List[complex]:
+    """Eigenvalues of a square matrix of size <= 6, sorted by (re, im): the
+    exact characteristic polynomial plus simultaneous root iteration."""
+    if _check_square(a) > 6:
+        raise DimensionError("charpoly oracle limited to size <= 6")
+    return sort_complex(polynomial_roots([complex(float(c), 0.0) for c in charpoly(a)]))
 
 
 def polynomial_roots(coeffs: Sequence[complex]) -> List[complex]:

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .errors import DimensionError, ExpansionLimitError, IncompleteTableError
 from .modes import Scalar
 
-EXPANSION_CAP_DEFAULT = 10
+EXPANSION_CAP = 10
 
 
 class SkewArray:
@@ -66,17 +66,17 @@ class SkewArray:
         return SkewArray.from_entry_fn(len(idx), lambda p, q: self.entry(idx[p], idx[q]))
 
 
-def pf_expand(s: SkewArray, cap: int = EXPANSION_CAP_DEFAULT) -> Scalar:
+def pf_expand(s: SkewArray) -> Scalar:
     """Pfaffian by recursive expansion along the last index.
 
-    Refuses sizes above ``cap`` (the term count grows like (2n-1)!!); use
-    pf_eliminate for larger arrays.
+    Refuses sizes above EXPANSION_CAP (the term count grows like (2n-1)!!);
+    use pf_eliminate for larger arrays.
     """
     if s.size % 2:
         raise DimensionError(f"Pfaffian needs even size, got {s.size}")
-    if s.size > cap:
+    if s.size > EXPANSION_CAP:
         raise ExpansionLimitError(
-            f"expansion refused for size {s.size} > cap {cap}; use pf_eliminate instead"
+            f"expansion refused for size {s.size} > cap {EXPANSION_CAP}; use pf_eliminate instead"
         )
     entry = s.entry
 

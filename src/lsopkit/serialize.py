@@ -156,8 +156,9 @@ def save_butterfly_params(a: Sequence[Scalar], b: Sequence[Scalar],
     return dumps({"a": list(a), "b": list(b), "c": list(c), "d": list(d)})
 
 
-def load_butterfly_params(text: str, mode: str = "double"):
-    doc = loads(text, mode)
+def load_butterfly_params(text: str):
+    """The quadruples (a, b, c, d) of a butterfly parameter file, as floats."""
+    doc = loads(text)
     try:
         parts = [doc["a"], doc["b"], doc["c"], doc["d"]]
     except (KeyError, TypeError) as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import AdmissibilityError, DimensionError
 from .lsop import FamilyValues, RecurrenceData
@@ -33,7 +33,7 @@ from .lsolp import GaugeParams, family_vector_order
 from .moments import DiscreteMeasure
 from .numerics import (Matrix, SymTridiag, dense_eigs, identity, inf_norm, mat_mul,
                        mat_sub, mat_vec, max_abs_diff, nan_max, solve_columns, sort_complex,
-                       transpose, zeros)
+                       spectra_distance, sym_tridiag_eigs, transpose, zeros)
 
 DOUBLE_ROOT_TOL = 1e-12
 
@@ -378,6 +378,24 @@ def eig_correspondence(lambdas: Sequence[float]) -> List[Tuple[complex, complex]
 def canonical_z_list(pairs: Sequence[Tuple[complex, complex]]) -> List[complex]:
     """Flatten correspondence pairs into a sorted spectrum list."""
     return sort_complex([z for pair in pairs for z in pair])
+
+
+class ButterflySolve(NamedTuple):
+    """Structured eigensolve of a butterfly matrix, checked against its dense spectrum."""
+    tridiagonal: SymTridiag
+    folded: List[float]  # QL eigenvalues lambda = z + 1/z of the tridiagonal
+    pairs: List[Tuple[complex, complex]]
+    dense: List[complex]
+    mismatch: float  # distance from the unfolded pairs to the dense spectrum
+
+
+def solve_butterfly(bp: ButterflyParams) -> ButterflySolve:
+    """Butterfly eigenvalues by the symmetric tridiagonal reduction and lambda = z + 1/z."""
+    tri = butterfly_to_tridiagonal(bp)
+    lams = sym_tridiag_eigs(tri)
+    pairs = eig_correspondence(lams)
+    dense = dense_eigs(butterfly_from_params(bp))
+    return ButterflySolve(tri, lams, pairs, dense, spectra_distance(canonical_z_list(pairs), dense))
 
 
 def inversion_closure_defect(spectrum: Sequence[complex]) -> float:

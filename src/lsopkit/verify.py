@@ -46,11 +46,10 @@ from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, nan_max, s
                        sym_tridiag_eigs)
 from .pfaffian import SkewArray, _minor_identity_terms, pf_eliminate, pf_expand
 from .spectra import (CONVENTION_DIFFERENCE, ButterflyParams, PencilPair, PencilReport,
-                      build_butterfly, build_pencil, build_tridiagonal,
-                      butterfly_from_params, butterfly_params, butterfly_to_tridiagonal,
-                      canonical_z_list, determine_diagonal_convention, eig_correspondence,
-                      inversion_closure_defect, pencil_eigenvalues, pencil_residual,
-                      support_spectrum, symplectic_pencil_check)
+                      build_butterfly, build_pencil, build_tridiagonal, butterfly_params,
+                      determine_diagonal_convention, inversion_closure_defect,
+                      pencil_eigenvalues, pencil_residual, solve_butterfly, support_spectrum,
+                      symplectic_pencil_check)
 
 GAUGE_INVARIANCE_TRIALS = 20
 # coefficient-route comparisons are capped: conditioning caps the double
@@ -667,13 +666,8 @@ def claim_gauge_invariance(ctx: _Context) -> Measured:
 
 def claim_butterfly_roundtrip(ctx: _Context) -> Measured:
     g = GaugeParams.random(ctx.rng(46), ctx.cfg.order)
-    bp = butterfly_params(ctx.rec, g)
-    tri = butterfly_to_tridiagonal(bp)
-    lams = sym_tridiag_eigs(tri)
-    recovered = canonical_z_list(eig_correspondence(lams))
-    direct = dense_eigs(butterfly_from_params(bp))
-    worst = spectra_distance(recovered, direct)
-    return Measured(worst, "tridiagonal reduction recovers the butterfly spectrum through z + 1/z")
+    return Measured(solve_butterfly(butterfly_params(ctx.rec, g)).mismatch,
+                    "tridiagonal reduction recovers the butterfly spectrum through z + 1/z")
 
 
 def claim_unit_modulus(ctx: _Context) -> Measured:
@@ -684,20 +678,17 @@ def claim_unit_modulus(ctx: _Context) -> Measured:
     b = [0.1 * rng.random() for _ in range(n)]
     d = [0.05 * rng.random() for _ in range(n - 1)]
     c = [(0.5 * (rng.random() - 0.5)) / a[i] for i in range(n)]  # keep |a c + b| < 2
-    bp = ButterflyParams(a=tuple(a), b=tuple(b), c=tuple(c), d=tuple(d))
-    lams = sym_tridiag_eigs(butterfly_to_tridiagonal(bp))
+    solve = solve_butterfly(ButterflyParams(a=tuple(a), b=tuple(b), c=tuple(c), d=tuple(d)))
     worst = 0.0
     inside = 0
-    for lam, (z, zbar) in zip(lams, eig_correspondence(lams)):
+    for lam, (z, zbar) in zip(solve.folded, solve.pairs):
         if abs(lam) < 2.0 - 1e-9:
             inside += 1
             worst = nan_max(worst, abs(abs(z) - 1.0), abs(abs(zbar) - 1.0))
     if inside == 0:
         worst = float("inf")
-    dist = spectra_distance(canonical_z_list(eig_correspondence(lams)),
-                            dense_eigs(butterfly_from_params(bp)))
-    summary = (f"{inside}/{len(lams)} folded eigenvalues inside (-2,2) map to unit-modulus "
-               f"pairs; spectrum round trip misses by {dist:.3e}")
+    summary = (f"{inside}/{len(solve.folded)} folded eigenvalues inside (-2,2) map to "
+               f"unit-modulus pairs; spectrum round trip misses by {solve.mismatch:.3e}")
     return Measured(worst, summary)
 
 

@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from lsopkit.errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
-from lsopkit.lsolp import (GaugeParams, butterfly_sparsity_defect, gauge_transform,
-                           gauge_transform_scaled, gram_schmidt_lsolp, gram_schmidt_pairs,
-                           lsolp_from_lsop, lsolp_from_values, lsolp_pfaffian_member,
-                           multiplication_matrix)
+from lsopkit.lsolp import (GaugeParams, butterfly_sparsity_defect, gauge_transform_scaled,
+                           gram_schmidt_lsolp, gram_schmidt_pairs, lsolp_from_lsop,
+                           lsolp_from_values, lsolp_pfaffian_member, multiplication_matrix)
 from lsopkit.lsop import evaluate_family, lsop_via_recurrence, orthonormalize, recurrence_from_measure
 from lsopkit.moments import DiscreteMeasure, MomentTable, random_measure
 from lsopkit.numerics import dense_eigs, spectra_distance
@@ -34,9 +33,10 @@ def test_shift_construction_reference():
     rec = recurrence_from_measure(REF, 1)
     qt = orthonormalize(lsop_via_recurrence(rec, 1), rec)
     fam = lsolp_from_lsop(REF.as_float(), qt)
-    # Q_0 = qt_0, Q_1 = -z^-1 qt_0, <Q_0|Q_1> = 1
-    assert fam.members[0] == qt[0]
-    assert fam.members[1] == qt[0].shift(-1).scale(-1)
+    # Q_0 = qt_0, Q_1 = -z^-1 qt_0 at the node z = 2 and at 1/z, <Q_0|Q_1> = 1
+    for z, row in ((2.0, fam.node_values[0]), (0.5, fam.recip_values[0])):
+        q0 = float(qt[0](z))
+        assert row == pytest.approx((q0, -q0 / z), rel=1e-15)
     assert fam.pairing(0, 1) == pytest.approx(1.0)
     assert fam.pairing(0, 0) == pytest.approx(0.0)
 
@@ -46,10 +46,12 @@ def test_odd_member_is_shifted_even():
     rec = recurrence_from_measure(m, 3)
     qt = orthonormalize(lsop_via_recurrence(rec, 3), rec)
     fam = lsolp_from_lsop(m, qt)
-    for k in range(3):
-        # z Q_2k+1 = -Q_2k identically
-        diff = fam.members[2 * k + 1].shift(1) + fam.members[2 * k]
-        assert diff.max_abs_coeff() < 1e-12
+    points = [float(z) for z in m.nodes] + [1.0 / float(z) for z in m.nodes]
+    rows = fam.node_values + fam.recip_values
+    for z, row in zip(points, rows):
+        for k in range(3):
+            # z Q_2k+1 = -Q_2k at every node and reciprocal
+            assert z * row[2 * k + 1] == pytest.approx(-row[2 * k], rel=1e-12, abs=1e-12)
 
 
 def test_from_values_matches_from_polys():
@@ -82,7 +84,9 @@ def test_validation_rejects_nan_values():
 
 def test_gram_schmidt_count_one():
     fam = gram_schmidt_lsolp(REF.as_float(), 1)
-    assert fam.members[0].coeffs == pytest.approx({0: math.sqrt(2.0 / 3.0)})
+    # Q_0 is the constant sqrt(2/3) at the node and at its reciprocal
+    assert fam.node_values[0][0] == pytest.approx(math.sqrt(2.0 / 3.0))
+    assert fam.recip_values[0][0] == pytest.approx(math.sqrt(2.0 / 3.0))
 
 
 def test_gram_schmidt_matches_shift_exact():
@@ -115,7 +119,7 @@ def test_gram_schmidt_degenerate_support():
 def test_gauge_identity():
     m = random_measure(36, 3, mode="double")
     fam = lsolp_from_values(evaluate_family(m, 3))
-    same = gauge_transform(fam, GaugeParams.trivial(3))
+    same = gauge_transform_scaled(fam, GaugeParams.trivial(3))
     for r1, r2 in zip(fam.node_values, same.node_values):
         assert r1 == r2
 
@@ -126,20 +130,7 @@ def test_gauge_preserves_pairings():
     fam = lsolp_from_values(evaluate_family(m, 4))
     for _ in range(5):
         g = random_gauge(rng, 4)
-        assert gauge_transform(fam, g).pairing_defect() < 1e-9
         assert gauge_transform_scaled(fam, g).pairing_defect() < 1e-9
-
-
-def test_gauge_variants_differ_by_shear_scaling():
-    rng = random.Random(8)
-    m = random_measure(38, 3, mode="double")
-    fam = lsolp_from_values(evaluate_family(m, 3))
-    g = random_gauge(rng, 3)
-    scaled = gauge_transform_scaled(fam, g)
-    plain = gauge_transform(fam, GaugeParams(r=g.r, lam=tuple(r * l for r, l in zip(g.r, g.lam))))
-    for r1, r2 in zip(scaled.node_values, plain.node_values):
-        for a, b in zip(r1, r2):
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
 def test_multiplication_matrix_order_one():

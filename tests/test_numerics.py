@@ -10,7 +10,7 @@ import pytest
 from lsopkit.errors import DimensionError
 from lsopkit.lsop import recurrence_from_measure
 from lsopkit.moments import DiscreteMeasure
-from lsopkit.numerics import (SymTridiag, charpoly, dense_det, dense_eigs, mat_inverse,
+from lsopkit.numerics import (SymTridiag, charpoly, charpoly_eigs, dense_det, dense_eigs, mat_inverse,
                               mat_mul, max_abs_diff, min_cost_assignment, nan_max,
                               solve_linear, spectra_distance, sym_tridiag_eigs,
                               transpose)
@@ -120,7 +120,7 @@ def test_qr_matches_charpoly_oracle():
     for _ in range(40):
         n = rng.randint(1, 6)
         a = [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(n)]
-        assert spectra_distance(dense_eigs(a), dense_eigs(a, method="charpoly")) < 1e-7
+        assert spectra_distance(dense_eigs(a), charpoly_eigs(a)) < 1e-7
 
 
 def test_eigenvalue_sum_is_trace():
@@ -141,7 +141,7 @@ def test_charpoly_exact():
 
 def test_charpoly_oracle_size_cap():
     with pytest.raises(DimensionError):
-        dense_eigs([[0.0] * 7 for _ in range(7)], method="charpoly")
+        charpoly_eigs([[0.0] * 7 for _ in range(7)])
 
 
 def test_assignment_is_optimal():

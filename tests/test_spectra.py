@@ -1,11 +1,20 @@
-"""Pencils, butterfly matrices, tridiagonal reductions, spectral folding."""
+"""Pencils, butterfly matrices, tridiagonal reductions, spectral folding.
+
+Run as a script, the module sends all 320 tridiagonals of the eigensolve
+benchmark's inputs (perfbench.inputs.eigen_inputs, seeds 1-10, seeded and
+fixed) through the pencil route and fails on any ConvergenceError (about
+15 s):
+
+    PYTHONPATH=src:. python tests/test_spectra.py
+"""
 
 import math
 import random
+import sys
 
 import pytest
 
-from lsopkit.errors import AdmissibilityError
+from lsopkit.errors import AdmissibilityError, ConvergenceError
 from lsopkit.lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
 from lsopkit.lsop import RecurrenceData, evaluate_family, recurrence_from_measure
 from lsopkit.moments import DiscreteMeasure, random_measure
@@ -112,9 +121,27 @@ def test_generalized_eigenvalues_match_support():
     assert spectra_distance(pencil_eigenvalues(pencil), support_spectrum(m)) < 1e-8
 
 
+def tridiagonal_recurrence(diag, off):
+    """Recurrence whose tridiagonal T has the given entries; the pencil reads
+    alpha (partial sums of the diagonal) and beta only."""
+    alpha = [0.0]
+    for gamma in diag:
+        alpha.append(alpha[-1] + gamma)
+    return RecurrenceData(order=len(diag), alpha=tuple(alpha),
+                          beta=tuple([0.0] + [e * e for e in off] + [0.0]),
+                          tau=(1.0,) * (len(diag) + 1), sigma=tuple(alpha))
+
+
+def pencil_mismatch(diag, off):
+    """Distance from the pencil spectrum to the unfolded QL spectrum of T."""
+    eigs = pencil_eigenvalues(pencil_from_recurrence(tridiagonal_recurrence(diag, off)))
+    pairs = eig_correspondence(sym_tridiag_eigs(SymTridiag(diag, off)))
+    return spectra_distance(eigs, [z for pair in pairs for z in pair])
+
+
 def test_pencil_eigenvalues_after_slow_deflation():
     # a seeded N = 16 tridiagonal whose transfer matrix takes more than 30
-    # Francis sweeps to deflate one eigenvalue; alpha_k sums the diagonal
+    # Francis sweeps to deflate one eigenvalue
     diag = [5.0084734282604355, 0.16180907983213388, 0.25301725495030003, -4.00388218894364,
             -0.025960624557502365, 6.52254043957153, 5.220674310876781, 5.937081428702749,
             0.48121796647977644, 4.9612370202475375, -4.934245851975561, -0.5870714846263043,
@@ -123,15 +150,21 @@ def test_pencil_eigenvalues_after_slow_deflation():
            0.30797609268131276, 0.3152087648568529, 0.37081485147492144, 0.36022267834565946,
            0.14758940559281042, 0.2685031471345136, 0.17503378024154198, 0.39420314583113725,
            0.3068096843754784, 0.14105217095604483, 0.1700969239698219]
-    alpha = [0.0]
-    for gamma in diag:
-        alpha.append(alpha[-1] + gamma)
-    rec = RecurrenceData(order=16, alpha=tuple(alpha),
-                         beta=tuple([0.0] + [e * e for e in off] + [0.0]),
-                         tau=(1.0,) * 17, sigma=tuple(alpha))
-    eigs = pencil_eigenvalues(pencil_from_recurrence(rec))
-    pairs = eig_correspondence(sym_tridiag_eigs(SymTridiag(diag, off)))
-    assert spectra_distance(eigs, [z for pair in pairs for z in pair]) < 1e-10
+    assert pencil_mismatch(diag, off) < 1e-10
+
+
+def test_pencil_eigenvalues_past_sixty_stalled_sweeps():
+    # perfbench.inputs.eigen_inputs(6)[15], N = 16: one eigenvalue stalls for
+    # more than 60 Francis sweeps; 74 sweeps in all, within 30 * max(10, N)
+    diag = [-5.5286229030193965, -6.29792200049898, -6.980105475733437, -5.784453096477428,
+            -5.29862482100017, 3.508731897199854, -6.314626245844714, -0.7149392967087689,
+            -3.698760856306105, -0.21427403868870742, -3.8442462915649545, -6.061001579296748,
+            -6.685529330830876, -6.465560084380855, 4.8890091485403175, 4.25858308805638]
+    off = [0.24944010117108892, 0.30228596919462963, 0.2970705360595378, 0.341324107300807,
+           0.19257047263075316, 0.24916972838274123, 0.2977254782013369, 0.10711640575489684,
+           0.3232593993310007, 0.37700781182636356, 0.3620415409595037, 0.146551487435789,
+           0.33301715664106857, 0.253598399552351, 0.25516468221064403]
+    assert pencil_mismatch(diag, off) < 1e-8
 
 
 def test_transfer_matrix_solves_pencil():
@@ -321,3 +354,24 @@ def test_eig_correspondence_cases():
     z, zbar = pairs[4]
     assert abs(z) == pytest.approx(1.0, abs=1e-12)
     assert z.conjugate() == zbar and z.imag > 0
+
+
+if __name__ == "__main__":
+    from perfbench.inputs import eigen_inputs
+
+    failed, worst, total = [], 0.0, 0
+    for seed in range(1, 11):
+        for i, case in enumerate(eigen_inputs(seed)):
+            total += 1
+            try:
+                mismatch = pencil_mismatch(case["tri"]["diag"], case["tri"]["off"])
+            except ConvergenceError as exc:
+                failed.append(f"eigen_inputs({seed})[{i}]: {exc}")
+                continue
+            if not case["fixed"]:  # the fixed T at N >= 16 are a known mismatch
+                worst = max(worst, mismatch)
+    for line in failed:
+        print(line)
+    print(f"{total - len(failed)}/{total} pencils converged; "
+          f"largest seeded mismatch against the QL route {worst:.2e}")
+    sys.exit(1 if failed else 0)

@@ -260,6 +260,20 @@ def test_cli_lsop_pencil_butterfly(tmp_path):
     assert bdoc["spectrum_mismatch"] <= 1e-7
 
 
+@pytest.mark.parametrize("mode", ["double", "rational"])
+def test_cli_pencil_reports_the_verify_pencil_numbers(tmp_path, mode):
+    # lsopkit pencil and lsopkit verify read one measure file and must report
+    # the same pencil eigenvalue mismatch and recurrence-layout residual
+    mfile, pfile, rfile = tmp_path / "m.json", tmp_path / "p.json", tmp_path / "r.json"
+    assert run_cli("gen-measure", "--seed", "3", "--order", "4", "--mode", mode, "--out", str(mfile)) == 0
+    assert run_cli("pencil", str(mfile), "--mode", mode, "--out", str(pfile)) == 0
+    assert run_cli("verify", str(mfile), "--mode", mode, "--out", str(rfile)) == 0
+    pencil = json.loads(pfile.read_text())
+    residual = {c["id"]: c["residual"] for c in json.loads(rfile.read_text())["claims"]}
+    assert pencil["eigenvalue_mismatch"] == residual["pencil-eigenvalues"]
+    assert pencil["recurrence_layout"]["support_residual"] == residual["pencil-recurrence-residual"]
+
+
 def test_cli_pencil_butterfly_flag_spectrum_mismatch(tmp_path, monkeypatch):
     mfile = tmp_path / "m.json"
     run_cli("gen-measure", "--seed", "5", "--order", "3", "--out", str(mfile))
