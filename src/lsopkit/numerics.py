@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .errors import ConvergenceError, DimensionError
@@ -46,13 +47,12 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
     bt = transpose(b)
-    return [[sum(a[i][p] * bt[j][p] for p in range(k)) for j in range(m)] for i in range(n)]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> List[Scalar]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

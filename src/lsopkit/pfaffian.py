@@ -8,9 +8,19 @@ Two independent evaluation routes are provided:
 * ``pf_eliminate`` -- cubic-cost skew-symmetric Gaussian elimination with
                       greedy full pivoting on the largest-magnitude entry.
 
-Both return 1 for the empty array.  On Fraction entries both are exact and
-must agree identically; elimination returns an exact structural 0 when a
-pivot step finds no nonzero entry.
+Both return 1 for the empty array.  Elimination has two update rules
+behind one pivot/swap loop.  A table with a float entry is eliminated in
+place by division, in binary64.  A table whose entries are all int/Fraction
+is scaled by the lcm L of its denominators to an int table and eliminated
+fraction-free (Bareiss): each step divides exactly by the previous pivot,
+every intermediate entry is a bordered Pfaffian minor of L*A, and the last
+pivot is Pf(L*A) = L^(n/2) Pf(A).  No gcd runs until the one Fraction
+built from that last pivot.  The ints carry the factor L^(n/2), which
+reduced Fractions shed, so on moment tables, whose denominators grow with
+the lag, Fraction division is the faster exact update past about 24
+indices; the coefficient routes stay well below that.  On exact input
+expansion and elimination agree identically; elimination returns an exact
+structural 0 when a pivot step finds no nonzero entry.
 
 ``check_identity_even`` / ``check_identity_odd`` evaluate the two minor
 identities that relate a Pfaffian bordered by four extra indices to
@@ -20,8 +30,10 @@ even-cardinality base set, the odd identity an odd one).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple
+from math import lcm
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionError, ExpansionLimitError, IncompleteTableError
 from .modes import Scalar
@@ -62,8 +74,20 @@ class SkewArray:
         return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
 
     def submatrix(self, indices: Sequence[int]) -> "SkewArray":
+        """Sub-array in the given index order, copied from the upper
+        triangle with the sign flipped where the order reverses a pair."""
         idx = list(indices)
-        return SkewArray.from_entry_fn(len(idx), lambda p, q: self.entry(idx[p], idx[q]))
+        up = self._upper
+        sub = {}
+        try:
+            for p, a in enumerate(idx):
+                for q in range(p + 1, len(idx)):
+                    b = idx[q]
+                    sub[(p, q)] = up[(a, b)] if a < b else -up[(b, a)] if a > b else 0
+        except KeyError as missing:
+            i, j = missing.args[0]
+            raise IncompleteTableError(f"entry ({i},{j}) missing") from None
+        return SkewArray(len(idx), sub)
 
 
 def pf_expand(s: SkewArray) -> Scalar:
@@ -104,48 +128,61 @@ def pf_eliminate(s: SkewArray) -> Scalar:
     remaining entry into pivot position via symmetric row/column swaps
     (each swap flips the sign).  A step with no nonzero entry left means
     the array is structurally singular and the Pfaffian is exactly 0.
+
+    Float tables are updated by division and return the signed product of
+    the pivots.  Exact (int/Fraction) tables are scaled to ints and updated
+    fraction-free: after each step every remaining entry is the one exact
+    division would give times one common nonzero factor, so the pivots are
+    those of exact division, and the result is a Fraction.
     """
     n = s.size
     if n % 2:
         raise DimensionError(f"Pfaffian needs even size, got {n}")
     if n == 0:
         return 1
-    m = s.dense()
+    m, scale = _working_rows(s)
     sign = 1
-    result = None  # running product, seeded by the first pivot to keep the scalar type
+    result = None  # float route: running product, seeded by the first pivot to keep the scalar type
+    prev = 1  # exact route: the previous pivot, which divides every update exactly
     for k in range(0, n, 2):
-        pi, pj, best = -1, -1, 0.0
+        pi, pj, best = -1, -1, 0
         for i in range(k, n):
             row = m[i]
             for j in range(i + 1, n):
-                v = _magnitude(row[j])
+                v = abs(row[j])
                 if v > best:
                     best, pi, pj = v, i, j
         if pi < 0:
-            zero = m[0][0] * 0
-            return zero
+            return 0
         if pi != k:
-            _swap_sym(m, pi, k)
+            _swap_sym(m, k, pi, k)
             sign = -sign
-            if pj == k:
-                pj = pi
         if pj != k + 1:
-            _swap_sym(m, pj, k + 1)
+            _swap_sym(m, k + 1, pj, k)
             sign = -sign
-        a = m[k][k + 1]
-        result = a if result is None else result * a
         rk, rk1 = m[k], m[k + 1]
-        for i in range(k + 2, n):
-            bi0, bi1 = rk[i], rk1[i]
-            if bi0 == 0 and bi1 == 0:
-                continue
-            ri = m[i]
-            for j in range(i + 1, n):
-                upd = (bi1 * rk[j] - bi0 * rk1[j]) / a
-                if upd != 0:
-                    ri[j] += upd
-                    m[j][i] = -ri[j]
-    return result if sign > 0 else -result
+        a = rk[k + 1]
+        if scale is None:
+            result = a if result is None else result * a
+            for i in range(k + 2, n):
+                bi0, bi1 = rk[i], rk1[i]
+                if bi0 == 0 and bi1 == 0:
+                    continue
+                ri = m[i]
+                for j in range(i + 1, n):
+                    upd = (bi1 * rk[j] - bi0 * rk1[j]) / a
+                    if upd != 0:
+                        ri[j] += upd
+        else:
+            for i in range(k + 2, n):
+                bi0, bi1 = rk[i], rk1[i]
+                ri = m[i]
+                ri[i + 1:] = [(a * x + bi1 * y - bi0 * z) // prev
+                              for x, y, z in zip(ri[i + 1:], rk[i + 1:], rk1[i + 1:])]
+            prev = a
+    if scale is None:
+        return result if sign > 0 else -result
+    return Fraction(prev if sign > 0 else -prev, scale ** (n // 2))
 
 
 def pf_indices(s: SkewArray, indices: Sequence[int]) -> Scalar:
@@ -205,17 +242,41 @@ def _minor_identity_terms(s: SkewArray, base: Sequence[int], extra: Sequence[int
     return abs(lhs - (first - second + third)), (first, second, third)
 
 
-def _magnitude(v: Scalar) -> float:
-    if v == 0:
-        return 0.0
+def _working_rows(s: SkewArray) -> Tuple[List[List[Scalar]], Optional[int]]:
+    """Dense rows holding the strict upper triangle of s (the rest is unused),
+    and the lcm of the denominators when every entry is exact, in which case
+    the rows hold the entries times that lcm as ints; None for float tables."""
+    n = s.size
+    upper = s._upper
+    if len(upper) != n * (n - 1) // 2:
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in upper)
+        raise IncompleteTableError(f"entry ({i},{j}) missing")
+    m = [[0] * n for _ in range(n)]
     try:
-        return abs(float(v))
-    except OverflowError:
-        return float("inf")
+        # moment tables repeat each lag's entry along a diagonal, so there
+        # are few distinct denominators
+        denominators = {v.denominator for v in upper.values()}
+    except AttributeError:  # a float entry (ints and Fractions have a denominator)
+        for (i, j), v in upper.items():
+            m[i][j] = v
+        return m, None
+    scale = lcm(*denominators)
+    factor = {d: scale // d for d in denominators}
+    for (i, j), v in upper.items():
+        m[i][j] = v.numerator * factor[v.denominator]
+    return m, scale
 
 
-def _swap_sym(m: List[List[Scalar]], i: int, j: int) -> None:
-    # symmetric row+column swap; preserves skew symmetry, flips Pf sign
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+def _swap_sym(m: List[List[Scalar]], p: int, q: int, lo: int) -> None:
+    """Symmetric swap of indices p < q in rows storing only the strict upper
+    triangle; indices below lo are finished and left as they are.  Preserves
+    skew symmetry and flips the Pfaffian's sign."""
+    rp, rq = m[p], m[q]
+    for r in range(lo, p):
+        row = m[r]
+        row[p], row[q] = row[q], row[p]
+    for r in range(p + 1, q):
+        row = m[r]
+        rp[r], row[q] = -row[q], -rp[r]
+    rp[q] = -rp[q]
+    rp[q + 1:], rq[q + 1:] = rq[q + 1:], rp[q + 1:]

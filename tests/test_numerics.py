@@ -11,7 +11,7 @@ from lsopkit.errors import DimensionError
 from lsopkit.lsop import recurrence_from_measure
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import (SymTridiag, charpoly, charpoly_eigs, dense_det, dense_eigs, mat_inverse,
-                              mat_mul, max_abs_diff, min_cost_assignment, nan_max,
+                              mat_mul, mat_vec, max_abs_diff, min_cost_assignment, nan_max,
                               solve_linear, spectra_distance, sym_tridiag_eigs,
                               transpose)
 from lsopkit.spectra import build_pencil, pencil_from_recurrence, transfer_matrix
@@ -63,6 +63,29 @@ def test_transfer_matrix_equals_columnwise_solves(layout):
     p = layout(recurrence_from_measure(m, n))
     cols = [solve_linear(p.v, col) for col in transpose(p.u)]
     assert transfer_matrix(p) == transpose(cols)
+
+
+def _loop_mat_mul(a, b):
+    """Reference product: for each entry, the products over the shared index
+    summed from 0 in index order."""
+    return [[sum(a[i][p] * b[p][j] for p in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def test_mat_mul_and_mat_vec_match_the_index_loop():
+    rng = random.Random(17)
+    nan, inf = float("nan"), float("inf")
+    floats = [[rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(9)] for _ in range(7)]
+    specials = [[rng.choice((0.0, -0.0, nan, inf, -inf, 1e308, 5e-324, 1.5))
+                 for _ in range(9)] for _ in range(9)]
+    fractions = [[Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(9)]
+                 for _ in range(9)]
+    negative_zeros = [[-0.0] * 9 for _ in range(9)]
+    for a in (floats, specials, fractions, negative_zeros):
+        for b in (specials, fractions, negative_zeros, transpose(floats)):
+            product = mat_mul(a, b)
+            assert repr(product) == repr(_loop_mat_mul(a, b))
+            assert repr(mat_vec(a, transpose(b)[2])) == repr([row[2] for row in product])
 
 
 def test_largest_value_keeps_nan():
