@@ -28,9 +28,9 @@ from .lsop import evaluate_family, lsop_via_recurrence, recurrence_from_measure
 from .modes import MODES, validate_mode
 from .moments import DiscreteMeasure, random_measure
 from .numerics import dense_eigs, spectra_distance
-from .spectra import (ButterflyParams, build_pencil, butterfly_from_params, butterfly_params,
+from .spectra import (ButterflyParams, PencilLayout, butterfly_from_params, butterfly_params,
                       determine_diagonal_convention, pencil_eigenvalues, pencil_residual,
-                      solve_butterfly, support_spectrum, symplectic_pencil_check)
+                      solve_butterfly, support_spectrum)
 from .verify import DEFAULT_TOLERANCES, RunConfig, run_verification
 
 EXIT_PASS = 0
@@ -190,16 +190,13 @@ def cmd_pencil(args) -> int:
     mode = _mode(args)
     m = _measure(args, mode)
     n = _order_of(args, m)
-    fv = evaluate_family(m, n)
-    textbook = build_pencil(fv.rec)
-    report = pencil_residual(textbook, fv, fv.rec)
-    layouts = {"textbook_layout": _layout_document(textbook, report.residual_given),
-               "recurrence_layout": _layout_document(report.corrected, report.residual_corrected)}
-    eigs = pencil_eigenvalues(report.corrected)
+    report = pencil_residual(evaluate_family(m, n))
+    eigs = pencil_eigenvalues(report.recurrence.pencil)
     mismatch = spectra_distance(eigs, support_spectrum(m))
     doc = {
         "order": n,
-        **layouts,
+        "textbook_layout": _layout_document(report.textbook),
+        "recurrence_layout": _layout_document(report.recurrence),
         "largest_entry_difference": report.entry_difference,
         "generalized_eigenvalues": _complex_list(eigs),
         "eigenvalue_mismatch": mismatch,
@@ -208,14 +205,13 @@ def cmd_pencil(args) -> int:
     return _exit_status(mismatch, "pencil-eigenvalues")
 
 
-def _layout_document(p, support_residual: float) -> Dict[str, object]:
-    pencil_res, transfer_res = symplectic_pencil_check(p)
+def _layout_document(layout: PencilLayout) -> Dict[str, object]:
     return {
-        "U": serialize.matrix_document(p.u),
-        "V": serialize.matrix_document(p.v),
-        "support_residual": support_residual,
-        "pencil_symplecticity": pencil_res,
-        "transfer_symplecticity": transfer_res,
+        "U": serialize.matrix_document(layout.pencil.u),
+        "V": serialize.matrix_document(layout.pencil.v),
+        "support_residual": layout.support_residual,
+        "pencil_symplecticity": layout.pencil_symplecticity,
+        "transfer_symplecticity": layout.transfer_symplecticity,
     }
 
 

@@ -8,7 +8,8 @@ family {qt_n} into Laurent members
 
 with skew orthonormality <Q_2m|Q_2n+1> = delta_mn and vanishing same-parity
 pairings.  The same family also arises by skew Gram-Schmidt directly in the
-alternating basis; both constructions are provided and cross-checked.
+alternating basis, and unnormalized from lsop.bordered_pfaffian over the
+alternating exponents; all three constructions are cross-checked.
 
 A family has one representation: value tables at the measure's nodes and
 their reciprocals.  The reference routes (shifted coefficient polynomials,
@@ -30,10 +31,11 @@ from typing import List, Sequence, Tuple
 
 from .errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
 from .laurent import LaurentPoly
-from .lsop import FamilyValues, skew_pattern_defect, support_pairing
+from .lsop import (FamilyValues, bordered_pfaffian, moment_skew_array, skew_pattern_defect,
+                   support_pairing)
 from .modes import is_exact
 from .moments import DiscreteMeasure, skew_inner
-from .numerics import nan_max
+from .numerics import dot, nan_max
 
 PAIRING_VALIDATION_TOL = 1e-8
 REPRESENTATION_TOL = 1e-8
@@ -317,7 +319,7 @@ def _validate_representation(fam: LsolpFamily, rows: List[List[float]],
             vec = [table[k][j] for j in order_map]
             vec_norm = max(1.0, max(abs(x) for x in vec))
             for r in range(2 * n):
-                lhs = sum(rows[r][c] * vec[c] for c in range(2 * n))
+                lhs = dot(rows[r], vec)
                 err = abs(lhs - point * vec[r]) / (scale * vec_norm)
                 if err > REPRESENTATION_TOL:
                     raise RepresentationError(
@@ -349,23 +351,13 @@ def butterfly_sparsity_defect(a: List[List[float]]) -> float:
 
 
 def lsolp_pfaffian_member(mu_table, n: int, odd: bool) -> LaurentPoly:
-    """Unnormalized alternating-basis member by direct Pfaffian expansion.
+    """Unnormalized alternating-basis member by the bordered-Pfaffian expansion.
 
     Even: Pf(0,-1,1,-2,2,...,-n,n,z); odd: Pf(0,-1,1,...,-n,-n-1,z).
     Used as an oracle: the result is proportional to the corresponding
     shifted family member.
     """
-    from .pfaffian import SkewArray, pf_indices
-
-    exps = [0]
-    for k in range(1, n + 1):
-        exps.extend([-k, k])
+    exps = [0] + [e for k in range(1, n + 1) for e in (-k, k)]
     if odd:
         exps[-1] = -n - 1
-    table = SkewArray.from_entry_fn(len(exps), lambda i, j: mu_table.mu_at(exps[j] - exps[i]))
-    coeffs = {}
-    for pos in range(len(exps)):
-        minor = pf_indices(table, [i for i in range(len(exps)) if i != pos])
-        if minor != 0:
-            coeffs[exps[pos]] = minor if pos % 2 == 0 else -minor
-    return LaurentPoly(coeffs)
+    return bordered_pfaffian(moment_skew_array(mu_table, exps), exps)

@@ -2,8 +2,8 @@
 
 Two independent routes build the same monic family {q_n}:
 
-* the moment-table route: q_2n and q_2n+1 are ratios of Pfaffian minors of
-  the skew-moment table, expanded coefficientwise (the oracle path);
+* the moment-table route: q_n is the skew-moment table bordered by a column
+  of monomials, expanded by bordered_pfaffian, over tau (the oracle path);
 * the recurrence route: q_0 = 1, q_1 = z, then the two coupled relations
 
       z (q_2n   - beta_n  q_2n-2) = q_2n+1 - alpha_n q_2n
@@ -108,9 +108,20 @@ class RecurrenceData:
 # recurrence coefficients: Pfaffian route (oracle)
 # ---------------------------------------------------------------------------
 
-def moment_skew_array(mu: MomentTable, top_index: int) -> SkewArray:
-    """Skew table over indices 0..top_index with entries <z^i|z^j> = mu_{j-i}."""
-    return SkewArray.from_entry_fn(top_index + 1, lambda i, j: mu.mu_at(j - i))
+def moment_skew_array(mu: MomentTable, exponents: Sequence[int]) -> SkewArray:
+    """Skew table over positions p < len(exponents) with entries
+    <z^e_p|z^e_q> = mu_{e_q - e_p}."""
+    return SkewArray.from_entry_fn(len(exponents),
+                                   lambda i, j: mu.mu_at(exponents[j] - exponents[i]))
+
+
+def bordered_pfaffian(table: SkewArray, exponents: Sequence[int]) -> LaurentPoly:
+    """The Pfaffian of an odd-size skew table bordered by the column of
+    monomials z^e_p, expanded along that column: the coefficient of z^e_p is
+    (-1)^p Pf(table without position p)."""
+    positions = range(len(exponents))
+    return LaurentPoly({e: (-1) ** p * pf_indices(table, [i for i in positions if i != p])
+                        for p, e in enumerate(exponents)})
 
 
 def moment_pfaffian_table(mu: MomentTable, n: int) -> RecurrenceData:
@@ -120,7 +131,7 @@ def moment_pfaffian_table(mu: MomentTable, n: int) -> RecurrenceData:
     tau_k (exactly in rational arithmetic, below 1e-8 x running scale in
     double) aborts with a degeneracy error since the family does not exist.
     """
-    table = moment_skew_array(mu, 2 * n)
+    table = moment_skew_array(mu, range(2 * n + 1))
     exact = is_exact(mu.mu_at(1))
     tau: List[Scalar] = [Fraction(1) if exact else 1.0]
     sigma: List[Scalar] = [Fraction(0) if exact else 0.0]
@@ -435,33 +446,21 @@ def tau_sequence(m: DiscreteMeasure, n: int) -> List[Scalar]:
 # ---------------------------------------------------------------------------
 
 def lsop_via_pfaffian(mu: MomentTable, n: int) -> LaurentPoly:
-    """Monic q_n from Pfaffian minors, expanded along the variable column.
+    """Monic q_n: the moment table over the exponents 0..2m-1 and n, m = n // 2,
+    bordered by the monomial column (bordered_pfaffian) and divided by
+    tau_m = Pf(0..2m-1), the coefficient of z^n:
 
     q_2m(z)   = sum_k (-1)^k z^k Pf({0..2m} \\ {k}) / tau_m
     q_2m+1(z) = z^(2m+1) + sum_{k<2m} (-1)^k z^k Pf(({0..2m-1} \\ {k}) + {2m+1}) / tau_m
 
     so the odd members have no z^2m term by construction.
     """
-    m_half = n // 2
-    top = 2 * m_half + (1 if n % 2 else 0)
-    table = moment_skew_array(mu, top)
-    tau_m = pf_indices(table, list(range(2 * m_half)))
+    exponents = list(range(2 * (n // 2))) + [n]
+    minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
+    tau_m = minors.coeff(n)
     if tau_m == 0:
-        raise DegeneracyError(f"tau_{m_half} = 0: q_{n} does not exist")
-    coeffs = {}
-    if n % 2 == 0:
-        idx = list(range(2 * m_half + 1))
-        for k in idx:
-            minor = pf_indices(table, [i for i in idx if i != k])
-            if minor != 0:
-                coeffs[k] = (minor if k % 2 == 0 else -minor) / tau_m
-    else:
-        idx = list(range(2 * m_half)) + [2 * m_half + 1]
-        for pos, k in enumerate(idx):
-            minor = pf_indices(table, [i for i in idx if i != k])
-            if minor != 0:
-                coeffs[k] = (minor if pos % 2 == 0 else -minor) / tau_m
-    return LaurentPoly(coeffs)
+        raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
+    return LaurentPoly({e: c / tau_m for e, c in minors.coeffs.items()})
 
 
 def lsop_via_recurrence(rec: RecurrenceData, n: int) -> List[LaurentPoly]:

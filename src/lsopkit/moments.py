@@ -147,10 +147,6 @@ class MomentTable:
             raise KeyError(f"mu_{n} not tabulated (order {self.order})")
         return self.mu[n]
 
-    def pf_entry(self, i: int, j: int) -> Scalar:
-        """Moment-table entry <z^i|z^j>; depends only on j - i."""
-        return self.mu_at(j - i)
-
     def c_list(self, count: int) -> List[Scalar]:
         return [self.c[i] for i in range(count)]
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import List, Sequence, Tuple
+from itertools import repeat
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import ConvergenceError, DimensionError
 from .modes import Scalar, is_exact
@@ -46,13 +46,22 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
+def dot(xs: Iterable[Scalar], ys: Iterable[Scalar]) -> Scalar:
+    """sum of x * y added left to right from 0 in a plain loop: the built-in
+    sum compensates float rounding from Python 3.12 on."""
+    total = 0
+    for x, y in zip(xs, ys):
+        total += x * y
+    return total
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    return [[dot(row, col) for col in bt] for row in a]
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> List[Scalar]:
-    return [sum(map(mul, row, v)) for row in a]
+    return [dot(row, v) for row in a]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -60,7 +69,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def inf_norm(a: Matrix) -> float:
-    return max((sum(abs(float(x)) for x in row) for row in a), default=0.0)
+    return max((dot((abs(float(x)) for x in row), repeat(1.0)) for row in a), default=0.0)
 
 
 def nan_max(*values: float) -> float:
@@ -467,7 +476,7 @@ def charpoly(a: Matrix) -> List[Scalar]:
     m = [[one_ if i == j else one_ * 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         am = mat_mul(a, m)
-        tr = sum(am[i][i] for i in range(n))
+        tr = dot((am[i][i] for i in range(n)), repeat(1))
         c = -tr / k
         coeffs[n - k] = c
         m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]

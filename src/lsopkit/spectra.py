@@ -12,13 +12,13 @@ H = diag(0, alpha_1..alpha_{N-1}).  Two assemblies are provided:
   (qt_1, qt_3, ..., qt_2N-1, qt_0, ..., qt_2N-2):
       U = [[I, -H], [O, -F^T]],  V = [[O, F], [I, -G]].
 
-pencil_residual measures how well each reproduces the recurrences on the
-actual support; both satisfy the pencil symplecticity identity
-U J U^T = V J V^T.  The butterfly matrix is the multiplication operator in
-a gauged alternating basis; its parameter quadruples (a, b, c, d), the
-bijection with (alpha, beta, r, lambda), the reduction to a symmetric
-tridiagonal matrix, and the two-way eigenvalue map lambda = z + 1/z all
-live here.
+pencil_residual builds the one pencil report that verify and the pencil
+command read: both layouts, each with how well it reproduces the recurrences
+on the support and its symplecticity residuals.  The butterfly matrix is the
+multiplication operator in a gauged alternating basis; its parameter
+quadruples (a, b, c, d), the bijection with (alpha, beta, r, lambda), the
+reduction to a symmetric tridiagonal matrix, and the two-way eigenvalue map
+lambda = z + 1/z all live here.
 """
 
 from __future__ import annotations
@@ -105,29 +105,34 @@ def pencil_from_recurrence(rec: RecurrenceData) -> PencilPair:
     return PencilPair(u=u, v=v)
 
 
-@dataclass(frozen=True)
-class PencilReport:
-    """Recurrence fidelity of a pencil, with the rederived layout attached."""
+class PencilLayout(NamedTuple):
+    """A pencil, its support residual and its unscaled symplectic_pencil_check pair."""
+    pencil: PencilPair
+    support_residual: float
+    pencil_symplecticity: float
+    transfer_symplecticity: float
 
-    residual_given: float
-    residual_corrected: float
-    corrected: PencilPair
+
+class PencilReport(NamedTuple):
+    """Both pencil layouts of one family and their largest entry difference."""
+    textbook: PencilLayout
+    recurrence: PencilLayout
     entry_difference: float
 
 
-def pencil_residual(p: PencilPair, fv: FamilyValues, rec: RecurrenceData) -> PencilReport:
-    """max_k |U v(z_k) - z_k V v(z_k)|_inf / |v(z_k)|_inf over the support.
-
-    The eigenvector v(z) stacks the family values odd-first.  The report
-    also carries the recurrence-derived layout, its (small) residual, and
-    the largest entry difference between the two assemblies.
+def pencil_residual(fv: FamilyValues) -> PencilReport:
+    """Both layouts, each with max_k |U v(z_k) - z_k V v(z_k)|_inf / |v(z_k)|_inf
+    over the support (v(z) stacks the family values odd-first) and its
+    symplecticity residuals.  det V = +-1 in both, so both have a transfer matrix.
     """
-    res_given = _pencil_support_residual(p, fv)
-    corrected = pencil_from_recurrence(rec)
-    res_corr = _pencil_support_residual(corrected, fv)
-    diff = max(max_abs_diff(p.u, corrected.u), max_abs_diff(p.v, corrected.v))
-    return PencilReport(residual_given=res_given, residual_corrected=res_corr,
-                        corrected=corrected, entry_difference=diff)
+    def layout(p: PencilPair) -> PencilLayout:
+        return PencilLayout(p, _pencil_support_residual(p, fv), *symplectic_pencil_check(p))
+
+    textbook = layout(build_pencil(fv.rec))
+    recurrence = layout(pencil_from_recurrence(fv.rec))
+    diff = max(max_abs_diff(textbook.pencil.u, recurrence.pencil.u),
+               max_abs_diff(textbook.pencil.v, recurrence.pencil.v))
+    return PencilReport(textbook, recurrence, diff)
 
 
 def _pencil_support_residual(p: PencilPair, fv: FamilyValues) -> float:

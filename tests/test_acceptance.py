@@ -17,7 +17,7 @@ from lsopkit.moments import MomentTable, c_moment, mu_from_c, random_measure
 from lsopkit.numerics import dense_det, dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
 from lsopkit.pfaffian import SkewArray, check_identity_even, check_identity_odd, pf_eliminate, pf_expand
 from lsopkit.spectra import (CONVENTION_DIFFERENCE, ButterflyParams, build_butterfly,
-                             build_pencil, build_tridiagonal, butterfly_from_params,
+                             build_tridiagonal, butterfly_from_params,
                              butterfly_params, butterfly_to_tridiagonal, canonical_z_list,
                              determine_diagonal_convention, eig_correspondence,
                              pencil_eigenvalues, pencil_residual, symplectic_pencil_check)
@@ -183,11 +183,9 @@ def test_criterion_06_pencil_symplecticity_and_eigenvalues():
     worst_pencil = worst_transfer = worst_eigs = residual = 0.0
     for seed, n in _measure_orders(8, 8):
         m = random_measure(seed, n, mode="double")
-        rec = recurrence_from_measure(m, n)
-        fv = evaluate_family(m, n)
-        rep = pencil_residual(build_pencil(rec), fv, rec)
-        residual = max(residual, rep.residual_corrected)
-        pencil = rep.corrected
+        rep = pencil_residual(evaluate_family(m, n))
+        residual = max(residual, rep.recurrence.support_residual)
+        pencil = rep.recurrence.pencil
         scale = max(1.0, inf_norm(pencil.u) * inf_norm(pencil.v))
         pres, tres = symplectic_pencil_check(pencil)
         worst_pencil = max(worst_pencil, pres / scale)

@@ -119,13 +119,13 @@ def test_failed_walk_is_built_once(fold_count):
 @pytest.fixture
 def build_count(monkeypatch):
     """Counts calls of the pencil, transfer and alternating-family builders
-    wherever a module has bound them; lsolp_from_values counts full-order
-    families only."""
+    and of the even-member reduction wherever a module has bound them;
+    lsolp_from_values counts full-order families only."""
     counts = collections.Counter()
     watched = {
         "build_pencil": spectra, "pencil_from_recurrence": spectra,
         "symplectic_pencil_check": spectra, "transfer_matrix": spectra,
-        "lsolp_from_values": lsolp,
+        "lsolp_from_values": lsolp, "even_to_op": lsop,
     }
     for name, home in watched.items():
         original = getattr(home, name)
@@ -149,10 +149,12 @@ def test_report_builds_each_artifact_once(build_count, mode):
     report = run_verification(RunConfig(seed=1, order=6, mode=mode), m)
     assert report.all_pass
     # one textbook pencil, one rederived layout, one symplecticity check per
-    # layout (each with its transfer matrix) plus the eigenvalue route's
+    # layout (each with its transfer matrix) plus the eigenvalue route's, and
+    # one reduction per even member up to the coefficient-route order (6, 4)
     assert build_count == {"build_pencil": 1, "pencil_from_recurrence": 1,
                            "symplectic_pencil_check": 2, "transfer_matrix": 3,
-                           "lsolp_from_values": 1}
+                           "lsolp_from_values": 1,
+                           "even_to_op": 7 if mode == "rational" else 5}
 
 
 @pytest.mark.parametrize("command", ["pencil", "butterfly"])

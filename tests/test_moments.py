@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsopkit.laurent import LaurentPoly
+from lsopkit.lsop import moment_skew_array
 from lsopkit.moments import (DiscreteMeasure, MomentTable, c_moment, chebyshev2_coeffs,
                              mu_from_c, mu_moment, random_measure, skew_inner)
 
@@ -127,7 +128,7 @@ def test_moment_table_entries_depend_on_difference():
     table = MomentTable.from_measure(m, 3)
     for i in range(-3, 4):
         for j in range(-3, 4):
-            assert table.pf_entry(i, j) == table.mu_at(j - i)
+            assert moment_skew_array(table, [i, j]).entry(0, 1) == table.mu_at(j - i)
     assert table.mu_at(0) == 0
 
 

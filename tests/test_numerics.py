@@ -68,8 +68,16 @@ def test_transfer_matrix_equals_columnwise_solves(layout):
 def _loop_mat_mul(a, b):
     """Reference product: for each entry, the products over the shared index
     summed from 0 in index order."""
-    return [[sum(a[i][p] * b[p][j] for p in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = 0
+            for p in range(len(b)):
+                total += a[i][p] * b[p][j]
+            row.append(total)
+        out.append(row)
+    return out
 
 
 def test_mat_mul_and_mat_vec_match_the_index_loop():
@@ -81,8 +89,12 @@ def test_mat_mul_and_mat_vec_match_the_index_loop():
     fractions = [[Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(9)]
                  for _ in range(9)]
     negative_zeros = [[-0.0] * 9 for _ in range(9)]
+    # against a column of ones this row adds to 0.0 left to right; the built-in
+    # sum, which compensates from Python 3.12 on, reads 1.0
+    floats.append([1e16, 1.0, -1e16] + [0.0] * 6)
+    ones = [[1.0] * 9 for _ in range(9)]
     for a in (floats, specials, fractions, negative_zeros):
-        for b in (specials, fractions, negative_zeros, transpose(floats)):
+        for b in (specials, fractions, negative_zeros, transpose(floats), ones):
             product = mat_mul(a, b)
             assert repr(product) == repr(_loop_mat_mul(a, b))
             assert repr(mat_vec(a, transpose(b)[2])) == repr([row[2] for row in product])

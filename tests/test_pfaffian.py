@@ -56,7 +56,7 @@ def moment_taus(n):
     """Pf(0..2k-1) of the moment table of the rational fixed measure for
     k = 0..n, and the exact folded walk's tau_0..tau_n."""
     m = rational_fixed_measure(n)
-    table = moment_skew_array(MomentTable.from_measure(m, n), 2 * n - 1)
+    table = moment_skew_array(MomentTable.from_measure(m, n), range(2 * n))
     return ([pf_eliminate(table.submatrix(range(2 * k))) for k in range(n + 1)],
             list(recurrence_from_measure(m, n).tau))
 
@@ -136,7 +136,7 @@ def test_moment_table_routes_agree():
     # entries mu_{j-i} of the rational fixed measure at N = 6: the
     # denominators grow from 30 bits at lag 1 to 270 bits at lag 9
     n = 6
-    table = moment_skew_array(MomentTable.from_measure(rational_fixed_measure(n), n), 9)
+    table = moment_skew_array(MomentTable.from_measure(rational_fixed_measure(n), n), range(10))
     for k in range(6):
         assert pf_eliminate(table.submatrix(range(2 * k))) == pf_expand(table.submatrix(range(2 * k)))
     assert pf_indices(table, [0, 1, 2, 3, 4, 6]) == pf_expand(table.submatrix([0, 1, 2, 3, 4, 6]))

@@ -66,28 +66,26 @@ def test_pencil_f_block_structure():
 
 def test_pencil_residuals_and_rederivation():
     m = random_measure(51, 3, mode="double")
-    rec = recurrence_from_measure(m, 3)
     fv = evaluate_family(m, 3)
-    rep = pencil_residual(build_pencil(rec), fv, rec)
-    assert rep.residual_corrected <= 1e-10
-    assert rep.residual_given > 1.0             # textbook layout: different convention
+    rep = pencil_residual(fv)
+    assert rep.recurrence.support_residual <= 1e-10
+    assert rep.textbook.support_residual > 1.0  # textbook layout: different convention
     assert rep.entry_difference > 0.0
     # the rederived pencil holds at reciprocal points too
     order_map = [1, 3, 5, 0, 2, 4]
     for k, z in enumerate(m.nodes):
         vec = [fv.qt_recip[k][j] for j in order_map]
-        u_v = [sum(rep.corrected.u[r][c] * vec[c] for c in range(6)) for r in range(6)]
-        v_v = [sum(rep.corrected.v[r][c] * vec[c] for c in range(6)) for r in range(6)]
+        u_v = [sum(rep.recurrence.pencil.u[r][c] * vec[c] for c in range(6)) for r in range(6)]
+        v_v = [sum(rep.recurrence.pencil.v[r][c] * vec[c] for c in range(6)) for r in range(6)]
         for a, b in zip(u_v, v_v):
             assert a == pytest.approx(b / z, rel=1e-8, abs=1e-10)
 
 
 def test_pencil_order_one_scalar_identity():
     fv = evaluate_family(REF, 1)
-    rec = recurrence_from_measure(REF, 1)
-    rep = pencil_residual(build_pencil(rec), fv, rec)
+    rep = pencil_residual(fv)
     # v = (qt_1(z), qt_0(z)) satisfies the rederived rows at z = 2
-    u, v = rep.corrected.u, rep.corrected.v
+    u, v = rep.recurrence.pencil.u, rep.recurrence.pencil.v
     vec = [fv.qt_node[0][1], fv.qt_node[0][0]]
     for r in range(2):
         lhs = u[r][0] * vec[0] + u[r][1] * vec[1]

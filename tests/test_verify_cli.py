@@ -11,6 +11,7 @@ from lsopkit import cli, serialize, verify
 from lsopkit.cli import main
 from lsopkit.lsop import evaluate_family
 from lsopkit.moments import DiscreteMeasure, random_measure
+from lsopkit.numerics import inf_norm
 from lsopkit.verify import CLAIMS, DEFAULT_TOLERANCES, RunConfig, run_verification
 
 
@@ -263,7 +264,8 @@ def test_cli_lsop_pencil_butterfly(tmp_path):
 @pytest.mark.parametrize("mode", ["double", "rational"])
 def test_cli_pencil_reports_the_verify_pencil_numbers(tmp_path, mode):
     # lsopkit pencil and lsopkit verify read one measure file and must report
-    # the same pencil eigenvalue mismatch and recurrence-layout residual
+    # the same pencil eigenvalue mismatch, recurrence-layout residual and,
+    # scaled by max(1, |U|_inf |V|_inf), symplecticity residuals
     mfile, pfile, rfile = tmp_path / "m.json", tmp_path / "p.json", tmp_path / "r.json"
     assert run_cli("gen-measure", "--seed", "3", "--order", "4", "--mode", mode, "--out", str(mfile)) == 0
     assert run_cli("pencil", str(mfile), "--mode", mode, "--out", str(pfile)) == 0
@@ -272,6 +274,12 @@ def test_cli_pencil_reports_the_verify_pencil_numbers(tmp_path, mode):
     residual = {c["id"]: c["residual"] for c in json.loads(rfile.read_text())["claims"]}
     assert pencil["eigenvalue_mismatch"] == residual["pencil-eigenvalues"]
     assert pencil["recurrence_layout"]["support_residual"] == residual["pencil-recurrence-residual"]
+    layouts = [pencil["textbook_layout"], pencil["recurrence_layout"]]
+    for field, claim_id in (("pencil_symplecticity", "pencil-symplecticity"),
+                            ("transfer_symplecticity", "transfer-symplecticity")):
+        scaled = [lay[field] / max(1.0, inf_norm(lay["U"]["data"]) * inf_norm(lay["V"]["data"]))
+                  for lay in layouts]
+        assert max(scaled) == residual[claim_id]
 
 
 def test_cli_pencil_butterfly_flag_spectrum_mismatch(tmp_path, monkeypatch):
