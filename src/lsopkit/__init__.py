@@ -21,9 +21,10 @@ from .lsolp import (GaugeParams, LsolpFamily, gauge_transform_scaled, gram_schmi
 from .lsop import (FamilyValues, RecurrenceData, evaluate_family, even_to_op,
                    kodama_residuals, kodama_sops, lsop_via_pfaffian,
                    lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
-                   orthonormalize, recurrence_from_measure, verify_pfaffian_det)
+                   orthonormalize, random_family, recurrence_from_measure,
+                   verify_pfaffian_det)
 from .moments import (DiscreteMeasure, MomentTable, c_moment, chebyshev2_coeffs,
-                      mu_from_c, mu_moment, random_measure, skew_inner)
+                      mu_from_c, mu_moment, skew_inner)
 from .numerics import SymTridiag, dense_det, dense_eigs, spectra_distance, sym_tridiag_eigs
 from .pfaffian import (SkewArray, check_identity_even, check_identity_odd,
                        pf_eliminate, pf_expand, pf_indices)

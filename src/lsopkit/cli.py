@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Sequence
 from . import serialize
 from .errors import LsopkitError
 from .lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
-from .lsop import evaluate_family, lsop_via_recurrence, recurrence_from_measure
+from .lsop import NODE_RANGE, FamilyValues, evaluate_family, lsop_via_recurrence, random_family
 from .modes import MODES, validate_mode
-from .moments import DiscreteMeasure, random_measure
+from .moments import DiscreteMeasure
 from .numerics import dense_eigs, spectra_distance
 from .spectra import (ButterflyParams, PencilLayout, butterfly_from_params, butterfly_params,
                       determine_diagonal_convention, pencil_eigenvalues, pencil_residual,
@@ -118,37 +118,40 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _measure(args, mode: str) -> DiscreteMeasure:
-    if getattr(args, "measure", None):
-        with open(args.measure) as fh:
-            return serialize.load_measure(fh.read(), mode)
-    return random_measure(args.seed, args.order, mode)
+def _measure_file(args, mode: str) -> Optional[DiscreteMeasure]:
+    if not args.measure:
+        return None
+    with open(args.measure) as fh:
+        return serialize.load_measure(fh.read(), mode)
 
 
-def _order_of(args, m: DiscreteMeasure) -> int:
-    return m.size if getattr(args, "measure", None) else args.order
+def _family(args, mode: str) -> FamilyValues:
+    """The fold of the measure file at its full size, or the seeded family
+    at --order, folded once by the generator."""
+    m = _measure_file(args, mode)
+    return random_family(args.seed, args.order, mode) if m is None else evaluate_family(m)
 
 
 def cmd_gen_measure(args) -> int:
     mode = _mode(args)
-    m = random_measure(args.seed, args.order, mode)
-    rec = recurrence_from_measure(m, args.order)
+    fv = random_family(args.seed, args.order, mode)
     metadata = {
         "seed": args.seed,
         "order": args.order,
         "mode": mode,
-        "node_range": [1.2, 5.0],
-        "tau": list(rec.tau),
+        "node_range": list(NODE_RANGE),
+        "tau": list(fv.rec.tau),
     }
-    _emit(args, serialize.save_measure(m, metadata))
+    _emit(args, serialize.save_measure(fv.measure, metadata))
     return EXIT_PASS
 
 
 def cmd_verify(args) -> int:
     mode = _mode(args)
     tolerances = _parse_tolerances(args.tol)
-    m = _measure(args, mode)
-    cfg = RunConfig(seed=args.seed, order=_order_of(args, m), mode=mode, tolerances=tolerances)
+    m = _measure_file(args, mode)
+    cfg = RunConfig(seed=args.seed, order=args.order if m is None else m.size, mode=mode,
+                    tolerances=tolerances)
     report = run_verification(cfg, m)
     _emit(args, report.render())
     return EXIT_PASS if report.all_pass else EXIT_FLAGGED
@@ -169,9 +172,8 @@ def _parse_tolerances(items: List[str]) -> Dict[str, float]:
 
 def cmd_lsop(args) -> int:
     mode = _mode(args)
-    m = _measure(args, mode)
-    n = _order_of(args, m)
-    rec = recurrence_from_measure(m, n)
+    fv = _family(args, mode)
+    n, rec = fv.order, fv.rec
     qs = lsop_via_recurrence(rec, n)
     doc = {
         "order": n,
@@ -187,14 +189,12 @@ def cmd_lsop(args) -> int:
 
 
 def cmd_pencil(args) -> int:
-    mode = _mode(args)
-    m = _measure(args, mode)
-    n = _order_of(args, m)
-    report = pencil_residual(evaluate_family(m, n))
+    fv = _family(args, _mode(args))
+    report = pencil_residual(fv)
     eigs = pencil_eigenvalues(report.recurrence.pencil)
-    mismatch = spectra_distance(eigs, support_spectrum(m))
+    mismatch = spectra_distance(eigs, support_spectrum(fv.measure))
     doc = {
-        "order": n,
+        "order": fv.order,
         "textbook_layout": _layout_document(report.textbook),
         "recurrence_layout": _layout_document(report.recurrence),
         "largest_entry_difference": report.entry_difference,
@@ -216,10 +216,8 @@ def _layout_document(layout: PencilLayout) -> Dict[str, object]:
 
 
 def cmd_butterfly(args) -> int:
-    mode = _mode(args)
-    m = _measure(args, mode)
-    n = _order_of(args, m)
-    fv = evaluate_family(m, n)
+    fv = _family(args, _mode(args))
+    n = fv.order
     if args.gauge_seed is None:
         gauge = GaugeParams.trivial(n)
     else:
@@ -230,7 +228,7 @@ def cmd_butterfly(args) -> int:
     mult = multiplication_matrix(fam)
     convention, residuals = determine_diagonal_convention(mult, fv.rec, gauge)
     eigs = dense_eigs(bt)
-    mismatch = spectra_distance(eigs, support_spectrum(m))
+    mismatch = spectra_distance(eigs, support_spectrum(fv.measure))
     doc = {
         "order": n,
         "gauge": {"r": list(gauge.r), "lambda": list(gauge.lam)},

@@ -32,7 +32,7 @@ from typing import List, Sequence, Tuple
 from .errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
 from .laurent import LaurentPoly
 from .lsop import (FamilyValues, bordered_pfaffian, moment_skew_array, skew_pattern_defect,
-                   support_pairing)
+                   support_gram, support_pairing)
 from .modes import is_exact
 from .moments import DiscreteMeasure, skew_inner
 from .numerics import dot, nan_max
@@ -88,8 +88,7 @@ class LsolpFamily:
         return support_pairing(self.measure.weights, self.node_values, self.recip_values, a, b)
 
     def gram(self) -> List[List[float]]:
-        d = self.size
-        return [[self.pairing(a, b) for b in range(d)] for a in range(d)]
+        return support_gram(self.measure.weights, self.node_values, self.recip_values)
 
     def pairing_defect(self) -> float:
         """Max deviation of the Gram matrix from the canonical skew pattern."""
@@ -283,28 +282,17 @@ def multiplication_matrix(fam: LsolpFamily) -> List[List[float]]:
     does not stabilize.
     """
     n = fam.order
+    d = 2 * n
     order_map = family_vector_order(n)
-    m = fam.measure
-    nodes = [float(z) for z in m.nodes]
-    weights = [float(w) for w in m.weights]
-
-    def pair_with(a: int, v_node: Sequence[float], v_recip: Sequence[float]) -> float:
-        tot = 0.0
-        for k in range(len(nodes)):
-            tot += (fam.recip_values[k][a] * v_node[k] - fam.node_values[k][a] * v_recip[k]) * weights[k]
-        return tot
-
-    rows = []
-    for r in order_map:
-        zv_node = [nodes[k] * fam.node_values[k][r] for k in range(len(nodes))]
-        zv_recip = [fam.recip_values[k][r] / nodes[k] for k in range(len(nodes))]
-        coeff_even = [-pair_with(2 * mm + 1, zv_node, zv_recip) for mm in range(n)]
-        coeff_odd = [pair_with(2 * mm, zv_node, zv_recip) for mm in range(n)]
-        row = [0.0] * (2 * n)
-        for mm in range(n):
-            row[mm] = coeff_odd[mm]
-            row[n + mm] = coeff_even[mm]
-        rows.append(row)
+    nodes = [float(z) for z in fam.measure.nodes]
+    weights = [float(w) for w in fam.measure.weights]
+    # member d + r of each extended row is z times member r
+    node_rows = [[*vz, *(z * x for x in vz)] for z, vz in zip(nodes, fam.node_values)]
+    recip_rows = [[*vr, *(x / z for x in vr)] for z, vr in zip(nodes, fam.recip_values)]
+    rows = [[support_pairing(weights, node_rows, recip_rows, 2 * mm, d + r) for mm in range(n)]
+            + [-support_pairing(weights, node_rows, recip_rows, 2 * mm + 1, d + r)
+               for mm in range(n)]
+            for r in order_map]
     _validate_representation(fam, rows, order_map)
     return rows
 

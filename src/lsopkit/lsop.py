@@ -27,18 +27,21 @@ the Lanczos vectors, reach about 1e-11.
 Even-degree members fold into monic orthogonal polynomials in w = z + 1/z;
 that reduction and its Hankel-determinant counterpart live here too,
 together with the squared-variable comparison family q_2n = p_n(z^2),
-q_2n+1 = z p_n(z^2).
+q_2n+1 = z p_n(z^2).  The seeded generator random_family draws a measure
+and returns its fold, the one its consumers read.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import AdmissibilityError, DegeneracyError, StructureError
+from .errors import (AdmissibilityError, DegeneracyError, GenerationError, LsopkitError,
+                     StructureError)
 from .laurent import LaurentPoly
 from .modes import Scalar, is_exact
 from .moments import DiscreteMeasure, MomentTable
@@ -46,6 +49,9 @@ from .numerics import dense_det, nan_max, solve_linear
 from .pfaffian import SkewArray, pf_indices
 
 TAU_DEGENERACY_RELATIVE = 1e-8
+NODE_RANGE = (1.2, 5.0)
+NODE_MIN_GAP = 0.1
+GENERATOR_MAX_ATTEMPTS = 100
 # largest relative mirror defect of a float even member that even_to_op accepts
 REDUCTION_SYMMETRY_TOL = 1e-8
 
@@ -318,6 +324,13 @@ def support_pairing(weights: Sequence[Scalar], node_rows, recip_rows, a: int, b:
     return tot
 
 
+def support_gram(weights: Sequence[Scalar], node_rows, recip_rows) -> List[List[Scalar]]:
+    """Gram matrix <f_a | f_b> of every member of the value tables."""
+    d = len(node_rows[0])
+    return [[support_pairing(weights, node_rows, recip_rows, a, b) for b in range(d)]
+            for a in range(d)]
+
+
 def skew_pattern_defect(gram: Sequence[Sequence[float]]) -> float:
     """Largest deviation of a Gram matrix from the canonical skew pattern:
     <f_2m | f_2m+1> = 1 = -<f_2m+1 | f_2m>, every other pairing 0."""
@@ -402,9 +415,7 @@ class FamilyValues:
         return FamilyValues(measure=self.measure, order=n, fold=self.fold)
 
     def gram(self) -> List[List[float]]:
-        d = 2 * self.order
-        return [[support_pairing(self.measure.weights, self.qt_node, self.qt_recip, a, b)
-                 for b in range(d)] for a in range(d)]
+        return support_gram(self.measure.weights, self.qt_node, self.qt_recip)
 
 
 def evaluate_family(m: DiscreteMeasure, n: Optional[int] = None) -> FamilyValues:
@@ -436,9 +447,45 @@ def recurrence_from_measure(m: DiscreteMeasure, n: Optional[int] = None) -> Recu
     return evaluate_family(m, n).rec
 
 
-def tau_sequence(m: DiscreteMeasure, n: int) -> List[Scalar]:
-    """tau_0..tau_n of a measure via the folded route."""
-    return list(recurrence_from_measure(m, n).tau)
+def random_family(seed: int, n: int, mode: str = "double") -> FamilyValues:
+    """Seeded admissible measure, folded to order n: nodes uniform in
+    [1.2, 5.0] with pairwise gap >= 0.1, weights uniform in (0, 1].
+
+    A double candidate is accepted by its own fold: a fold that raises, or
+    a tau_k <= 1e-8 x the running scale max(1, |tau_1|, ..., |tau_k|),
+    rejects it and the next one is drawn, up to 100 attempts.  In rational
+    mode the sampled values are snapped to small exact fractions and the
+    first candidate with the node gap is folded: its folded weights
+    (z - 1/z) w are positive and its folded nodes distinct, so every exact
+    tau_k is positive.  The returned fold is the one every consumer reads.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    rng = random.Random(seed)
+    lo, hi = NODE_RANGE
+    for _ in range(GENERATOR_MAX_ATTEMPTS):
+        nodes = [rng.uniform(lo, hi) for _ in range(n)]
+        weights = [1.0 - rng.random() for _ in range(n)]  # uniform in (0, 1]
+        if any(abs(a - b) < NODE_MIN_GAP for i, a in enumerate(nodes) for b in nodes[:i]):
+            continue
+        if mode == "rational":
+            return evaluate_family(DiscreteMeasure(
+                [Fraction(z).limit_denominator(10**6) for z in nodes],
+                [Fraction(w).limit_denominator(10**6) for w in weights]), n)
+        try:
+            family = evaluate_family(DiscreteMeasure(nodes, weights), n)
+            taus = family.rec.tau
+        except (LsopkitError, ArithmeticError):
+            continue
+        scale = 1.0
+        for t in taus[1:]:
+            scale = max(scale, abs(t))
+            if t <= TAU_DEGENERACY_RELATIVE * scale:
+                break
+        else:
+            return family
+    raise GenerationError(f"no admissible measure found for seed={seed}, order={n} "
+                          f"after {GENERATOR_MAX_ATTEMPTS} attempts")
 
 
 # ---------------------------------------------------------------------------

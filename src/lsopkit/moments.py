@@ -19,19 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .errors import GenerationError
 from .laurent import LaurentPoly, int_power
 from .modes import Scalar, is_exact
-
-NODE_RANGE = (1.2, 5.0)
-NODE_MIN_GAP = 0.1
-GENERATOR_MAX_ATTEMPTS = 100
-TAU_REJECT_RELATIVE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -174,52 +167,3 @@ def mu_from_c(c: Sequence[Scalar]) -> List[Scalar]:
             acc += (-1) ** k * math.comb(n - 1 - k, k) * c[n - 1 - 2 * k]
         out.append(acc)
     return out
-
-
-def random_measure(seed: int, n: int, mode: str = "double") -> DiscreteMeasure:
-    """Seeded admissible measure: nodes uniform in [1.2, 5.0] with pairwise
-    gap >= 0.1, weights uniform in (0, 1].
-
-    Candidates whose leading Pfaffian minors tau_1..tau_n fall below
-    1e-8 x scale are rejected and resampled, up to 100 attempts.  In
-    rational mode the sampled values are snapped to small exact fractions
-    and the first candidate with the node gap is returned: its folded
-    weights (z - 1/z) w are positive and its folded nodes distinct, so
-    every exact tau_k is positive and the measure is folded only by its
-    consumer.
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    rng = random.Random(seed)
-    lo, hi = NODE_RANGE
-    for _ in range(GENERATOR_MAX_ATTEMPTS):
-        nodes = [rng.uniform(lo, hi) for _ in range(n)]
-        weights = [1.0 - rng.random() for _ in range(n)]  # uniform in (0, 1]
-        if any(abs(a - b) < NODE_MIN_GAP for i, a in enumerate(nodes) for b in nodes[:i]):
-            continue
-        if mode == "rational":
-            return DiscreteMeasure([Fraction(z).limit_denominator(10**6) for z in nodes],
-                                   [Fraction(w).limit_denominator(10**6) for w in weights])
-        m = DiscreteMeasure(nodes, weights)
-        if _tau_positive(m, n):
-            return m
-    raise GenerationError(
-        f"no admissible measure found for seed={seed}, order={n} "
-        f"after {GENERATOR_MAX_ATTEMPTS} attempts"
-    )
-
-
-def _tau_positive(m: DiscreteMeasure, n: int) -> bool:
-    # local import: lsop builds on this module
-    from .lsop import tau_sequence
-
-    try:
-        taus = tau_sequence(m, n)
-    except Exception:
-        return False
-    scale = 1.0
-    for k, t in enumerate(taus[1:], start=1):
-        scale = max(scale, abs(float(t)))
-        if float(t) <= TAU_REJECT_RELATIVE * scale:
-            return False
-    return True

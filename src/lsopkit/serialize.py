@@ -96,8 +96,11 @@ def _coerce(obj: Any, mode: str) -> Any:
     if isinstance(obj, list):
         return [_coerce(v, mode) for v in obj]
     if isinstance(obj, str) and _looks_rational(obj):
-        frac = Fraction(obj)
-        return frac if mode == "rational" else float(frac)
+        try:
+            frac = Fraction(obj)
+            return frac if mode == "rational" else float(frac)
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"{obj!r} is not a number in {mode} mode") from None
     return obj
 
 
@@ -138,13 +141,25 @@ def load_measure(text: str, mode: str = "double") -> DiscreteMeasure:
         weights = doc["weights"]
     except (KeyError, TypeError) as exc:
         raise ValueError("measure file needs 'nodes' and 'weights' arrays") from exc
-    if mode == "double":
-        nodes = [float(x) for x in nodes]
-        weights = [float(x) for x in weights]
-    else:  # DiscreteMeasure turns ints into Fractions and refuses Infinity and NaN
-        nodes = [Fraction(x) if isinstance(x, str) else x for x in nodes]
-        weights = [Fraction(x) if isinstance(x, str) else x for x in weights]
-    return DiscreteMeasure(nodes, weights)
+    # DiscreteMeasure turns ints into Fractions and refuses Infinity and NaN
+    return DiscreteMeasure(_numbers(nodes, "nodes", mode), _numbers(weights, "weights", mode))
+
+
+def _numbers(values: Any, name: str, mode: str) -> List[Scalar]:
+    """A numeric array of a loaded file: floats in double mode, exact scalars
+    in rational mode.  A non-array value, a boolean, null, a nested array or,
+    in double mode, an integer beyond binary64 raises ValueError."""
+    if not isinstance(values, list):
+        raise ValueError(f"'{name}' must be an array of numbers")
+    out: List[Scalar] = []
+    for i, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, (int, float, str, Fraction)):
+            raise ValueError(f"'{name}' entry {i} is not a number")
+        try:
+            out.append(float(x) if mode == "double" else Fraction(x) if isinstance(x, str) else x)
+        except OverflowError:
+            raise ValueError(f"'{name}' entry {i} is not a number in binary64") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +178,7 @@ def load_butterfly_params(text: str):
         parts = [doc["a"], doc["b"], doc["c"], doc["d"]]
     except (KeyError, TypeError) as exc:
         raise ValueError("butterfly file needs 'a', 'b', 'c', 'd' arrays") from exc
-    return tuple([float(x) for x in part] for part in parts)
+    return tuple(_numbers(part, name, "double") for part, name in zip(parts, "abcd"))
 
 
 # ---------------------------------------------------------------------------

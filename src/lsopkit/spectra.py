@@ -159,13 +159,15 @@ def support_spectrum(m: DiscreteMeasure) -> List[complex]:
     return sort_complex(out)
 
 
+def _times_j(x: Matrix) -> Matrix:
+    """X J: the column halves of X swapped, the new first half negated; exact."""
+    n = len(x[0]) // 2
+    return [[-v for v in row[n:]] + row[:n] for row in x]
+
+
 def symplectic_j(n: int) -> Matrix:
-    """The canonical skew form J = [[O, I], [-I, O]] of size 2n."""
-    j = zeros(2 * n, 2 * n)
-    for k in range(n):
-        j[k][n + k] = 1.0
-        j[n + k][k] = -1.0
-    return j
+    """The canonical skew form J = [[O, I], [-I, O]] of size 2n, read as I J."""
+    return _times_j(identity(2 * n))
 
 
 def symplectic_pencil_check(p: PencilPair) -> Tuple[float, float]:
@@ -174,14 +176,12 @@ def symplectic_pencil_check(p: PencilPair) -> Tuple[float, float]:
     The second value certifies membership of the transfer matrix in the
     symplectic group; it requires V invertible.
     """
-    n = p.half
-    j = symplectic_j(n)
-    lhs = mat_mul(mat_mul(p.u, j), transpose(p.u))
-    rhs = mat_mul(mat_mul(p.v, j), transpose(p.v))
+    lhs = mat_mul(_times_j(p.u), transpose(p.u))
+    rhs = mat_mul(_times_j(p.v), transpose(p.v))
     pencil_res = inf_norm(mat_sub(lhs, rhs))
     s = transfer_matrix(p)
-    sjst = mat_mul(mat_mul(s, j), transpose(s))
-    transfer_res = inf_norm(mat_sub(sjst, j))
+    sjst = mat_mul(_times_j(s), transpose(s))
+    transfer_res = inf_norm(mat_sub(sjst, symplectic_j(p.half)))
     return pencil_res, transfer_res
 
 

@@ -37,11 +37,10 @@ from .lsolp import (GaugeParams, LsolpFamily, butterfly_sparsity_defect,
                     lsolp_from_values, multiplication_matrix)
 from .lsop import (FamilyValues, RecurrenceData, evaluate_family, even_to_op,
                    kodama_residuals, kodama_sops, lsop_via_pfaffian,
-                   lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
+                   lsop_via_recurrence, moment_pfaffian_table, op_via_hankel, random_family,
                    skew_pattern_defect, support_pairing, verify_pfaffian_det)
 from .modes import Scalar, validate_mode
-from .moments import (DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment,
-                      random_measure, skew_inner)
+from .moments import DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment, skew_inner
 from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, nan_max, spectra_distance,
                        sym_tridiag_eigs)
 from .pfaffian import SkewArray, _minor_identity_terms, pf_eliminate, pf_expand
@@ -149,8 +148,9 @@ class _Context:
     """Shared artifacts for the claims of one run.
 
     Each artifact is built on first read and cached for the rest of the
-    run: the folded walk fv (the recurrence data, the value tables and the
-    exact monic tables all come from it), the monic family qs, its even
+    run: the fold fv (the recurrence data, the value tables and the exact
+    monic tables all come from it; without a given measure it is the fold
+    random_family drew the measure with), the monic family qs, its even
     members reduced to w = z + 1/z, the moment table, the pencil report
     (spectra.pencil_residual, which lsopkit pencil prints too) and the
     full-order alternating-basis family lsolp.  The pencil, tridiagonal and
@@ -163,12 +163,15 @@ class _Context:
     def __init__(self, cfg: RunConfig, measure: Optional[DiscreteMeasure]):
         self.cfg = cfg
         self.exact = cfg.mode == "rational"
-        self.measure = measure if measure is not None else random_measure(cfg.seed, cfg.order, cfg.mode)
-        if self.measure.size < cfg.order:
-            raise ValueError(f"measure has {self.measure.size} nodes, need {cfg.order}")
+        self._cache: Dict[str, object] = {}
+        if measure is None:
+            family = random_family(cfg.seed, cfg.order, cfg.mode)
+            measure, self._cache["fv"] = family.measure, (True, family)
+        if measure.size < cfg.order:
+            raise ValueError(f"measure has {measure.size} nodes, need {cfg.order}")
+        self.measure = measure
         cap = COEFF_ORDER_CAP_EXACT if self.exact else COEFF_ORDER_CAP_DOUBLE
         self.coeff_order = min(cfg.order, cap)
-        self._cache: Dict[str, object] = {}
 
     def _cached(self, key: str, builder):
         if key not in self._cache:

@@ -9,11 +9,11 @@ import time
 from fractions import Fraction
 
 from lsopkit.lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
-from lsopkit.lsop import (evaluate_family, even_to_op, hankel_det,
+from lsopkit.lsop import (even_to_op, hankel_det,
                           kodama_residuals, kodama_sops, lsop_via_pfaffian,
                           lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
-                          recurrence_from_measure, shifted_hankel_det)
-from lsopkit.moments import MomentTable, c_moment, mu_from_c, random_measure
+                          random_family, recurrence_from_measure, shifted_hankel_det)
+from lsopkit.moments import MomentTable, c_moment, mu_from_c
 from lsopkit.numerics import dense_det, dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
 from lsopkit.pfaffian import SkewArray, check_identity_even, check_identity_odd, pf_eliminate, pf_expand
 from lsopkit.spectra import (CONVENTION_DIFFERENCE, ButterflyParams, build_butterfly,
@@ -78,8 +78,7 @@ def test_criterion_02_skew_orthonormality():
     exact_ok = True
     for seed, n in _measure_orders(20, 8):
         # double mode: pairing tables within 1e-9
-        m = random_measure(seed, n, mode="double")
-        gram = evaluate_family(m, n).gram()
+        gram = random_family(seed, n, "double").gram()
         for a in range(2 * n):
             for b in range(2 * n):
                 expect = 0.0
@@ -89,8 +88,8 @@ def test_criterion_02_skew_orthonormality():
                     expect = -1.0
                 worst = max(worst, abs(gram[a][b] - expect))
         # rational mode: exactly 0 / 1 through the scale-squared identity
-        mr = random_measure(seed, n, mode="rational")
-        fam = evaluate_family(mr, n)
+        fam = random_family(seed, n, "rational")
+        mr = fam.measure
         node_vals, recip_vals = fam.monic_values()
         rec = fam.rec
         scales = rec.scale_squares()
@@ -115,9 +114,10 @@ def test_criterion_03_cross_route_equality():
     t0 = time.time()
     ok = True
     for seed, n in _measure_orders(6, 6):
-        m = random_measure(seed, n, mode="rational")
+        fv = random_family(seed, n, "rational")
+        m = fv.measure
         table = MomentTable.from_measure(m, n)
-        qs = lsop_via_recurrence(recurrence_from_measure(m, n), n)
+        qs = lsop_via_recurrence(fv.rec, n)
         for k in range(2 * n + 1):
             ok = ok and lsop_via_pfaffian(table, k) == qs[k]
     elapsed = time.time() - t0
@@ -129,7 +129,7 @@ def test_criterion_04_even_reduction():
     t0 = time.time()
     exact_ok = True
     for seed, n in _measure_orders(4, 6):
-        m = random_measure(seed, n, mode="rational")
+        m = random_family(seed, n, "rational").measure
         cs = [c_moment(m, i) for i in range(2 * n + 1)]
         qs = lsop_via_recurrence(recurrence_from_measure(m, n), n)
         for k in range(n + 1):
@@ -137,7 +137,7 @@ def test_criterion_04_even_reduction():
     # folded-functional orthogonality residuals in double mode
     worst = 0.0
     for seed, n in _measure_orders(4, 4):
-        m = random_measure(seed, n, mode="double")
+        m = random_family(seed, n, "double").measure
         qs = lsop_via_recurrence(recurrence_from_measure(m, n), n)
         rbars = [even_to_op(qs[2 * k]) for k in range(n + 1)]
         hs = [_folded(m, r * r) for r in rbars]
@@ -162,7 +162,7 @@ def test_criterion_05_pfaffian_hankel_identity():
     t0 = time.time()
     ok = True
     for seed, n in _measure_orders(4, 6):
-        m = random_measure(seed, n, mode="rational")
+        m = random_family(seed, n, "rational").measure
         cs = [c_moment(m, i) for i in range(4 * n + 1)]
         mus = mu_from_c(cs)  # the moment link
         table = MomentTable(mu={0: Fraction(0),
@@ -182,8 +182,9 @@ def test_criterion_06_pencil_symplecticity_and_eigenvalues():
     t0 = time.time()
     worst_pencil = worst_transfer = worst_eigs = residual = 0.0
     for seed, n in _measure_orders(8, 8):
-        m = random_measure(seed, n, mode="double")
-        rep = pencil_residual(evaluate_family(m, n))
+        fv = random_family(seed, n, "double")
+        m = fv.measure
+        rep = pencil_residual(fv)
         residual = max(residual, rep.recurrence.support_residual)
         pencil = rep.recurrence.pencil
         scale = max(1.0, inf_norm(pencil.u) * inf_norm(pencil.v))
@@ -203,8 +204,9 @@ def test_criterion_07_tridiagonal_spectrum():
     t0 = time.time()
     worst = 0.0
     for seed, n in _measure_orders(8, 8):
-        m = random_measure(seed, n, mode="double")
-        lam = sym_tridiag_eigs(build_tridiagonal(recurrence_from_measure(m, n)))
+        fv = random_family(seed, n, "double")
+        m = fv.measure
+        lam = sym_tridiag_eigs(build_tridiagonal(fv.rec))
         target = sorted(float(z) + 1.0 / float(z) for z in m.nodes)
         worst = max(worst, max(abs(a - b) for a, b in zip(lam, target)))
     elapsed = time.time() - t0
@@ -217,9 +219,10 @@ def test_criterion_08_butterfly_path():
     worst_spec = worst_gauge = worst_entry = 0.0
     conventions = set()
     for seed, n in ((2, 3), (5, 5), (8, 8)):
-        m = random_measure(seed, n, mode="double")
-        rec = recurrence_from_measure(m, n)
-        fam = lsolp_from_values(evaluate_family(m, n))
+        fv = random_family(seed, n, "double")
+        m = fv.measure
+        rec = fv.rec
+        fam = lsolp_from_values(fv)
         rng = random.Random(1000 + seed)
         reference = None
         for _ in range(20):
@@ -248,8 +251,7 @@ def test_criterion_09_butterfly_roundtrip():
     t0 = time.time()
     worst = 0.0
     for seed, n in ((3, 4), (6, 6)):
-        m = random_measure(seed, n, mode="double")
-        rec = recurrence_from_measure(m, n)
+        rec = random_family(seed, n, "double").rec
         bp = butterfly_params(rec, _gauge(random.Random(seed), n))
         lams = sym_tridiag_eigs(butterfly_to_tridiagonal(bp))
         recovered = canonical_z_list(eig_correspondence(lams))

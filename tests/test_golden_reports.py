@@ -14,6 +14,11 @@ tests/data/golden_cli_digests.json holds the exit status and the sha256 of
 the --out file of gen-measure, lsop, pencil and butterfly --gauge-seed 9 at
 seeds 1-3, order 5, and of solve-butterfly on tests/data/butterfly_params.json,
 each in both modes.  Both the suite and the full-grid run check all of them.
+
+tests/data/golden_fixed_digests.json holds the sha256 of the claim-seed-1
+report on the fixed measure (_fixed_measure) at orders 12, 16 and 24 in
+double mode and 12 in rational mode, beyond the grid's order 8.  The suite
+checks all but double order 24; the full-grid run checks all of them.
 """
 
 import collections
@@ -35,6 +40,7 @@ from lsopkit.verify import RunConfig, run_verification
 DATA = pathlib.Path(__file__).parent / "data"
 DIGESTS = json.loads((DATA / "golden_report_digests.json").read_text())
 CLI_DIGESTS = json.loads((DATA / "golden_cli_digests.json").read_text())
+FIXED_DIGESTS = json.loads((DATA / "golden_fixed_digests.json").read_text())
 MODES = ("double", "rational")
 SEEDS = range(1, 11)
 SUITE_ORDERS = range(1, 6)
@@ -77,9 +83,26 @@ def test_cli_output_matches_golden_digest(command, tmp_path):
         assert _cli_digest(argv, tmp_path / "out.json") == CLI_DIGESTS[key], key
 
 
-def _fixed_measure(n: int) -> DiscreteMeasure:
+def _fixed_measure(n: int, mode: str = "double") -> DiscreteMeasure:
+    """Nodes spread over [1.2, 5), weights in [0.5, 0.9]; the rational
+    measure is its exact twin, not the binary64 one."""
+    if mode == "rational":
+        return DiscreteMeasure([Fraction(6, 5) + Fraction(19, 5) * Fraction(k, n) for k in range(n)],
+                               [Fraction(1, 2) + Fraction((7 * k) % 5, 10) for k in range(n)])
     return DiscreteMeasure([1.2 + 3.8 * k / n for k in range(n)],
                            [0.5 + 0.5 * ((7 * k) % 5) / 5 for k in range(n)])
+
+
+def _fixed_digest(key: str) -> str:
+    mode, order = key.split("/")
+    report = run_verification(RunConfig(seed=1, order=int(order), mode=mode),
+                              _fixed_measure(int(order), mode))
+    return hashlib.sha256(report.render().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", ["double/12", "double/16", "rational/12"])
+def test_fixed_measure_report_matches_golden_digest(key):
+    assert _fixed_digest(key) == FIXED_DIGESTS[key]
 
 
 @pytest.fixture
@@ -96,6 +119,23 @@ def fold_count(monkeypatch):
 
         monkeypatch.setattr(lsop, name, Counting)
     return built
+
+
+FOLD = {"double": "_FloatFold", "rational": "_FoldedWalk"}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_generated_report_folds_once(fold_count, mode):
+    run_verification(RunConfig(seed=1, order=5, mode=mode))
+    assert fold_count == [FOLD[mode]]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("command", ["gen-measure", "verify", "lsop", "pencil", "butterfly"])
+def test_generated_cli_folds_once(fold_count, command, mode):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--seed", "1", "--order", "5", "--mode", mode]) in (0, 2)
+    assert fold_count == [FOLD[mode]]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -175,4 +215,7 @@ if __name__ == "__main__":
         bad_cli = [key for command in CLI_COMMANDS for key, argv in _cli_calls(command)
                    if _cli_digest(argv, out) != CLI_DIGESTS[key]]
     print(f"{len(CLI_DIGESTS) - len(bad_cli)}/{len(CLI_DIGESTS)} CLI outputs match", *bad_cli, sep="\n")
-    sys.exit(1 if bad or bad_cli else 0)
+    bad_fixed = [key for key in FIXED_DIGESTS if _fixed_digest(key) != FIXED_DIGESTS[key]]
+    print(f"{len(FIXED_DIGESTS) - len(bad_fixed)}/{len(FIXED_DIGESTS)} fixed-measure reports match",
+          *bad_fixed, sep="\n")
+    sys.exit(1 if bad or bad_cli or bad_fixed else 0)

@@ -10,8 +10,9 @@ from lsopkit.errors import AdmissibilityError, DegeneracyError, RepresentationEr
 from lsopkit.lsolp import (GaugeParams, butterfly_sparsity_defect, gauge_transform_scaled,
                            gram_schmidt_lsolp, gram_schmidt_pairs, lsolp_from_lsop,
                            lsolp_from_values, lsolp_pfaffian_member, multiplication_matrix)
-from lsopkit.lsop import evaluate_family, lsop_via_recurrence, orthonormalize, recurrence_from_measure
-from lsopkit.moments import DiscreteMeasure, MomentTable, random_measure
+from lsopkit.lsop import (evaluate_family, lsop_via_recurrence, orthonormalize, random_family,
+                          recurrence_from_measure)
+from lsopkit.moments import DiscreteMeasure, MomentTable
 from lsopkit.numerics import dense_eigs, spectra_distance
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])
@@ -42,8 +43,9 @@ def test_shift_construction_reference():
 
 
 def test_odd_member_is_shifted_even():
-    m = random_measure(31, 3, mode="double")
-    rec = recurrence_from_measure(m, 3)
+    fv = random_family(31, 3, "double")
+    m = fv.measure
+    rec = fv.rec
     qt = orthonormalize(lsop_via_recurrence(rec, 3), rec)
     fam = lsolp_from_lsop(m, qt)
     points = [float(z) for z in m.nodes] + [1.0 / float(z) for z in m.nodes]
@@ -55,9 +57,9 @@ def test_odd_member_is_shifted_even():
 
 
 def test_from_values_matches_from_polys():
-    m = random_measure(32, 4, mode="double")
-    rec = recurrence_from_measure(m, 4)
-    fv = evaluate_family(m, 4)
+    fv = random_family(32, 4, "double")
+    m = fv.measure
+    rec = fv.rec
     qt = orthonormalize(lsop_via_recurrence(rec, 4), rec)
     fam_v = lsolp_from_values(fv)
     fam_c = lsolp_from_lsop(m, qt)
@@ -67,8 +69,9 @@ def test_from_values_matches_from_polys():
 
 
 def test_validation_rejects_non_orthonormal():
-    m = random_measure(33, 2, mode="double")
-    rec = recurrence_from_measure(m, 2)
+    fv = random_family(33, 2, "double")
+    m = fv.measure
+    rec = fv.rec
     qt = orthonormalize(lsop_via_recurrence(rec, 2), rec)
     qt[0] = qt[0].scale(1.5)  # break the pairing
     with pytest.raises(StructureError):
@@ -76,7 +79,7 @@ def test_validation_rejects_non_orthonormal():
 
 
 def test_validation_rejects_nan_values():
-    fv = evaluate_family(random_measure(33, 3, mode="double"), 3)
+    fv = random_family(33, 3, "double")
     fv.fold.p_values[1][0] = float("nan")
     with pytest.raises(StructureError, match="defect nan"):
         lsolp_from_values(fv)
@@ -91,8 +94,9 @@ def test_gram_schmidt_count_one():
 
 def test_gram_schmidt_matches_shift_exact():
     # exact leading-normalized pairs against the shifted monic family
-    m = random_measure(34, 2, mode="rational")
-    rec = recurrence_from_measure(m, 2)
+    fv = random_family(34, 2, "rational")
+    m = fv.measure
+    rec = fv.rec
     qs = lsop_via_recurrence(rec, 2)
     pairs = gram_schmidt_pairs(m, 4)
     for k, (p_even, p_odd, kappa) in enumerate(pairs):
@@ -102,9 +106,10 @@ def test_gram_schmidt_matches_shift_exact():
 
 
 def test_gram_schmidt_matches_shift_values():
-    m = random_measure(35, 3, mode="double")
+    fv = random_family(35, 3, "double")
+    m = fv.measure
     fam_gs = gram_schmidt_lsolp(m, 6)
-    fam_sh = lsolp_from_values(evaluate_family(m, 3))
+    fam_sh = lsolp_from_values(fv)
     for r1, r2 in zip(fam_gs.node_values, fam_sh.node_values):
         for a, b in zip(r1, r2):
             assert a == pytest.approx(b, abs=1e-10)
@@ -117,8 +122,7 @@ def test_gram_schmidt_degenerate_support():
 
 
 def test_gauge_identity():
-    m = random_measure(36, 3, mode="double")
-    fam = lsolp_from_values(evaluate_family(m, 3))
+    fam = lsolp_from_values(random_family(36, 3, "double"))
     same = gauge_transform_scaled(fam, GaugeParams.trivial(3))
     for r1, r2 in zip(fam.node_values, same.node_values):
         assert r1 == r2
@@ -126,8 +130,7 @@ def test_gauge_identity():
 
 def test_gauge_preserves_pairings():
     rng = random.Random(7)
-    m = random_measure(37, 4, mode="double")
-    fam = lsolp_from_values(evaluate_family(m, 4))
+    fam = lsolp_from_values(random_family(37, 4, "double"))
     for _ in range(5):
         g = random_gauge(rng, 4)
         assert gauge_transform_scaled(fam, g).pairing_defect() < 1e-9
@@ -143,8 +146,7 @@ def test_multiplication_matrix_order_one():
 
 def test_multiplication_matrix_butterfly_sparsity():
     rng = random.Random(9)
-    m = random_measure(39, 5, mode="double")
-    fam = gauge_transform_scaled(lsolp_from_values(evaluate_family(m, 5)), random_gauge(rng, 5))
+    fam = gauge_transform_scaled(lsolp_from_values(random_family(39, 5, "double")), random_gauge(rng, 5))
     mat = multiplication_matrix(fam)
     scale = max(abs(x) for row in mat for x in row)
     assert butterfly_sparsity_defect(mat) < 1e-9 * max(1.0, scale)
@@ -152,8 +154,7 @@ def test_multiplication_matrix_butterfly_sparsity():
 
 def test_multiplication_spectrum_gauge_invariant():
     rng = random.Random(10)
-    m = random_measure(40, 4, mode="double")
-    base = lsolp_from_values(evaluate_family(m, 4))
+    base = lsolp_from_values(random_family(40, 4, "double"))
     reference = dense_eigs(multiplication_matrix(base))
     for _ in range(3):
         g = random_gauge(rng, 4)
@@ -163,8 +164,9 @@ def test_multiplication_spectrum_gauge_invariant():
 
 def test_multiplication_representation_error():
     # a family that z does not stabilize on the support: truncate to half the pairs
-    m = random_measure(41, 4, mode="double")
-    fam = lsolp_from_values(evaluate_family(m, 4))
+    fv = random_family(41, 4, "double")
+    m = fv.measure
+    fam = lsolp_from_values(fv)
     half = type(fam)(measure=m, order=2,
                      node_values=tuple(r[:4] for r in fam.node_values),
                      recip_values=tuple(r[:4] for r in fam.recip_values))
@@ -173,9 +175,10 @@ def test_multiplication_representation_error():
 
 
 def test_pfaffian_members_proportional():
-    m = random_measure(42, 2, mode="rational")
+    fv = random_family(42, 2, "rational")
+    m = fv.measure
     table = MomentTable.from_measure(m, 4)
-    qs = lsop_via_recurrence(recurrence_from_measure(m, 2), 2)
+    qs = lsop_via_recurrence(fv.rec, 2)
     for n in range(2):
         even = lsolp_pfaffian_member(table, n, odd=False)
         assert even == qs[2 * n].shift(-n).scale(even.coeff(n))
@@ -186,9 +189,9 @@ def test_pfaffian_members_proportional():
 def test_ungauged_multiplication_diagonal_is_alpha_difference():
     # the even rows of the ungauged operator read
     # z Q_2n = sqrt(b_{n+1}) Q_2n+2 + Q_2n+1 + (a_{n+1} - a_n) Q_2n + sqrt(b_n) Q_2n-2
-    m = random_measure(43, 4, mode="double")
-    rec = recurrence_from_measure(m, 4)
-    fam = lsolp_from_values(evaluate_family(m, 4))
+    fv = random_family(43, 4, "double")
+    rec = fv.rec
+    fam = lsolp_from_values(fv)
     mat = multiplication_matrix(fam)
     n = 4
     for k in range(n):

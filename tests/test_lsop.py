@@ -11,9 +11,9 @@ from lsopkit.laurent import LaurentPoly
 from lsopkit.lsop import (evaluate_family, even_to_op,
                           hankel_det, kodama_residuals, kodama_sops, lsop_via_pfaffian,
                           lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
-                          orthonormalize, recurrence_from_measure, shifted_hankel_det,
-                          skew_pattern_defect, verify_pfaffian_det)
-from lsopkit.moments import DiscreteMeasure, MomentTable, mu_moment, random_measure, skew_inner
+                          orthonormalize, random_family, recurrence_from_measure,
+                          shifted_hankel_det, skew_pattern_defect, verify_pfaffian_det)
+from lsopkit.moments import DiscreteMeasure, MomentTable, mu_moment, skew_inner
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])
 REF_TABLE = MomentTable.from_measure(REF, 1)
@@ -28,15 +28,16 @@ def test_reference_minors():
 
 
 def test_tau1_is_mu1():
-    m = random_measure(8, 3, mode="rational")
+    m = random_family(8, 3, "rational").measure
     rec = moment_pfaffian_table(MomentTable.from_measure(m, 3), 3)
     assert rec.tau[1] == mu_moment(m, 1)
 
 
 def test_routes_give_identical_coefficient_data():
-    m = random_measure(11, 4, mode="rational")
+    fv = random_family(11, 4, "rational")
+    m = fv.measure
     by_pfaffian = moment_pfaffian_table(MomentTable.from_measure(m, 4), 4)
-    by_stieltjes = recurrence_from_measure(m, 4)
+    by_stieltjes = fv.rec
     assert by_pfaffian.tau == by_stieltjes.tau
     assert by_pfaffian.sigma == by_stieltjes.sigma
     assert by_pfaffian.alpha == by_stieltjes.alpha
@@ -59,32 +60,32 @@ def test_recurrence_seeds_and_q2():
 
 
 def test_cross_route_equality_full_family():
-    m = random_measure(21, 4, mode="rational")
+    fv = random_family(21, 4, "rational")
+    m = fv.measure
     table = MomentTable.from_measure(m, 4)
-    rec = recurrence_from_measure(m, 4)
+    rec = fv.rec
     qs = lsop_via_recurrence(rec, 4)
     for n in range(9):
         assert lsop_via_pfaffian(table, n) == qs[n]
 
 
 def test_odd_members_have_no_subtop_term():
-    m = random_measure(13, 5, mode="rational")
-    qs = lsop_via_recurrence(recurrence_from_measure(m, 5), 5)
+    qs = lsop_via_recurrence(random_family(13, 5, "rational").rec, 5)
     for k in range(5):
         assert qs[2 * k + 1].coeff(2 * k) == 0
         assert qs[2 * k + 1].coeff(2 * k + 1) == 1
 
 
 def test_even_members_self_reciprocal():
-    m = random_measure(14, 5, mode="rational")
-    qs = lsop_via_recurrence(recurrence_from_measure(m, 5), 5)
+    qs = lsop_via_recurrence(random_family(14, 5, "rational").rec, 5)
     for k in range(6):
         assert qs[2 * k].is_self_reciprocal(2 * k)
 
 
 def test_top_member_is_node_polynomial():
-    m = random_measure(15, 3, mode="rational")
-    qs = lsop_via_recurrence(recurrence_from_measure(m, 3), 3)
+    fv = random_family(15, 3, "rational")
+    m = fv.measure
+    qs = lsop_via_recurrence(fv.rec, 3)
     prod = LaurentPoly.constant(Fraction(1))
     for z in m.nodes:
         prod = prod * LaurentPoly({1: Fraction(1), 0: -z}) * LaurentPoly({1: Fraction(1), 0: -1 / z})
@@ -118,9 +119,9 @@ def test_orthonormalize_rejects_nonpositive_scales():
 
 
 def test_family_values_match_coefficient_evaluation():
-    m = random_measure(16, 3, mode="double")
-    rec = recurrence_from_measure(m, 3)
-    fv = evaluate_family(m, 3)
+    fv = random_family(16, 3, "double")
+    m = fv.measure
+    rec = fv.rec
     qt = orthonormalize(lsop_via_recurrence(rec, 3), rec)
     for k, z in enumerate(m.nodes):
         for j in range(6):
@@ -130,8 +131,7 @@ def test_family_values_match_coefficient_evaluation():
 
 def test_family_gram_is_canonical():
     for seed in (1, 2, 3):
-        m = random_measure(seed, 6, mode="double")
-        gram = evaluate_family(m, 6).gram()
+        gram = random_family(seed, 6, "double").gram()
         for a in range(12):
             for b in range(12):
                 expect = 0.0
@@ -143,8 +143,8 @@ def test_family_gram_is_canonical():
 
 
 def test_exact_support_values_consistent():
-    m = random_measure(18, 3, mode="rational")
-    fam = evaluate_family(m, 3)
+    fam = random_family(18, 3, "rational")
+    m = fam.measure
     node_vals, recip_vals = fam.monic_values()
     qs = lsop_via_recurrence(fam.rec, 3)
     for k, z in enumerate(m.nodes):
@@ -168,8 +168,8 @@ def test_complex_nodes_refused_by_the_walk():
 
 
 def test_lower_order_family_is_a_prefix_of_the_walk():
-    m = random_measure(3, 6, mode="double")
-    full = evaluate_family(m, 6)
+    full = random_family(3, 6, "double")
+    m = full.measure
     for n in range(1, 7):
         low, prefix = evaluate_family(m, n), full.prefix(n)
         assert prefix.rec == low.rec
@@ -219,17 +219,17 @@ def test_hankel_singular_block():
 
 
 def test_reduction_equals_hankel_route():
-    m = random_measure(19, 4, mode="rational")
+    fv = random_family(19, 4, "rational")
+    m = fv.measure
     table = MomentTable.from_measure(m, 4)
-    qs = lsop_via_recurrence(recurrence_from_measure(m, 4), 4)
+    qs = lsop_via_recurrence(fv.rec, 4)
     cs = table.c_list(8)
     for n in range(5):
         assert even_to_op(qs[2 * n]) == op_via_hankel(cs, n)
 
 
 def test_three_term_for_reduced_members():
-    m = random_measure(20, 4, mode="rational")
-    rec = recurrence_from_measure(m, 4)
+    rec = random_family(20, 4, "rational").rec
     qs = lsop_via_recurrence(rec, 4)
     rbars = [even_to_op(qs[2 * n]) for n in range(5)]
     w = LaurentPoly.monomial(1)
@@ -240,7 +240,7 @@ def test_three_term_for_reduced_members():
 
 
 def test_verify_pfaffian_det_exact_and_perturbed():
-    m = random_measure(22, 4, mode="rational")
+    m = random_family(22, 4, "rational").measure
     table = MomentTable.from_measure(m, 4)
     rec = moment_pfaffian_table(table, 4)
     cs = table.c_list(8)
@@ -272,6 +272,6 @@ def test_kodama_construction():
 
 
 def test_stieltjes_order_cap():
-    m = random_measure(1, 2, mode="double")
+    m = random_family(1, 2, "double").measure
     with pytest.raises(DegeneracyError):
         recurrence_from_measure(m, 3)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsopkit.laurent import LaurentPoly
-from lsopkit.lsop import moment_skew_array
+from lsopkit.lsop import moment_skew_array, random_family
 from lsopkit.moments import (DiscreteMeasure, MomentTable, c_moment, chebyshev2_coeffs,
-                             mu_from_c, mu_moment, random_measure, skew_inner)
+                             mu_from_c, mu_moment, skew_inner)
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])
 
@@ -99,7 +99,7 @@ def test_mu_from_c_needs_enough_moments():
 
 
 def test_roundtrip_exact_on_measure():
-    m = random_measure(5, 4, mode="rational")
+    m = random_family(5, 4, "rational").measure
     cs = [c_moment(m, i) for i in range(8)]
     mus = mu_from_c(cs)
     for n in range(1, 9):
@@ -117,14 +117,14 @@ def test_shift_invariance(i, j, k):
 
 def test_laurent_argument_symmetry():
     rng = random.Random(2)
-    m = random_measure(9, 3, mode="rational")
+    m = random_family(9, 3, "rational").measure
     for _ in range(8):
         f, g = rational_poly(rng), rational_poly(rng)
         assert skew_inner(m, f, g) == skew_inner(m, g.reciprocal_arg(), f.reciprocal_arg())
 
 
 def test_moment_table_entries_depend_on_difference():
-    m = random_measure(3, 3, mode="rational")
+    m = random_family(3, 3, "rational").measure
     table = MomentTable.from_measure(m, 3)
     for i in range(-3, 4):
         for j in range(-3, 4):
@@ -133,31 +133,28 @@ def test_moment_table_entries_depend_on_difference():
 
 
 def test_generator_contract():
-    m = random_measure(1, 1, mode="double")
+    m = random_family(1, 1, "double").measure
     assert 1.2 <= m.nodes[0] <= 5.0
     assert 0.0 < m.weights[0] <= 1.0
 
-    m8 = random_measure(4, 8, mode="double")
+    m8 = random_family(4, 8, "double").measure
     nodes = sorted(m8.nodes)
     assert all(b - a >= 0.1 for a, b in zip(nodes, nodes[1:]))
     assert m8.is_real_canonical()
 
 
 def test_generator_determinism():
-    a = random_measure(12, 5, mode="double")
-    b = random_measure(12, 5, mode="double")
+    a = random_family(12, 5, "double").measure
+    b = random_family(12, 5, "double").measure
     assert a.nodes == b.nodes and a.weights == b.weights
 
 
 def test_generator_rational_taus_positive():
-    from lsopkit.lsop import tau_sequence
-
-    m = random_measure(2, 8, mode="rational")
-    assert m.is_exact()
-    taus = tau_sequence(m, 8)
-    assert all(t > 0 for t in taus[1:])
+    fv = random_family(2, 8, "rational")
+    assert fv.measure.is_exact() and fv.fold.exact
+    assert all(t > 0 for t in fv.rec.tau[1:])
 
 
 def test_generator_rejects_bad_order():
     with pytest.raises(ValueError):
-        random_measure(1, 0)
+        random_family(1, 0)

@@ -16,8 +16,8 @@ import pytest
 
 from lsopkit.errors import AdmissibilityError, ConvergenceError
 from lsopkit.lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
-from lsopkit.lsop import RecurrenceData, evaluate_family, recurrence_from_measure
-from lsopkit.moments import DiscreteMeasure, random_measure
+from lsopkit.lsop import RecurrenceData, evaluate_family, random_family, recurrence_from_measure
+from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import SymTridiag, dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
 from lsopkit.spectra import (CONVENTION_DIFFERENCE, CONVENTION_PLAIN, ButterflyParams,
                              build_butterfly, build_pencil, build_tridiagonal,
@@ -52,8 +52,7 @@ def test_pencil_order_one_blocks():
 
 
 def test_pencil_f_block_structure():
-    m = random_measure(50, 4, mode="double")
-    rec = recurrence_from_measure(m, 4)
+    rec = random_family(50, 4, "double").rec
     p = build_pencil(rec)
     # V top-left block is F: unit diagonal, subdiagonal -sqrt(beta)
     for k in range(4):
@@ -65,8 +64,8 @@ def test_pencil_f_block_structure():
 
 
 def test_pencil_residuals_and_rederivation():
-    m = random_measure(51, 3, mode="double")
-    fv = evaluate_family(m, 3)
+    fv = random_family(51, 3, "double")
+    m = fv.measure
     rep = pencil_residual(fv)
     assert rep.recurrence.support_residual <= 1e-10
     assert rep.textbook.support_residual > 1.0  # textbook layout: different convention
@@ -94,8 +93,7 @@ def test_pencil_order_one_scalar_identity():
 
 
 def test_symplecticity_both_layouts():
-    m = random_measure(52, 4, mode="double")
-    rec = recurrence_from_measure(m, 4)
+    rec = random_family(52, 4, "double").rec
     for pencil in (build_pencil(rec), pencil_from_recurrence(rec)):
         pres, tres = symplectic_pencil_check(pencil)
         scale = inf_norm(pencil.u) * inf_norm(pencil.v)
@@ -104,8 +102,7 @@ def test_symplecticity_both_layouts():
 
 
 def test_symplecticity_negative_control():
-    m = random_measure(53, 3, mode="double")
-    rec = recurrence_from_measure(m, 3)
+    rec = random_family(53, 3, "double").rec
     p = build_pencil(rec)
     p.u[0][1] += 0.5
     pres, _ = symplectic_pencil_check(p)
@@ -113,8 +110,9 @@ def test_symplecticity_negative_control():
 
 
 def test_generalized_eigenvalues_match_support():
-    m = random_measure(54, 5, mode="double")
-    rec = recurrence_from_measure(m, 5)
+    fv = random_family(54, 5, "double")
+    m = fv.measure
+    rec = fv.rec
     pencil = pencil_from_recurrence(rec)
     assert spectra_distance(pencil_eigenvalues(pencil), support_spectrum(m)) < 1e-8
 
@@ -166,8 +164,7 @@ def test_pencil_eigenvalues_past_sixty_stalled_sweeps():
 
 
 def test_transfer_matrix_solves_pencil():
-    m = random_measure(55, 3, mode="double")
-    rec = recurrence_from_measure(m, 3)
+    rec = random_family(55, 3, "double").rec
     p = pencil_from_recurrence(rec)
     s = transfer_matrix(p)
     from lsopkit.numerics import mat_mul
@@ -188,16 +185,16 @@ def test_tridiagonal_order_one():
 
 
 def test_tridiagonal_spectrum_matches_nodes():
-    m = random_measure(56, 7, mode="double")
-    rec = recurrence_from_measure(m, 7)
+    fv = random_family(56, 7, "double")
+    m = fv.measure
+    rec = fv.rec
     lam = sym_tridiag_eigs(build_tridiagonal(rec))
     target = sorted(float(z) + 1.0 / float(z) for z in m.nodes)
     assert max(abs(a - b) for a, b in zip(lam, target)) < 1e-8
 
 
 def test_tridiagonal_offdiagonal_positive():
-    m = random_measure(57, 5, mode="double")
-    t = build_tridiagonal(recurrence_from_measure(m, 5))
+    t = build_tridiagonal(random_family(57, 5, "double").rec)
     assert all(x > 0 for x in t.offdiag)
 
 
@@ -206,8 +203,7 @@ def test_tridiagonal_rejects_negative_beta():
     bad = type(rec)(order=1, alpha=rec.alpha, beta=(0.0, -1.0),
                     tau=rec.tau, sigma=rec.sigma)
     # beta_order is conventionally 0 and ignored; an interior negative must raise
-    m2 = random_measure(58, 2, mode="double")
-    rec2 = recurrence_from_measure(m2, 2)
+    rec2 = random_family(58, 2, "double").rec
     bad2 = type(rec2)(order=2, alpha=rec2.alpha, beta=(0.0, -rec2.beta[1], 0.0),
                       tau=rec2.tau, sigma=rec2.sigma)
     with pytest.raises(AdmissibilityError):
@@ -217,8 +213,7 @@ def test_tridiagonal_rejects_negative_beta():
 # -- butterfly --------------------------------------------------------------
 
 def test_butterfly_trivial_gauge_blocks():
-    m = random_measure(59, 4, mode="double")
-    rec = recurrence_from_measure(m, 4)
+    rec = random_family(59, 4, "double").rec
     bt = build_butterfly(rec, GaugeParams.trivial(4))
     for i in range(4):
         for j in range(4):
@@ -229,8 +224,7 @@ def test_butterfly_trivial_gauge_blocks():
 
 
 def test_butterfly_params_trivial_gauge_both_conventions():
-    m = random_measure(60, 3, mode="double")
-    rec = recurrence_from_measure(m, 3)
+    rec = random_family(60, 3, "double").rec
     g = GaugeParams.trivial(3)
     plain = butterfly_params(rec, g, CONVENTION_PLAIN)
     assert plain.a == (1.0, 1.0, 1.0)
@@ -245,8 +239,7 @@ def test_butterfly_params_trivial_gauge_both_conventions():
 
 
 def test_butterfly_shear_equal_gamma_kills_c():
-    m = random_measure(61, 3, mode="double")
-    rec = recurrence_from_measure(m, 3)
+    rec = random_family(61, 3, "double").rec
     gamma = tuple(float(rec.alpha[i + 1] - rec.alpha[i]) for i in range(3))
     g = GaugeParams(r=(1.0, 1.0, 1.0), lam=gamma)
     bp = butterfly_params(rec, g)
@@ -254,8 +247,9 @@ def test_butterfly_shear_equal_gamma_kills_c():
 
 
 def test_butterfly_spectrum_and_closure():
-    m = random_measure(62, 6, mode="double")
-    rec = recurrence_from_measure(m, 6)
+    fv = random_family(62, 6, "double")
+    m = fv.measure
+    rec = fv.rec
     rng = random.Random(1)
     bt = build_butterfly(rec, random_gauge(rng, 6))
     eigs = dense_eigs(bt)
@@ -265,10 +259,10 @@ def test_butterfly_spectrum_and_closure():
 
 def test_butterfly_matches_multiplication_operator():
     rng = random.Random(2)
-    m = random_measure(63, 5, mode="double")
-    rec = recurrence_from_measure(m, 5)
+    fv = random_family(63, 5, "double")
+    rec = fv.rec
     g = random_gauge(rng, 5)
-    fam = gauge_transform_scaled(lsolp_from_values(evaluate_family(m, 5)), g)
+    fam = gauge_transform_scaled(lsolp_from_values(fv), g)
     mult = multiplication_matrix(fam)
     bt = build_butterfly(rec, g, CONVENTION_DIFFERENCE)
     worst = max(abs(a - b) for r1, r2 in zip(mult, bt) for a, b in zip(r1, r2))
@@ -280,8 +274,7 @@ def test_butterfly_matches_multiplication_operator():
 
 def test_butterfly_parameter_roundtrip():
     rng = random.Random(3)
-    m = random_measure(64, 4, mode="double")
-    rec = recurrence_from_measure(m, 4)
+    rec = random_family(64, 4, "double").rec
     g = random_gauge(rng, 4)
     bp = butterfly_params(rec, g)
     alpha, beta, r2, lam = butterfly_inverse_params(bp)
@@ -314,8 +307,7 @@ def test_butterfly_to_tridiagonal_values():
 
 
 def test_corollary_roundtrip_from_measure():
-    m = random_measure(65, 5, mode="double")
-    rec = recurrence_from_measure(m, 5)
+    rec = random_family(65, 5, "double").rec
     rng = random.Random(4)
     bp = butterfly_params(rec, random_gauge(rng, 5))
     lams = sym_tridiag_eigs(butterfly_to_tridiagonal(bp))

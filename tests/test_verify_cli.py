@@ -9,8 +9,8 @@ import pytest
 
 from lsopkit import cli, serialize, verify
 from lsopkit.cli import main
-from lsopkit.lsop import evaluate_family
-from lsopkit.moments import DiscreteMeasure, random_measure
+from lsopkit.lsop import evaluate_family, random_family
+from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import inf_norm
 from lsopkit.verify import CLAIMS, DEFAULT_TOLERANCES, RunConfig, run_verification
 
@@ -100,7 +100,7 @@ def test_tightened_tolerance_flags_spectrum():
 
 
 def test_corrupted_measure_flags_without_aborting():
-    m = random_measure(5, 4, mode="double")
+    m = random_family(5, 4, "double").measure
     weights = list(m.weights)
     weights[0] = -weights[0]  # inadmissible: tau turns negative
     bad = DiscreteMeasure(m.nodes, weights)
@@ -114,8 +114,8 @@ def test_corrupted_measure_flags_without_aborting():
 
 
 def test_nan_in_the_value_tables_flags(monkeypatch):
-    m = random_measure(2, 3, mode="double")
-    fv = evaluate_family(m, 3)
+    fv = random_family(2, 3, "double")
+    m = fv.measure
     fv.fold.p_values[1][0] = float("nan")  # one folded value, before any table is built
     monkeypatch.setattr(verify, "evaluate_family", lambda *args: fv)
     claims = {c.claim_id: c for c in run_verification(RunConfig(seed=2, order=3), m).claims}
@@ -144,14 +144,14 @@ def test_conventions_are_reported():
 # -- serialization ------------------------------------------------------------
 
 def test_measure_roundtrip_double(tmp_path):
-    m = random_measure(7, 4, mode="double")
+    m = random_family(7, 4, "double").measure
     text = serialize.save_measure(m, {"seed": 7})
     back = serialize.load_measure(text, "double")
     assert back.nodes == m.nodes and back.weights == m.weights
 
 
 def test_measure_roundtrip_rational():
-    m = random_measure(7, 3, mode="rational")
+    m = random_family(7, 3, "rational").measure
     text = serialize.save_measure(m)
     back = serialize.load_measure(text, "rational")
     assert back.nodes == m.nodes and back.weights == m.weights
@@ -299,6 +299,37 @@ def test_cli_refuses_non_finite_measure_file(tmp_path, capsys, mode):
     assert run_cli("lsop", str(mfile), "--mode", mode) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+MALFORMED_MEASURES = [
+    '{"nodes": [1.5, true], "weights": [0.5, 0.5]}',
+    '{"nodes": [1.5, 2.5], "weights": [0.5, false]}',
+    '{"nodes": [1.5, null], "weights": [0.5, 0.5]}',
+    '{"nodes": [1.5, [2.5]], "weights": [0.5, 0.5]}',
+    '{"nodes": 1.5, "weights": [0.5]}',
+    '{"nodes": [1.5], "weights": {"w": 0.5}}',
+    '{"nodes": [1.5, "1/0"], "weights": [0.5, 0.5]}',
+]
+MALFORMED_BUTTERFLY = [
+    '{"a": [1.0], "b": [0.5], "c": [2.0], "d": null}',
+    '{"a": [true], "b": [0.5], "c": [2.0], "d": []}',
+    '{"a": 1.0, "b": [0.5], "c": [2.0], "d": []}',
+    '{"a": [[1.0]], "b": [0.5], "c": [2.0], "d": []}',
+]
+
+
+@pytest.mark.parametrize("command, mode, text",
+                         [("verify", mode, t) for mode in ("double", "rational")
+                          for t in MALFORMED_MEASURES]
+                         + [("verify", "double", '{"nodes": [1.5, %s], "weights": [0.5, 0.5]}' % big)
+                            for big in ("1" + "0" * 400, '"1%s/3"' % ("0" * 400))]
+                         + [("solve-butterfly", "double", t) for t in MALFORMED_BUTTERFLY])
+def test_cli_refuses_malformed_file(tmp_path, capsys, command, mode, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert run_cli(command, str(path), "--mode", mode) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("not a number" in err or "array of numbers" in err)
 
 
 def test_cli_solve_butterfly(tmp_path):
