@@ -9,7 +9,8 @@ family {qt_n} into Laurent members
 with skew orthonormality <Q_2m|Q_2n+1> = delta_mn and vanishing same-parity
 pairings.  The same family also arises by skew Gram-Schmidt directly in the
 alternating basis, and unnormalized from lsop.bordered_pfaffian over the
-alternating exponents; all three constructions are cross-checked.
+alternating exponents, a route the tests keep as an oracle; all three
+constructions are cross-checked.
 
 A family has one representation: value tables at the measure's nodes and
 their reciprocals.  The reference routes (shifted coefficient polynomials,
@@ -31,8 +32,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
 from .laurent import LaurentPoly
-from .lsop import (FamilyValues, bordered_pfaffian, moment_skew_array, skew_pattern_defect,
-                   support_gram, support_pairing)
+from .lsop import FamilyValues, skew_pattern_defect, support_gram, support_pairing
 from .modes import is_exact
 from .moments import DiscreteMeasure, skew_inner
 from .numerics import dot, nan_max
@@ -336,16 +336,3 @@ def butterfly_sparsity_defect(a: List[List[float]]) -> float:
             if not allowed:
                 worst = nan_max(worst, abs(a[i][j]))
     return worst
-
-
-def lsolp_pfaffian_member(mu_table, n: int, odd: bool) -> LaurentPoly:
-    """Unnormalized alternating-basis member by the bordered-Pfaffian expansion.
-
-    Even: Pf(0,-1,1,-2,2,...,-n,n,z); odd: Pf(0,-1,1,...,-n,-n-1,z).
-    Used as an oracle: the result is proportional to the corresponding
-    shifted family member.
-    """
-    exps = [0] + [e for k in range(1, n + 1) for e in (-k, k)]
-    if odd:
-        exps[-1] = -n - 1
-    return bordered_pfaffian(moment_skew_array(mu_table, exps), exps)

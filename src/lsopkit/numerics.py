@@ -69,7 +69,8 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def inf_norm(a: Matrix) -> float:
-    return max((dot((abs(float(x)) for x in row), repeat(1.0)) for row in a), default=0.0)
+    """Largest absolute row sum, 0 for no rows; NaN if any row sum is."""
+    return nan_max(0.0, *(dot((abs(float(x)) for x in row), repeat(1.0)) for row in a))
 
 
 def nan_max(*values: float) -> float:
@@ -175,11 +176,6 @@ def solve_columns(a: Matrix, cols: Sequence[Sequence[Scalar]]) -> List[List[Scal
 def solve_linear(a: Matrix, b: Sequence[Scalar]) -> List[Scalar]:
     """Solve a x = b by Gaussian elimination with partial pivoting."""
     return solve_columns(a, [b])[0]
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    return transpose(solve_columns(a, [[int(i == j) for i in range(n)] for j in range(n)]))
 
 
 def _pick_pivot(m: Matrix, k: int, exact: bool):

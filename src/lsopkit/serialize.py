@@ -166,11 +166,6 @@ def _numbers(values: Any, name: str, mode: str) -> List[Scalar]:
 # butterfly parameter files
 # ---------------------------------------------------------------------------
 
-def save_butterfly_params(a: Sequence[Scalar], b: Sequence[Scalar],
-                          c: Sequence[Scalar], d: Sequence[Scalar]) -> str:
-    return dumps({"a": list(a), "b": list(b), "c": list(c), "d": list(d)})
-
-
 def load_butterfly_params(text: str):
     """The quadruples (a, b, c, d) of a butterfly parameter file, as floats."""
     doc = loads(text)
@@ -189,14 +184,6 @@ def matrix_document(m: Sequence[Sequence[Scalar]]) -> Dict[str, Any]:
     rows = len(m)
     cols = len(m[0]) if rows else 0
     return {"rows": rows, "cols": cols, "data": [list(r) for r in m]}
-
-
-def load_matrix(text: str, mode: str = "double") -> List[List[Scalar]]:
-    doc = loads(text, mode)
-    data = doc["data"]
-    if len(data) != doc["rows"] or any(len(r) != doc["cols"] for r in data):
-        raise ValueError("matrix dimensions header disagrees with data")
-    return data
 
 
 def poly_pairs(p) -> List[List[Scalar]]:

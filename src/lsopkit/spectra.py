@@ -14,11 +14,13 @@ H = diag(0, alpha_1..alpha_{N-1}).  Two assemblies are provided:
 
 pencil_residual builds the one pencil report that verify and the pencil
 command read: both layouts, each with how well it reproduces the recurrences
-on the support and its symplecticity residuals.  The butterfly matrix is the
-multiplication operator in a gauged alternating basis; its parameter
-quadruples (a, b, c, d), the bijection with (alpha, beta, r, lambda), the
-reduction to a symmetric tridiagonal matrix, and the two-way eigenvalue map
-lambda = z + 1/z all live here.
+on the support and its symplecticity residuals (the pencil's read off the
+F, G, H blocks, the transfer matrix's by dense products).  The butterfly
+matrix is the multiplication operator in a gauged alternating basis; its
+parameter quadruples (a, b, c, d), the bijection with (alpha, beta, r,
+lambda), the gauge similarity between two butterflies of one recurrence,
+the reduction to a symmetric tridiagonal matrix, and the two-way eigenvalue
+map lambda = z + 1/z all live here.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def pencil_from_recurrence(rec: RecurrenceData) -> PencilPair:
 
 
 class PencilLayout(NamedTuple):
-    """A pencil, its support residual and its unscaled symplectic_pencil_check pair."""
+    """A pencil, its support residual and its unscaled symplecticity residuals:
+    pencil_symplecticity(G, H) and transfer_symplecticity."""
     pencil: PencilPair
     support_residual: float
     pencil_symplecticity: float
@@ -125,8 +128,12 @@ def pencil_residual(fv: FamilyValues) -> PencilReport:
     over the support (v(z) stacks the family values odd-first) and its
     symplecticity residuals.  det V = +-1 in both, so both have a transfer matrix.
     """
+    _, g, h = _pencil_blocks(fv.rec)
+    structural = pencil_symplecticity(g, h)
+
     def layout(p: PencilPair) -> PencilLayout:
-        return PencilLayout(p, _pencil_support_residual(p, fv), *symplectic_pencil_check(p))
+        return PencilLayout(p, _pencil_support_residual(p, fv), structural,
+                            transfer_symplecticity(p))
 
     textbook = layout(build_pencil(fv.rec))
     recurrence = layout(pencil_from_recurrence(fv.rec))
@@ -170,19 +177,30 @@ def symplectic_j(n: int) -> Matrix:
     return _times_j(identity(2 * n))
 
 
-def symplectic_pencil_check(p: PencilPair) -> Tuple[float, float]:
-    """(|U J U^T - V J V^T|_inf, |S J S^T - J|_inf with S = V^-1 U).
+def pencil_symplecticity(g: Matrix, h: Matrix) -> float:
+    """|U J U^T - V J V^T|_inf of either pencil layout, read off its blocks.
 
-    The second value certifies membership of the transfer matrix in the
-    symplectic group; it requires V invertible.
+    Blockwise, U J U^T and V J V^T carry the same off-diagonal blocks in
+    both layouts (+-F and -+F^T, so F cancels identically), and their
+    difference is blockdiag(H - H^T, G^T - G).  O(N^2), and exactly 0
+    whenever G and H are symmetric, as their diagonal assembly makes them.
     """
+    return nan_max(*(inf_norm(mat_sub(a, transpose(a))) for a in (h, g)))
+
+
+def transfer_symplecticity(p: PencilPair) -> float:
+    """|S J S^T - J|_inf with S = V^-1 U: certifies membership of the
+    transfer matrix in the symplectic group; requires V invertible."""
+    s = transfer_matrix(p)
+    return inf_norm(mat_sub(mat_mul(_times_j(s), transpose(s)), symplectic_j(p.half)))
+
+
+def symplectic_pencil_check(p: PencilPair) -> Tuple[float, float]:
+    """(|U J U^T - V J V^T|_inf by dense products, transfer_symplecticity(p))
+    for any pencil; pencil_residual reads the first off the blocks instead."""
     lhs = mat_mul(_times_j(p.u), transpose(p.u))
     rhs = mat_mul(_times_j(p.v), transpose(p.v))
-    pencil_res = inf_norm(mat_sub(lhs, rhs))
-    s = transfer_matrix(p)
-    sjst = mat_mul(_times_j(s), transpose(s))
-    transfer_res = inf_norm(mat_sub(sjst, symplectic_j(p.half)))
-    return pencil_res, transfer_res
+    return inf_norm(mat_sub(lhs, rhs)), transfer_symplecticity(p)
 
 
 def transfer_matrix(p: PencilPair) -> Matrix:
@@ -310,6 +328,29 @@ def build_butterfly(rec: RecurrenceData, g: GaugeParams,
                     convention: str = CONVENTION_DIFFERENCE) -> Matrix:
     """Butterfly matrix of the gauged family (params + dense assembly)."""
     return butterfly_from_params(butterfly_params(rec, g, convention))
+
+
+def gauge_similarity_defect(b1: Matrix, bg: Matrix, g: GaugeParams) -> float:
+    """max |S B_1 - B_g S| for the butterflies B_1 of the trivial gauge and B_g
+    of the gauge g, both of one recurrence.
+
+    A gauge change is the similarity B_g = S B_1 S^-1 with the sparse
+    S = [[diag(r), diag(r lambda)], [O, diag(1/r)]].  S acts by rows on the
+    left (row i of S B_1 is r_i (row i) + r_i lambda_i (row N+i), row N+i
+    is (row N+i) / r_i) and by columns on the right; it is never formed.
+    """
+    n = g.order
+    r = [float(x) for x in g.r]
+    shear = [ri * float(lam) for ri, lam in zip(r, g.lam)]
+    left = [[ri * x + si * y for x, y in zip(top, bottom)]
+            for ri, si, top, bottom in zip(r, shear, b1[:n], b1[n:])]
+    left += [[y / ri for y in bottom] for ri, bottom in zip(r, b1[n:])]
+    worst = 0.0
+    for lrow, row in zip(left, bg):
+        right = ([ri * x for ri, x in zip(r, row[:n])]
+                 + [si * x + y / ri for ri, si, x, y in zip(r, shear, row[:n], row[n:])])
+        worst = nan_max(worst, *(abs(a - b) for a, b in zip(lrow, right)))
+    return worst
 
 
 def determine_diagonal_convention(mult: Matrix, rec: RecurrenceData,

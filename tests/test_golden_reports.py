@@ -3,10 +3,11 @@ artifact built once.
 
 tests/data/golden_report_digests.json holds the sha256 of
 run_verification(RunConfig(seed=s, order=n, mode=m)).render() for seeds
-1-10, orders 1-8 and both modes.  The rational digests were recorded before
-the value-table, Gram and residual code was consolidated; the double ones
-were recorded again when double-mode measures moved to the float fold.  The
-suite checks orders 1-5; the whole grid (about a minute) runs with
+1-10, orders 1-8 and both modes.  All were last recorded when
+butterfly-gauge-invariance became the explicit gauge similarity and
+pencil-symplecticity the exact block check; every other claim record stayed
+byte for byte.  The suite checks orders 1-5; the whole grid (about a minute)
+runs with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -16,9 +17,9 @@ seeds 1-3, order 5, and of solve-butterfly on tests/data/butterfly_params.json,
 each in both modes.  Both the suite and the full-grid run check all of them.
 
 tests/data/golden_fixed_digests.json holds the sha256 of the claim-seed-1
-report on the fixed measure (_fixed_measure) at orders 12, 16 and 24 in
+report on the fixed measure (_fixed_measure) at orders 12, 16, 24 and 32 in
 double mode and 12 in rational mode, beyond the grid's order 8.  The suite
-checks all but double order 24; the full-grid run checks all of them.
+checks all but double orders 24 and 32; the full-grid run checks all of them.
 """
 
 import collections
@@ -164,7 +165,7 @@ def build_count(monkeypatch):
     counts = collections.Counter()
     watched = {
         "build_pencil": spectra, "pencil_from_recurrence": spectra,
-        "symplectic_pencil_check": spectra, "transfer_matrix": spectra,
+        "transfer_symplecticity": spectra, "transfer_matrix": spectra,
         "lsolp_from_values": lsolp, "even_to_op": lsop,
     }
     for name, home in watched.items():
@@ -188,11 +189,12 @@ def test_report_builds_each_artifact_once(build_count, mode):
         m = DiscreteMeasure([Fraction(z) for z in m.nodes], [Fraction(w) for w in m.weights])
     report = run_verification(RunConfig(seed=1, order=6, mode=mode), m)
     assert report.all_pass
-    # one textbook pencil, one rederived layout, one symplecticity check per
-    # layout (each with its transfer matrix) plus the eigenvalue route's, and
-    # one reduction per even member up to the coefficient-route order (6, 4)
+    # one textbook pencil, one rederived layout, one transfer symplecticity
+    # check per layout (each with its transfer matrix) plus the eigenvalue
+    # route's transfer matrix, and one reduction per even member up to the
+    # coefficient-route order (6, 4)
     assert build_count == {"build_pencil": 1, "pencil_from_recurrence": 1,
-                           "symplectic_pencil_check": 2, "transfer_matrix": 3,
+                           "transfer_symplecticity": 2, "transfer_matrix": 3,
                            "lsolp_from_values": 1,
                            "even_to_op": 7 if mode == "rational" else 5}
 

@@ -9,9 +9,9 @@ import pytest
 from lsopkit.errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
 from lsopkit.lsolp import (GaugeParams, butterfly_sparsity_defect, gauge_transform_scaled,
                            gram_schmidt_lsolp, gram_schmidt_pairs, lsolp_from_lsop,
-                           lsolp_from_values, lsolp_pfaffian_member, multiplication_matrix)
-from lsopkit.lsop import (evaluate_family, lsop_via_recurrence, orthonormalize, random_family,
-                          recurrence_from_measure)
+                           lsolp_from_values, multiplication_matrix)
+from lsopkit.lsop import (bordered_pfaffian, evaluate_family, lsop_via_recurrence,
+                          moment_skew_array, orthonormalize, random_family, recurrence_from_measure)
 from lsopkit.moments import DiscreteMeasure, MomentTable
 from lsopkit.numerics import dense_eigs, spectra_distance
 
@@ -172,6 +172,18 @@ def test_multiplication_representation_error():
                      recip_values=tuple(r[:4] for r in fam.recip_values))
     with pytest.raises(RepresentationError):
         multiplication_matrix(half)
+
+
+def lsolp_pfaffian_member(mu_table, n: int, odd: bool):
+    """Unnormalized alternating-basis member by the bordered-Pfaffian expansion.
+
+    Even: Pf(0,-1,1,-2,2,...,-n,n,z); odd: Pf(0,-1,1,...,-n,-n-1,z).  The
+    result is proportional to the corresponding shifted family member.
+    """
+    exps = [0] + [e for k in range(1, n + 1) for e in (-k, k)]
+    if odd:
+        exps[-1] = -n - 1
+    return bordered_pfaffian(moment_skew_array(mu_table, exps), exps)
 
 
 def test_pfaffian_members_proportional():

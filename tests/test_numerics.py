@@ -10,9 +10,9 @@ import pytest
 from lsopkit.errors import DimensionError
 from lsopkit.lsop import recurrence_from_measure
 from lsopkit.moments import DiscreteMeasure
-from lsopkit.numerics import (SymTridiag, charpoly, charpoly_eigs, dense_det, dense_eigs, mat_inverse,
+from lsopkit.numerics import (SymTridiag, charpoly, charpoly_eigs, dense_det, dense_eigs, inf_norm,
                               mat_mul, mat_vec, max_abs_diff, min_cost_assignment, nan_max,
-                              solve_linear, spectra_distance, sym_tridiag_eigs,
+                              solve_columns, solve_linear, spectra_distance, sym_tridiag_eigs,
                               transpose)
 from lsopkit.spectra import build_pencil, pencil_from_recurrence, transfer_matrix
 
@@ -36,6 +36,12 @@ def test_solve_exact():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     x = solve_linear(a, [Fraction(5), Fraction(10)])
     assert x == [Fraction(1), Fraction(3)]
+
+
+def mat_inverse(a):
+    """A^-1 by one elimination of A carrying the identity's columns."""
+    n = len(a)
+    return transpose(solve_columns(a, [[int(i == j) for i in range(n)] for j in range(n)]))
 
 
 def test_inverse_roundtrip():
@@ -108,6 +114,8 @@ def test_largest_value_keeps_nan():
         assert math.isnan(nan_max(*values))
     assert math.isnan(max_abs_diff([[1.0, 2.0]], [[1.0, nan]]))
     assert max_abs_diff([[1.0, 2.0]], [[1.5, 2.0]]) == 0.5
+    assert math.isnan(inf_norm([[1.0, 0.0], [nan, 0.0]]))
+    assert inf_norm([[1.0, -2.0], [0.5, 0.0]]) == 3.0 and inf_norm([]) == 0.0
 
 
 def test_tridiag_singleton():

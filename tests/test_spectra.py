@@ -14,18 +14,21 @@ import sys
 
 import pytest
 
+from lsopkit import spectra
 from lsopkit.errors import AdmissibilityError, ConvergenceError
 from lsopkit.lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
 from lsopkit.lsop import RecurrenceData, evaluate_family, random_family, recurrence_from_measure
 from lsopkit.moments import DiscreteMeasure
-from lsopkit.numerics import SymTridiag, dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
+from lsopkit.numerics import (SymTridiag, dense_eigs, inf_norm, mat_mul, mat_sub, spectra_distance,
+                              sym_tridiag_eigs)
 from lsopkit.spectra import (CONVENTION_DIFFERENCE, CONVENTION_PLAIN, ButterflyParams,
                              build_butterfly, build_pencil, build_tridiagonal,
                              butterfly_from_params, butterfly_inverse_params,
                              butterfly_params, butterfly_to_tridiagonal, canonical_z_list,
                              determine_diagonal_convention, eig_correspondence,
-                             inversion_closure_defect, pencil_eigenvalues, pencil_from_recurrence,
-                             pencil_residual, symplectic_pencil_check, transfer_matrix)
+                             gauge_similarity_defect, inversion_closure_defect, pencil_eigenvalues,
+                             pencil_from_recurrence, pencil_residual, pencil_symplecticity,
+                             symplectic_pencil_check, transfer_matrix)
 
 REF = DiscreteMeasure([2.0], [1.0])
 
@@ -107,6 +110,25 @@ def test_symplecticity_negative_control():
     p.u[0][1] += 0.5
     pres, _ = symplectic_pencil_check(p)
     assert pres > 0.1
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_structural_pencil_symplecticity_equals_dense_products(monkeypatch, block):
+    # pencil_residual reads U J U^T - V J V^T off the G (block 1) and H
+    # (block 2) blocks; the dense products of both layouts agree with it
+    fv = random_family(52, 4, "double")
+    f, g, h = spectra._pencil_blocks(fv.rec)
+    rep = pencil_residual(fv)
+    for lay in (rep.textbook, rep.recurrence):
+        assert lay.pencil_symplecticity == symplectic_pencil_check(lay.pencil)[0] == 0.0
+    blocks = [f, g, h]
+    blocks[block][2][1] += 1e-3
+    monkeypatch.setattr(spectra, "_pencil_blocks", lambda rec: blocks)
+    rep = pencil_residual(fv)
+    assert pencil_symplecticity(g, h) == 1e-3
+    for lay in (rep.textbook, rep.recurrence):
+        assert lay.pencil_symplecticity == 1e-3
+        assert symplectic_pencil_check(lay.pencil)[0] == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_generalized_eigenvalues_match_support():
@@ -270,6 +292,33 @@ def test_butterfly_matches_multiplication_operator():
     winner, residuals = determine_diagonal_convention(mult, rec, g)
     assert winner == CONVENTION_DIFFERENCE
     assert residuals[CONVENTION_PLAIN] > 1e-2
+
+
+def _fixed_measure(n):
+    return DiscreteMeasure([1.2 + 3.8 * k / n for k in range(n)],
+                           [0.5 + 0.5 * ((7 * k) % 5) / 5 for k in range(n)])
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_gauge_similarity_on_the_fixed_measure(n):
+    # S B_1 - B_g S, S applied by rows and columns, against the dense products
+    # with the explicit S; rounding only, and a 1e-6 move of one entry shows
+    rec = evaluate_family(_fixed_measure(n), n).rec
+    b1 = build_butterfly(rec, GaugeParams.trivial(n))
+    assert gauge_similarity_defect(b1, b1, GaugeParams.trivial(n)) == 0.0
+    rng = random.Random(45)
+    for _ in range(20):
+        g = random_gauge(rng, n)
+        bt = build_butterfly(rec, g)
+        scale = max(1.0, max(abs(x) for row in bt for x in row))
+        assert gauge_similarity_defect(b1, bt, g) / scale <= 1e-13
+        s = [[0.0] * (2 * n) for _ in range(2 * n)]
+        for i, (r, lam) in enumerate(zip(g.r, g.lam)):
+            s[i][i], s[i][n + i], s[n + i][n + i] = r, r * lam, 1.0 / r
+        bt[n - 1][2 * n - 1] += 1e-6
+        dense = max(abs(x) for row in mat_sub(mat_mul(s, b1), mat_mul(bt, s)) for x in row)
+        assert gauge_similarity_defect(b1, bt, g) == pytest.approx(dense, rel=1e-8)
+        assert dense / scale > 1e-8
 
 
 def test_butterfly_parameter_roundtrip():

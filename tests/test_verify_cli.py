@@ -1,5 +1,6 @@
 """Verification reports, file formats, and the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -7,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from lsopkit import cli, serialize, verify
+from lsopkit import cli, serialize, spectra, verify
 from lsopkit.cli import main
+from lsopkit.lsolp import GaugeParams
 from lsopkit.lsop import evaluate_family, random_family
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import inf_norm
@@ -79,11 +81,13 @@ def test_rational_run_exact_claims_zero():
         "skew-orthonormality", "folded-reduction-agreement",
         "folded-functional-orthogonality", "three-term-relation",
         "pfaffian-hankel-identity", "squared-variable-recurrence",
-        "lsolp-construction-agreement",
+        "lsolp-construction-agreement", "pencil-symplecticity",
     }
     for c in rep.claims:
         if c.claim_id in exact_ids:
             assert c.exact and c.residual == 0.0, c.claim_id
+        if c.claim_id == "butterfly-gauge-invariance":
+            assert c.residual <= 1e-13
 
 
 def test_double_run_within_tolerances():
@@ -124,6 +128,52 @@ def test_nan_in_the_value_tables_flags(monkeypatch):
         assert claims[cid].status == "flag" and math.isnan(claims[cid].residual), cid
     assert "not skew orthonormal (defect nan" in claims["lsolp-multiplication-sparsity"].summary
     assert claims["pfaffian-route-agreement"].status == "pass"
+
+
+@pytest.mark.parametrize("move", ["entry", "parameter"])
+def test_moved_butterfly_flags_gauge_invariance(monkeypatch, move):
+    # gauged butterflies get one entry, or their first coupling d_2, moved by
+    # 1e-6; the one built right after the trivial gauge's is the claim's dense
+    # anchor and stays clean, so only the similarity can flag
+    trivial = GaugeParams.trivial(5)
+    built = [None]
+
+    def moved(rec, g, *args):
+        bp = spectra.butterfly_params(rec, g, *args)
+        clean = trivial in (g, built[-1])
+        built.append(g)
+        if not clean and move == "parameter":
+            bp = dataclasses.replace(bp, d=(bp.d[0] + 1e-6,) + bp.d[1:])
+        bt = spectra.butterfly_from_params(bp)
+        if not clean and move == "entry":
+            bt[0][0] += 1e-6
+        return bt
+
+    cfg = RunConfig(seed=1, order=5)
+    claim = {c.claim_id: c for c in run_verification(cfg).claims}["butterfly-gauge-invariance"]
+    assert claim.status == "pass" and claim.residual <= 1e-13
+    monkeypatch.setattr(verify, "build_butterfly", moved)
+    claim = {c.claim_id: c for c in run_verification(cfg).claims}["butterfly-gauge-invariance"]
+    assert claim.status == "flag" and claim.residual > 1e-8
+
+
+@pytest.mark.parametrize("block, i, j, value", [(1, 2, 1, 1e-12), (2, 2, 1, 1e-12),
+                                                (2, 2, 2, float("nan"))])
+def test_broken_pencil_block_flags_pencil_symplecticity(monkeypatch, block, i, j, value):
+    # one G (block 1) or H (block 2) entry off its symmetric place by 1e-12,
+    # below the dense check's former 1e-10 tolerance, or a NaN on H's
+    # diagonal flags the exact claim
+    blocks = spectra._pencil_blocks
+
+    def broken(rec):
+        fgh = blocks(rec)
+        fgh[block][i][j] = value
+        return fgh
+
+    monkeypatch.setattr(spectra, "_pencil_blocks", broken)
+    claim = {c.claim_id: c for c in run_verification(RunConfig(seed=2, order=4)).claims}
+    assert claim["pencil-symplecticity"].status == "flag"
+    assert not claim["pencil-symplecticity"].residual == 0
 
 
 def test_report_with_aborted_claim_is_valid_json():
@@ -174,11 +224,15 @@ def test_seventeen_digit_roundtrip():
 def test_matrix_document_roundtrip():
     m = [[1.5, 2.0], [3.0, 4.25]]
     text = serialize.dumps(serialize.matrix_document(m))
-    assert serialize.load_matrix(text) == m
+    assert serialize.loads(text) == {"rows": 2, "cols": 2, "data": m}
+
+
+def save_butterfly_params(a, b, c, d) -> str:
+    return serialize.dumps({"a": a, "b": b, "c": c, "d": d})
 
 
 def test_butterfly_file_roundtrip():
-    text = serialize.save_butterfly_params([1.0], [0.5], [2.0], [])
+    text = save_butterfly_params([1.0], [0.5], [2.0], [])
     a, b, c, d = serialize.load_butterfly_params(text)
     assert (a, b, c, d) == ([1.0], [0.5], [2.0], [])
 
@@ -334,7 +388,7 @@ def test_cli_refuses_malformed_file(tmp_path, capsys, command, mode, text):
 
 def test_cli_solve_butterfly(tmp_path):
     pfile = tmp_path / "bp.json"
-    pfile.write_text(serialize.save_butterfly_params([1.0], [0.0], [2.5], []))
+    pfile.write_text(save_butterfly_params([1.0], [0.0], [2.5], []))
     out = tmp_path / "sol.json"
     assert run_cli("solve-butterfly", str(pfile), "--out", str(out)) == 0
     doc = json.loads(out.read_text())
@@ -344,7 +398,7 @@ def test_cli_solve_butterfly(tmp_path):
 
 def test_cli_solve_butterfly_refuses_bad_hypothesis(tmp_path):
     pfile = tmp_path / "bp.json"
-    pfile.write_text(serialize.save_butterfly_params([1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [0.5]))
+    pfile.write_text(save_butterfly_params([1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [0.5]))
     assert run_cli("solve-butterfly", str(pfile)) == 1
 
 
