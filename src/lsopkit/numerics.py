@@ -292,10 +292,13 @@ def sym_tridiag_eigs(t: SymTridiag) -> List[float]:
 def dense_eigs(a: Matrix) -> List[complex]:
     """All eigenvalues of a real square matrix, sorted by (re, im):
     stabilized-elimination Hessenberg reduction followed by Francis
-    double-shift QR (charpoly_eigs is the independent oracle)."""
+    double-shift QR (charpoly_eigs is the independent oracle).  Raises
+    ValueError on a NaN or infinite entry, which would never deflate."""
     if _check_square(a) == 0:
         return []
     h = [[float(x) for x in row] for row in a]
+    if not all(math.isfinite(x) for row in h for x in row):
+        raise ValueError("matrix entries must be finite")
     _hessenberg(h)
     return sort_complex(_hqr(h))
 
@@ -314,15 +317,17 @@ def _hessenberg(a: Matrix) -> None:
             for row in a:
                 row[piv], row[m] = row[m], row[piv]
         if x != 0.0:
+            am = a[m]
             for i in range(m + 1, n):
-                y = a[i][m - 1]
+                ai = a[i]
+                y = ai[m - 1]
                 if y != 0.0:
                     y /= x
-                    a[i][m - 1] = 0.0
+                    ai[m - 1] = 0.0
                     for j in range(m, n):
-                        a[i][j] -= y * a[m][j]
-                    for j in range(n):
-                        a[j][m] += y * a[j][i]
+                        ai[j] -= y * am[j]
+                    for row in a:
+                        row[m] += y * row[i]
     for i in range(2, n):
         for j in range(i - 1):
             a[i][j] = 0.0
@@ -438,21 +443,30 @@ def _hqr(a: Matrix) -> List[complex]:
                 z = r / s
                 q /= p
                 r /= p
-                for j in range(k, nn + 1):
-                    p = a[k][j] + q * a[k + 1][j]
-                    if k != nn - 1:
-                        p += r * a[k + 2][j]
-                        a[k + 2][j] -= p * z
-                    a[k + 1][j] -= p * y
-                    a[k][j] -= p * x
-                mmin = min(nn, k + 3)
-                for i in range(l, mmin + 1):
-                    p = x * a[i][k] + y * a[i][k + 1]
-                    if k != nn - 1:
-                        p += z * a[i][k + 2]
-                        a[i][k + 2] -= p * r
-                    a[i][k + 1] -= p * q
-                    a[i][k] -= p
+                # rows k..k+2, then columns k..k+2 of rows l..min(nn, k+3);
+                # the last step (k = nn - 1) touches two rows and columns
+                r0, r1 = a[k], a[k + 1]
+                if k == nn - 1:
+                    for j in range(k, nn + 1):
+                        p = r0[j] + q * r1[j]
+                        r1[j] -= p * y
+                        r0[j] -= p * x
+                    for row in a[l:nn + 1]:
+                        p = x * row[k] + y * row[k + 1]
+                        row[k + 1] -= p * q
+                        row[k] -= p
+                else:
+                    r2 = a[k + 2]
+                    for j in range(k, nn + 1):
+                        p = r0[j] + q * r1[j] + r * r2[j]
+                        r2[j] -= p * z
+                        r1[j] -= p * y
+                        r0[j] -= p * x
+                    for row in a[l:min(nn, k + 3) + 1]:
+                        p = x * row[k] + y * row[k + 1] + z * row[k + 2]
+                        row[k + 2] -= p * r
+                        row[k + 1] -= p * q
+                        row[k] -= p
     return eigs
 
 

@@ -1,20 +1,42 @@
-"""Dense kernels: determinants, tridiagonal QL, Hessenberg QR."""
+"""Dense kernels: determinants, tridiagonal QL, Hessenberg QR.
 
+tests/data/golden_kernel_digests.json holds the sha256 of the repr of
+dense_eigs, solve_columns and dense_det on the inputs of _KERNEL_CASES: the
+butterflies and pencil transfer matrices of the eigensolve benchmark's seed-1
+inputs, seeded random matrices, and singular and special-value systems.  They
+pin every bit of the kernels' output, on each Python that CI runs (3.10-3.13).
+Running the module prints the digests of the code as it stands:
+
+    PYTHONPATH=src python tests/test_numerics.py
+"""
+
+import hashlib
 import itertools
+import json
 import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from lsopkit.errors import DimensionError
-from lsopkit.lsop import recurrence_from_measure
+from lsopkit.lsop import RecurrenceData, recurrence_from_measure
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import (SymTridiag, charpoly, charpoly_eigs, dense_det, dense_eigs, inf_norm,
                               mat_mul, mat_vec, max_abs_diff, min_cost_assignment, nan_max,
                               solve_columns, solve_linear, spectra_distance, sym_tridiag_eigs,
                               transpose)
-from lsopkit.spectra import build_pencil, pencil_from_recurrence, transfer_matrix
+from lsopkit.spectra import (ButterflyParams, build_pencil, butterfly_from_params,
+                             pencil_from_recurrence, transfer_matrix)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.inputs import EIGEN_ORDERS, eigen_inputs  # noqa: E402
+
+KERNEL_DIGESTS = json.loads((ROOT / "tests" / "data" / "golden_kernel_digests.json").read_text())
 
 
 def test_det_identity_and_rotation():
@@ -158,6 +180,16 @@ def test_dense_eigs_companion():
     assert eigs[0] == pytest.approx(0.5) and eigs[1] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_dense_eigs_refuses_non_finite_entry(bad):
+    # a NaN or inf never deflates: the QR would spend its whole sweep budget
+    rng = random.Random(7)
+    a = [[rng.uniform(-3.0, 3.0) for _ in range(64)] for _ in range(64)]
+    a[40][17] = bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        dense_eigs(a)
+
+
 def test_qr_matches_charpoly_oracle():
     rng = random.Random(3)
     for _ in range(40):
@@ -203,3 +235,110 @@ def test_spectra_distance_handles_conjugate_jitter():
     a = [complex(1.0, 2.0), complex(1.0, -2.0)]
     b = [complex(1.0 + 1e-15, -2.0), complex(1.0 - 1e-15, 2.0)]
     assert spectra_distance(a, b) < 1e-13
+
+
+# -- kernel digests ---------------------------------------------------------
+
+def _outcome(f, *args) -> str:
+    """repr of f(*args), or the type and message of the error it raises."""
+    try:
+        return repr(f(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _eigensolve_matrices(order: int):
+    """Butterfly and pencil transfer matrix of each seed-1 eigensolve input at
+    one order, built as the benchmark's worker builds them."""
+    for case in eigen_inputs(1):
+        if case["order"] != order:
+            continue
+        diag, off, g = case["tri"]["diag"], case["tri"]["off"], case["gauge"]
+        r, lam = g["r"], g["lam"]
+        yield butterfly_from_params(ButterflyParams(
+            a=tuple(1.0 / (x * x) for x in r), b=tuple(lam),
+            c=tuple(r[k] ** 2 * (diag[k] - lam[k]) for k in range(order)),
+            d=tuple(r[k] * r[k + 1] * off[k] for k in range(order - 1))))
+        alpha = [0.0]
+        for gamma in diag:
+            alpha.append(alpha[-1] + gamma)
+        rec = RecurrenceData(order=order, alpha=tuple(alpha),
+                             beta=tuple([0.0] + [e * e for e in off] + [0.0]),
+                             tau=(1.0,) * (order + 1), sigma=tuple(alpha))
+        yield transfer_matrix(pencil_from_recurrence(rec))
+
+
+def _random_matrices():
+    rng = random.Random("kernel-digests")
+    sizes = list(range(1, 13)) + [16, 24, 32, 48, 64]
+    return [[[rng.uniform(-3.0, 3.0) for _ in range(n)] for _ in range(n)] for n in sizes]
+
+
+def _zero_subdiagonal_matrices():
+    """Upper Hessenberg with exact zeros at subdiagonal 5 and 11, and block
+    upper triangular with diagonal blocks of size 7, 6 and 7."""
+    rng = random.Random("kernel-digests-zero")
+    hess = [[rng.uniform(-3.0, 3.0) if i <= j + 1 and i not in (5, 11) or i <= j else 0.0
+             for j in range(20)] for i in range(20)]
+    block = [0] * 7 + [1] * 6 + [2] * 7
+    tri = [[rng.uniform(-3.0, 3.0) if block[i] <= block[j] else 0.0
+            for j in range(20)] for i in range(20)]
+    return [hess, tri]
+
+
+def _negative_zero_matrices():
+    rng = random.Random("kernel-digests-negzero")
+    a = [[-0.0 if (i + 2 * j) % 3 == 0 else rng.uniform(-3.0, 3.0) for j in range(12)]
+         for i in range(12)]
+    return [a, [[-0.0] * 4 for _ in range(4)]]
+
+
+def _systems():
+    """(name, a, cols) of float, Fraction, singular and special-value systems."""
+    rng = random.Random("kernel-digests-solve")
+    fl = [[rng.uniform(-2.0, 2.0) for _ in range(8)] for _ in range(8)]
+    fr = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(6)] for _ in range(6)]
+    sing = [[float(rng.randint(-5, 5)) for _ in range(5)] for _ in range(4)]
+    sing.insert(2, [x + y for x, y in zip(sing[0], sing[1])])
+    sing_fr = [[Fraction(x) / 3 for x in row] for row in sing]
+    nan, inf = float("nan"), float("inf")
+    special = [[1.0, nan, 2.0], [-0.0, 3.0, inf], [-inf, 1.0, -0.0]]
+    negative_zeros = [[-0.0, 1.0, 2.0], [3.0, -0.0, 1.0], [2.0, 5.0, -0.0]]
+
+    def cols(n, count):
+        return [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(count)]
+
+    return [("float", fl, cols(8, 3)),
+            ("fraction", fr, [[Fraction(rng.randint(-9, 9), 5) for _ in range(6)] for _ in range(2)]),
+            ("singular", sing, cols(5, 2)),
+            ("singular-fraction", sing_fr, [[Fraction(k) for k in range(5)]]),
+            ("special", special, [[1.0, -0.0, nan], [inf, 1.0, 2.0]]),
+            ("negative-zero", negative_zeros, [[-0.0, 1.0, -0.0]])]
+
+
+def _eigs_case(make):
+    return lambda: [_outcome(dense_eigs, a) for a in make()]
+
+
+_KERNEL_CASES = {
+    **{f"dense_eigs/eigensolve/{n}": _eigs_case(lambda n=n: _eigensolve_matrices(n))
+       for n in EIGEN_ORDERS},
+    "dense_eigs/random": _eigs_case(_random_matrices),
+    "dense_eigs/zero-subdiagonal": _eigs_case(_zero_subdiagonal_matrices),
+    "dense_eigs/negative-zero": _eigs_case(_negative_zero_matrices),
+    "solve_columns": lambda: [(name, _outcome(solve_columns, a, cols)) for name, a, cols in _systems()],
+    "dense_det": lambda: [(name, _outcome(dense_det, a)) for name, a, _ in _systems()],
+}
+
+
+def _kernel_digest(key: str) -> str:
+    return hashlib.sha256(repr(_KERNEL_CASES[key]()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(_KERNEL_CASES))
+def test_kernel_output_matches_golden_digest(key):
+    assert _kernel_digest(key) == KERNEL_DIGESTS[key]
+
+
+if __name__ == "__main__":
+    print(json.dumps({key: _kernel_digest(key) for key in sorted(_KERNEL_CASES)}, indent=2))

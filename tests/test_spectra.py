@@ -185,6 +185,13 @@ def test_pencil_eigenvalues_past_sixty_stalled_sweeps():
     assert pencil_mismatch(diag, off) < 1e-8
 
 
+def test_pencil_eigenvalues_refuse_non_finite_pencil():
+    p = pencil_from_recurrence(tridiagonal_recurrence([5.0] * 4, [1.0] * 3))
+    p.u[1][2] = float("nan")
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        pencil_eigenvalues(p)
+
+
 def test_transfer_matrix_solves_pencil():
     rec = random_family(55, 3, "double").rec
     p = pencil_from_recurrence(rec)

@@ -11,7 +11,7 @@ import pytest
 from lsopkit import cli, serialize, spectra, verify
 from lsopkit.cli import main
 from lsopkit.lsolp import GaugeParams
-from lsopkit.lsop import evaluate_family, random_family
+from lsopkit.lsop import FamilyValues, evaluate_family, random_family, support_gram
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import inf_norm
 from lsopkit.verify import CLAIMS, DEFAULT_TOLERANCES, RunConfig, run_verification
@@ -128,6 +128,31 @@ def test_nan_in_the_value_tables_flags(monkeypatch):
         assert claims[cid].status == "flag" and math.isnan(claims[cid].residual), cid
     assert "not skew orthonormal (defect nan" in claims["lsolp-multiplication-sparsity"].summary
     assert claims["pfaffian-route-agreement"].status == "pass"
+
+
+@pytest.mark.parametrize("member", [2, 5])
+def test_moved_monic_value_flags_exact_orthonormality(monkeypatch, member):
+    # one exact monic value moved by 1/10^6 flags, with the largest deviation
+    # over the full even-even, odd-odd and even-odd blocks of the Gram matrix
+    monic_values = FamilyValues.monic_values
+
+    def moved(fv):
+        node, recip = monic_values(fv)
+        node[1][member] += Fraction(1, 10**6)
+        return node, recip
+
+    monkeypatch.setattr(FamilyValues, "monic_values", moved)
+    fv = random_family(3, 4, "rational")
+    node, recip = fv.monic_values()
+    gram = support_gram(fv.measure.weights, node, recip)
+    scales = fv.exact_rec.scale_squares()
+    full = max(abs(float(v)) for a in range(4) for b in range(4)
+               for v in (gram[2 * a][2 * b], gram[2 * a + 1][2 * b + 1],
+                         gram[2 * a][2 * b + 1] * scales[b] - (a == b)))
+    claim = {c.claim_id: c for c in run_verification(RunConfig(seed=3, order=4, mode="rational"),
+                                                     fv.measure).claims}["skew-orthonormality"]
+    assert claim.status == "flag" and not claim.exact
+    assert claim.residual == full > 0
 
 
 @pytest.mark.parametrize("move", ["entry", "parameter"])
