@@ -163,9 +163,6 @@ def _parse_tolerances(items: List[str]) -> Dict[str, float]:
         name, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
-        if name not in DEFAULT_TOLERANCES:
-            known = ", ".join(sorted(DEFAULT_TOLERANCES))
-            raise ValueError(f"unknown tolerance {name!r}; known names: {known}")
         out[name] = float(value)
     return out
 
@@ -246,10 +243,6 @@ def cmd_butterfly(args) -> int:
 def cmd_solve_butterfly(args) -> int:
     with open(args.params) as fh:
         bp = ButterflyParams(*map(tuple, serialize.load_butterfly_params(fh.read())))
-    if not bp.hypothesis_holds():
-        print("error: reduction hypothesis a_i * a_{i+1} > 0 violated; "
-              "the symmetric tridiagonal reduction does not apply", file=sys.stderr)
-        return EXIT_USAGE
     s = solve_butterfly(bp)
     doc = {
         "order": bp.order,

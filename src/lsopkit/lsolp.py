@@ -174,20 +174,16 @@ def gram_schmidt_pairs(m: DiscreteMeasure, count: int):
     """Unnormalized skew Gram-Schmidt pairs (P_2k, P_2k+1, kappa_k).
 
     P_2k has leading alternating-basis coefficient 1; P_2k+1 additionally
-    has vanishing z^k coefficient (the shear convention).  Exact on exact
-    measures.  Raises on a vanishing pairing kappa_k (rank deficiency).
+    has vanishing z^k coefficient (the shear convention).  Both hold by
+    construction: the completed pairs span the exponents -k..k-1, so the
+    projection never touches z^k.  Exact on exact measures.  Raises on a
+    vanishing pairing kappa_k (rank deficiency).
     """
     pairs = []
     npairs = (count + 1) // 2
     for k in range(npairs):
         p_even = _project(m, LaurentPoly.monomial(alternating_exponent(2 * k)), pairs)
         p_odd = _project(m, LaurentPoly.monomial(alternating_exponent(2 * k + 1)), pairs)
-        lead = p_even.coeff(k)
-        if lead == 0:
-            raise DegeneracyError(f"Gram-Schmidt breakdown: even member {2 * k} lost its leading term")
-        shear = p_odd.coeff(k) / lead
-        if shear != 0:
-            p_odd = p_odd - p_even.scale(shear)
         kappa = skew_inner(m, p_even, p_odd)
         if kappa == 0 or (not is_exact(kappa) and abs(float(kappa)) < 1e-13):
             raise DegeneracyError(f"skew pairing of pair {k} vanished (rank-deficient support)")

@@ -325,10 +325,18 @@ def support_pairing(weights: Sequence[Scalar], node_rows, recip_rows, a: int, b:
 
 
 def support_gram(weights: Sequence[Scalar], node_rows, recip_rows) -> List[List[Scalar]]:
-    """Gram matrix <f_a | f_b> of every member of the value tables."""
+    """Gram matrix <f_a | f_b> of every member of the value tables.  Each
+    pairing with b >= a is summed once, the diagonal included so that a
+    NaN or inf shows; the entry below is its exact negation (every term of
+    <f_b | f_a> negates the matching term of <f_a | f_b>, in binary64 too)."""
     d = len(node_rows[0])
-    return [[support_pairing(weights, node_rows, recip_rows, a, b) for b in range(d)]
-            for a in range(d)]
+    gram = [[0] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(a, d):
+            gram[a][b] = support_pairing(weights, node_rows, recip_rows, a, b)
+            if b > a:
+                gram[b][a] = -gram[a][b]
+    return gram
 
 
 def skew_pattern_defect(gram: Sequence[Sequence[float]]) -> float:

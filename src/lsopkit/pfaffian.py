@@ -42,33 +42,47 @@ EXPANSION_CAP = 10
 
 
 class SkewArray:
-    """Skew-symmetric array of even size, storing only the strict upper triangle.
-
-    The accessor supplies e(j,i) = -e(i,j) and e(i,i) = 0; negative logical
-    sizes or odd sizes are rejected by the operations, not the container.
+    """Skew-symmetric array stored as the rows of its strict upper triangle:
+    rows[i][j] = e(i,j) for j > i, and nothing else is read.  The accessors
+    supply e(j,i) = -e(i,j) and e(i,i) = 0.  Bounds and completeness are
+    checked once, when the table is built; an index outside range(size)
+    raises IncompleteTableError.  Odd sizes are rejected by the Pfaffian
+    operations, not the container.
     """
 
-    __slots__ = ("size", "_upper")
+    __slots__ = ("size", "rows")
 
     def __init__(self, size: int, upper: Dict[Tuple[int, int], Scalar]):
-        self.size = size
-        for (i, j) in upper:
+        if size < 0:
+            raise DimensionError(f"table size must be >= 0, got {size}")
+        rows = [[0] * size for _ in range(size)]
+        for (i, j), v in upper.items():
             if not (0 <= i < j < size):
                 raise IncompleteTableError(f"entry ({i},{j}) outside strict upper triangle of size {size}")
-        self._upper = dict(upper)
+            rows[i][j] = v
+        if len(upper) != size * (size - 1) // 2:
+            i, j = next((i, j) for i in range(size) for j in range(i + 1, size) if (i, j) not in upper)
+            raise IncompleteTableError(f"entry ({i},{j}) missing")
+        self.size, self.rows = size, rows
+
+    @classmethod
+    def _of_rows(cls, rows: List[List[Scalar]]) -> "SkewArray":
+        s = cls.__new__(cls)
+        s.size, s.rows = len(rows), rows
+        return s
 
     @staticmethod
     def from_entry_fn(size: int, fn: Callable[[int, int], Scalar]) -> "SkewArray":
-        return SkewArray(size, {(i, j): fn(i, j) for i in range(size) for j in range(i + 1, size)})
+        """The table e(i,j) = fn(i,j), calling fn row by row over i < j."""
+        return SkewArray._of_rows([[0] * (i + 1) + [fn(i, j) for j in range(i + 1, size)]
+                                   for i in range(size)])
 
     def entry(self, i: int, j: int) -> Scalar:
+        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise IncompleteTableError(f"entry ({i},{j}) outside a table of size {self.size}")
         if i == j:
             return 0
-        if i < j:
-            if (i, j) not in self._upper:
-                raise IncompleteTableError(f"entry ({i},{j}) missing")
-            return self._upper[(i, j)]
-        return -self.entry(j, i)
+        return self.rows[i][j] if i < j else -self.rows[j][i]
 
     def dense(self) -> List[List[Scalar]]:
         return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
@@ -77,17 +91,12 @@ class SkewArray:
         """Sub-array in the given index order, copied from the upper
         triangle with the sign flipped where the order reverses a pair."""
         idx = list(indices)
-        up = self._upper
-        sub = {}
-        try:
-            for p, a in enumerate(idx):
-                for q in range(p + 1, len(idx)):
-                    b = idx[q]
-                    sub[(p, q)] = up[(a, b)] if a < b else -up[(b, a)] if a > b else 0
-        except KeyError as missing:
-            i, j = missing.args[0]
-            raise IncompleteTableError(f"entry ({i},{j}) missing") from None
-        return SkewArray(len(idx), sub)
+        for a in idx:
+            if not 0 <= a < self.size:
+                raise IncompleteTableError(f"index {a} outside a table of size {self.size}")
+        e = self.rows
+        return SkewArray._of_rows([[0] * (p + 1) + [e[a][b] if a < b else -e[b][a] if a > b else 0
+                                                    for b in idx[p + 1:]] for p, a in enumerate(idx)])
 
 
 def pf_expand(s: SkewArray) -> Scalar:
@@ -188,16 +197,16 @@ def pf_eliminate(s: SkewArray) -> Scalar:
 def pf_indices(s: SkewArray, indices: Sequence[int]) -> Scalar:
     """Pfaffian of the sub-array picked out by an ordered index list.
 
-    A repeated index forces the value 0 (antisymmetry).  The order of the
-    list matters: transposing two indices negates the result, which the
+    A repeated index forces the value 0 (antisymmetry); an index outside
+    the table raises IncompleteTableError, repeated or not.  The order of
+    the list matters: transposing two indices negates the result, which the
     sub-array construction realizes automatically.
     """
     idx = list(indices)
     if len(idx) % 2:
         raise DimensionError(f"index list must have even length, got {len(idx)}")
-    if len(set(idx)) != len(idx):
-        return 0
-    return pf_eliminate(s.submatrix(idx))
+    sub = s.submatrix(idx)
+    return 0 if len(set(idx)) != len(idx) else pf_eliminate(sub)
 
 
 def check_identity_even(s: SkewArray, base: Sequence[int], a: int, b: int, c: int, d: int) -> Scalar:
@@ -243,28 +252,20 @@ def _minor_identity_terms(s: SkewArray, base: Sequence[int], extra: Sequence[int
 
 
 def _working_rows(s: SkewArray) -> Tuple[List[List[Scalar]], Optional[int]]:
-    """Dense rows holding the strict upper triangle of s (the rest is unused),
+    """Rows holding the strict upper triangle of s, to eliminate in place,
     and the lcm of the denominators when every entry is exact, in which case
     the rows hold the entries times that lcm as ints; None for float tables."""
-    n = s.size
-    upper = s._upper
-    if len(upper) != n * (n - 1) // 2:
-        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in upper)
-        raise IncompleteTableError(f"entry ({i},{j}) missing")
-    m = [[0] * n for _ in range(n)]
+    rows = s.rows
     try:
         # moment tables repeat each lag's entry along a diagonal, so there
         # are few distinct denominators
-        denominators = {v.denominator for v in upper.values()}
+        denominators = {v.denominator for i, row in enumerate(rows) for v in row[i + 1:]}
     except AttributeError:  # a float entry (ints and Fractions have a denominator)
-        for (i, j), v in upper.items():
-            m[i][j] = v
-        return m, None
+        return [row[:] for row in rows], None
     scale = lcm(*denominators)
     factor = {d: scale // d for d in denominators}
-    for (i, j), v in upper.items():
-        m[i][j] = v.numerator * factor[v.denominator]
-    return m, scale
+    return [[0] * (i + 1) + [v.numerator * factor[v.denominator] for v in row[i + 1:]]
+            for i, row in enumerate(rows)], scale
 
 
 def _swap_sym(m: List[List[Scalar]], p: int, q: int, lo: int) -> None:

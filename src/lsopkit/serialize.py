@@ -81,39 +81,10 @@ def _scalar_text(x: Any) -> str:
 
 
 def loads(text: str, mode: str = "double") -> Any:
-    """Parse a structured-text document in the given scalar mode."""
+    """Parse a structured-text document in the given scalar mode.  Strings,
+    "p/q" ones included, stay strings: _numbers reads the numeric arrays."""
     validate_mode(mode)
-    if mode == "rational":
-        doc = json.loads(text, parse_float=Fraction, parse_int=int)
-    else:
-        doc = json.loads(text)
-    return _coerce(doc, mode)
-
-
-def _coerce(obj: Any, mode: str) -> Any:
-    if isinstance(obj, dict):
-        return {k: _coerce(v, mode) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_coerce(v, mode) for v in obj]
-    if isinstance(obj, str) and _looks_rational(obj):
-        try:
-            frac = Fraction(obj)
-            return frac if mode == "rational" else float(frac)
-        except (ZeroDivisionError, OverflowError):
-            raise ValueError(f"{obj!r} is not a number in {mode} mode") from None
-    return obj
-
-
-def _looks_rational(s: str) -> bool:
-    if "/" not in s:
-        return False
-    num, _, den = s.partition("/")
-    try:
-        int(num)
-        int(den)
-        return True
-    except ValueError:
-        return False
+    return json.loads(text, parse_float=Fraction) if mode == "rational" else json.loads(text)
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +118,21 @@ def load_measure(text: str, mode: str = "double") -> DiscreteMeasure:
 
 def _numbers(values: Any, name: str, mode: str) -> List[Scalar]:
     """A numeric array of a loaded file: floats in double mode, exact scalars
-    in rational mode.  A non-array value, a boolean, null, a nested array or,
-    in double mode, an integer beyond binary64 raises ValueError."""
+    in rational mode.  A string entry is read by Fraction ("p/q", decimal or
+    exponent form), then rounded once in double mode.  A non-array value, a
+    boolean, null, a nested array, an unreadable string or, in double mode,
+    a value beyond binary64 raises ValueError."""
     if not isinstance(values, list):
         raise ValueError(f"'{name}' must be an array of numbers")
     out: List[Scalar] = []
     for i, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, (int, float, str, Fraction)):
-            raise ValueError(f"'{name}' entry {i} is not a number")
         try:
-            out.append(float(x) if mode == "double" else Fraction(x) if isinstance(x, str) else x)
-        except OverflowError:
-            raise ValueError(f"'{name}' entry {i} is not a number in binary64") from None
+            if isinstance(x, bool) or not isinstance(x, (int, float, str, Fraction)):
+                raise ValueError
+            x = Fraction(x) if isinstance(x, str) else x
+            out.append(float(x) if mode == "double" else x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"'{name}' entry {i} is not a number") from None
     return out
 
 

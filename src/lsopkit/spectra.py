@@ -204,7 +204,11 @@ def symplectic_pencil_check(p: PencilPair) -> Tuple[float, float]:
 
 
 def transfer_matrix(p: PencilPair) -> Matrix:
-    """S = V^-1 U: one elimination of V carries every column of U."""
+    """S = V^-1 U: one elimination of V carries every column of U.  Raises
+    ValueError on a NaN or infinite entry, which the pivot search would skip
+    or read as a finite S."""
+    if not all(math.isfinite(x) for m in (p.u, p.v) for row in m for x in row):
+        raise ValueError("pencil entries must be finite")
     return transpose(solve_columns(p.v, transpose(p.u)))
 
 

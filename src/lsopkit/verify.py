@@ -71,7 +71,8 @@ class RunConfig:
         validate_mode(self.mode)
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
-                raise ValueError(f"unknown tolerance name {name!r}")
+                known = ", ".join(sorted(DEFAULT_TOLERANCES))
+                raise ValueError(f"unknown tolerance {name!r}; known names: {known}")
             if not value > 0:
                 raise ValueError(f"tolerance {name} must be positive")
 

@@ -115,6 +115,18 @@ def test_gram_schmidt_matches_shift_values():
             assert a == pytest.approx(b, abs=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["double", "rational"])
+def test_gram_schmidt_pairs_keep_the_shear_convention(mode):
+    # projection against pairs 0..k-1 (exponents -k..k-1) leaves the even
+    # member's z^k coefficient at 1 and gives the odd member no z^k term
+    for seed in (1, 2, 3):
+        for order in (1, 2, 3):
+            m = random_family(seed, order, mode).measure
+            for k, (p_even, p_odd, _) in enumerate(gram_schmidt_pairs(m, 2 * order)):
+                assert p_even.coeff(k) == 1
+                assert k not in p_odd.coeffs
+
+
 def test_gram_schmidt_degenerate_support():
     dup = DiscreteMeasure([2.0, 2.0], [0.3, 0.4], strict=False)
     with pytest.raises(DegeneracyError):

@@ -12,7 +12,8 @@ from lsopkit.lsop import (evaluate_family, even_to_op,
                           hankel_det, kodama_residuals, kodama_sops, lsop_via_pfaffian,
                           lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
                           orthonormalize, random_family, recurrence_from_measure,
-                          shifted_hankel_det, skew_pattern_defect, verify_pfaffian_det)
+                          shifted_hankel_det, skew_pattern_defect, support_gram,
+                          support_pairing, verify_pfaffian_det)
 from lsopkit.moments import DiscreteMeasure, MomentTable, mu_moment, skew_inner
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])
@@ -275,3 +276,26 @@ def test_stieltjes_order_cap():
     m = random_family(1, 2, "double").measure
     with pytest.raises(DegeneracyError):
         recurrence_from_measure(m, 3)
+
+
+def _same_value(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@pytest.mark.parametrize("mode", ["double", "rational"])
+def test_support_gram_is_the_full_pairing_table(mode):
+    # support_gram sums each pairing with b >= a once and negates it below the
+    # diagonal; the full table sums every pairing
+    nan, inf = float("nan"), float("inf")
+    tables = [(fv.measure.weights,) + (fv.monic_values() if mode == "rational" else
+                                       (fv.qt_node, fv.qt_recip))
+              for fv in (random_family(seed, order, mode) for seed in (1, 2) for order in (2, 4))]
+    special = ([0.5, 1.5], [[1.0, nan, 2.0], [0.5, 3.0, inf]], [[2.0, 1.0, -1.0], [inf, 0.25, 1.0]])
+    for weights, node, recip in tables + [special]:
+        d = len(node[0])
+        full = [[support_pairing(weights, node, recip, a, b) for b in range(d)] for a in range(d)]
+        gram = support_gram(weights, node, recip)
+        assert len(gram) == d and all(len(row) == d for row in gram)
+        assert all(_same_value(g, f) for grow, frow in zip(gram, full) for g, f in zip(grow, frow))
+    # the diagonal is summed, so a NaN or inf member still shows there
+    assert math.isnan(support_gram(*special)[1][1]) and math.isnan(support_gram(*special)[2][2])

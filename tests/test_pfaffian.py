@@ -97,18 +97,51 @@ def test_expansion_cap():
 
 
 def test_missing_entry_detected():
-    s = SkewArray(4, {(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 4, (1, 3): 5})
+    # a table missing an entry is refused when it is built, before any Pfaffian
+    with pytest.raises(IncompleteTableError, match=r"entry \(2,3\) missing"):
+        SkewArray(4, {(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 4, (1, 3): 5})
+    with pytest.raises(IncompleteTableError, match=r"entry \(0,1\) missing"):
+        SkewArray(2, {})
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_index_outside_table_refused(bad):
+    # a negative index must not wrap around to the last row
+    s = SkewArray.from_entry_fn(4, lambda i, j: 10 * i + j)
     with pytest.raises(IncompleteTableError):
-        pf_expand(s)
-    with pytest.raises(IncompleteTableError, match=r"entry \(2,3\) missing"):
-        pf_eliminate(s)
-    with pytest.raises(IncompleteTableError, match=r"entry \(2,3\) missing"):
-        pf_indices(s, [3, 0, 2, 1])
+        s.entry(bad, 0)
+    with pytest.raises(IncompleteTableError):
+        s.entry(1, bad)
+    with pytest.raises(IncompleteTableError):
+        s.entry(bad, bad)
+    with pytest.raises(IncompleteTableError):
+        s.submatrix([0, bad])
+    with pytest.raises(IncompleteTableError):
+        pf_indices(s, [2, bad])
+    with pytest.raises(IncompleteTableError):
+        pf_indices(s, [bad, bad])
+
+
+def test_rows_hold_the_upper_triangle():
+    # from_entry_fn calls fn row by row over i < j; submatrix flips the sign
+    # where the index order reverses a pair
+    calls = []
+    s = SkewArray.from_entry_fn(4, lambda i, j: calls.append((i, j)) or 10 * i + j)
+    assert calls == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert s.dense() == [[0, 1, 2, 3], [-1, 0, 12, 13], [-2, -12, 0, 23], [-3, -13, -23, 0]]
+    assert SkewArray(4, {(i, j): 10 * i + j for i, j in calls}).dense() == s.dense()
+    sub = s.submatrix([3, 0, 2, 2])
+    assert sub.dense() == [[0, -3, -23, -23], [3, 0, 2, 2], [23, -2, 0, 0], [23, -2, 0, 0]]
+    # 1*23 - 2*13 + 3*12; [3, 0, 2, 1] is an even permutation, [1, 0, 2, 3] odd
+    assert pf_expand(s) == pf_eliminate(s) == pf_indices(s, [3, 0, 2, 1]) == 33
+    assert pf_indices(s, [1, 0, 2, 3]) == -33
 
 
 def test_entry_table_bounds_checked():
     with pytest.raises(IncompleteTableError):
         SkewArray(2, {(1, 0): 1})
+    with pytest.raises(DimensionError):
+        SkewArray(-2, {})
 
 
 def test_routes_agree_exactly_up_to_ten():

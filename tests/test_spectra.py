@@ -186,10 +186,14 @@ def test_pencil_eigenvalues_past_sixty_stalled_sweeps():
 
 
 def test_pencil_eigenvalues_refuse_non_finite_pencil():
-    p = pencil_from_recurrence(tridiagonal_recurrence([5.0] * 4, [1.0] * 3))
-    p.u[1][2] = float("nan")
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        pencil_eigenvalues(p)
+    # before the elimination: its pivot search skips a NaN, and 1 / inf = 0
+    # would give finite eigenvalues for a V holding an inf
+    for block, (i, j) in (("u", (1, 2)), ("v", (5, 1))):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            p = pencil_from_recurrence(tridiagonal_recurrence([5.0] * 4, [1.0] * 3))
+            getattr(p, block)[i][j] = bad
+            with pytest.raises(ValueError, match="pencil entries must be finite"):
+                pencil_eigenvalues(p)
 
 
 def test_transfer_matrix_solves_pencil():

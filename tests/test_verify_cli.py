@@ -240,6 +240,32 @@ def test_decimal_literals_parse_exactly_in_rational_mode():
     assert m.weights[0] == Fraction(1, 10)  # exact decimal, not binary float
 
 
+@pytest.mark.parametrize("mode", ["double", "rational"])
+def test_string_numbers_read_as_literals(mode):
+    # a string entry reads as the literal it spells: correctly rounded in
+    # double mode (as float(s)), exact in rational mode
+    texts = ["2.5", "1.1", "-3.75", "1e-3", "2.5E+2", "0.1", "7/3", "-22/7", "1234567.891e-2"]
+    doc = json.dumps({"nodes": texts, "weights": ["1"] * len(texts)})
+    m = serialize.load_measure(doc, mode)
+    if mode == "double":
+        assert list(m.nodes) == [float(Fraction(t)) for t in texts]
+        assert [m.nodes[i] for i in range(6)] == [float(t) for t in texts[:6]]
+        assert all(type(z) is float for z in m.nodes + m.weights)
+    else:
+        assert list(m.nodes) == [Fraction(t) for t in texts]
+        assert m.nodes[3] == Fraction(1, 1000) and m.nodes[4] == 250
+    # the same values as unquoted literals, where JSON has them
+    literal = serialize.load_measure('{"nodes": [2.5, 1.1, -3.75, 1e-3, 2.5E+2, 0.1],'
+                                     ' "weights": [1, 1, 1, 1, 1, 1]}', mode)
+    assert list(literal.nodes) == list(m.nodes[:6])
+
+
+def test_strings_outside_numeric_arrays_stay_strings():
+    text = '{"nodes": ["3/2"], "weights": [1], "metadata": {"tau": ["5/2"], "name": "1/3"}}'
+    assert serialize.loads(text)["metadata"] == {"tau": ["5/2"], "name": "1/3"}
+    assert serialize.load_measure(text, "double").nodes == (1.5,)
+
+
 def test_seventeen_digit_roundtrip():
     x = 0.1234567890123456789
     text = serialize.dumps({"x": x})
@@ -305,10 +331,16 @@ def test_cli_verify_flag_exit_code(tmp_path):
     assert code == 2
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     assert run_cli("verify", "--tol", "bogus") == 1
+    assert capsys.readouterr().err == "error: --tol expects NAME=VALUE, got 'bogus'\n"
+    # RunConfig refuses the unknown name and lists the known ones
     assert run_cli("verify", "--tol", "no-such=1e-3") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown tolerance 'no-such'; known names: ")
+    assert err.rstrip("\n").split("known names: ")[1] == ", ".join(sorted(DEFAULT_TOLERANCES))
     assert run_cli("verify", str(tmp_path / "missing.json")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert run_cli("no-such-command") == 1
 
 
@@ -388,6 +420,8 @@ MALFORMED_MEASURES = [
     '{"nodes": 1.5, "weights": [0.5]}',
     '{"nodes": [1.5], "weights": {"w": 0.5}}',
     '{"nodes": [1.5, "1/0"], "weights": [0.5, 0.5]}',
+    '{"nodes": [1.5, "abc"], "weights": [0.5, 0.5]}',
+    '{"nodes": [1.5, 2.5], "weights": [0.5, "nan"]}',
 ]
 MALFORMED_BUTTERFLY = [
     '{"a": [1.0], "b": [0.5], "c": [2.0], "d": null}',
@@ -421,10 +455,14 @@ def test_cli_solve_butterfly(tmp_path):
     assert doc["pairs"][0] == [[2.0, 0.0], [0.5, 0.0]]
 
 
-def test_cli_solve_butterfly_refuses_bad_hypothesis(tmp_path):
+def test_cli_solve_butterfly_refuses_bad_hypothesis(tmp_path, capsys):
+    # butterfly_to_tridiagonal's AdmissibilityError, printed by main
     pfile = tmp_path / "bp.json"
     pfile.write_text(save_butterfly_params([1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [0.5]))
     assert run_cli("solve-butterfly", str(pfile)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: reduction hypothesis a_i a_{i+1} > 0 violated\n"
+    assert captured.out == ""
 
 
 def test_poly_pairs_serialization():
