@@ -8,7 +8,8 @@ values: every operation returns a fresh polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from math import lcm
+from typing import Dict, List, Optional, Tuple
 
 from .modes import Scalar
 
@@ -115,10 +116,26 @@ class LaurentPoly:
             if any(e < 0 for e in self.coeffs):
                 raise ZeroDivisionError("Laurent polynomial with negative exponents at z=0")
             return self.coeffs.get(0, 0) * 1
+        cleared = self.integer_form() if type(z) is Fraction and self.coeffs else None
+        if cleared is not None:
+            ints, d = cleared
+            p, q = z.numerator, z.denominator
+            lo, hi = min(ints), max(ints)
+            num = homogeneous(ints, lo, hi, p, q) * p ** max(lo, 0) * q ** max(-hi, 0)
+            return Fraction(num, d * p ** max(-lo, 0) * q ** max(hi, 0))
         total = 0
         for e, c in self.coeffs.items():
             total += c * int_power(z, e)
         return total
+
+    def integer_form(self) -> Optional[Tuple[Dict[int, int], int]]:
+        """({e: C_e}, D) with integer C_e and c_e = C_e / D, D the lcm of the
+        coefficient denominators; None when a coefficient is not int/Fraction."""
+        try:
+            d = lcm(*(c.denominator for c in self.coeffs.values()))
+        except AttributeError:  # a float or complex coefficient
+            return None
+        return {e: c.numerator * (d // c.denominator) for e, c in self.coeffs.items()}, d
 
     # -- comparisons -----------------------------------------------------
 
@@ -148,6 +165,17 @@ class LaurentPoly:
                 cs = format(c, ".6g")
             parts.append(f"{cs}*z^{e}" if e else str(cs))
         return "LaurentPoly(" + " + ".join(parts) + ")"
+
+
+def homogeneous(ints: Dict[int, int], lo: int, hi: int, p: int, q: int) -> int:
+    """sum_e C_e p^(e-lo) q^(hi-e) over lo..hi by Horner in p: D z^-lo q^(hi-lo) f(z)
+    at z = p/q when ({e: C_e}, D) is the integer form of f."""
+    acc, qk = 0, 1
+    for e in range(hi, lo - 1, -1):
+        c = ints.get(e)
+        acc = acc * p + c * qk if c else acc * p
+        qk *= q
+    return acc
 
 
 def int_power(z: Scalar, e: int) -> Scalar:

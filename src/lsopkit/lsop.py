@@ -46,7 +46,7 @@ from .laurent import LaurentPoly
 from .modes import Scalar, is_exact
 from .moments import DiscreteMeasure, MomentTable
 from .numerics import dense_det, nan_max, solve_linear
-from .pfaffian import SkewArray, pf_indices
+from .pfaffian import SkewArray, pf_bordered_minors, pf_indices
 
 TAU_DEGENERACY_RELATIVE = 1e-8
 NODE_RANGE = (1.2, 5.0)
@@ -121,13 +121,15 @@ def moment_skew_array(mu: MomentTable, exponents: Sequence[int]) -> SkewArray:
                                    lambda i, j: mu.mu_at(exponents[j] - exponents[i]))
 
 
-def bordered_pfaffian(table: SkewArray, exponents: Sequence[int]) -> LaurentPoly:
+def bordered_pfaffian(table: SkewArray, exponents: Sequence[int], exact: bool) -> LaurentPoly:
     """The Pfaffian of an odd-size skew table bordered by the column of
     monomials z^e_p, expanded along that column: the coefficient of z^e_p is
-    (-1)^p Pf(table without position p)."""
+    (-1)^p Pf(table without position p): from one elimination
+    (pf_bordered_minors) when exact, which a size-1 table cannot tell."""
     positions = range(len(exponents))
-    return LaurentPoly({e: (-1) ** p * pf_indices(table, [i for i in positions if i != p])
-                        for p, e in enumerate(exponents)})
+    minors = (pf_bordered_minors(table) if exact else
+              [(-1) ** p * pf_indices(table, [i for i in positions if i != p]) for p in positions])
+    return LaurentPoly(dict(zip(exponents, minors)))
 
 
 def moment_pfaffian_table(mu: MomentTable, n: int) -> RecurrenceData:
@@ -511,7 +513,7 @@ def lsop_via_pfaffian(mu: MomentTable, n: int) -> LaurentPoly:
     so the odd members have no z^2m term by construction.
     """
     exponents = list(range(2 * (n // 2))) + [n]
-    minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
+    minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents, is_exact(mu.mu_at(1)))
     tau_m = minors.coeff(n)
     if tau_m == 0:
         raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .laurent import LaurentPoly, int_power
+from .laurent import LaurentPoly, homogeneous, int_power
 from .modes import Scalar, is_exact
 
 
@@ -87,7 +87,23 @@ def _checked_scalar(x: Scalar, what: str) -> Scalar:
 
 
 def skew_inner(m: DiscreteMeasure, f: LaurentPoly, g: LaurentPoly) -> Scalar:
-    """<f|g> by direct summation over the support."""
+    """<f|g> by direct summation over the support.
+
+    Exact input adds one Fraction per node z = p/q: with (F, D_f), (G, D_g)
+    the integer forms of f, g on [-M, M] (laurent.homogeneous), M the largest
+    |exponent|, the term is (F(q,p) G(p,q) - F(p,q) G(q,p)) w / (D_f D_g (pq)^2M)."""
+    ff = f.integer_form() if m.is_exact() else None
+    gf = ff and g.integer_form()
+    if gf:
+        (fi, df), (gi, dg) = ff, gf
+        top = max(map(abs, [*fi, *gi]), default=0)
+        total = 0
+        for z, w in zip(m.nodes, m.weights):
+            p, q = z.numerator, z.denominator
+            num = (homogeneous(fi, -top, top, q, p) * homogeneous(gi, -top, top, p, q)
+                   - homogeneous(fi, -top, top, p, q) * homogeneous(gi, -top, top, q, p))
+            total += Fraction(num * w.numerator, df * dg * (p * q) ** (2 * top) * w.denominator)
+        return total
     total = 0
     for z, w in zip(m.nodes, m.weights):
         zi = 1 / z

@@ -22,6 +22,9 @@ indices; the coefficient routes stay well below that.  On exact input
 expansion and elimination agree identically; elimination returns an exact
 structural 0 when a pivot step finds no nonzero entry.
 
+``pf_bordered_minors`` gets every (-1)^p Pf(A without p) of an odd exact
+table from one such elimination, the unit border columns carried along.
+
 ``check_identity_even`` / ``check_identity_odd`` evaluate the two minor
 identities that relate a Pfaffian bordered by four extra indices to
 three-fold products of smaller Pfaffians (the even identity fixes an
@@ -150,48 +153,30 @@ def pf_eliminate(s: SkewArray) -> Scalar:
     if n == 0:
         return 1
     m, scale = _working_rows(s)
-    sign = 1
-    result = None  # float route: running product, seeded by the first pivot to keep the scalar type
-    prev = 1  # exact route: the previous pivot, which divides every update exactly
-    for k in range(0, n, 2):
-        pi, pj, best = -1, -1, 0
-        for i in range(k, n):
-            row = m[i]
-            for j in range(i + 1, n):
-                v = abs(row[j])
-                if v > best:
-                    best, pi, pj = v, i, j
-        if pi < 0:
-            return 0
-        if pi != k:
-            _swap_sym(m, k, pi, k)
-            sign = -sign
-        if pj != k + 1:
-            _swap_sym(m, k + 1, pj, k)
-            sign = -sign
-        rk, rk1 = m[k], m[k + 1]
-        a = rk[k + 1]
-        if scale is None:
-            result = a if result is None else result * a
-            for i in range(k + 2, n):
-                bi0, bi1 = rk[i], rk1[i]
-                if bi0 == 0 and bi1 == 0:
-                    continue
-                ri = m[i]
-                for j in range(i + 1, n):
-                    upd = (bi1 * rk[j] - bi0 * rk1[j]) / a
-                    if upd != 0:
-                        ri[j] += upd
-        else:
-            for i in range(k + 2, n):
-                bi0, bi1 = rk[i], rk1[i]
-                ri = m[i]
-                ri[i + 1:] = [(a * x + bi1 * y - bi0 * z) // prev
-                              for x, y, z in zip(ri[i + 1:], rk[i + 1:], rk1[i + 1:])]
-            prev = a
+    sign, last = _eliminate(m, n, n // 2, scale)
+    if sign == 0:
+        return 0
     if scale is None:
-        return result if sign > 0 else -result
-    return Fraction(prev if sign > 0 else -prev, scale ** (n // 2))
+        return last if sign > 0 else -last
+    return Fraction(sign * last, scale ** (n // 2))
+
+
+def pf_bordered_minors(s: SkewArray) -> List[Fraction]:
+    """[(-1)^p Pf(s without p) for p < n] of an odd exact table, the border
+    coefficients of Pf([[s, x], [-x^T, 0]]), from one fraction-free elimination
+    over the table's indices with the unit border columns as n extra columns
+    of every row: the unpivoted index's border row, signed and divided by
+    L^((n-1)/2).  A rank below n - 1 gives sign 0, so every minor is 0."""
+    n = s.size
+    if n % 2 == 0:
+        raise DimensionError(f"bordered minors need odd size, got {n}")
+    m, scale = _working_rows(s)
+    if scale is None:
+        raise TypeError("bordered minors need an exact (int/Fraction) table")
+    for i, row in enumerate(m):
+        row.extend(1 if j == i else 0 for j in range(n))
+    sign, _ = _eliminate(m, n, n // 2, scale)
+    return [Fraction(sign * v, scale ** (n // 2)) for v in m[n - 1][n:]]
 
 
 def pf_indices(s: SkewArray, indices: Sequence[int]) -> Scalar:
@@ -266,6 +251,54 @@ def _working_rows(s: SkewArray) -> Tuple[List[List[Scalar]], Optional[int]]:
     factor = {d: scale // d for d in denominators}
     return [[0] * (i + 1) + [v.numerator * factor[v.denominator] for v in row[i + 1:]]
             for i, row in enumerate(rows)], scale
+
+
+def _eliminate(m: List[List[Scalar]], n: int, steps: int, scale: Optional[int]) -> Tuple[int, Scalar]:
+    """`steps` 2x2 steps in place over the indices 0..n-1 of the rows m: by
+    division on float rows (scale None), fraction-free on int rows, whose
+    updates span the whole row, columns beyond n included.  The swaps' sign
+    (0 when a step finds no nonzero entry) and the float pivots' product or
+    the last int pivot."""
+    sign = 1
+    result = None  # float route: running product, seeded by the first pivot to keep the scalar type
+    prev = 1  # exact route: the previous pivot, which divides every update exactly
+    for k in range(0, 2 * steps, 2):
+        pi, pj, best = -1, -1, 0
+        for i in range(k, n):
+            row = m[i]
+            for j in range(i + 1, n):
+                v = abs(row[j])
+                if v > best:
+                    best, pi, pj = v, i, j
+        if pi < 0:
+            return 0, 0
+        if pi != k:
+            _swap_sym(m, k, pi, k)
+            sign = -sign
+        if pj != k + 1:
+            _swap_sym(m, k + 1, pj, k)
+            sign = -sign
+        rk, rk1 = m[k], m[k + 1]
+        a = rk[k + 1]
+        if scale is None:
+            result = a if result is None else result * a
+            for i in range(k + 2, n):
+                bi0, bi1 = rk[i], rk1[i]
+                if bi0 == 0 and bi1 == 0:
+                    continue
+                ri = m[i]
+                for j in range(i + 1, n):
+                    upd = (bi1 * rk[j] - bi0 * rk1[j]) / a
+                    if upd != 0:
+                        ri[j] += upd
+        else:
+            for i in range(k + 2, n):
+                bi0, bi1 = rk[i], rk1[i]
+                ri = m[i]
+                ri[i + 1:] = [(a * x + bi1 * y - bi0 * z) // prev
+                              for x, y, z in zip(ri[i + 1:], rk[i + 1:], rk1[i + 1:])]
+            prev = a
+    return sign, (result if scale is None else prev)
 
 
 def _swap_sym(m: List[List[Scalar]], p: int, q: int, lo: int) -> None:

@@ -141,13 +141,18 @@ def _numbers(values: Any, name: str, mode: str) -> List[Scalar]:
 # ---------------------------------------------------------------------------
 
 def load_butterfly_params(text: str):
-    """The quadruples (a, b, c, d) of a butterfly parameter file, as floats."""
+    """The quadruples (a, b, c, d) of a butterfly parameter file, as finite floats."""
     doc = loads(text)
     try:
         parts = [doc["a"], doc["b"], doc["c"], doc["d"]]
     except (KeyError, TypeError) as exc:
         raise ValueError("butterfly file needs 'a', 'b', 'c', 'd' arrays") from exc
-    return tuple(_numbers(part, name, "double") for part, name in zip(parts, "abcd"))
+    parts = tuple(_numbers(part, name, "double") for part, name in zip(parts, "abcd"))
+    for part, name in zip(parts, "abcd"):
+        for i, x in enumerate(part):
+            if not math.isfinite(x):
+                raise ValueError(f"'{name}' entry {i} is not finite")
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,17 @@ def test_first_three_members():
     assert q2 == LaurentPoly({2: Fraction(1), 1: Fraction(-5, 2), 0: Fraction(1)})
 
 
+def test_pfaffian_member_coefficient_types():
+    # q_0 and q_1 come from size-1 tables with no entry: exactness is the moment table's
+    for mode, kind in (("rational", Fraction), ("double", float)):
+        m = random_family(12, 3, mode).measure
+        table = MomentTable.from_measure(m, 3)
+        for n in range(7):
+            q = lsop_via_pfaffian(table, n)
+            assert q.coeff(n) == 1
+            assert all(type(c) is kind for c in q.coeffs.values()), (mode, n, q)
+
+
 def test_recurrence_seeds_and_q2():
     rec = recurrence_from_measure(REF, 1)
     qs = lsop_via_recurrence(rec, 1)

@@ -1,6 +1,7 @@
 """Discrete measures, skew inner product, and moment transforms."""
 
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,47 @@ def test_laurent_argument_symmetry():
     for _ in range(8):
         f, g = rational_poly(rng), rational_poly(rng)
         assert skew_inner(m, f, g) == skew_inner(m, g.reciprocal_arg(), f.reciprocal_arg())
+
+
+def summed_over_nodes(m, f, g):
+    """skew_inner as it was before exact input took integer forms: both
+    arguments evaluated at z and 1/z, one Fraction operation per step."""
+    total = 0
+    for z, w in zip(m.nodes, m.weights):
+        zi = 1 / z
+        total += (f(zi) * g(z) - f(z) * g(zi)) * w
+    return total
+
+
+def test_exact_skew_inner_matches_node_sum():
+    rng = random.Random(8)
+    measures = [random_family(s, 3, "rational").measure for s in (1, 4)]
+    measures.append(DiscreteMeasure([Fraction(-5, 2), Fraction(1, 3), Fraction(7)],
+                                    [Fraction(-1, 2), Fraction(3, 4), 2]))
+    for m in measures:
+        for trial in range(20):
+            f, g = rational_poly(rng), rational_poly(rng)
+            if trial % 4 == 0:
+                g = LaurentPoly({e + 3 * rng.choice((-1, 1)): rng.randint(-5, 5)
+                                 for e, _ in g.to_pairs()})  # int coefficients, wider exponents
+            if trial == 5:
+                f = LaurentPoly.zero()
+            got, ref = skew_inner(m, f, g), summed_over_nodes(m, f, g)
+            assert got == ref and type(got) is type(ref), (f, g)
+    assert type(skew_inner(REF, LaurentPoly.zero(), LaurentPoly.zero())) is Fraction
+
+
+def test_float_skew_inner_is_the_node_sum_bit_for_bit():
+    rng = random.Random(9)
+    exact = random_family(2, 3, "rational").measure
+    for m, poly in ((exact.as_float(), lambda: rational_poly(rng).as_float()),
+                    (exact.as_float(), lambda: rational_poly(rng)),
+                    (exact, lambda: rational_poly(rng).as_float())):
+        for _ in range(20):
+            f, g = poly(), poly()
+            got, ref = skew_inner(m, f, g), summed_over_nodes(m, f, g)
+            assert type(got) is type(ref) is float
+            assert struct.pack("<d", got) == struct.pack("<d", ref), (f, g)
 
 
 def test_moment_table_entries_depend_on_difference():

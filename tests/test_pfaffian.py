@@ -3,24 +3,28 @@
 The suite checks elimination against expansion and the dense determinant
 on seeded tables, and the moment-table Pfaffians of the rational fixed
 measure against the exact folded walk's tau_k at N = 6.  The same
-comparison at N = 8, 12 and 16 (7 to 11 s in single runs) runs with
+comparison at N = 8, 12 and 16 (7 to 11 s in single runs), and the bordered
+minors of the moment tables of q_0..q_16 at N = 8 (up to 17 indices, under
+a second) against a Pfaffian per minor, run with
 
     PYTHONPATH=src python tests/test_pfaffian.py
 """
 
 import random
+import struct
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsopkit.errors import DimensionError, ExpansionLimitError, IncompleteTableError
-from lsopkit.lsop import moment_skew_array, recurrence_from_measure
+from lsopkit.lsop import bordered_pfaffian, moment_skew_array, recurrence_from_measure
 from lsopkit.moments import DiscreteMeasure, MomentTable
 from lsopkit.numerics import dense_det
-from lsopkit.pfaffian import (SkewArray, check_identity_even, check_identity_odd,
-                              pf_eliminate, pf_expand, pf_indices)
+from lsopkit.pfaffian import (SkewArray, _swap_sym, check_identity_even, check_identity_odd,
+                              pf_bordered_minors, pf_eliminate, pf_expand, pf_indices)
 
 
 def rational_skew(rng, size):
@@ -29,7 +33,9 @@ def rational_skew(rng, size):
 
 def exact_skew(rng, size, kind):
     """Seeded exact table: int, mixed int/Fraction, a Fraction table with one
-    zero row, or X J X^T of rank at most size - 2 with no zero entry forced."""
+    zero row, or X J X^T of rank at most size - 2 (size - 3 when size is
+    odd, which zeroes every minor of one index fewer) with no zero entry
+    forced."""
     if kind == "int":
         return SkewArray.from_entry_fn(size, lambda i, j: rng.randint(-9, 9))
     if kind == "mixed":
@@ -39,10 +45,11 @@ def exact_skew(rng, size, kind):
         zero = rng.randrange(size)
         s = rational_skew(rng, size)
         return SkewArray.from_entry_fn(size, lambda i, j: 0 if zero in (i, j) else s.entry(i, j))
-    x = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size - 2)]
+    rank = size - 2 - size % 2
+    x = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rank)]
          for _ in range(size)]
     return SkewArray.from_entry_fn(size, lambda i, j: sum(
-        x[i][p] * x[j][p + 1] - x[i][p + 1] * x[j][p] for p in range(0, size - 2, 2)))
+        x[i][p] * x[j][p + 1] - x[i][p + 1] * x[j][p] for p in range(0, rank, 2)))
 
 
 def rational_fixed_measure(n):
@@ -59,6 +66,20 @@ def moment_taus(n):
     table = moment_skew_array(MomentTable.from_measure(m, n), range(2 * n))
     return ([pf_eliminate(table.submatrix(range(2 * k))) for k in range(n + 1)],
             list(recurrence_from_measure(m, n).tau))
+
+
+def per_minor(s):
+    """[(-1)^p Pf(s without p)], one elimination per minor."""
+    return [(-1) ** p * pf_indices(s, [i for i in range(s.size) if i != p]) for p in range(s.size)]
+
+
+def bordered_minors_agree(mu, k):
+    """bordered_pfaffian's one elimination against a Pfaffian per minor on the
+    table that lsop_via_pfaffian borders for q_k."""
+    exponents = list(range(2 * (k // 2))) + [k]
+    table = moment_skew_array(mu, exponents)
+    return bordered_pfaffian(table, exponents, exact=True).coeffs == {
+        e: v for e, v in zip(exponents, per_minor(table)) if v != 0}
 
 
 def test_empty_array_is_one():
@@ -155,6 +176,72 @@ def test_routes_agree_exactly_up_to_ten():
         for kind in ("int", "mixed", "zero-row", "rank-deficient") if size else ():
             s = exact_skew(rng, size, kind)
             assert pf_eliminate(s) == pf_expand(s), (size, kind)
+
+
+def test_bordered_minors_match_per_minor_pfaffians():
+    rng = random.Random(19)
+    for size in range(1, 12, 2):
+        for kind in ("rational", "int", "mixed", "zero-row", "rank-deficient"):
+            for _ in range(3):
+                s = rational_skew(rng, size) if kind == "rational" else exact_skew(rng, size, kind)
+                minors = pf_bordered_minors(s)
+                assert minors == per_minor(s), (size, kind)
+                assert all(type(v) is Fraction for v in minors)
+    assert pf_bordered_minors(SkewArray(1, {})) == [1]
+    with pytest.raises(DimensionError):
+        pf_bordered_minors(rational_skew(rng, 4))
+
+
+def eliminated_in_binary64(s):
+    """pf_eliminate's float route as it was before its loop became the
+    elimination shared with pf_bordered_minors."""
+    n = s.size
+    m = [row[:] for row in s.rows]
+    sign, result = 1, None
+    for k in range(0, n, 2):
+        pi, pj, best = -1, -1, 0
+        for i in range(k, n):
+            for j in range(i + 1, n):
+                if abs(m[i][j]) > best:
+                    best, pi, pj = abs(m[i][j]), i, j
+        if pi < 0:
+            return 0
+        if pi != k:
+            _swap_sym(m, k, pi, k)
+            sign = -sign
+        if pj != k + 1:
+            _swap_sym(m, k + 1, pj, k)
+            sign = -sign
+        rk, rk1 = m[k], m[k + 1]
+        a = rk[k + 1]
+        result = a if result is None else result * a
+        for i in range(k + 2, n):
+            bi0, bi1 = rk[i], rk1[i]
+            if bi0 == 0 and bi1 == 0:
+                continue
+            for j in range(i + 1, n):
+                upd = (bi1 * rk[j] - bi0 * rk1[j]) / a
+                if upd != 0:
+                    m[i][j] += upd
+    return result if sign > 0 else -result
+
+
+def test_float_elimination_is_unchanged_bit_for_bit():
+    rng = random.Random(23)
+    for size in range(2, 17, 2):
+        for kind in ("uniform", "sparse", "rank-deficient", "mixed"):
+            if kind == "rank-deficient":
+                exact = exact_skew(rng, size, kind)
+                s = SkewArray.from_entry_fn(size, lambda i, j: float(exact.entry(i, j)))
+            else:
+                s = SkewArray.from_entry_fn(size, lambda i, j: (
+                    0.0 if kind == "sparse" and rng.random() < 0.5 else
+                    Fraction(rng.randint(-9, 9), 7) if kind == "mixed" and rng.random() < 0.3 else
+                    rng.uniform(-3, 3)))
+            got, ref = pf_eliminate(s), eliminated_in_binary64(s)
+            assert type(got) is type(ref)
+            assert (struct.pack("<d", got) == struct.pack("<d", ref) if isinstance(got, float)
+                    else got == ref), (size, kind)
 
 
 def test_square_equals_determinant():
@@ -273,4 +360,9 @@ if __name__ == "__main__":
         print(f"N = {n}: Pf(0..2k-1) of the moment table equals the folded walk's tau_k "
               f"for k <= {n}: {agree}", flush=True)
         ok = ok and agree
-    sys.exit(0 if ok else 1)
+    t0 = time.perf_counter()
+    mu = MomentTable.from_measure(rational_fixed_measure(8), 8)
+    agree = all(bordered_minors_agree(mu, k) for k in range(17))
+    print(f"bordered minors of q_0..q_16's moment tables (up to 17 indices) equal the "
+          f"per-minor Pfaffians: {agree} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    sys.exit(0 if ok and agree else 1)

@@ -465,6 +465,21 @@ def test_cli_solve_butterfly_refuses_bad_hypothesis(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"a": [1.0, NaN], "b": [0.0, 0.0], "c": [1.0, 1.0], "d": [0.5]}', "'a' entry 1 is not finite"),
+    ('{"a": [1.0, 1.0], "b": [0.0, Infinity], "c": [1.0, 1.0], "d": [0.5]}',
+     "'b' entry 1 is not finite"),
+])
+def test_cli_solve_butterfly_refuses_non_finite(tmp_path, capsys, text, message):
+    # JSON parsing reads NaN and Infinity; the loader, not the eigensolver, refuses them
+    pfile = tmp_path / "bp.json"
+    pfile.write_text(text)
+    assert run_cli("solve-butterfly", str(pfile)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_poly_pairs_serialization():
     from lsopkit.laurent import LaurentPoly
 
