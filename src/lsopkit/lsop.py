@@ -3,7 +3,9 @@
 Two independent routes build the same monic family {q_n}:
 
 * the moment-table route: q_n is the skew-moment table bordered by a column
-  of monomials, expanded by bordered_pfaffian, over tau (the oracle path);
+  of monomials, over tau (the oracle path); on an exact table one unpivoted
+  elimination (pfaffian_route) gives every q_n, tau_m and sigma_m at once, on
+  a float table bordered_pfaffian takes one pivoted Pfaffian per minor;
 * the recurrence route: q_0 = 1, q_1 = z, then the two coupled relations
 
       z (q_2n   - beta_n  q_2n-2) = q_2n+1 - alpha_n q_2n
@@ -46,7 +48,7 @@ from .laurent import LaurentPoly
 from .modes import Scalar, is_exact
 from .moments import DiscreteMeasure, MomentTable
 from .numerics import dense_det, nan_max, solve_linear
-from .pfaffian import SkewArray, pf_bordered_minors, pf_indices
+from .pfaffian import SkewArray, pf_indices, pf_leading_borders
 
 TAU_DEGENERACY_RELATIVE = 1e-8
 NODE_RANGE = (1.2, 5.0)
@@ -121,44 +123,92 @@ def moment_skew_array(mu: MomentTable, exponents: Sequence[int]) -> SkewArray:
                                    lambda i, j: mu.mu_at(exponents[j] - exponents[i]))
 
 
-def bordered_pfaffian(table: SkewArray, exponents: Sequence[int], exact: bool) -> LaurentPoly:
+def bordered_pfaffian(table: SkewArray, exponents: Sequence[int]) -> LaurentPoly:
     """The Pfaffian of an odd-size skew table bordered by the column of
     monomials z^e_p, expanded along that column: the coefficient of z^e_p is
-    (-1)^p Pf(table without position p): from one elimination
-    (pf_bordered_minors) when exact, which a size-1 table cannot tell."""
+    (-1)^p Pf(table without position p), one pivoted Pfaffian per minor."""
     positions = range(len(exponents))
-    minors = (pf_bordered_minors(table) if exact else
-              [(-1) ** p * pf_indices(table, [i for i in positions if i != p]) for p in positions])
-    return LaurentPoly(dict(zip(exponents, minors)))
+    return LaurentPoly({e: (-1) ** p * pf_indices(table, [i for i in positions if i != p])
+                        for p, e in enumerate(exponents)})
+
+
+@dataclass(frozen=True)
+class PfaffianRoute:
+    """The Pfaffian route of an exact moment table through degree n, from one
+    unpivoted elimination over the exponents 0..n (pfaffian_route):
+    borders[i] holds the coefficients of q_i times q_i's own z^i entry
+    borders[i][i] = L^m tau_m, m = i // 2, L the lcm of the table's
+    denominators.  The rows end after the first vanishing tau."""
+
+    degree: int
+    borders: Tuple[Tuple[int, ...], ...]
+    scale: int
+
+    def member(self, n: int) -> LaurentPoly:
+        """Monic q_n = borders[n] / borders[n][n]."""
+        if n > self.degree:
+            raise ValueError(f"q_{n} requested from a route through degree {self.degree}")
+        if n >= len(self.borders):
+            raise DegeneracyError(f"tau_{len(self.borders) // 2 - 1} = 0 ends the "
+                                  f"one-pass elimination before q_{n}")
+        row = self.borders[n]
+        if row[n] == 0:
+            raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
+        return LaurentPoly({e: Fraction(c, row[n]) for e, c in enumerate(row) if c})
+
+    def recurrence_data(self) -> RecurrenceData:
+        """tau_k = borders[2k][2k] / L^k and sigma_k = Pf(0..2k-2, 2k) =
+        -borders[2k][2k-1] / L^k for k <= degree // 2; a vanishing tau_k
+        raises, since the family does not exist."""
+        tau, sigma = [Fraction(1)], [Fraction(0)]
+        for k in range(1, self.degree // 2 + 1):
+            row = self.borders[2 * k]
+            if row[2 * k] == 0:
+                raise DegeneracyError(f"tau_{k} = 0: the skew orthogonal family does not exist")
+            power = self.scale ** k
+            tau.append(Fraction(row[2 * k], power))
+            sigma.append(Fraction(-row[2 * k - 1], power))
+        return _recurrence_from_minors(tau, sigma)
+
+
+def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
+    """The Pfaffian route of an exact moment table through degree n: q_0..q_n,
+    tau and sigma through n // 2, from one pf_leading_borders elimination."""
+    borders, scale = pf_leading_borders(moment_skew_array(mu, range(n + 1)))
+    return PfaffianRoute(degree=n, borders=tuple(map(tuple, borders)), scale=scale)
 
 
 def moment_pfaffian_table(mu: MomentTable, n: int) -> RecurrenceData:
     """Recurrence data from Pfaffian minors of the moment table.
 
-    tau_k = Pf(0,...,2k-1) and sigma_k = Pf(0,...,2k-2,2k); a vanishing
-    tau_k (exactly in rational arithmetic, below 1e-8 x running scale in
-    double) aborts with a degeneracy error since the family does not exist.
+    tau_k = Pf(0,...,2k-1) and sigma_k = Pf(0,...,2k-2,2k): from one
+    elimination (pfaffian_route) on an exact table, a pivoted Pfaffian each
+    on a float one.  A vanishing tau_k (exactly in rational arithmetic, below
+    1e-8 x running scale in double) aborts with a degeneracy error since the
+    family does not exist.
     """
+    if mu.exact:
+        return pfaffian_route(mu, 2 * n).recurrence_data()
     table = moment_skew_array(mu, range(2 * n + 1))
-    exact = is_exact(mu.mu_at(1))
-    tau: List[Scalar] = [Fraction(1) if exact else 1.0]
-    sigma: List[Scalar] = [Fraction(0) if exact else 0.0]
+    tau: List[Scalar] = [1.0]
+    sigma: List[Scalar] = [0.0]
     scale = 1.0
     for k in range(1, n + 1):
         t = pf_indices(table, list(range(2 * k)))
         s = pf_indices(table, list(range(2 * k - 1)) + [2 * k])
-        if exact:
-            if t == 0:
-                raise DegeneracyError(f"tau_{k} = 0: the skew orthogonal family does not exist")
-        else:
-            scale = max(scale, abs(float(t)), abs(float(s)))
-            if abs(float(t)) <= TAU_DEGENERACY_RELATIVE * scale:
-                raise DegeneracyError(
-                    f"tau_{k} = {float(t):.3e} below degeneracy threshold "
-                    f"({TAU_DEGENERACY_RELATIVE:g} x scale {scale:.3e})"
-                )
+        scale = max(scale, abs(float(t)), abs(float(s)))
+        if abs(float(t)) <= TAU_DEGENERACY_RELATIVE * scale:
+            raise DegeneracyError(
+                f"tau_{k} = {float(t):.3e} below degeneracy threshold "
+                f"({TAU_DEGENERACY_RELATIVE:g} x scale {scale:.3e})"
+            )
         tau.append(t)
         sigma.append(s)
+    return _recurrence_from_minors(tau, sigma)
+
+
+def _recurrence_from_minors(tau: List[Scalar], sigma: List[Scalar]) -> RecurrenceData:
+    n = len(tau) - 1
     alpha = [tau[0] * 0] + [sigma[k] / tau[k] for k in range(1, n + 1)]
     beta = [tau[0] * 0]
     for k in range(1, n + 1):
@@ -510,10 +560,17 @@ def lsop_via_pfaffian(mu: MomentTable, n: int) -> LaurentPoly:
     q_2m(z)   = sum_k (-1)^k z^k Pf({0..2m} \\ {k}) / tau_m
     q_2m+1(z) = z^(2m+1) + sum_{k<2m} (-1)^k z^k Pf(({0..2m-1} \\ {k}) + {2m+1}) / tau_m
 
-    so the odd members have no z^2m term by construction.
+    so the odd members have no z^2m term by construction.  An exact table
+    reads q_n off pfaffian_route(mu, n) unless a vanishing tau below tau_m
+    ends that elimination first; then, as on a float table, bordered_pfaffian
+    takes one pivoted Pfaffian per minor.
     """
+    if mu.exact:
+        route = pfaffian_route(mu, n)
+        if n < len(route.borders):
+            return route.member(n)
     exponents = list(range(2 * (n // 2))) + [n]
-    minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents, is_exact(mu.mu_at(1)))
+    minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
     tau_m = minors.coeff(n)
     if tau_m == 0:
         raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")

@@ -112,8 +112,19 @@ def skew_inner(m: DiscreteMeasure, f: LaurentPoly, g: LaurentPoly) -> Scalar:
 
 
 def mu_moment(m: DiscreteMeasure, n: int) -> Scalar:
-    """Skew moment mu_n = <1|z^n> = sum_k (z_k^n - z_k^-n) w_k."""
+    """Skew moment mu_n = <1|z^n> = sum_k (z_k^n - z_k^-n) w_k.
+
+    Exact input adds one Fraction per node z = p/q:
+    sign(n) (p^2|n| - q^2|n|) w / (pq)^|n|."""
     total = 0
+    if m.is_exact():
+        e = abs(n)
+        sign = -1 if n < 0 else 1
+        for z, w in zip(m.nodes, m.weights):
+            p, q = z.numerator, z.denominator
+            total += Fraction(sign * (p ** (2 * e) - q ** (2 * e)) * w.numerator,
+                              (p * q) ** e * w.denominator)
+        return total
     for z, w in zip(m.nodes, m.weights):
         zi = 1 / z
         total += (int_power(z, n) - int_power(zi, n)) * w
@@ -121,10 +132,19 @@ def mu_moment(m: DiscreteMeasure, n: int) -> Scalar:
 
 
 def c_moment(m: DiscreteMeasure, i: int) -> Scalar:
-    """Folded moment c_i = sum_k (z_k + 1/z_k)^i (z_k - 1/z_k) w_k."""
+    """Folded moment c_i = sum_k (z_k + 1/z_k)^i (z_k - 1/z_k) w_k.
+
+    Exact input adds one Fraction per node z = p/q:
+    (p^2 + q^2)^i (p^2 - q^2) w / (pq)^(i+1)."""
     if i < 0:
         raise ValueError("c moments are indexed by non-negative integers")
     total = 0
+    if m.is_exact():
+        for z, w in zip(m.nodes, m.weights):
+            p, q = z.numerator, z.denominator
+            total += Fraction((p * p + q * q) ** i * (p * p - q * q) * w.numerator,
+                              (p * q) ** (i + 1) * w.denominator)
+        return total
     for z, w in zip(m.nodes, m.weights):
         zi = 1 / z
         total += int_power(z + zi, i) * (z - zi) * w
@@ -133,16 +153,26 @@ def c_moment(m: DiscreteMeasure, i: int) -> Scalar:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Skew moments mu_n (n in Z) and folded moments c_i (i >= 0) of one measure."""
+    """Skew moments mu_n (n in Z) and folded moments c_i (i >= 0) of one measure.
+
+    A table of order N serves the family through q_2N: its moment tables
+    read mu_n for |n| <= 2N, its Hankel routes c_i for i <= 2N.  exact tells
+    whether every tabulated mu_n is exact, which the Pfaffian routes need
+    before they read an entry (an order-0 table has none but mu_0).
+    """
 
     mu: Dict[int, Scalar]
     c: Dict[int, Scalar]
     order: int
 
+    @property
+    def exact(self) -> bool:
+        return all(is_exact(v) for v in self.mu.values())
+
     @staticmethod
     def from_measure(m: DiscreteMeasure, order: int) -> "MomentTable":
-        """Tabulate mu_n for |n| <= 4*order and c_i for i <= 4*order."""
-        hi = 4 * order
+        """Tabulate mu_n for |n| <= 2*order and c_i for i <= 2*order."""
+        hi = 2 * order
         mu = {}
         for n in range(0, hi + 1):
             v = mu_moment(m, n)

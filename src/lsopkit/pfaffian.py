@@ -4,7 +4,8 @@ Two independent evaluation routes are provided:
 
 * ``pf_expand``    -- exact recursive expansion along the last index, with
                       alternating signs; exponential cost, size-capped, the
-                      ground-truth oracle;
+                      ground-truth oracle; an exact table is expanded over
+                      the ints of L*A (L below) and divided by L^(n/2) once;
 * ``pf_eliminate`` -- cubic-cost skew-symmetric Gaussian elimination with
                       greedy full pivoting on the largest-magnitude entry.
 
@@ -22,8 +23,11 @@ indices; the coefficient routes stay well below that.  On exact input
 expansion and elimination agree identically; elimination returns an exact
 structural 0 when a pivot step finds no nonzero entry.
 
-``pf_bordered_minors`` gets every (-1)^p Pf(A without p) of an odd exact
-table from one such elimination, the unit border columns carried along.
+``pf_leading_borders`` runs the same fraction-free update without pivoting
+on an exact table, its unit border columns carried along.  Row i is final
+once the pairs below it are eliminated, so one pass gives every leading
+bordered minor: the border of the Pfaffian over {0..2m-1, i}, m = i // 2,
+for each i at once (the moment-table members q_i, tau_m and sigma_m).
 
 ``check_identity_even`` / ``check_identity_odd`` evaluate the two minor
 identities that relate a Pfaffian bordered by four extra indices to
@@ -106,7 +110,9 @@ def pf_expand(s: SkewArray) -> Scalar:
     """Pfaffian by recursive expansion along the last index.
 
     Refuses sizes above EXPANSION_CAP (the term count grows like (2n-1)!!);
-    use pf_eliminate for larger arrays.
+    use pf_eliminate for larger arrays.  An exact table is expanded over
+    the ints of L times it, L the lcm of its denominators, and divided by
+    L^(n/2) once; an all-int table gives an int, a float table the float sum.
     """
     if s.size % 2:
         raise DimensionError(f"Pfaffian needs even size, got {s.size}")
@@ -114,7 +120,8 @@ def pf_expand(s: SkewArray) -> Scalar:
         raise ExpansionLimitError(
             f"expansion refused for size {s.size} > cap {EXPANSION_CAP}; use pf_eliminate instead"
         )
-    entry = s.entry
+    rows, scale = _working_rows(s)
+    entry = s.entry if scale is None else (lambda i, j: rows[i][j] if i < j else -rows[j][i])
 
     @lru_cache(maxsize=None)
     def rec(indices: Tuple[int, ...]) -> Scalar:
@@ -130,7 +137,10 @@ def pf_expand(s: SkewArray) -> Scalar:
             total = total + term if k % 2 == 0 else total - term
         return total
 
-    return rec(tuple(range(s.size)))
+    value = rec(tuple(range(s.size)))
+    if scale is None or all(type(v) is int for i, row in enumerate(s.rows) for v in row[i + 1:]):
+        return value
+    return Fraction(value, scale ** (s.size // 2))
 
 
 def pf_eliminate(s: SkewArray) -> Scalar:
@@ -153,7 +163,7 @@ def pf_eliminate(s: SkewArray) -> Scalar:
     if n == 0:
         return 1
     m, scale = _working_rows(s)
-    sign, last = _eliminate(m, n, n // 2, scale)
+    sign, last = _eliminate(m, n, scale)
     if sign == 0:
         return 0
     if scale is None:
@@ -161,22 +171,30 @@ def pf_eliminate(s: SkewArray) -> Scalar:
     return Fraction(sign * last, scale ** (n // 2))
 
 
-def pf_bordered_minors(s: SkewArray) -> List[Fraction]:
-    """[(-1)^p Pf(s without p) for p < n] of an odd exact table, the border
-    coefficients of Pf([[s, x], [-x^T, 0]]), from one fraction-free elimination
-    over the table's indices with the unit border columns as n extra columns
-    of every row: the unpivoted index's border row, signed and divided by
-    L^((n-1)/2).  A rank below n - 1 gives sign 0, so every minor is 0."""
+def pf_leading_borders(s: SkewArray) -> Tuple[List[List[int]], int]:
+    """(rows, L): every leading bordered minor of an exact table from one
+    unpivoted fraction-free elimination, with the unit border columns as n
+    extra columns of every row.  For m = i // 2, rows[i][c] is L^m times
+    the coefficient of x_c in the Pfaffian over the indices {0..2m-1, i}
+    bordered by a column x, that is (-1)^p Pf({0..2m-1, i} without c) with p
+    the position of c (0 for c off that set); rows[i][i] = L^m Pf(0..2m-1).
+    L is the lcm of the table's denominators.  A vanishing Pf(0..2m-1) is a
+    zero pivot: rows 2m and 2m+1 are the last returned."""
     n = s.size
-    if n % 2 == 0:
-        raise DimensionError(f"bordered minors need odd size, got {n}")
     m, scale = _working_rows(s)
     if scale is None:
-        raise TypeError("bordered minors need an exact (int/Fraction) table")
+        raise TypeError("leading borders need an exact (int/Fraction) table")
     for i, row in enumerate(m):
         row.extend(1 if j == i else 0 for j in range(n))
-    sign, _ = _eliminate(m, n, n // 2, scale)
-    return [Fraction(sign * v, scale ** (n // 2)) for v in m[n - 1][n:]]
+    prev = 1
+    for k in range(0, n - 2, 2):
+        a = m[k][k + 1]
+        _bareiss_step(m, k, n, a, prev)
+        if a == 0:
+            del m[k + 4:]  # the next step would divide by this pivot
+            break
+        prev = a
+    return [row[n:] for row in m], scale
 
 
 def pf_indices(s: SkewArray, indices: Sequence[int]) -> Scalar:
@@ -253,16 +271,15 @@ def _working_rows(s: SkewArray) -> Tuple[List[List[Scalar]], Optional[int]]:
             for i, row in enumerate(rows)], scale
 
 
-def _eliminate(m: List[List[Scalar]], n: int, steps: int, scale: Optional[int]) -> Tuple[int, Scalar]:
-    """`steps` 2x2 steps in place over the indices 0..n-1 of the rows m: by
-    division on float rows (scale None), fraction-free on int rows, whose
-    updates span the whole row, columns beyond n included.  The swaps' sign
-    (0 when a step finds no nonzero entry) and the float pivots' product or
-    the last int pivot."""
+def _eliminate(m: List[List[Scalar]], n: int, scale: Optional[int]) -> Tuple[int, Scalar]:
+    """n // 2 pivoted 2x2 steps in place over the indices 0..n-1 of the rows m: by
+    division on float rows (scale None), fraction-free on int rows
+    (_bareiss_step).  The swaps' sign (0 when a step finds no nonzero entry)
+    and the float pivots' product or the last int pivot."""
     sign = 1
     result = None  # float route: running product, seeded by the first pivot to keep the scalar type
     prev = 1  # exact route: the previous pivot, which divides every update exactly
-    for k in range(0, 2 * steps, 2):
+    for k in range(0, n - 1, 2):
         pi, pj, best = -1, -1, 0
         for i in range(k, n):
             row = m[i]
@@ -292,13 +309,21 @@ def _eliminate(m: List[List[Scalar]], n: int, steps: int, scale: Optional[int]) 
                     if upd != 0:
                         ri[j] += upd
         else:
-            for i in range(k + 2, n):
-                bi0, bi1 = rk[i], rk1[i]
-                ri = m[i]
-                ri[i + 1:] = [(a * x + bi1 * y - bi0 * z) // prev
-                              for x, y, z in zip(ri[i + 1:], rk[i + 1:], rk1[i + 1:])]
+            _bareiss_step(m, k, n, a, prev)
             prev = a
     return sign, (result if scale is None else prev)
+
+
+def _bareiss_step(m: List[List[int]], k: int, n: int, a: int, prev: int) -> None:
+    """Eliminate the pair (k, k+1), pivot a = m[k][k+1], from the int rows
+    k+2..n-1 in place, dividing exactly by the previous pivot prev: each row's
+    update spans its whole length, columns beyond n included."""
+    rk, rk1 = m[k], m[k + 1]
+    for i in range(k + 2, n):
+        bi0, bi1 = rk[i], rk1[i]
+        ri = m[i]
+        ri[i + 1:] = [(a * x + bi1 * y - bi0 * z) // prev
+                      for x, y, z in zip(ri[i + 1:], rk[i + 1:], rk1[i + 1:])]
 
 
 def _swap_sym(m: List[List[Scalar]], p: int, q: int, lo: int) -> None:

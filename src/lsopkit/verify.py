@@ -35,10 +35,10 @@ from .laurent import LaurentPoly
 from .lsolp import (GaugeParams, LsolpFamily, butterfly_sparsity_defect,
                     gauge_transform_scaled, gram_schmidt_lsolp, gram_schmidt_pairs,
                     lsolp_from_values, multiplication_matrix)
-from .lsop import (FamilyValues, RecurrenceData, evaluate_family, even_to_op,
+from .lsop import (FamilyValues, PfaffianRoute, RecurrenceData, evaluate_family, even_to_op,
                    kodama_residuals, kodama_sops, lsop_via_pfaffian,
-                   lsop_via_recurrence, moment_pfaffian_table, op_via_hankel, random_family,
-                   skew_pattern_defect, support_pairing, verify_pfaffian_det)
+                   lsop_via_recurrence, moment_pfaffian_table, op_via_hankel, pfaffian_route,
+                   random_family, skew_pattern_defect, support_pairing, verify_pfaffian_det)
 from .modes import Scalar, validate_mode
 from .moments import DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment, skew_inner
 from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, nan_max, spectra_distance,
@@ -152,7 +152,9 @@ class _Context:
     run: the fold fv (the recurrence data, the value tables and the exact
     monic tables all come from it; without a given measure it is the fold
     random_family drew the measure with), the monic family qs, its even
-    members reduced to w = z + 1/z, the moment table, the pencil report
+    members reduced to w = z + 1/z, the moment table, in rational mode its
+    one-pass Pfaffian route (every q_k, tau_k and sigma_k that
+    lsop-route-agreement and pfaffian-hankel-identity read), the pencil report
     (spectra.pencil_residual, which lsopkit pencil prints too) and the
     full-order alternating-basis family lsolp.  The pencil, tridiagonal and
     butterfly builders read the recurrence data through float(), exact or
@@ -200,6 +202,13 @@ class _Context:
     @property
     def moments(self) -> MomentTable:
         return self._cached("moments", lambda: MomentTable.from_measure(self.measure, self.coeff_order))
+
+    @property
+    def pfaffian_route(self) -> PfaffianRoute:
+        """The exact moment table's one-pass Pfaffian route through degree
+        2 coeff_order (rational mode only)."""
+        return self._cached("pfaffian_route",
+                            lambda: pfaffian_route(self.moments, 2 * self.coeff_order))
 
     def reduced(self, k: int) -> LaurentPoly:
         """even_to_op(q_2k), k <= coeff_order."""
@@ -364,9 +373,10 @@ def claim_route_agreement(ctx: _Context) -> Measured:
     n = ctx.coeff_order
     mu = ctx.moments
     qs = ctx.qs
+    member = ctx.pfaffian_route.member if ctx.exact else lambda k: lsop_via_pfaffian(mu, k)
     worst = 0.0
     for k in range(2 * n + 1):
-        diff = lsop_via_pfaffian(mu, k) - qs[k]
+        diff = member(k) - qs[k]
         worst = nan_max(worst, _residual(ctx, diff.max_abs_coeff(), qs[k].max_abs_coeff()))
     return Measured(worst,
                     f"moment-minor and recurrence constructions agree through degree {2 * n}",
@@ -458,13 +468,20 @@ def claim_folded_reduction(ctx: _Context) -> Measured:
 
 def claim_folded_orthogonality(ctx: _Context) -> Measured:
     if ctx.exact:
+        # each reduced member evaluated once per node: sum_k r_a(x_k) r_b(x_k) (z_k - 1/z_k) w_k
         n = ctx.coeff_order
         m = ctx.measure
         rbars = [ctx.reduced(k) for k in range(n + 1)]
+        nodes = []
+        for z, w in zip(m.nodes, m.weights):
+            zi = 1 / z
+            nodes.append(([r(z + zi) for r in rbars], (z - zi) * w))
         worst = 0.0
         for a in range(n + 1):
             for b in range(a):
-                v = _folded_functional(m, rbars[a] * rbars[b])
+                v = 0
+                for values, weight in nodes:
+                    v += values[a] * values[b] * weight
                 if v != 0:
                     worst = nan_max(worst, abs(float(v)))
         return Measured(worst, "reduced members are orthogonal under the folded functional",
@@ -484,14 +501,6 @@ def claim_folded_orthogonality(ctx: _Context) -> Measured:
                 total += ra * rb * (zf - 1.0 / zf) * float(w)
             worst = nan_max(worst, abs(total - (1.0 if a == b else 0.0)))
     return Measured(worst, "folded members are orthonormal under the folded functional")
-
-
-def _folded_functional(m: DiscreteMeasure, poly_in_w: LaurentPoly):
-    total = 0
-    for z, w in zip(m.nodes, m.weights):
-        zi = 1 / z
-        total += poly_in_w(z + zi) * (z - zi) * w
-    return total
 
 
 def claim_three_term(ctx: _Context) -> Measured:
@@ -515,7 +524,7 @@ def claim_three_term(ctx: _Context) -> Measured:
 def claim_pfaffian_hankel(ctx: _Context) -> Measured:
     n = ctx.coeff_order
     mu = ctx.moments
-    rec_pf = moment_pfaffian_table(mu, n)
+    rec_pf = ctx.pfaffian_route.recurrence_data() if ctx.exact else moment_pfaffian_table(mu, n)
     cs = mu.c_list(2 * n)
     mus_from_c = mu_from_c(cs)
     link = 0.0

@@ -26,6 +26,7 @@ import collections
 import hashlib
 import io
 import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsopkit import cli, lsolp, lsop, serialize, spectra, verify
+from lsopkit import cli, lsolp, lsop, pfaffian, serialize, spectra, verify
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.verify import RunConfig, run_verification
 
@@ -157,16 +158,36 @@ def test_failed_walk_is_built_once(fold_count):
     assert sum("h_2 vanished" in c.summary for c in report.claims) == 21
 
 
+def test_zero_tau_measure_aborts_each_route_where_it_did():
+    # mu_1 = 0 makes tau_1 = 0: lsop-route-agreement reads the walk before the
+    # Pfaffian route, and pfaffian-hankel-identity meets the zero pivot itself
+    m = DiscreteMeasure([2, 3], [1, Fraction(-9, 16)], strict=False)
+    report = run_verification(RunConfig(seed=1, order=2, mode="rational"), m)
+    records = {c.claim_id: c.record() for c in report.claims}
+    aborted = {"convention": "", "residual": math.inf, "status": "flag", "exact": False}
+    assert records["lsop-route-agreement"] == {
+        "id": "lsop-route-agreement", "tolerance": 1e-8, **aborted,
+        "summary": "evaluation aborted (DegeneracyError): folded norm h_0 vanished; tau_1 = 0"}
+    assert records["pfaffian-hankel-identity"] == {
+        "id": "pfaffian-hankel-identity", "tolerance": 1e-8, **aborted,
+        "summary": "evaluation aborted (DegeneracyError): "
+                   "tau_1 = 0: the skew orthogonal family does not exist"}
+    assert (hashlib.sha256(report.render().encode()).hexdigest()
+            == "2f0dd07e0a628116309a4c1cda2c44ca6f391398dbc6c110b1a5335d04d3adde")
+
+
 @pytest.fixture
 def build_count(monkeypatch):
-    """Counts calls of the pencil, transfer and alternating-family builders
-    and of the even-member reduction wherever a module has bound them;
-    lsolp_from_values counts full-order families only."""
+    """Counts calls of the pencil, transfer and alternating-family builders,
+    of the even-member reduction, of the one-pass Pfaffian route and its
+    elimination, and of the Pfaffians lsop takes one per minor, wherever a
+    module has bound them; lsolp_from_values counts full-order families only."""
     counts = collections.Counter()
     watched = {
         "build_pencil": spectra, "pencil_from_recurrence": spectra,
         "transfer_symplecticity": spectra, "transfer_matrix": spectra,
         "lsolp_from_values": lsolp, "even_to_op": lsop,
+        "pfaffian_route": lsop, "pf_leading_borders": pfaffian, "pf_indices": pfaffian,
     }
     for name, home in watched.items():
         original = getattr(home, name)
@@ -176,7 +197,7 @@ def build_count(monkeypatch):
                 counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for mod in (spectra, lsolp, verify):
+        for mod in (spectra, lsolp, lsop, verify):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return counts
@@ -192,11 +213,15 @@ def test_report_builds_each_artifact_once(build_count, mode):
     # one textbook pencil, one rederived layout, one transfer symplecticity
     # check per layout (each with its transfer matrix) plus the eigenvalue
     # route's transfer matrix, and one reduction per even member up to the
-    # coefficient-route order (6, 4)
+    # coefficient-route order (6, 4).  Rational mode eliminates the moment
+    # table once for both Pfaffian-route claims; double mode takes lsop's
+    # Pfaffians one per minor: 41 for q_0..q_8, 8 for tau_1..4 and sigma_1..4
+    pfaffians = ({"pfaffian_route": 1, "pf_leading_borders": 1} if mode == "rational"
+                 else {"pf_indices": 49})
     assert build_count == {"build_pencil": 1, "pencil_from_recurrence": 1,
                            "transfer_symplecticity": 2, "transfer_matrix": 3,
                            "lsolp_from_values": 1,
-                           "even_to_op": 7 if mode == "rational" else 5}
+                           "even_to_op": 7 if mode == "rational" else 5, **pfaffians}
 
 
 @pytest.mark.parametrize("command", ["pencil", "butterfly"])

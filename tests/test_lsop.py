@@ -63,6 +63,18 @@ def test_pfaffian_member_coefficient_types():
             assert all(type(c) is kind for c in q.coeffs.values()), (mode, n, q)
 
 
+@pytest.mark.parametrize("mode", ["rational", "double"])
+def test_order_zero_table_gives_q0_and_tau0(mode):
+    # q_0 = 1 and tau_0 = 1 read no moment; an order-0 table holds only mu_0
+    one = Fraction(1) if mode == "rational" else 1.0
+    table = MomentTable.from_measure(random_family(3, 2, mode).measure, 0)
+    q0 = lsop_via_pfaffian(table, 0)
+    assert q0 == LaurentPoly.constant(one) and type(q0.coeff(0)) is type(one)
+    rec = moment_pfaffian_table(table, 0)
+    assert (rec.order, rec.tau, rec.sigma, rec.alpha, rec.beta) == (0, (one,), (0,), (0,), (0,))
+    assert all(type(v) is type(one) for v in rec.tau + rec.sigma + rec.alpha + rec.beta)
+
+
 def test_recurrence_seeds_and_q2():
     rec = recurrence_from_measure(REF, 1)
     qs = lsop_via_recurrence(rec, 1)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lsopkit.laurent import LaurentPoly
+from lsopkit.laurent import LaurentPoly, int_power
 from lsopkit.lsop import moment_skew_array, random_family
 from lsopkit.moments import (DiscreteMeasure, MomentTable, c_moment, chebyshev2_coeffs,
                              mu_from_c, mu_moment, skew_inner)
@@ -163,6 +163,64 @@ def test_float_skew_inner_is_the_node_sum_bit_for_bit():
             got, ref = skew_inner(m, f, g), summed_over_nodes(m, f, g)
             assert type(got) is type(ref) is float
             assert struct.pack("<d", got) == struct.pack("<d", ref), (f, g)
+
+
+def mu_summed_over_nodes(m, n):
+    """mu_moment as it was before exact input took integer forms."""
+    total = 0
+    for z, w in zip(m.nodes, m.weights):
+        zi = 1 / z
+        total += (int_power(z, n) - int_power(zi, n)) * w
+    return total
+
+
+def c_summed_over_nodes(m, i):
+    """c_moment as it was before exact input took integer forms."""
+    total = 0
+    for z, w in zip(m.nodes, m.weights):
+        zi = 1 / z
+        total += int_power(z + zi, i) * (z - zi) * w
+    return total
+
+
+def test_exact_moments_match_node_sums():
+    measures = [random_family(s, 4, "rational").measure for s in (1, 6)]
+    measures += [DiscreteMeasure([Fraction(-5, 2), Fraction(1, 3), Fraction(7)],
+                                 [Fraction(-1, 2), Fraction(3, 4), 2]),
+                 DiscreteMeasure([], [])]
+    for m in measures:
+        for n in range(-9, 10):
+            got, ref = mu_moment(m, n), mu_summed_over_nodes(m, n)
+            assert got == ref and type(got) is type(ref), (m, n)
+        for i in range(10):
+            got, ref = c_moment(m, i), c_summed_over_nodes(m, i)
+            assert got == ref and type(got) is type(ref), (m, i)
+
+
+def test_float_moments_are_the_node_sums_bit_for_bit():
+    exact = random_family(3, 4, "rational").measure
+    mixed = DiscreteMeasure(exact.nodes, [float(w) for w in exact.weights])
+    for m in (exact.as_float(), mixed):
+        for n in range(-9, 10):
+            got, ref = mu_moment(m, n), mu_summed_over_nodes(m, n)
+            assert type(got) is type(ref) is float
+            assert struct.pack("<d", got) == struct.pack("<d", ref), n
+        for i in range(10):
+            got, ref = c_moment(m, i), c_summed_over_nodes(m, i)
+            assert type(got) is type(ref) is float
+            assert struct.pack("<d", got) == struct.pack("<d", ref), i
+
+
+@pytest.mark.parametrize("mode", ["rational", "double"])
+def test_moment_table_holds_the_lags_its_routes_read(mode):
+    m = random_family(4, 3, mode).measure
+    for order in range(4):
+        table = MomentTable.from_measure(m, order)
+        assert sorted(table.mu) == list(range(-2 * order, 2 * order + 1))
+        assert sorted(table.c) == list(range(2 * order + 1))
+        assert table.exact == (mode == "rational")
+        assert all(table.mu_at(n) == mu_moment(m, n) for n in table.mu)
+        assert table.c_list(2 * order + 1) == [c_moment(m, i) for i in range(2 * order + 1)]
 
 
 def test_moment_table_entries_depend_on_difference():

@@ -1,11 +1,17 @@
-"""Pfaffian evaluation and the bordered-minor identities.
+"""Pfaffian evaluation, the bordered-minor identities and the one-pass
+moment-table route.
 
 The suite checks elimination against expansion and the dense determinant
-on seeded tables, and the moment-table Pfaffians of the rational fixed
-measure against the exact folded walk's tau_k at N = 6.  The same
-comparison at N = 8, 12 and 16 (7 to 11 s in single runs), and the bordered
-minors of the moment tables of q_0..q_16 at N = 8 (up to 17 indices, under
-a second) against a Pfaffian per minor, run with
+on seeded tables, the moment-table Pfaffians of the rational fixed measure
+against the exact folded walk's tau_k at N = 6, and the one-pass route
+(lsop.pfaffian_route) against the per-member route it replaced, kept here
+(old_lsop_via_pfaffian, old_minor_taus), on rational seeds 1-10 at orders
+1-6 and on the rational fixed measure at N = 12.  The Pfaffian comparison
+at N = 8, 12 and 16, the reference's bordered minors of the moment tables
+of q_0..q_16 at N = 8 against a Pfaffian per minor, the per-member
+comparison at orders 7 and 8, and the one-pass family against the exact
+walk (q_0..q_32 at N = 16, tau and sigma at N = 8, 12 and 16), each timed,
+run with
 
     PYTHONPATH=src python tests/test_pfaffian.py
 """
@@ -15,16 +21,21 @@ import struct
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lsopkit.errors import DimensionError, ExpansionLimitError, IncompleteTableError
-from lsopkit.lsop import bordered_pfaffian, moment_skew_array, recurrence_from_measure
+from lsopkit.errors import DegeneracyError, DimensionError, ExpansionLimitError, IncompleteTableError
+from lsopkit.laurent import LaurentPoly
+from lsopkit.lsop import (lsop_via_pfaffian, lsop_via_recurrence,
+                          moment_pfaffian_table, moment_skew_array, pfaffian_route,
+                          random_family, recurrence_from_measure)
 from lsopkit.moments import DiscreteMeasure, MomentTable
 from lsopkit.numerics import dense_det
-from lsopkit.pfaffian import (SkewArray, _swap_sym, check_identity_even, check_identity_odd,
-                              pf_bordered_minors, pf_eliminate, pf_expand, pf_indices)
+from lsopkit.pfaffian import (SkewArray, _eliminate, _swap_sym, _working_rows, check_identity_even,
+                              check_identity_odd, pf_eliminate, pf_expand, pf_indices,
+                              pf_leading_borders)
 
 
 def rational_skew(rng, size):
@@ -73,13 +84,76 @@ def per_minor(s):
     return [(-1) ** p * pf_indices(s, [i for i in range(s.size) if i != p]) for p in range(s.size)]
 
 
+def pf_bordered_minors(s):
+    """[(-1)^p Pf(s without p) for p < n] of an odd exact table from one pivoted
+    fraction-free elimination, the unit border columns carried as n extra
+    columns of every row: the unpivoted index's border row, signed and divided
+    by L^((n-1)/2).  The exact route of lsop_via_pfaffian before the one-pass
+    elimination replaced it; kept as its reference."""
+    n = s.size
+    if n % 2 == 0:
+        raise DimensionError(f"bordered minors need odd size, got {n}")
+    m, scale = _working_rows(s)
+    for i, row in enumerate(m):
+        row.extend(1 if j == i else 0 for j in range(n))
+    sign, _ = _eliminate(m, n, scale)
+    return [Fraction(sign * v, scale ** (n // 2)) for v in m[n - 1][n:]]
+
+
+def old_lsop_via_pfaffian(mu, n):
+    """Monic q_n of an exact moment table by its own bordered elimination: the
+    per-member route that the one-pass elimination replaced."""
+    exponents = list(range(2 * (n // 2))) + [n]
+    minors = LaurentPoly(dict(zip(exponents, pf_bordered_minors(moment_skew_array(mu, exponents)))))
+    tau_m = minors.coeff(n)
+    if tau_m == 0:
+        raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
+    return LaurentPoly({e: c / tau_m for e, c in minors.coeffs.items()})
+
+
+def old_minor_taus(mu, n):
+    """(tau_0..tau_n, sigma_0..sigma_n) of a moment table, one pf_indices each."""
+    table = moment_skew_array(mu, range(2 * n + 1))
+    return ([Fraction(1)] + [pf_indices(table, list(range(2 * k))) for k in range(1, n + 1)],
+            [Fraction(0)] + [pf_indices(table, list(range(2 * k - 1)) + [2 * k])
+                             for k in range(1, n + 1)])
+
+
+def one_pass_matches_per_member(m, n):
+    """The one-pass route through degree 2n equals the per-member route: every
+    q_k by value and coefficient type, every tau_k and sigma_k by value."""
+    mu = MomentTable.from_measure(m, n)
+    route = pfaffian_route(mu, 2 * n)
+    rec = route.recurrence_data()
+    taus, sigmas = old_minor_taus(mu, n)
+    for k in range(2 * n + 1):
+        q, ref = route.member(k), old_lsop_via_pfaffian(mu, k)
+        if q != ref or any(type(c) is not Fraction for c in q.coeffs.values()):
+            return False
+    return list(rec.tau) == taus and list(rec.sigma) == sigmas
+
+
 def bordered_minors_agree(mu, k):
-    """bordered_pfaffian's one elimination against a Pfaffian per minor on the
-    table that lsop_via_pfaffian borders for q_k."""
+    """The reference's one pivoted elimination against a Pfaffian per minor on
+    the table that lsop_via_pfaffian borders for q_k."""
     exponents = list(range(2 * (k // 2))) + [k]
     table = moment_skew_array(mu, exponents)
-    return bordered_pfaffian(table, exponents, exact=True).coeffs == {
-        e: v for e, v in zip(exponents, per_minor(table)) if v != 0}
+    return pf_bordered_minors(table) == per_minor(table)
+
+
+def walk_agrees_with_one_pass(n, members):
+    """tau and sigma of the one-pass route of the rational fixed measure at
+    order n against the exact walk's, and with members, q_0..q_2n against
+    lsop_via_recurrence of the walk."""
+    m = rational_fixed_measure(n)
+    route = pfaffian_route(MomentTable.from_measure(m, n), 2 * n)
+    rec = recurrence_from_measure(m, n)
+    got = route.recurrence_data()
+    ok = got.tau == rec.tau and got.sigma == rec.sigma
+    if members:
+        qs = lsop_via_recurrence(rec, n)
+        ok = ok and all(route.member(k) == qs[k] for k in range(2 * n + 1))
+    return ok
 
 
 def test_empty_array_is_one():
@@ -190,6 +264,119 @@ def test_bordered_minors_match_per_minor_pfaffians():
     assert pf_bordered_minors(SkewArray(1, {})) == [1]
     with pytest.raises(DimensionError):
         pf_bordered_minors(rational_skew(rng, 4))
+
+
+def test_leading_borders_match_per_minor_pfaffians():
+    # row i holds L^m times the bordered minors over {0..2m-1, i}, m = i // 2;
+    # a vanishing Pf(0..2m-1) ends the rows after 2m + 1
+    rng = random.Random(29)
+    for size in range(0, 13):
+        for kind in ("rational", "int", "mixed", "zero-row", "rank-deficient"):
+            if size == 0 and kind != "rational":
+                continue
+            s = rational_skew(rng, size) if kind == "rational" else exact_skew(rng, size, kind)
+            rows, scale = pf_leading_borders(s)
+            assert scale == _working_rows(s)[1]
+            first_zero = next((m for m in range(1, size // 2 + 1)
+                               if pf_indices(s, list(range(2 * m))) == 0), None)
+            assert len(rows) == (size if first_zero is None else min(size, 2 * first_zero + 2))
+            for i, row in enumerate(rows):
+                m = i // 2
+                positions = list(range(2 * m)) + [i]
+                expect = [0] * size
+                for c, v in zip(positions, per_minor(s.submatrix(positions))):
+                    expect[c] = v * scale ** m
+                assert row == expect and all(type(v) is int for v in row), (size, kind, i)
+    with pytest.raises(TypeError):
+        pf_leading_borders(SkewArray.from_entry_fn(3, lambda i, j: 0.5))
+
+
+# orders 7 and 8 take about 50 s against the per-member reference; script mode runs them
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_pass_route_matches_per_member_route(n):
+    for seed in range(1, 11):
+        m = random_family(seed, n, "rational").measure
+        assert one_pass_matches_per_member(m, n), seed
+        # the public routes read the same elimination
+        mu = MomentTable.from_measure(m, n)
+        route = pfaffian_route(mu, 2 * n)
+        assert moment_pfaffian_table(mu, n) == route.recurrence_data()
+        assert all(lsop_via_pfaffian(mu, k) == route.member(k) for k in (n, 2 * n))
+
+
+def test_one_pass_route_on_the_fixed_measure():
+    assert one_pass_matches_per_member(rational_fixed_measure(12), 12)
+
+
+def test_zero_pivot_raises_where_the_per_member_route_did():
+    # mu_1 = 0, so tau_1 = 0 while tau_2 does not vanish: the one-pass rows stop
+    # after q_3, and lsop_via_pfaffian reaches q_4 by a Pfaffian per minor
+    m = DiscreteMeasure([2, 3], [1, Fraction(-9, 16)], strict=False)
+    mu = MomentTable.from_measure(m, 2)
+    route = pfaffian_route(mu, 4)
+    assert len(route.borders) == 4
+    for k in range(5):
+        if k in (2, 3):
+            for member in (route.member, lambda k: lsop_via_pfaffian(mu, k),
+                           lambda k: old_lsop_via_pfaffian(mu, k)):
+                with pytest.raises(DegeneracyError, match=fr"^tau_1 = 0: q_{k} does not exist$"):
+                    member(k)
+        else:
+            assert lsop_via_pfaffian(mu, k) == old_lsop_via_pfaffian(mu, k)
+    assert old_minor_taus(mu, 2)[0][2] != 0
+    with pytest.raises(DegeneracyError, match="^tau_1 = 0 ends the one-pass elimination before q_4$"):
+        route.member(4)
+    for rec in (route.recurrence_data, lambda: moment_pfaffian_table(mu, 2)):
+        with pytest.raises(DegeneracyError,
+                           match="^tau_1 = 0: the skew orthogonal family does not exist$"):
+            rec()
+
+
+def expanded_over_fractions(s):
+    """pf_expand as it was before exact tables were expanded over integers."""
+    entry = s.entry
+
+    @lru_cache(maxsize=None)
+    def rec(indices):
+        if not indices:
+            return 1
+        if len(indices) == 2:
+            return entry(indices[0], indices[1])
+        last = indices[-1]
+        rest = indices[:-1]
+        total = 0
+        for k, ik in enumerate(rest):
+            term = entry(ik, last) * rec(rest[:k] + rest[k + 1:])
+            total = total + term if k % 2 == 0 else total - term
+        return total
+
+    return rec(tuple(range(s.size)))
+
+
+def test_integer_expansion_matches_the_fraction_recursion():
+    rng = random.Random(31)
+    assert type(pf_expand(SkewArray(0, {}))) is int
+    for size in range(0, 11, 2):
+        for kind in ("rational", "int", "mixed", "zero-row", "rank-deficient"):
+            if size == 0 and kind != "rational":
+                continue
+            s = rational_skew(rng, size) if kind == "rational" else exact_skew(rng, size, kind)
+            got, ref = pf_expand(s), expanded_over_fractions(s)
+            assert got == ref and type(got) is type(ref), (size, kind)
+
+
+def test_float_expansion_is_unchanged_bit_for_bit():
+    rng = random.Random(37)
+    for size in range(2, 11, 2):
+        for kind in ("uniform", "sparse", "mixed"):
+            s = SkewArray.from_entry_fn(size, lambda i, j: (
+                0.0 if kind == "sparse" and rng.random() < 0.5 else
+                Fraction(rng.randint(-9, 9), 7) if kind == "mixed" and rng.random() < 0.3 else
+                rng.uniform(-3, 3)))
+            got, ref = pf_expand(s), expanded_over_fractions(s)
+            assert type(got) is type(ref)
+            assert (struct.pack("<d", got) == struct.pack("<d", ref) if isinstance(got, float)
+                    else got == ref), (size, kind)
 
 
 def eliminated_in_binary64(s):
@@ -363,6 +550,20 @@ if __name__ == "__main__":
     t0 = time.perf_counter()
     mu = MomentTable.from_measure(rational_fixed_measure(8), 8)
     agree = all(bordered_minors_agree(mu, k) for k in range(17))
-    print(f"bordered minors of q_0..q_16's moment tables (up to 17 indices) equal the "
-          f"per-minor Pfaffians: {agree} ({time.perf_counter() - t0:.1f} s)", flush=True)
-    sys.exit(0 if ok and agree else 1)
+    print(f"the reference's bordered minors of q_0..q_16's moment tables (up to 17 indices) "
+          f"equal the per-minor Pfaffians: {agree} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    ok = ok and agree
+    t0 = time.perf_counter()
+    agree = all(one_pass_matches_per_member(random_family(seed, n, "rational").measure, n)
+                for n in (7, 8) for seed in range(1, 11))
+    print(f"the one-pass route equals the per-member route on rational seeds 1-10 at orders 7 "
+          f"and 8: {agree} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    ok = ok and agree
+    for n in (8, 12, 16):
+        t0 = time.perf_counter()
+        agree = walk_agrees_with_one_pass(n, members=n == 16)
+        what = "q_0..q_32, tau and sigma" if n == 16 else "tau and sigma"
+        print(f"N = {n}: the one-pass Pfaffian route's {what} equal the exact walk's: "
+              f"{agree} ({time.perf_counter() - t0:.1f} s)", flush=True)
+        ok = ok and agree
+    sys.exit(0 if ok else 1)
