@@ -9,29 +9,55 @@ the butterfly matrix attached to the recurrences, and exploits the
 two-way eigenvalue correspondence lambda = z + 1/z as a structured
 eigensolver.  Exact rational arithmetic backs every identity; the double
 backend carries toleranced numerical counterparts.
+
+The namespace is lazy (PEP 562): ``import lsopkit`` loads no submodule.
+_EXPORTS lists the public names by home module; a public name, or a
+submodule (``lsopkit.verify``, ``lsopkit.cli``, ...), is imported on first
+access and then bound here, so later reads are plain attribute hits.
 """
 
-from .errors import (AdmissibilityError, ConvergenceError, DegeneracyError,
-                     DimensionError, ExpansionLimitError, GenerationError,
-                     IncompleteTableError, LsopkitError, RepresentationError,
-                     StructureError)
-from .laurent import LaurentPoly
-from .lsolp import (GaugeParams, LsolpFamily, gauge_transform_scaled, gram_schmidt_lsolp,
-                    lsolp_from_lsop, lsolp_from_values, multiplication_matrix)
-from .lsop import (FamilyValues, RecurrenceData, evaluate_family, even_to_op,
-                   kodama_residuals, kodama_sops, lsop_via_pfaffian,
-                   lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
-                   orthonormalize, random_family, recurrence_from_measure,
-                   verify_pfaffian_det)
-from .moments import (DiscreteMeasure, MomentTable, c_moment, chebyshev2_coeffs,
-                      mu_from_c, mu_moment, skew_inner)
-from .numerics import SymTridiag, dense_det, dense_eigs, spectra_distance, sym_tridiag_eigs
-from .pfaffian import (SkewArray, check_identity_even, check_identity_odd,
-                       pf_eliminate, pf_expand, pf_indices)
-from .spectra import (ButterflyParams, PencilPair, build_butterfly, build_pencil,
-                      build_tridiagonal, butterfly_from_params, butterfly_params,
-                      butterfly_to_tridiagonal, eig_correspondence,
-                      pencil_eigenvalues, pencil_residual, symplectic_pencil_check)
-from .verify import RunConfig, VerificationReport, run_verification
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "errors": ("AdmissibilityError", "ConvergenceError", "DegeneracyError", "DimensionError",
+               "ExpansionLimitError", "GenerationError", "IncompleteTableError", "LsopkitError",
+               "RepresentationError", "StructureError"),
+    "laurent": ("LaurentPoly",),
+    "lsolp": ("GaugeParams", "LsolpFamily", "gauge_transform_scaled", "gram_schmidt_lsolp",
+              "lsolp_from_lsop", "lsolp_from_values", "multiplication_matrix"),
+    "lsop": ("FamilyValues", "RecurrenceData", "evaluate_family", "even_to_op",
+             "kodama_residuals", "kodama_sops", "lsop_via_pfaffian", "lsop_via_recurrence",
+             "moment_pfaffian_table", "op_via_hankel", "orthonormalize", "random_family",
+             "recurrence_from_measure", "verify_pfaffian_det"),
+    "moments": ("DiscreteMeasure", "MomentTable", "c_moment", "chebyshev2_coeffs", "mu_from_c",
+                "mu_moment", "skew_inner"),
+    "numerics": ("SymTridiag", "dense_det", "dense_eigs", "spectra_distance", "sym_tridiag_eigs"),
+    "pfaffian": ("SkewArray", "check_identity_even", "check_identity_odd", "pf_eliminate",
+                 "pf_expand", "pf_indices"),
+    "spectra": ("ButterflyParams", "PencilPair", "build_butterfly", "build_pencil",
+                "build_tridiagonal", "butterfly_from_params", "butterfly_params",
+                "butterfly_to_tridiagonal", "eig_correspondence", "pencil_eigenvalues",
+                "pencil_residual", "symplectic_pencil_check"),
+    "verify": ("RunConfig", "VerificationReport", "run_verification"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "modes", "serialize"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES | set(__all__))

@@ -11,6 +11,10 @@ Subcommands:
 Exit status: 0 when everything passed, 2 when any claim or comparison was
 flagged, 1 on usage errors (including precondition refusals).  The scalar
 mode defaults to the LSOPKIT_MODE environment variable, then to "double".
+
+Each subcommand imports the modules it runs when it runs, so a fresh
+process compiles only those: gen-measure and lsop never load verify,
+spectra or lsolp, and only verify loads verify.
 """
 
 from __future__ import annotations
@@ -19,19 +23,16 @@ import argparse
 import os
 import random
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from . import serialize
 from .errors import LsopkitError
-from .lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
-from .lsop import NODE_RANGE, FamilyValues, evaluate_family, lsop_via_recurrence, random_family
 from .modes import MODES, validate_mode
 from .moments import DiscreteMeasure
-from .numerics import dense_eigs, spectra_distance
-from .spectra import (ButterflyParams, PencilLayout, butterfly_from_params, butterfly_params,
-                      determine_diagonal_convention, pencil_eigenvalues, pencil_residual,
-                      solve_butterfly, support_spectrum)
-from .verify import DEFAULT_TOLERANCES, RunConfig, run_verification
+
+if TYPE_CHECKING:
+    from .lsop import FamilyValues
+    from .spectra import PencilLayout
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -128,11 +129,15 @@ def _measure_file(args, mode: str) -> Optional[DiscreteMeasure]:
 def _family(args, mode: str) -> FamilyValues:
     """The fold of the measure file at its full size, or the seeded family
     at --order, folded once by the generator."""
+    from .lsop import evaluate_family, random_family
+
     m = _measure_file(args, mode)
     return random_family(args.seed, args.order, mode) if m is None else evaluate_family(m)
 
 
 def cmd_gen_measure(args) -> int:
+    from .lsop import NODE_RANGE, random_family
+
     mode = _mode(args)
     fv = random_family(args.seed, args.order, mode)
     metadata = {
@@ -147,6 +152,8 @@ def cmd_gen_measure(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import RunConfig, run_verification
+
     mode = _mode(args)
     tolerances = _parse_tolerances(args.tol)
     m = _measure_file(args, mode)
@@ -168,6 +175,8 @@ def _parse_tolerances(items: List[str]) -> Dict[str, float]:
 
 
 def cmd_lsop(args) -> int:
+    from .lsop import lsop_via_recurrence
+
     mode = _mode(args)
     fv = _family(args, mode)
     n, rec = fv.order, fv.rec
@@ -186,6 +195,10 @@ def cmd_lsop(args) -> int:
 
 
 def cmd_pencil(args) -> int:
+    from .numerics import spectra_distance
+    from .spectra import (PENCIL_EIGENVALUES_TOL, pencil_eigenvalues, pencil_residual,
+                          support_spectrum)
+
     fv = _family(args, _mode(args))
     report = pencil_residual(fv)
     eigs = pencil_eigenvalues(report.recurrence.pencil)
@@ -199,7 +212,7 @@ def cmd_pencil(args) -> int:
         "eigenvalue_mismatch": mismatch,
     }
     _emit(args, serialize.dumps(doc))
-    return _exit_status(mismatch, "pencil-eigenvalues")
+    return _exit_status(mismatch, PENCIL_EIGENVALUES_TOL)
 
 
 def _layout_document(layout: PencilLayout) -> Dict[str, object]:
@@ -213,6 +226,11 @@ def _layout_document(layout: PencilLayout) -> Dict[str, object]:
 
 
 def cmd_butterfly(args) -> int:
+    from .lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
+    from .numerics import dense_eigs, spectra_distance
+    from .spectra import (BUTTERFLY_SPECTRUM_TOL, butterfly_from_params, butterfly_params,
+                          determine_diagonal_convention, support_spectrum)
+
     fv = _family(args, _mode(args))
     n = fv.order
     if args.gauge_seed is None:
@@ -237,10 +255,12 @@ def cmd_butterfly(args) -> int:
         "spectrum_mismatch": mismatch,
     }
     _emit(args, serialize.dumps(doc))
-    return _exit_status(mismatch, "butterfly-spectrum")
+    return _exit_status(mismatch, BUTTERFLY_SPECTRUM_TOL)
 
 
 def cmd_solve_butterfly(args) -> int:
+    from .spectra import BUTTERFLY_ROUNDTRIP_TOL, ButterflyParams, solve_butterfly
+
     with open(args.params) as fh:
         bp = ButterflyParams(*map(tuple, serialize.load_butterfly_params(fh.read())))
     s = solve_butterfly(bp)
@@ -253,11 +273,11 @@ def cmd_solve_butterfly(args) -> int:
         "max_mismatch": s.mismatch,
     }
     _emit(args, serialize.dumps(doc))
-    return _exit_status(s.mismatch, "butterfly-tridiagonal-roundtrip")
+    return _exit_status(s.mismatch, BUTTERFLY_ROUNDTRIP_TOL)
 
 
-def _exit_status(mismatch: float, claim_id: str) -> int:
-    return EXIT_PASS if mismatch <= DEFAULT_TOLERANCES[claim_id] else EXIT_FLAGGED
+def _exit_status(mismatch: float, tolerance: float) -> int:
+    return EXIT_PASS if mismatch <= tolerance else EXIT_FLAGGED
 
 
 def _complex_list(zs) -> List[List[float]]:

@@ -5,8 +5,7 @@ oracles stay auditable: one pivoted forward elimination (exact on
 Fractions) that serves the determinant, the linear solves, the inverse and
 the pencil's transfer matrix V^-1 U, an implicit-shift QL eigensolver for
 symmetric tridiagonal matrices, and a Hessenberg + double-shift QR
-eigensolver for general real matrices with a characteristic-polynomial root
-oracle for sizes <= 6.
+eigensolver for general real matrices.
 """
 
 from __future__ import annotations
@@ -292,8 +291,9 @@ def sym_tridiag_eigs(t: SymTridiag) -> List[float]:
 def dense_eigs(a: Matrix) -> List[complex]:
     """All eigenvalues of a real square matrix, sorted by (re, im):
     stabilized-elimination Hessenberg reduction followed by Francis
-    double-shift QR (charpoly_eigs is the independent oracle).  Raises
-    ValueError on a NaN or infinite entry, which would never deflate."""
+    double-shift QR (tests/test_numerics.py holds the independent
+    characteristic-polynomial oracle for sizes <= 6).  Raises ValueError on
+    a NaN or infinite entry, which would never deflate."""
     if _check_square(a) == 0:
         return []
     h = [[float(x) for x in row] for row in a]
@@ -468,74 +468,6 @@ def _hqr(a: Matrix) -> List[complex]:
                         row[k + 1] -= p * q
                         row[k] -= p
     return eigs
-
-
-# ---------------------------------------------------------------------------
-# characteristic-polynomial oracle (sizes <= 6)
-# ---------------------------------------------------------------------------
-
-def charpoly(a: Matrix) -> List[Scalar]:
-    """Monic characteristic polynomial coefficients [c_0, ..., c_{n-1}, 1].
-
-    Faddeev-LeVerrier recursion; exact on Fraction input.
-    """
-    n = _check_square(a)
-    exact = _exact_matrix(a)
-    one_ = Fraction(1) if exact else 1.0
-    coeffs = [one_ * 0] * n + [one_]
-    m = [[one_ if i == j else one_ * 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        tr = dot((am[i][i] for i in range(n)), repeat(1))
-        c = -tr / k
-        coeffs[n - k] = c
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return coeffs
-
-
-def charpoly_eigs(a: Matrix) -> List[complex]:
-    """Eigenvalues of a square matrix of size <= 6, sorted by (re, im): the
-    exact characteristic polynomial plus simultaneous root iteration."""
-    if _check_square(a) > 6:
-        raise DimensionError("charpoly oracle limited to size <= 6")
-    return sort_complex(polynomial_roots([complex(float(c), 0.0) for c in charpoly(a)]))
-
-
-def polynomial_roots(coeffs: Sequence[complex]) -> List[complex]:
-    """Roots of a monic polynomial by simultaneous (Weierstrass) iteration."""
-    n = len(coeffs) - 1
-    if n == 0:
-        return []
-    lead = coeffs[-1]
-    cs = [c / lead for c in coeffs]
-
-    def val(z: complex) -> complex:
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    radius = 1.0 + max(abs(c) for c in cs[:-1]) if n else 1.0
-    seed = complex(0.4, 0.9)
-    roots = [radius * seed**k for k in range(1, n + 1)]
-    for _ in range(500):
-        moved = 0.0
-        for i in range(n):
-            denom = 1 + 0j
-            for j in range(n):
-                if j != i:
-                    denom *= roots[i] - roots[j]
-            if denom == 0:
-                roots[i] += complex(1e-8, 1e-8)
-                continue
-            delta = val(roots[i]) / denom
-            roots[i] -= delta
-            moved = max(moved, abs(delta))
-        if moved < 1e-14 * (1.0 + radius):
-            break
-    else:
-        raise ConvergenceError("root iteration did not settle in 500 rounds")
-    return roots
 
 
 # ---------------------------------------------------------------------------

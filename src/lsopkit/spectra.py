@@ -38,6 +38,14 @@ from .numerics import (Matrix, SymTridiag, dense_eigs, identity, inf_norm, mat_m
                        spectra_distance, sym_tridiag_eigs, transpose, zeros)
 
 DOUBLE_ROOT_TOL = 1e-12
+# Largest spectral distance that passes, for the pencil eigenvalues and the
+# dense butterfly spectrum against the support, and for the structured
+# butterfly solve against the dense one.  The claims pencil-eigenvalues,
+# butterfly-spectrum and butterfly-tridiagonal-roundtrip default to them, and
+# the pencil, butterfly and solve-butterfly commands exit 2 above them.
+PENCIL_EIGENVALUES_TOL = 1e-6
+BUTTERFLY_SPECTRUM_TOL = 1e-7
+BUTTERFLY_ROUNDTRIP_TOL = 1e-7
 
 CONVENTION_DIFFERENCE = "difference-of-alphas"
 CONVENTION_PLAIN = "plain-alpha"

@@ -44,7 +44,8 @@ from .moments import DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_momen
 from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, nan_max, spectra_distance,
                        sym_tridiag_eigs)
 from .pfaffian import SkewArray, _minor_identity_terms, pf_eliminate, pf_expand
-from .spectra import (CONVENTION_DIFFERENCE, ButterflyParams, PencilReport, build_butterfly,
+from .spectra import (BUTTERFLY_ROUNDTRIP_TOL, BUTTERFLY_SPECTRUM_TOL, CONVENTION_DIFFERENCE,
+                      PENCIL_EIGENVALUES_TOL, ButterflyParams, PencilReport, build_butterfly,
                       build_tridiagonal, butterfly_params, determine_diagonal_convention,
                       gauge_similarity_defect, inversion_closure_defect, pencil_eigenvalues,
                       pencil_residual, solve_butterfly, support_spectrum)
@@ -744,15 +745,15 @@ _SUITE: Tuple[Tuple[str, float, Callable[[_Context], Measured]], ...] = (
     ("pencil-recurrence-residual", 1e-10, claim_pencil_residual),
     ("pencil-symplecticity", 0.0, claim_pencil_symplecticity),
     ("transfer-symplecticity", 1e-8, claim_transfer_symplecticity),
-    ("pencil-eigenvalues", 1e-6, claim_pencil_eigenvalues),
+    ("pencil-eigenvalues", PENCIL_EIGENVALUES_TOL, claim_pencil_eigenvalues),
     ("tridiagonal-spectrum", 1e-8, claim_tridiagonal_spectrum),
     ("lsolp-construction-agreement", 1e-9, claim_lsolp_construction),
     ("lsolp-multiplication-sparsity", 1e-9, claim_multiplication_sparsity),
     ("butterfly-diagonal-convention", 1e-9, claim_diagonal_convention),
     ("butterfly-vs-multiplication", 1e-9, claim_butterfly_vs_multiplication),
-    ("butterfly-spectrum", 1e-7, claim_butterfly_spectrum),
+    ("butterfly-spectrum", BUTTERFLY_SPECTRUM_TOL, claim_butterfly_spectrum),
     ("butterfly-gauge-invariance", 1e-8, claim_gauge_invariance),
-    ("butterfly-tridiagonal-roundtrip", 1e-7, claim_butterfly_roundtrip),
+    ("butterfly-tridiagonal-roundtrip", BUTTERFLY_ROUNDTRIP_TOL, claim_butterfly_roundtrip),
     ("unit-modulus-pairs", 1e-12, claim_unit_modulus),
     ("spectrum-inversion-closure", 1e-7, claim_inversion_closure),
 )

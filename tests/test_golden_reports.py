@@ -14,7 +14,9 @@ runs with
 tests/data/golden_cli_digests.json holds the exit status and the sha256 of
 the --out file of gen-measure, lsop, pencil and butterfly --gauge-seed 9 at
 seeds 1-3, order 5, and of solve-butterfly on tests/data/butterfly_params.json,
-each in both modes.  Both the suite and the full-grid run check all of them.
+each in both modes.  Both the suite and the full-grid run check all of them
+through cli.main; the full-grid run checks them again through fresh
+`python -m lsopkit.cli` processes, the way the command line runs them.
 
 tests/data/golden_fixed_digests.json holds the sha256 of the claim-seed-1
 report on the fixed measure (_fixed_measure) at orders 12, 16, 24 and 32 in
@@ -27,7 +29,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -74,9 +78,18 @@ def _cli_calls(command: str):
             yield f"{command}/{mode}/{seed}", argv
 
 
-def _cli_digest(argv, out: pathlib.Path) -> list:
-    code = cli.main([*argv, "--out", str(out)])
+def _cli_digest(argv, out: pathlib.Path, main=cli.main) -> list:
+    code = main([*argv, "--out", str(out)])
     return [code, hashlib.sha256(out.read_bytes()).hexdigest()]
+
+
+def _cli_process(argv) -> int:
+    """cli.main(argv) as `python -m lsopkit.cli` in a fresh interpreter that
+    compiles the package from source."""
+    env = {k: v for k, v in os.environ.items() if k != "LSOPKIT_MODE"}
+    env.update(PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "lsopkit.cli", *argv], env=env).returncode
 
 
 @pytest.mark.parametrize("command", CLI_COMMANDS)
@@ -241,8 +254,12 @@ if __name__ == "__main__":
         out = pathlib.Path(tmp) / "out.json"
         bad_cli = [key for command in CLI_COMMANDS for key, argv in _cli_calls(command)
                    if _cli_digest(argv, out) != CLI_DIGESTS[key]]
+        bad_process = [key for command in CLI_COMMANDS for key, argv in _cli_calls(command)
+                       if _cli_digest(argv, out, _cli_process) != CLI_DIGESTS[key]]
     print(f"{len(CLI_DIGESTS) - len(bad_cli)}/{len(CLI_DIGESTS)} CLI outputs match", *bad_cli, sep="\n")
+    print(f"{len(CLI_DIGESTS) - len(bad_process)}/{len(CLI_DIGESTS)} CLI outputs match "
+          "through python -m lsopkit.cli", *bad_process, sep="\n")
     bad_fixed = [key for key in FIXED_DIGESTS if _fixed_digest(key) != FIXED_DIGESTS[key]]
     print(f"{len(FIXED_DIGESTS) - len(bad_fixed)}/{len(FIXED_DIGESTS)} fixed-measure reports match",
           *bad_fixed, sep="\n")
-    sys.exit(1 if bad or bad_cli or bad_fixed else 0)
+    sys.exit(1 if bad or bad_cli or bad_process or bad_fixed else 0)

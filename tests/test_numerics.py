@@ -21,12 +21,13 @@ from fractions import Fraction
 
 import pytest
 
-from lsopkit.errors import DimensionError
+from lsopkit.errors import ConvergenceError, DimensionError
 from lsopkit.lsop import RecurrenceData, recurrence_from_measure
+from lsopkit.modes import is_exact
 from lsopkit.moments import DiscreteMeasure
-from lsopkit.numerics import (SymTridiag, charpoly, charpoly_eigs, dense_det, dense_eigs, inf_norm,
-                              mat_mul, mat_vec, max_abs_diff, min_cost_assignment, nan_max,
-                              solve_columns, solve_linear, spectra_distance, sym_tridiag_eigs,
+from lsopkit.numerics import (SymTridiag, dense_det, dense_eigs, dot, inf_norm, mat_mul, mat_vec,
+                              max_abs_diff, min_cost_assignment, nan_max, solve_columns,
+                              solve_linear, sort_complex, spectra_distance, sym_tridiag_eigs,
                               transpose)
 from lsopkit.spectra import (ButterflyParams, build_pencil, butterfly_from_params,
                              pencil_from_recurrence, transfer_matrix)
@@ -188,6 +189,66 @@ def test_dense_eigs_refuses_non_finite_entry(bad):
     a[40][17] = bad
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         dense_eigs(a)
+
+
+# -- characteristic-polynomial oracle (sizes <= 6) -----------------------------
+
+def charpoly(a):
+    """Monic characteristic polynomial coefficients [c_0, ..., c_{n-1}, 1].
+
+    Faddeev-LeVerrier recursion; exact on Fraction input.
+    """
+    n = len(a)
+    one_ = Fraction(1) if all(is_exact(x) for row in a for x in row) else 1.0
+    coeffs = [one_ * 0] * n + [one_]
+    m = [[one_ if i == j else one_ * 0 for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = mat_mul(a, m)
+        c = -dot((am[i][i] for i in range(n)), itertools.repeat(1)) / k
+        coeffs[n - k] = c
+        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def charpoly_eigs(a):
+    """Eigenvalues of a square matrix of size <= 6, sorted by (re, im): the
+    exact characteristic polynomial plus simultaneous root iteration."""
+    if len(a) > 6:
+        raise DimensionError("charpoly oracle limited to size <= 6")
+    return sort_complex(polynomial_roots([complex(float(c), 0.0) for c in charpoly(a)]))
+
+
+def polynomial_roots(coeffs):
+    """Roots of a monic polynomial by simultaneous (Weierstrass) iteration."""
+    n = len(coeffs) - 1
+    if n == 0:
+        return []
+    cs = [c / coeffs[-1] for c in coeffs]
+
+    def val(z):
+        acc = 0j
+        for c in reversed(cs):
+            acc = acc * z + c
+        return acc
+
+    radius = 1.0 + max(abs(c) for c in cs[:-1])
+    roots = [radius * complex(0.4, 0.9)**k for k in range(1, n + 1)]
+    for _ in range(500):
+        moved = 0.0
+        for i in range(n):
+            denom = 1 + 0j
+            for j in range(n):
+                if j != i:
+                    denom *= roots[i] - roots[j]
+            if denom == 0:
+                roots[i] += complex(1e-8, 1e-8)
+                continue
+            delta = val(roots[i]) / denom
+            roots[i] -= delta
+            moved = max(moved, abs(delta))
+        if moved < 1e-14 * (1.0 + radius):
+            return roots
+    raise ConvergenceError("root iteration did not settle in 500 rounds")
 
 
 def test_qr_matches_charpoly_oracle():
