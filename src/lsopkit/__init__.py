@@ -31,11 +31,10 @@ _EXPORTS = {
              "kodama_residuals", "kodama_sops", "lsop_via_pfaffian", "lsop_via_recurrence",
              "moment_pfaffian_table", "op_via_hankel", "orthonormalize", "random_family",
              "recurrence_from_measure", "verify_pfaffian_det"),
-    "moments": ("DiscreteMeasure", "MomentTable", "c_moment", "chebyshev2_coeffs", "mu_from_c",
-                "mu_moment", "skew_inner"),
+    "moments": ("DiscreteMeasure", "MomentTable", "c_moment", "mu_from_c", "mu_moment",
+                "skew_inner"),
     "numerics": ("SymTridiag", "dense_det", "dense_eigs", "spectra_distance", "sym_tridiag_eigs"),
-    "pfaffian": ("SkewArray", "check_identity_even", "check_identity_odd", "pf_eliminate",
-                 "pf_expand", "pf_indices"),
+    "pfaffian": ("SkewArray", "minor_identity", "pf_eliminate", "pf_expand", "pf_indices"),
     "spectra": ("ButterflyParams", "PencilPair", "build_butterfly", "build_pencil",
                 "build_tridiagonal", "butterfly_from_params", "butterfly_params",
                 "butterfly_to_tridiagonal", "eig_correspondence", "pencil_eigenvalues",

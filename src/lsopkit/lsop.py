@@ -3,9 +3,11 @@
 Two independent routes build the same monic family {q_n}:
 
 * the moment-table route: q_n is the skew-moment table bordered by a column
-  of monomials, over tau (the oracle path); on an exact table one unpivoted
-  elimination (pfaffian_route) gives every q_n, tau_m and sigma_m at once, on
-  a float table bordered_pfaffian takes one pivoted Pfaffian per minor;
+  of monomials, over tau (the oracle path); pfaffian_route, in both scalar
+  modes, gives every q_n, tau_m and sigma_m through a degree at once: from
+  one unpivoted elimination on an exact table, and one pivoted Pfaffian per
+  minor (bordered_pfaffian) on the rows that elimination does not reach,
+  those past a vanishing tau and every row of a float table;
 * the recurrence route: q_0 = 1, q_1 = z, then the two coupled relations
 
       z (q_2n   - beta_n  q_2n-2) = q_2n+1 - alpha_n q_2n
@@ -134,77 +136,83 @@ def bordered_pfaffian(table: SkewArray, exponents: Sequence[int]) -> LaurentPoly
 
 @dataclass(frozen=True)
 class PfaffianRoute:
-    """The Pfaffian route of an exact moment table through degree n, from one
-    unpivoted elimination over the exponents 0..n (pfaffian_route):
-    borders[i] holds the coefficients of q_i times q_i's own z^i entry
-    borders[i][i] = L^m tau_m, m = i // 2, L the lcm of the table's
-    denominators.  The rows end after the first vanishing tau."""
+    """The moment-table route through degree len(rows) - 1 (pfaffian_route).
 
-    degree: int
-    borders: Tuple[Tuple[int, ...], ...]
-    scale: int
+    rows[i] is L^m times the moment table over the exponents {0..2m-1, i},
+    m = i // 2, bordered by the monomial column (bordered_pfaffian): its z^i
+    coefficient is L^m tau_m, so rows[i] = L^m tau_m q_i.  scale is L, the
+    lcm of an exact table's denominators, and None for a float table (L = 1).
+    """
+
+    rows: Tuple[LaurentPoly, ...]
+    scale: Optional[int]
+
+    def _quotient(self, a: Scalar, b: Scalar) -> Scalar:
+        """a / b, a Fraction on an exact route (its rows hold integers)."""
+        return a / b if self.scale is None else Fraction(a, b)
 
     def member(self, n: int) -> LaurentPoly:
-        """Monic q_n = borders[n] / borders[n][n]."""
-        if n > self.degree:
-            raise ValueError(f"q_{n} requested from a route through degree {self.degree}")
-        if n >= len(self.borders):
-            raise DegeneracyError(f"tau_{len(self.borders) // 2 - 1} = 0 ends the "
-                                  f"one-pass elimination before q_{n}")
-        row = self.borders[n]
-        if row[n] == 0:
+        """Monic q_n = rows[n] / (L^m tau_m)."""
+        if not 0 <= n < len(self.rows):
+            raise ValueError(f"q_{n} requested from a route through degree {len(self.rows) - 1}")
+        row = self.rows[n]
+        tau = row.coeff(n)
+        if tau == 0:
             raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
-        return LaurentPoly({e: Fraction(c, row[n]) for e, c in enumerate(row) if c})
+        return LaurentPoly({e: self._quotient(c, tau) for e, c in row.coeffs.items()})
 
     def recurrence_data(self) -> RecurrenceData:
-        """tau_k = borders[2k][2k] / L^k and sigma_k = Pf(0..2k-2, 2k) =
-        -borders[2k][2k-1] / L^k for k <= degree // 2; a vanishing tau_k
-        raises, since the family does not exist."""
-        tau, sigma = [Fraction(1)], [Fraction(0)]
-        for k in range(1, self.degree // 2 + 1):
-            row = self.borders[2 * k]
-            if row[2 * k] == 0:
-                raise DegeneracyError(f"tau_{k} = 0: the skew orthogonal family does not exist")
-            power = self.scale ** k
-            tau.append(Fraction(row[2 * k], power))
-            sigma.append(Fraction(-row[2 * k - 1], power))
+        """tau_k = Pf(0..2k-1), read off rows[2k] as its z^2k coefficient / L^k,
+        and sigma_k = Pf(0..2k-2, 2k) as minus its z^(2k-1) coefficient / L^k,
+        for every even row.  A vanishing tau_k (exactly on an exact route,
+        below 1e-8 x the running scale max(1, |tau_j|, |sigma_j| : j <= k) on
+        a float one) raises, since the family does not exist."""
+        tau, sigma = [], []
+        running = 1.0
+        for k, row in enumerate(self.rows[::2]):
+            power = 1 if self.scale is None else self.scale ** k
+            t = self._quotient(row.coeff(2 * k), power)
+            s = self._quotient(-row.coeff(2 * k - 1), power)
+            if self.scale is not None:
+                if t == 0:
+                    raise DegeneracyError(f"tau_{k} = 0: the skew orthogonal family does not exist")
+            else:
+                running = max(running, abs(float(t)), abs(float(s)))
+                if abs(float(t)) <= TAU_DEGENERACY_RELATIVE * running:
+                    raise DegeneracyError(
+                        f"tau_{k} = {float(t):.3e} below degeneracy threshold "
+                        f"({TAU_DEGENERACY_RELATIVE:g} x scale {running:.3e})"
+                    )
+            tau.append(t)
+            sigma.append(s)
         return _recurrence_from_minors(tau, sigma)
 
 
 def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
-    """The Pfaffian route of an exact moment table through degree n: q_0..q_n,
-    tau and sigma through n // 2, from one pf_leading_borders elimination."""
-    borders, scale = pf_leading_borders(moment_skew_array(mu, range(n + 1)))
-    return PfaffianRoute(degree=n, borders=tuple(map(tuple, borders)), scale=scale)
+    """q_0..q_n, and tau and sigma through n // 2, of a moment table.
+
+    An exact table gives its rows from one pf_leading_borders elimination.
+    The rows it does not reach, those past a vanishing tau and every row of
+    a float table, take bordered_pfaffian's pivoted Pfaffian per minor.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    rows, scale = [], None
+    if mu.exact:
+        borders, scale = pf_leading_borders(moment_skew_array(mu, range(n + 1)))
+        rows = [LaurentPoly(dict(enumerate(row))) for row in borders]
+    for i in range(len(rows), n + 1):
+        exponents = list(range(2 * (i // 2))) + [i]
+        minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
+        rows.append(minors if scale is None else minors.scale(scale ** (i // 2)))
+    return PfaffianRoute(rows=tuple(rows), scale=scale)
 
 
 def moment_pfaffian_table(mu: MomentTable, n: int) -> RecurrenceData:
-    """Recurrence data from Pfaffian minors of the moment table.
-
-    tau_k = Pf(0,...,2k-1) and sigma_k = Pf(0,...,2k-2,2k): from one
-    elimination (pfaffian_route) on an exact table, a pivoted Pfaffian each
-    on a float one.  A vanishing tau_k (exactly in rational arithmetic, below
-    1e-8 x running scale in double) aborts with a degeneracy error since the
-    family does not exist.
-    """
-    if mu.exact:
-        return pfaffian_route(mu, 2 * n).recurrence_data()
-    table = moment_skew_array(mu, range(2 * n + 1))
-    tau: List[Scalar] = [1.0]
-    sigma: List[Scalar] = [0.0]
-    scale = 1.0
-    for k in range(1, n + 1):
-        t = pf_indices(table, list(range(2 * k)))
-        s = pf_indices(table, list(range(2 * k - 1)) + [2 * k])
-        scale = max(scale, abs(float(t)), abs(float(s)))
-        if abs(float(t)) <= TAU_DEGENERACY_RELATIVE * scale:
-            raise DegeneracyError(
-                f"tau_{k} = {float(t):.3e} below degeneracy threshold "
-                f"({TAU_DEGENERACY_RELATIVE:g} x scale {scale:.3e})"
-            )
-        tau.append(t)
-        sigma.append(s)
-    return _recurrence_from_minors(tau, sigma)
+    """Recurrence data from the Pfaffian minors tau_k = Pf(0,...,2k-1) and
+    sigma_k = Pf(0,...,2k-2,2k) of the moment table, k <= n: the route
+    through degree 2n (PfaffianRoute.recurrence_data)."""
+    return pfaffian_route(mu, 2 * n).recurrence_data()
 
 
 def _recurrence_from_minors(tau: List[Scalar], sigma: List[Scalar]) -> RecurrenceData:
@@ -492,6 +500,8 @@ def evaluate_family(m: DiscreteMeasure, n: Optional[int] = None) -> FamilyValues
     """
     if n is None:
         n = m.size
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
     if n > m.size:
         raise DegeneracyError(f"order {n} exceeds the measure's {m.size} nodes")
     support = _float_support(m)
@@ -560,27 +570,16 @@ def lsop_via_pfaffian(mu: MomentTable, n: int) -> LaurentPoly:
     q_2m(z)   = sum_k (-1)^k z^k Pf({0..2m} \\ {k}) / tau_m
     q_2m+1(z) = z^(2m+1) + sum_{k<2m} (-1)^k z^k Pf(({0..2m-1} \\ {k}) + {2m+1}) / tau_m
 
-    so the odd members have no z^2m term by construction.  An exact table
-    reads q_n off pfaffian_route(mu, n) unless a vanishing tau below tau_m
-    ends that elimination first; then, as on a float table, bordered_pfaffian
-    takes one pivoted Pfaffian per minor.
+    so the odd members have no z^2m term by construction; read off
+    pfaffian_route(mu, n).
     """
-    if mu.exact:
-        route = pfaffian_route(mu, n)
-        if n < len(route.borders):
-            return route.member(n)
-    exponents = list(range(2 * (n // 2))) + [n]
-    minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
-    tau_m = minors.coeff(n)
-    if tau_m == 0:
-        raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
-    return LaurentPoly({e: c / tau_m for e, c in minors.coeffs.items()})
+    return pfaffian_route(mu, n).member(n)
 
 
 def lsop_via_recurrence(rec: RecurrenceData, n: int) -> List[LaurentPoly]:
     """Monic q_0..q_2n by the coupled two-term recurrences."""
-    if n > rec.order:
-        raise ValueError(f"requested 2*{n} polynomials from order-{rec.order} data")
+    if not 0 <= n <= rec.order:
+        raise ValueError(f"order {n} is outside 0..{rec.order} of the recurrence data")
     qs = [ONE, Z]
     for k in range(n):
         if k >= 1:

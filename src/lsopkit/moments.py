@@ -172,6 +172,8 @@ class MomentTable:
     @staticmethod
     def from_measure(m: DiscreteMeasure, order: int) -> "MomentTable":
         """Tabulate mu_n for |n| <= 2*order and c_i for i <= 2*order."""
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         hi = 2 * order
         mu = {}
         for n in range(0, hi + 1):
@@ -188,17 +190,6 @@ class MomentTable:
 
     def c_list(self, count: int) -> List[Scalar]:
         return [self.c[i] for i in range(count)]
-
-
-def chebyshev2_coeffs(n: int) -> List[int]:
-    """Monomial coefficients [a_0..a_n] of the degree-n Chebyshev polynomial
-    of the second kind, a_j x^j with a_{n-2k} = (-1)^k C(n-k,k) 2^(n-2k)."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    coeffs = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = (-1) ** k * math.comb(n - k, k) * 2 ** (n - 2 * k)
-    return coeffs
 
 
 def mu_from_c(c: Sequence[Scalar]) -> List[Scalar]:

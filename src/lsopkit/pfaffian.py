@@ -29,10 +29,10 @@ once the pairs below it are eliminated, so one pass gives every leading
 bordered minor: the border of the Pfaffian over {0..2m-1, i}, m = i // 2,
 for each i at once (the moment-table members q_i, tau_m and sigma_m).
 
-``check_identity_even`` / ``check_identity_odd`` evaluate the two minor
-identities that relate a Pfaffian bordered by four extra indices to
-three-fold products of smaller Pfaffians (the even identity fixes an
-even-cardinality base set, the odd identity an odd one).
+``minor_identity`` evaluates the two minor identities that relate a
+Pfaffian bordered by four extra indices to three-fold products of smaller
+Pfaffians (the even identity fixes an even-cardinality base set, the odd
+identity an odd one).
 """
 
 from __future__ import annotations
@@ -212,25 +212,6 @@ def pf_indices(s: SkewArray, indices: Sequence[int]) -> Scalar:
     return 0 if len(set(idx)) != len(idx) else pf_eliminate(sub)
 
 
-def check_identity_even(s: SkewArray, base: Sequence[int], a: int, b: int, c: int, d: int) -> Scalar:
-    """Residual |LHS - RHS| of the even-base minor identity.
-
-    LHS = Pf(base,a,b,c,d) * Pf(base); RHS is the alternating three-product
-    sum Pf(base,a,b)Pf(base,c,d) - Pf(base,a,c)Pf(base,b,d)
-    + Pf(base,a,d)Pf(base,b,c).  Exact zero on Fraction input.
-    """
-    return _minor_identity_terms(s, base, (a, b, c, d), "even")[0]
-
-
-def check_identity_odd(s: SkewArray, base: Sequence[int], a: int, b: int, c: int, d: int) -> Scalar:
-    """Residual |LHS - RHS| of the odd-base minor identity.
-
-    LHS = Pf(base,a,b,c) * Pf(base,d); RHS = Pf(base,a,b,d)Pf(base,c)
-    - Pf(base,a,c,d)Pf(base,b) + Pf(base,b,c,d)Pf(base,a).
-    """
-    return _minor_identity_terms(s, base, (a, b, c, d), "odd")[0]
-
-
 # Each side of a minor identity as products of two Pfaffians, each factor given
 # by its positions among the four extra indices (a, b, c, d): the left-hand
 # side, then the three right-hand products whose alternating sum is the RHS.
@@ -240,10 +221,17 @@ _MINOR_IDENTITIES = {
 }
 
 
-def _minor_identity_terms(s: SkewArray, base: Sequence[int], extra: Sequence[int],
-                         parity: str) -> Tuple[Scalar, Tuple[Scalar, Scalar, Scalar]]:
+def minor_identity(s: SkewArray, base: Sequence[int], extra: Sequence[int],
+                   parity: str) -> Tuple[Scalar, Tuple[Scalar, Scalar, Scalar]]:
     """(|LHS - RHS|, the three right-hand products) of the even- or odd-base
-    minor identity bordered by the four extra indices."""
+    minor identity bordered by the four extra indices (a, b, c, d); the
+    residual is an exact zero on exact input.
+
+    even: LHS = Pf(base,a,b,c,d) Pf(base), RHS = Pf(base,a,b) Pf(base,c,d)
+          - Pf(base,a,c) Pf(base,b,d) + Pf(base,a,d) Pf(base,b,c);
+    odd:  LHS = Pf(base,a,b,c) Pf(base,d), RHS = Pf(base,a,b,d) Pf(base,c)
+          - Pf(base,a,c,d) Pf(base,b) + Pf(base,b,c,d) Pf(base,a).
+    """
     base = list(base)
     if (len(base) % 2 == 1) != (parity == "odd"):
         raise DimensionError(f"{parity} identity needs an {parity} base set, got {len(base)} indices")

@@ -36,14 +36,14 @@ from .lsolp import (GaugeParams, LsolpFamily, butterfly_sparsity_defect,
                     gauge_transform_scaled, gram_schmidt_lsolp, gram_schmidt_pairs,
                     lsolp_from_values, multiplication_matrix)
 from .lsop import (FamilyValues, PfaffianRoute, RecurrenceData, evaluate_family, even_to_op,
-                   kodama_residuals, kodama_sops, lsop_via_pfaffian,
-                   lsop_via_recurrence, moment_pfaffian_table, op_via_hankel, pfaffian_route,
-                   random_family, skew_pattern_defect, support_pairing, verify_pfaffian_det)
+                   kodama_residuals, kodama_sops, lsop_via_recurrence, op_via_hankel,
+                   pfaffian_route, random_family, skew_pattern_defect, support_pairing,
+                   verify_pfaffian_det)
 from .modes import Scalar, validate_mode
 from .moments import DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment, skew_inner
 from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, nan_max, spectra_distance,
                        sym_tridiag_eigs)
-from .pfaffian import SkewArray, _minor_identity_terms, pf_eliminate, pf_expand
+from .pfaffian import SkewArray, minor_identity, pf_eliminate, pf_expand
 from .spectra import (BUTTERFLY_ROUNDTRIP_TOL, BUTTERFLY_SPECTRUM_TOL, CONVENTION_DIFFERENCE,
                       PENCIL_EIGENVALUES_TOL, ButterflyParams, PencilReport, build_butterfly,
                       build_tridiagonal, butterfly_params, determine_diagonal_convention,
@@ -153,9 +153,9 @@ class _Context:
     run: the fold fv (the recurrence data, the value tables and the exact
     monic tables all come from it; without a given measure it is the fold
     random_family drew the measure with), the monic family qs, its even
-    members reduced to w = z + 1/z, the moment table, in rational mode its
-    one-pass Pfaffian route (every q_k, tau_k and sigma_k that
-    lsop-route-agreement and pfaffian-hankel-identity read), the pencil report
+    members reduced to w = z + 1/z, the moment table, its Pfaffian route
+    (every q_k, tau_k and sigma_k that lsop-route-agreement and
+    pfaffian-hankel-identity read, in both modes), the pencil report
     (spectra.pencil_residual, which lsopkit pencil prints too) and the
     full-order alternating-basis family lsolp.  The pencil, tridiagonal and
     butterfly builders read the recurrence data through float(), exact or
@@ -206,8 +206,7 @@ class _Context:
 
     @property
     def pfaffian_route(self) -> PfaffianRoute:
-        """The exact moment table's one-pass Pfaffian route through degree
-        2 coeff_order (rational mode only)."""
+        """The moment table's Pfaffian route through degree 2 coeff_order."""
         return self._cached("pfaffian_route",
                             lambda: pfaffian_route(self.moments, 2 * self.coeff_order))
 
@@ -290,8 +289,8 @@ def _minor_identity(ctx: _Context, parity: str, offset: int, base_size_of) -> Me
     for trial in range(50):
         base_size = base_size_of(rng)
         s = _random_skew(ctx, rng, base_size + 4)
-        resid, products = _minor_identity_terms(s, range(base_size),
-                                                range(base_size, base_size + 4), parity)
+        resid, products = minor_identity(s, range(base_size),
+                                         range(base_size, base_size + 4), parity)
         scale = max(abs(float(p)) for p in products)
         worst = nan_max(worst, _residual(ctx, float(resid), scale))
     return Measured(worst, f"{parity}-base bordered-minor identity on 50 seeded tables",
@@ -372,12 +371,10 @@ def claim_moment_roundtrip(ctx: _Context) -> Measured:
 
 def claim_route_agreement(ctx: _Context) -> Measured:
     n = ctx.coeff_order
-    mu = ctx.moments
     qs = ctx.qs
-    member = ctx.pfaffian_route.member if ctx.exact else lambda k: lsop_via_pfaffian(mu, k)
     worst = 0.0
     for k in range(2 * n + 1):
-        diff = member(k) - qs[k]
+        diff = ctx.pfaffian_route.member(k) - qs[k]
         worst = nan_max(worst, _residual(ctx, diff.max_abs_coeff(), qs[k].max_abs_coeff()))
     return Measured(worst,
                     f"moment-minor and recurrence constructions agree through degree {2 * n}",
@@ -525,7 +522,7 @@ def claim_three_term(ctx: _Context) -> Measured:
 def claim_pfaffian_hankel(ctx: _Context) -> Measured:
     n = ctx.coeff_order
     mu = ctx.moments
-    rec_pf = ctx.pfaffian_route.recurrence_data() if ctx.exact else moment_pfaffian_table(mu, n)
+    rec_pf = ctx.pfaffian_route.recurrence_data()
     cs = mu.c_list(2 * n)
     mus_from_c = mu_from_c(cs)
     link = 0.0

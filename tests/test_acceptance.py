@@ -15,7 +15,7 @@ from lsopkit.lsop import (even_to_op, hankel_det,
                           random_family, recurrence_from_measure, shifted_hankel_det)
 from lsopkit.moments import MomentTable, c_moment, mu_from_c
 from lsopkit.numerics import dense_det, dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
-from lsopkit.pfaffian import SkewArray, check_identity_even, check_identity_odd, pf_eliminate, pf_expand
+from lsopkit.pfaffian import SkewArray, minor_identity, pf_eliminate, pf_expand
 from lsopkit.spectra import (CONVENTION_DIFFERENCE, ButterflyParams, build_butterfly,
                              build_tridiagonal, butterfly_from_params,
                              butterfly_params, butterfly_to_tridiagonal, canonical_z_list,
@@ -57,8 +57,8 @@ def test_criterion_01_pfaffian_identity_suite():
             size, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         base = list(range(base_size))
         extras = list(range(base_size, base_size + 4))
-        check = check_identity_even if base_size % 2 == 0 else check_identity_odd
-        ok = ok and check(s, base, *extras) == 0
+        parity = "odd" if base_size % 2 else "even"
+        ok = ok and minor_identity(s, base, extras, parity)[0] == 0
     for size in range(2, 9, 2):
         s = SkewArray.from_entry_fn(
             size, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))

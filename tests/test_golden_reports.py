@@ -226,14 +226,14 @@ def test_report_builds_each_artifact_once(build_count, mode):
     # one textbook pencil, one rederived layout, one transfer symplecticity
     # check per layout (each with its transfer matrix) plus the eigenvalue
     # route's transfer matrix, and one reduction per even member up to the
-    # coefficient-route order (6, 4).  Rational mode eliminates the moment
-    # table once for both Pfaffian-route claims; double mode takes lsop's
-    # Pfaffians one per minor: 41 for q_0..q_8, 8 for tau_1..4 and sigma_1..4
-    pfaffians = ({"pfaffian_route": 1, "pf_leading_borders": 1} if mode == "rational"
-                 else {"pf_indices": 49})
+    # coefficient-route order (6, 4).  Both Pfaffian-route claims read one
+    # route of the moment table: rational mode eliminates it once, double
+    # mode takes lsop's Pfaffians one per minor, 41 for q_0..q_8, whose rows
+    # hold tau_1..4 and sigma_1..4 too
+    pfaffians = {"pf_leading_borders": 1} if mode == "rational" else {"pf_indices": 41}
     assert build_count == {"build_pencil": 1, "pencil_from_recurrence": 1,
                            "transfer_symplecticity": 2, "transfer_matrix": 3,
-                           "lsolp_from_values": 1,
+                           "lsolp_from_values": 1, "pfaffian_route": 1,
                            "even_to_op": 7 if mode == "rational" else 5, **pfaffians}
 
 

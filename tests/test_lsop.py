@@ -11,7 +11,7 @@ from lsopkit.laurent import LaurentPoly
 from lsopkit.lsop import (evaluate_family, even_to_op,
                           hankel_det, kodama_residuals, kodama_sops, lsop_via_pfaffian,
                           lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
-                          orthonormalize, random_family, recurrence_from_measure,
+                          orthonormalize, pfaffian_route, random_family, recurrence_from_measure,
                           shifted_hankel_det, skew_pattern_defect, support_gram,
                           support_pairing, verify_pfaffian_det)
 from lsopkit.moments import DiscreteMeasure, MomentTable, mu_moment, skew_inner
@@ -73,6 +73,18 @@ def test_order_zero_table_gives_q0_and_tau0(mode):
     rec = moment_pfaffian_table(table, 0)
     assert (rec.order, rec.tau, rec.sigma, rec.alpha, rec.beta) == (0, (one,), (0,), (0,), (0,))
     assert all(type(v) is type(one) for v in rec.tau + rec.sigma + rec.alpha + rec.beta)
+
+
+@pytest.mark.parametrize("mode", ["rational", "double"])
+def test_negative_degrees_and_orders_refused(mode):
+    fv = random_family(3, 2, mode)
+    mu = MomentTable.from_measure(fv.measure, 2)
+    for call in (lambda: pfaffian_route(mu, -1), lambda: lsop_via_pfaffian(mu, -1),
+                 lambda: moment_pfaffian_table(mu, -1), lambda: pfaffian_route(mu, 4).member(-1),
+                 lambda: lsop_via_recurrence(fv.rec, -1), lambda: evaluate_family(fv.measure, -1),
+                 lambda: MomentTable.from_measure(fv.measure, -1)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_recurrence_seeds_and_q2():

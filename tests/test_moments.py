@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lsopkit.laurent import LaurentPoly, int_power
 from lsopkit.lsop import moment_skew_array, random_family
-from lsopkit.moments import (DiscreteMeasure, MomentTable, c_moment, chebyshev2_coeffs,
-                             mu_from_c, mu_moment, skew_inner)
+from lsopkit.moments import DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment, skew_inner
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])
 
@@ -78,13 +77,6 @@ def test_c_examples():
     assert c_moment(REF, 0) == Fraction(3, 2)
     assert c_moment(REF, 1) == Fraction(15, 4)
     assert c_moment(REF, 1) == mu_moment(REF, 2)
-
-
-def test_chebyshev_second_kind_coefficients():
-    assert chebyshev2_coeffs(0) == [1]
-    assert chebyshev2_coeffs(1) == [0, 2]
-    assert chebyshev2_coeffs(2) == [-1, 0, 4]
-    assert chebyshev2_coeffs(3) == [0, -4, 0, 8]
 
 
 def test_mu_from_c_expansions():

@@ -1,15 +1,19 @@
-"""Pfaffian evaluation, the bordered-minor identities and the one-pass
-moment-table route.
+"""Pfaffian evaluation, the bordered-minor identities and the moment-table
+route.
 
 The suite checks elimination against expansion and the dense determinant
 on seeded tables, the moment-table Pfaffians of the rational fixed measure
-against the exact folded walk's tau_k at N = 6, and the one-pass route
-(lsop.pfaffian_route) against the per-member route it replaced, kept here
-(old_lsop_via_pfaffian, old_minor_taus), on rational seeds 1-10 at orders
-1-6 and on the rational fixed measure at N = 12.  The Pfaffian comparison
-at N = 8, 12 and 16, the reference's bordered minors of the moment tables
-of q_0..q_16 at N = 8 against a Pfaffian per minor, the per-member
-comparison at orders 7 and 8, and the one-pass family against the exact
+against the exact folded walk's tau_k at N = 6, the exact route
+(lsop.pfaffian_route) against the per-member route its one-pass elimination
+replaced, kept here (old_lsop_via_pfaffian, old_minor_taus), on rational
+seeds 1-10 at orders 1-6 and on the rational fixed measure at N = 12, and
+the double route against the float per-member route, kept here too
+(old_float_lsop_via_pfaffian, old_float_moment_pfaffian_table), bit for bit
+on double seeds 1-10 at orders 1-4 and on the fixed measure at N = 8.  The
+Pfaffian comparison at N = 8, 12 and 16, the reference's bordered minors of
+the moment tables of q_0..q_16 at N = 8 against a Pfaffian per minor, the
+per-member comparisons at orders 7 and 8 (exact) and 5-8 (double, with the
+fixed measure at N = 12 and 16), and the one-pass family against the exact
 walk (q_0..q_32 at N = 16, tau and sigma at N = 8, 12 and 16), each timed,
 run with
 
@@ -28,14 +32,13 @@ from hypothesis import given, settings, strategies as st
 
 from lsopkit.errors import DegeneracyError, DimensionError, ExpansionLimitError, IncompleteTableError
 from lsopkit.laurent import LaurentPoly
-from lsopkit.lsop import (lsop_via_pfaffian, lsop_via_recurrence,
+from lsopkit.lsop import (_recurrence_from_minors, lsop_via_pfaffian, lsop_via_recurrence,
                           moment_pfaffian_table, moment_skew_array, pfaffian_route,
                           random_family, recurrence_from_measure)
 from lsopkit.moments import DiscreteMeasure, MomentTable
 from lsopkit.numerics import dense_det
-from lsopkit.pfaffian import (SkewArray, _eliminate, _swap_sym, _working_rows, check_identity_even,
-                              check_identity_odd, pf_eliminate, pf_expand, pf_indices,
-                              pf_leading_borders)
+from lsopkit.pfaffian import (SkewArray, _eliminate, _swap_sym, _working_rows, minor_identity,
+                              pf_eliminate, pf_expand, pf_indices, pf_leading_borders)
 
 
 def rational_skew(rng, size):
@@ -117,6 +120,77 @@ def old_minor_taus(mu, n):
     return ([Fraction(1)] + [pf_indices(table, list(range(2 * k))) for k in range(1, n + 1)],
             [Fraction(0)] + [pf_indices(table, list(range(2 * k - 1)) + [2 * k])
                              for k in range(1, n + 1)])
+
+
+def double_fixed_measure(n):
+    """The binary64 fixed measure: nodes 1.2 + 3.8k/n, weights 0.5 + 0.5((7k) mod 5)/5."""
+    return DiscreteMeasure([1.2 + 3.8 * k / n for k in range(n)],
+                           [0.5 + 0.5 * ((7 * k) % 5) / 5 for k in range(n)])
+
+
+def old_float_lsop_via_pfaffian(mu, n):
+    """Monic q_n of a float moment table from its own bordered table, one
+    pivoted Pfaffian per minor: the float branch of lsop_via_pfaffian before
+    pfaffian_route served both modes."""
+    exponents = list(range(2 * (n // 2))) + [n]
+    minors = LaurentPoly(dict(zip(exponents, per_minor(moment_skew_array(mu, exponents)))))
+    tau_m = minors.coeff(n)
+    if tau_m == 0:
+        raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
+    return LaurentPoly({e: c / tau_m for e, c in minors.coeffs.items()})
+
+
+def old_float_moment_pfaffian_table(mu, n):
+    """Recurrence data of a float moment table, one pivoted Pfaffian per tau_k
+    and per sigma_k: the float branch of moment_pfaffian_table before
+    pfaffian_route served both modes."""
+    table = moment_skew_array(mu, range(2 * n + 1))
+    tau, sigma = [1.0], [0.0]
+    scale = 1.0
+    for k in range(1, n + 1):
+        t = pf_indices(table, list(range(2 * k)))
+        s = pf_indices(table, list(range(2 * k - 1)) + [2 * k])
+        scale = max(scale, abs(float(t)), abs(float(s)))
+        if abs(float(t)) <= 1e-8 * scale:
+            raise DegeneracyError(f"tau_{k} = {float(t):.3e} below degeneracy threshold "
+                                  f"(1e-08 x scale {scale:.3e})")
+        tau.append(t)
+        sigma.append(s)
+    return _recurrence_from_minors(tau, sigma)
+
+
+def same_scalars(got, ref):
+    """Equal values of equal scalar types, floats bit for bit."""
+    return len(got) == len(ref) and all(
+        type(a) is type(b) and (struct.pack("<d", a) == struct.pack("<d", b)
+                                if isinstance(a, float) else a == b)
+        for a, b in zip(got, ref))
+
+
+def degeneracy_or(build):
+    """build(), or the message of the DegeneracyError it raises."""
+    try:
+        return build()
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+def double_route_matches_per_member(m, n):
+    """The route of m's float moment table through degree 2n equals the float
+    per-member route bit for bit: every q_k, and tau, sigma, alpha and beta,
+    or the same degeneracy error."""
+    mu = MomentTable.from_measure(m, n)
+    route = pfaffian_route(mu, 2 * n)
+    for k in range(2 * n + 1):
+        q, ref = route.member(k).to_pairs(), old_float_lsop_via_pfaffian(mu, k).to_pairs()
+        if not same_scalars([x for pair in q for x in pair], [x for pair in ref for x in pair]):
+            return False
+    rec = degeneracy_or(route.recurrence_data)
+    ref = degeneracy_or(lambda: old_float_moment_pfaffian_table(mu, n))
+    if isinstance(rec, str) or isinstance(ref, str):
+        return rec == ref
+    return all(same_scalars(getattr(rec, f), getattr(ref, f))
+               for f in ("tau", "sigma", "alpha", "beta"))
 
 
 def one_pass_matches_per_member(m, n):
@@ -310,11 +384,12 @@ def test_one_pass_route_on_the_fixed_measure():
 
 def test_zero_pivot_raises_where_the_per_member_route_did():
     # mu_1 = 0, so tau_1 = 0 while tau_2 does not vanish: the one-pass rows stop
-    # after q_3, and lsop_via_pfaffian reaches q_4 by a Pfaffian per minor
+    # after q_3, and the route reaches q_4 by a Pfaffian per minor
     m = DiscreteMeasure([2, 3], [1, Fraction(-9, 16)], strict=False)
     mu = MomentTable.from_measure(m, 2)
     route = pfaffian_route(mu, 4)
-    assert len(route.borders) == 4
+    assert len(pf_leading_borders(moment_skew_array(mu, range(5)))[0]) == 4
+    assert len(route.rows) == 5
     for k in range(5):
         if k in (2, 3):
             for member in (route.member, lambda k: lsop_via_pfaffian(mu, k),
@@ -322,14 +397,19 @@ def test_zero_pivot_raises_where_the_per_member_route_did():
                 with pytest.raises(DegeneracyError, match=fr"^tau_1 = 0: q_{k} does not exist$"):
                     member(k)
         else:
-            assert lsop_via_pfaffian(mu, k) == old_lsop_via_pfaffian(mu, k)
+            assert route.member(k) == lsop_via_pfaffian(mu, k) == old_lsop_via_pfaffian(mu, k)
     assert old_minor_taus(mu, 2)[0][2] != 0
-    with pytest.raises(DegeneracyError, match="^tau_1 = 0 ends the one-pass elimination before q_4$"):
-        route.member(4)
     for rec in (route.recurrence_data, lambda: moment_pfaffian_table(mu, 2)):
         with pytest.raises(DegeneracyError,
                            match="^tau_1 = 0: the skew orthogonal family does not exist$"):
             rec()
+
+
+def test_double_route_is_the_float_per_member_route():
+    for n in range(1, 5):
+        for seed in range(1, 11):
+            assert double_route_matches_per_member(random_family(seed, n).measure, n), (seed, n)
+    assert double_route_matches_per_member(double_fixed_measure(8), 8)
 
 
 def expanded_over_fractions(s):
@@ -493,21 +573,21 @@ def _perm_sign(perm):
 def test_even_identity_empty_base():
     rng = random.Random(5)
     s = rational_skew(rng, 4)
-    assert check_identity_even(s, [], 0, 1, 2, 3) == 0
+    assert minor_identity(s, [], (0, 1, 2, 3), "even")[0] == 0
 
 
 def test_even_identity_exact_bases():
     rng = random.Random(6)
     for base_size in (2, 4):
         s = rational_skew(rng, base_size + 4)
-        assert check_identity_even(s, list(range(base_size)),
-                                   *range(base_size, base_size + 4)) == 0
+        assert minor_identity(s, list(range(base_size)),
+                              range(base_size, base_size + 4), "even")[0] == 0
 
 
 def test_even_identity_double_scaled():
     rng = random.Random(8)
     s = SkewArray.from_entry_fn(8, lambda i, j: rng.uniform(-5, 5))
-    resid = check_identity_even(s, [0, 1, 2, 3], 4, 5, 6, 7)
+    resid = minor_identity(s, [0, 1, 2, 3], (4, 5, 6, 7), "even")[0]
     scale = max(abs(pf_indices(s, [0, 1, 2, 3, a, b])) for a, b in ((4, 5), (4, 6), (4, 7)))
     assert resid <= 1e-10 * max(1.0, scale * scale)
 
@@ -516,8 +596,8 @@ def test_odd_identity_single_and_triple_base():
     rng = random.Random(9)
     for base_size in (1, 3):
         s = rational_skew(rng, base_size + 4)
-        assert check_identity_odd(s, list(range(base_size)),
-                                  *range(base_size, base_size + 4)) == 0
+        assert minor_identity(s, list(range(base_size)),
+                              range(base_size, base_size + 4), "odd")[0] == 0
 
 
 def test_odd_identity_duplicate_extras_both_sides_zero():
@@ -527,16 +607,16 @@ def test_odd_identity_duplicate_extras_both_sides_zero():
     base = [0]
     lhs = pf_indices(s, base + [1, 2, 1])  # contains a repeat
     assert lhs == 0
-    assert check_identity_odd(s, base, 1, 2, 1, 3) == 0
+    assert minor_identity(s, base, (1, 2, 1, 3), "odd")[0] == 0
 
 
 def test_identity_base_parity_enforced():
     rng = random.Random(12)
     s = rational_skew(rng, 8)
     with pytest.raises(DimensionError):
-        check_identity_even(s, [0], 1, 2, 3, 4)
+        minor_identity(s, [0], (1, 2, 3, 4), "even")
     with pytest.raises(DimensionError):
-        check_identity_odd(s, [0, 1], 2, 3, 4, 5)
+        minor_identity(s, [0, 1], (2, 3, 4, 5), "odd")
 
 
 if __name__ == "__main__":
@@ -558,6 +638,15 @@ if __name__ == "__main__":
                 for n in (7, 8) for seed in range(1, 11))
     print(f"the one-pass route equals the per-member route on rational seeds 1-10 at orders 7 "
           f"and 8: {agree} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    ok = ok and agree
+    t0 = time.perf_counter()
+    agree = all(double_route_matches_per_member(random_family(seed, n).measure, n)
+                for n in (5, 6, 7, 8) for seed in range(1, 11))
+    agree = agree and all(double_route_matches_per_member(double_fixed_measure(n), n)
+                          for n in (12, 16))
+    print(f"the double route equals the float per-member route bit for bit on double seeds "
+          f"1-10 at orders 5-8 and on the fixed measure at N = 12 and 16: {agree} "
+          f"({time.perf_counter() - t0:.1f} s)", flush=True)
     ok = ok and agree
     for n in (8, 12, 16):
         t0 = time.perf_counter()
