@@ -42,7 +42,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from operator import truediv
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (AdmissibilityError, DegeneracyError, GenerationError, LsopkitError,
                      StructureError)
@@ -155,11 +156,7 @@ class PfaffianRoute:
         """Monic q_n = rows[n] / (L^m tau_m)."""
         if not 0 <= n < len(self.rows):
             raise ValueError(f"q_{n} requested from a route through degree {len(self.rows) - 1}")
-        row = self.rows[n]
-        tau = row.coeff(n)
-        if tau == 0:
-            raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
-        return LaurentPoly({e: self._quotient(c, tau) for e, c in row.coeffs.items()})
+        return _monic_row(self.rows[n], n, self._quotient)
 
     def recurrence_data(self) -> RecurrenceData:
         """tau_k = Pf(0..2k-1), read off rows[2k] as its z^2k coefficient / L^k,
@@ -188,6 +185,22 @@ class PfaffianRoute:
         return _recurrence_from_minors(tau, sigma)
 
 
+def _monic_row(row: LaurentPoly, n: int,
+               quotient: Callable[[Scalar, Scalar], Scalar]) -> LaurentPoly:
+    """A route row of degree n over its z^n coefficient, one quotient each."""
+    tau = row.coeff(n)
+    if tau == 0:
+        raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
+    return LaurentPoly({e: quotient(c, tau) for e, c in row.coeffs.items()})
+
+
+def _minor_row(mu: MomentTable, i: int) -> LaurentPoly:
+    """Route row i by a pivoted Pfaffian per minor: the moment table over the
+    exponents {0..2m-1, i}, m = i // 2, bordered by the monomial column."""
+    exponents = list(range(2 * (i // 2))) + [i]
+    return bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
+
+
 def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
     """q_0..q_n, and tau and sigma through n // 2, of a moment table.
 
@@ -202,8 +215,7 @@ def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
         borders, scale = pf_leading_borders(moment_skew_array(mu, range(n + 1)))
         rows = [LaurentPoly(dict(enumerate(row))) for row in borders]
     for i in range(len(rows), n + 1):
-        exponents = list(range(2 * (i // 2))) + [i]
-        minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
+        minors = _minor_row(mu, i)
         rows.append(minors if scale is None else minors.scale(scale ** (i // 2)))
     return PfaffianRoute(rows=tuple(rows), scale=scale)
 
@@ -382,6 +394,24 @@ def support_pairing(weights: Sequence[Scalar], node_rows, recip_rows, a: int, b:
     for w, vz, vr in zip(weights, node_rows, recip_rows):
         tot += (vr[a] * vz[b] - vz[a] * vr[b]) * w
     return tot
+
+
+def cleared_columns(node_rows, recip_rows,
+                    width: int) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+    """(node, recip, lcms) for the columns j < width of exact value tables:
+    lcms[j] is the lcm over both tables of the denominators in column j,
+    and node[j][k] = lcms[j] f_j(z_k), recip[j][k] = lcms[j] f_j(1/z_k) are
+    ints, one list per column.  The big part of a walk value's denominator
+    comes from the recurrence coefficients, not the node, so these lcms
+    stay close to the largest single denominator."""
+    node, recip, lcms = [], [], []
+    for j in range(width):
+        zs, rs = [row[j] for row in node_rows], [row[j] for row in recip_rows]
+        scale = math.lcm(*(v.denominator for v in zs + rs))
+        node.append([v.numerator * (scale // v.denominator) for v in zs])
+        recip.append([v.numerator * (scale // v.denominator) for v in rs])
+        lcms.append(scale)
+    return node, recip, lcms
 
 
 def support_gram(weights: Sequence[Scalar], node_rows, recip_rows) -> List[List[Scalar]]:
@@ -570,10 +600,13 @@ def lsop_via_pfaffian(mu: MomentTable, n: int) -> LaurentPoly:
     q_2m(z)   = sum_k (-1)^k z^k Pf({0..2m} \\ {k}) / tau_m
     q_2m+1(z) = z^(2m+1) + sum_{k<2m} (-1)^k z^k Pf(({0..2m-1} \\ {k}) + {2m+1}) / tau_m
 
-    so the odd members have no z^2m term by construction; read off
-    pfaffian_route(mu, n).
+    so the odd members have no z^2m term by construction.  An exact table
+    reads it off pfaffian_route(mu, n), which also refuses a negative n; a
+    float table takes route row n alone, its rows being independent.
     """
-    return pfaffian_route(mu, n).member(n)
+    if mu.exact or n < 0:
+        return pfaffian_route(mu, n).member(n)
+    return _monic_row(_minor_row(mu, n), n, truediv)
 
 
 def lsop_via_recurrence(rec: RecurrenceData, n: int) -> List[LaurentPoly]:

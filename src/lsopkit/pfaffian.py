@@ -32,7 +32,12 @@ for each i at once (the moment-table members q_i, tau_m and sigma_m).
 ``minor_identity`` evaluates the two minor identities that relate a
 Pfaffian bordered by four extra indices to three-fold products of smaller
 Pfaffians (the even identity fixes an even-cardinality base set, the odd
-identity an odd one).
+identity an odd one).  A float table takes pf_indices per Pfaffian.  An
+exact table is scaled to ints once, and each of the eight Pfaffians is its
+own pivoted fraction-free elimination of an int sub-table: sharing one
+elimination, or a Schur complement, would make the identity hold by
+construction.  Both sides carry the factor L^(|base|+2), so the residual
+is one int difference and each product one Fraction.
 """
 
 from __future__ import annotations
@@ -231,15 +236,37 @@ def minor_identity(s: SkewArray, base: Sequence[int], extra: Sequence[int],
           - Pf(base,a,c) Pf(base,b,d) + Pf(base,a,d) Pf(base,b,c);
     odd:  LHS = Pf(base,a,b,c) Pf(base,d), RHS = Pf(base,a,b,d) Pf(base,c)
           - Pf(base,a,c,d) Pf(base,b) + Pf(base,b,c,d) Pf(base,a).
+
+    On an exact table each Pfaffian of k indices is L^(k/2) times itself,
+    eliminated from the int sub-table of L*A, and the residual and each
+    product are one Fraction over L^(|base|+2).
     """
     base = list(base)
     if (len(base) % 2 == 1) != (parity == "odd"):
         raise DimensionError(f"{parity} identity needs an {parity} base set, got {len(base)} indices")
     (left, right), products = _MINOR_IDENTITIES[parity]
-    pf = lambda pos: pf_indices(s, base + [extra[i] for i in pos])
+    rows, scale = _working_rows(s)
+    if scale is None:
+        pf = lambda pos: pf_indices(s, base + [extra[i] for i in pos])
+    else:
+        ints = SkewArray._of_rows(rows)
+
+        def pf(pos: Sequence[int]) -> int:
+            idx = base + [extra[i] for i in pos]
+            sub = ints.submatrix(idx)
+            if len(set(idx)) != len(idx):
+                return 0
+            sign, last = _eliminate(sub.rows, len(idx), scale)
+            return sign * last
+
     lhs = pf(left) * pf(right)
     first, second, third = (pf(p) * pf(q) for p, q in products)
-    return abs(lhs - (first - second + third)), (first, second, third)
+    resid = abs(lhs - (first - second + third))
+    if scale is None:
+        return resid, (first, second, third)
+    power = scale ** (len(base) + 2)
+    return Fraction(resid, power), (Fraction(first, power), Fraction(second, power),
+                                    Fraction(third, power))
 
 
 def _working_rows(s: SkewArray) -> Tuple[List[List[Scalar]], Optional[int]]:

@@ -28,6 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import serialize
@@ -35,9 +37,9 @@ from .laurent import LaurentPoly
 from .lsolp import (GaugeParams, LsolpFamily, butterfly_sparsity_defect,
                     gauge_transform_scaled, gram_schmidt_lsolp, gram_schmidt_pairs,
                     lsolp_from_values, multiplication_matrix)
-from .lsop import (FamilyValues, PfaffianRoute, RecurrenceData, evaluate_family, even_to_op,
-                   kodama_residuals, kodama_sops, lsop_via_recurrence, op_via_hankel,
-                   pfaffian_route, random_family, skew_pattern_defect, support_pairing,
+from .lsop import (FamilyValues, PfaffianRoute, RecurrenceData, cleared_columns, evaluate_family,
+                   even_to_op, kodama_residuals, kodama_sops, lsop_via_recurrence,
+                   op_via_hankel, pfaffian_route, random_family, skew_pattern_defect,
                    verify_pfaffian_det)
 from .modes import Scalar, validate_mode
 from .moments import DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment, skew_inner
@@ -426,28 +428,39 @@ def claim_orthonormality(ctx: _Context) -> Measured:
 def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
     # <q_2m|q_2n+1> tau_n/tau_{n+1} = delta_mn plus vanishing same-parity
     # pairings: exactly equivalent to orthonormality of the scaled family.
+    # Member column a is cleared by the lcm L_a of its denominators and the
+    # weights by the lcm W of theirs, so the int
+    # S_ab = sum_k w_k (R_a Z_b - Z_a R_b) is W L_a L_b <q_a|q_b>; each test
+    # compares ints, and a Fraction is built only for a nonzero deviation.
     # The pairing is exactly skew on exact tables (<f|f> = 0 and
     # <g|f> = -<f|g>), so each same-parity pair is computed once.
-    m = ctx.measure
     n = ctx.cfg.order
-    monic_node, monic_recip = ctx.fv.monic_values()
+    node, recip, lcms = cleared_columns(*ctx.fv.monic_values(), 2 * n)
+    # the exact weights the walk folded (a double-mode measure's are lifted)
+    weights = [Fraction(w) for w in ctx.measure.weights]
+    wscale = lcm(*(w.denominator for w in weights))
+    ws = [w.numerator * (wscale // w.denominator) for w in weights]
+    wnode = [list(map(mul, ws, col)) for col in node]
+    wrecip = [list(map(mul, ws, col)) for col in recip]
     scales = ctx.fv.exact_rec.scale_squares()
 
-    def pairing(a: int, b: int):
-        return support_pairing(m.weights, monic_node, monic_recip, a, b)
+    def deviation(a: int, b: int, target: int, scale: Scalar) -> Tuple[int, int]:
+        """<q_a|q_b> scale - target as the numerator over the denominator."""
+        pairing = sum(map(mul, wrecip[a], node[b])) - sum(map(mul, wnode[a], recip[b]))
+        den = wscale * lcms[a] * lcms[b] * scale.denominator
+        return pairing * scale.numerator - target * den, den
 
     worst = 0.0
     ok = True
     for a in range(n):
         for b in range(n):
-            target = 1 if a == b else 0
-            vals = [pairing(2 * a, 2 * b + 1) * scales[b] - target]
+            devs = [deviation(2 * a, 2 * b + 1, int(a == b), scales[b])]
             if a < b:
-                vals += (pairing(2 * a, 2 * b), pairing(2 * a + 1, 2 * b + 1))
-            for v in vals:
-                if v != 0:
+                devs += (deviation(2 * a, 2 * b, 0, 1), deviation(2 * a + 1, 2 * b + 1, 0, 1))
+            for num, den in devs:
+                if num != 0:
                     ok = False
-                    worst = nan_max(worst, abs(float(v)))
+                    worst = nan_max(worst, abs(float(Fraction(num, den))))
     return worst, ok
 
 

@@ -20,8 +20,9 @@ through cli.main; the full-grid run checks them again through fresh
 
 tests/data/golden_fixed_digests.json holds the sha256 of the claim-seed-1
 report on the fixed measure (_fixed_measure) at orders 12, 16, 24 and 32 in
-double mode and 12 in rational mode, beyond the grid's order 8.  The suite
-checks all but double orders 24 and 32; the full-grid run checks all of them.
+double mode and 12, 24 and 32 in rational mode, beyond the grid's order 8.
+The suite checks double orders 12 and 16 and rational order 12; the
+full-grid run checks all seven.
 """
 
 import collections

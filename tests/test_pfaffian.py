@@ -10,6 +10,8 @@ seeds 1-10 at orders 1-6 and on the rational fixed measure at N = 12, and
 the double route against the float per-member route, kept here too
 (old_float_lsop_via_pfaffian, old_float_moment_pfaffian_table), bit for bit
 on double seeds 1-10 at orders 1-4 and on the fixed measure at N = 8.  The
+minor identities are checked against a pf_indices per Pfaffian on 250
+exact tables and, bit for bit, on 150 float ones.  The
 Pfaffian comparison at N = 8, 12 and 16, the reference's bordered minors of
 the moment tables of q_0..q_16 at N = 8 against a Pfaffian per minor, the
 per-member comparisons at orders 7 and 8 (exact) and 5-8 (double, with the
@@ -30,6 +32,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lsopkit import lsop
 from lsopkit.errors import DegeneracyError, DimensionError, ExpansionLimitError, IncompleteTableError
 from lsopkit.laurent import LaurentPoly
 from lsopkit.lsop import (_recurrence_from_minors, lsop_via_pfaffian, lsop_via_recurrence,
@@ -412,6 +415,26 @@ def test_double_route_is_the_float_per_member_route():
     assert double_route_matches_per_member(double_fixed_measure(8), 8)
 
 
+def test_float_lsop_via_pfaffian_takes_only_its_own_row(monkeypatch):
+    # q_16 borders the moment table over the exponents 0..16: 17 minors, where
+    # the whole route through degree 16 takes 145
+    mu = MomentTable.from_measure(double_fixed_measure(8), 8)
+    route = pfaffian_route(mu, 16)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pf_indices(*args)
+
+    monkeypatch.setattr(lsop, "pf_indices", counted)
+    for n, minors in ((16, 17), (15, 15), (0, 1)):
+        calls.clear()
+        q = lsop_via_pfaffian(mu, n).to_pairs()
+        assert len(calls) == minors, n
+        ref = route.member(n).to_pairs()
+        assert same_scalars([x for pair in q for x in pair], [x for pair in ref for x in pair]), n
+
+
 def expanded_over_fractions(s):
     """pf_expand as it was before exact tables were expanded over integers."""
     entry = s.entry
@@ -617,6 +640,71 @@ def test_identity_base_parity_enforced():
         minor_identity(s, [0], (1, 2, 3, 4), "even")
     with pytest.raises(DimensionError):
         minor_identity(s, [0, 1], (2, 3, 4, 5), "odd")
+
+
+def per_minor_identity(s, base, extra, parity):
+    """(|LHS - RHS|, the three right-hand products) of a minor identity as
+    minor_identity's docstring writes it, one pf_indices per Pfaffian."""
+    a, b, c, d = extra
+    pf = lambda *idx: pf_indices(s, list(base) + list(idx))
+    if parity == "even":
+        lhs = pf(a, b, c, d) * pf()
+        products = (pf(a, b) * pf(c, d), pf(a, c) * pf(b, d), pf(a, d) * pf(b, c))
+    else:
+        lhs = pf(a, b, c) * pf(d)
+        products = (pf(a, b, d) * pf(c), pf(a, c, d) * pf(b), pf(b, c, d) * pf(a))
+    return abs(lhs - (products[0] - products[1] + products[2])), products
+
+
+def identity_cases(rng, trials, table):
+    """Seeded (s, base, extra, parity): base sizes 0-4 in turn, the base and
+    the extras drawn from a table up to two indices larger; every fifth case
+    repeats an extra index, and every seventh puts a base index among the
+    extras."""
+    for trial in range(trials):
+        base_size = trial % 5
+        size = base_size + 4 + rng.randint(0, 2)
+        s = table(trial, size)
+        picked = rng.sample(range(size), base_size + 4)
+        base, extra = picked[:base_size], picked[base_size:]
+        if trial % 5 == 3:
+            i, j = rng.sample(range(4), 2)
+            extra[j] = extra[i]
+        if trial % 7 == 6 and base:
+            extra[rng.randrange(4)] = rng.choice(base)
+        yield s, base, extra, "odd" if base_size % 2 else "even"
+
+
+def test_exact_minor_identity_equals_a_pfaffian_per_minor():
+    rng = random.Random(41)
+    kinds = ("rational", "int", "mixed", "zero-row", "rank-deficient")
+
+    def table(trial, size):
+        kind = kinds[trial // 5 % len(kinds)]
+        return rational_skew(rng, size) if kind == "rational" else exact_skew(rng, size, kind)
+
+    nonzero = 0
+    for s, base, extra, parity in identity_cases(rng, 250, table):
+        resid, products = minor_identity(s, base, extra, parity)
+        ref_resid, ref_products = per_minor_identity(s, base, extra, parity)
+        assert resid == ref_resid == 0 and products == ref_products, (s.rows, base, extra)
+        nonzero += any(products)
+    assert nonzero > 150
+
+
+def test_float_minor_identity_is_unchanged_bit_for_bit():
+    rng = random.Random(43)
+
+    def table(trial, size):
+        return SkewArray.from_entry_fn(size, lambda i, j: (
+            0.0 if trial % 3 == 1 and rng.random() < 0.4 else
+            Fraction(rng.randint(-9, 9), 7) if trial % 3 == 2 and rng.random() < 0.5 else
+            rng.uniform(-3, 3)))
+
+    for s, base, extra, parity in identity_cases(rng, 150, table):
+        resid, products = minor_identity(s, base, extra, parity)
+        ref_resid, ref_products = per_minor_identity(s, base, extra, parity)
+        assert same_scalars([resid, *products], [ref_resid, *ref_products]), (base, extra)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import pytest
 from lsopkit import numerics, serialize, spectra, verify
 from lsopkit.cli import main
 from lsopkit.lsolp import GaugeParams
-from lsopkit.lsop import FamilyValues, evaluate_family, random_family, support_gram
+from lsopkit.lsop import FamilyValues, evaluate_family, random_family, support_gram, support_pairing
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import inf_norm
 from lsopkit.verify import CLAIMS, DEFAULT_TOLERANCES, RunConfig, run_verification
@@ -153,6 +153,60 @@ def test_moved_monic_value_flags_exact_orthonormality(monkeypatch, member):
                                                      fv.measure).claims}["skew-orthonormality"]
     assert claim.status == "flag" and not claim.exact
     assert claim.residual == full > 0
+
+
+def fraction_orthonormality(fv, node, recip):
+    """(worst, ok) of the exact skew Gram check summed as Fractions, one
+    support_pairing per entry: the check before its integer form."""
+    n = fv.order
+    scales = fv.exact_rec.scale_squares()
+
+    def pairing(a, b):
+        return support_pairing(fv.measure.weights, node, recip, a, b)
+
+    worst, ok = 0.0, True
+    for a in range(n):
+        for b in range(n):
+            vals = [pairing(2 * a, 2 * b + 1) * scales[b] - (1 if a == b else 0)]
+            if a < b:
+                vals += (pairing(2 * a, 2 * b), pairing(2 * a + 1, 2 * b + 1))
+            for v in vals:
+                if v != 0:
+                    ok = False
+                    worst = numerics.nan_max(worst, abs(float(v)))
+    return worst, ok
+
+
+def _rational_fixed_measure(n):
+    return DiscreteMeasure([Fraction(6, 5) + Fraction(19, 5) * Fraction(k, n) for k in range(n)],
+                           [Fraction(1, 2) + Fraction((7 * k) % 5, 10) for k in range(n)])
+
+
+@pytest.mark.parametrize("case", [f"seed/{s}" for s in range(1, 11)] + ["fixed/12"])
+def test_integer_gram_equals_fraction_pairings(monkeypatch, case):
+    # the clean tables, then one node value and one reciprocal value moved
+    # by a small fraction, so that worst is a nonzero float in both forms
+    kind, k = case.split("/")
+    fv = (random_family(int(k), 3 + int(k) % 4, "rational") if kind == "seed"
+          else evaluate_family(_rational_fixed_measure(int(k))))
+    clean = FamilyValues.monic_values(fv)
+    n = fv.order
+    moves = [None, ("node", 1, int(k) % (2 * n), Fraction(1, 10**6)),
+             ("recip", n - 1, (3 * int(k)) % (2 * n), Fraction(-7, 3 * 10**5))]
+    seen = []
+    for move in moves:
+        node, recip = [row[:] for row in clean[0]], [row[:] for row in clean[1]]
+        if move:
+            table, row, col, delta = move
+            (node if table == "node" else recip)[row][col] += delta
+        monkeypatch.setattr(FamilyValues, "monic_values", lambda self: (node, recip))
+        ctx = verify._Context(RunConfig(seed=1, order=n, mode="rational"), fv.measure)
+        ctx._cache["fv"] = (True, fv)
+        got = verify._exact_orthonormality(ctx)
+        assert got == fraction_orthonormality(fv, node, recip), move
+        seen.append(got)
+    assert seen[0] == (0.0, True)
+    assert all(worst > 0 and not ok for worst, ok in seen[1:])
 
 
 @pytest.mark.parametrize("move", ["entry", "parameter"])
