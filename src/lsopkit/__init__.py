@@ -28,9 +28,9 @@ _EXPORTS = {
     "lsolp": ("GaugeParams", "LsolpFamily", "gauge_transform_scaled", "gram_schmidt_lsolp",
               "lsolp_from_lsop", "lsolp_from_values", "multiplication_matrix"),
     "lsop": ("FamilyValues", "RecurrenceData", "evaluate_family", "even_to_op",
-             "kodama_residuals", "kodama_sops", "lsop_via_pfaffian", "lsop_via_recurrence",
-             "moment_pfaffian_table", "op_via_hankel", "orthonormalize", "random_family",
-             "recurrence_from_measure", "verify_pfaffian_det"),
+             "kodama_residuals", "kodama_sops", "lsop_via_recurrence", "op_via_hankel",
+             "orthonormalize", "pfaffian_route", "random_family", "recurrence_from_measure",
+             "verify_pfaffian_det"),
     "moments": ("DiscreteMeasure", "MomentTable", "c_moment", "mu_from_c", "mu_moment",
                 "skew_inner"),
     "numerics": ("SymTridiag", "dense_det", "dense_eigs", "spectra_distance", "sym_tridiag_eigs"),

@@ -3,11 +3,13 @@
 Two independent routes build the same monic family {q_n}:
 
 * the moment-table route: q_n is the skew-moment table bordered by a column
-  of monomials, over tau (the oracle path); pfaffian_route, in both scalar
-  modes, gives every q_n, tau_m and sigma_m through a degree at once: from
-  one unpivoted elimination on an exact table, and one pivoted Pfaffian per
-  minor (bordered_pfaffian) on the rows that elimination does not reach,
-  those past a vanishing tau and every row of a float table;
+  of monomials, over tau (the oracle path).  pfaffian_route is its one
+  entry point in both scalar modes: pfaffian_route(mu, n).member(n) is q_n
+  and pfaffian_route(mu, 2n).recurrence_data() holds tau_m and sigma_m
+  through n.  An exact table gives every row from one unpivoted
+  elimination; the rows that elimination does not reach, those past a
+  vanishing tau and every row of a float table, take one pivoted Pfaffian
+  per minor (bordered_pfaffian);
 * the recurrence route: q_0 = 1, q_1 = z, then the two coupled relations
 
       z (q_2n   - beta_n  q_2n-2) = q_2n+1 - alpha_n q_2n
@@ -42,13 +44,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import truediv
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (AdmissibilityError, DegeneracyError, GenerationError, LsopkitError,
                      StructureError)
 from .laurent import LaurentPoly
-from .modes import Scalar, is_exact
+from .modes import Scalar, is_exact, validate_mode
 from .moments import DiscreteMeasure, MomentTable
 from .numerics import dense_det, nan_max, solve_linear
 from .pfaffian import SkewArray, pf_indices, pf_leading_borders
@@ -153,10 +154,19 @@ class PfaffianRoute:
         return a / b if self.scale is None else Fraction(a, b)
 
     def member(self, n: int) -> LaurentPoly:
-        """Monic q_n = rows[n] / (L^m tau_m)."""
+        """Monic q_n = rows[n] / (L^m tau_m), m = n // 2:
+
+        q_2m(z)   = sum_k (-1)^k z^k Pf({0..2m} \\ {k}) / tau_m
+        q_2m+1(z) = z^(2m+1) + sum_{k<2m} (-1)^k z^k Pf(({0..2m-1} \\ {k}) + {2m+1}) / tau_m
+
+        so the odd members have no z^2m term by construction."""
         if not 0 <= n < len(self.rows):
             raise ValueError(f"q_{n} requested from a route through degree {len(self.rows) - 1}")
-        return _monic_row(self.rows[n], n, self._quotient)
+        row = self.rows[n]
+        tau = row.coeff(n)
+        if tau == 0:
+            raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
+        return LaurentPoly({e: self._quotient(c, tau) for e, c in row.coeffs.items()})
 
     def recurrence_data(self) -> RecurrenceData:
         """tau_k = Pf(0..2k-1), read off rows[2k] as its z^2k coefficient / L^k,
@@ -185,22 +195,6 @@ class PfaffianRoute:
         return _recurrence_from_minors(tau, sigma)
 
 
-def _monic_row(row: LaurentPoly, n: int,
-               quotient: Callable[[Scalar, Scalar], Scalar]) -> LaurentPoly:
-    """A route row of degree n over its z^n coefficient, one quotient each."""
-    tau = row.coeff(n)
-    if tau == 0:
-        raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
-    return LaurentPoly({e: quotient(c, tau) for e, c in row.coeffs.items()})
-
-
-def _minor_row(mu: MomentTable, i: int) -> LaurentPoly:
-    """Route row i by a pivoted Pfaffian per minor: the moment table over the
-    exponents {0..2m-1, i}, m = i // 2, bordered by the monomial column."""
-    exponents = list(range(2 * (i // 2))) + [i]
-    return bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
-
-
 def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
     """q_0..q_n, and tau and sigma through n // 2, of a moment table.
 
@@ -215,16 +209,10 @@ def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
         borders, scale = pf_leading_borders(moment_skew_array(mu, range(n + 1)))
         rows = [LaurentPoly(dict(enumerate(row))) for row in borders]
     for i in range(len(rows), n + 1):
-        minors = _minor_row(mu, i)
+        exponents = list(range(2 * (i // 2))) + [i]
+        minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
         rows.append(minors if scale is None else minors.scale(scale ** (i // 2)))
     return PfaffianRoute(rows=tuple(rows), scale=scale)
-
-
-def moment_pfaffian_table(mu: MomentTable, n: int) -> RecurrenceData:
-    """Recurrence data from the Pfaffian minors tau_k = Pf(0,...,2k-1) and
-    sigma_k = Pf(0,...,2k-2,2k) of the moment table, k <= n: the route
-    through degree 2n (PfaffianRoute.recurrence_data)."""
-    return pfaffian_route(mu, 2 * n).recurrence_data()
 
 
 def _recurrence_from_minors(tau: List[Scalar], sigma: List[Scalar]) -> RecurrenceData:
@@ -559,6 +547,7 @@ def random_family(seed: int, n: int, mode: str = "double") -> FamilyValues:
     (z - 1/z) w are positive and its folded nodes distinct, so every exact
     tau_k is positive.  The returned fold is the one every consumer reads.
     """
+    validate_mode(mode)
     if n < 1:
         raise ValueError("order must be >= 1")
     rng = random.Random(seed)
@@ -591,23 +580,6 @@ def random_family(seed: int, n: int, mode: str = "double") -> FamilyValues:
 # ---------------------------------------------------------------------------
 # the polynomials themselves (coefficient route)
 # ---------------------------------------------------------------------------
-
-def lsop_via_pfaffian(mu: MomentTable, n: int) -> LaurentPoly:
-    """Monic q_n: the moment table over the exponents 0..2m-1 and n, m = n // 2,
-    bordered by the monomial column (bordered_pfaffian) and divided by
-    tau_m = Pf(0..2m-1), the coefficient of z^n:
-
-    q_2m(z)   = sum_k (-1)^k z^k Pf({0..2m} \\ {k}) / tau_m
-    q_2m+1(z) = z^(2m+1) + sum_{k<2m} (-1)^k z^k Pf(({0..2m-1} \\ {k}) + {2m+1}) / tau_m
-
-    so the odd members have no z^2m term by construction.  An exact table
-    reads it off pfaffian_route(mu, n), which also refuses a negative n; a
-    float table takes route row n alone, its rows being independent.
-    """
-    if mu.exact or n < 0:
-        return pfaffian_route(mu, n).member(n)
-    return _monic_row(_minor_row(mu, n), n, truediv)
-
 
 def lsop_via_recurrence(rec: RecurrenceData, n: int) -> List[LaurentPoly]:
     """Monic q_0..q_2n by the coupled two-term recurrences."""

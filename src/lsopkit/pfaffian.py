@@ -241,6 +241,10 @@ def minor_identity(s: SkewArray, base: Sequence[int], extra: Sequence[int],
     eliminated from the int sub-table of L*A, and the residual and each
     product are one Fraction over L^(|base|+2).
     """
+    if parity not in _MINOR_IDENTITIES:
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if len(extra) != 4:
+        raise DimensionError(f"the identity needs four extra indices, got {len(extra)}")
     base = list(base)
     if (len(base) % 2 == 1) != (parity == "odd"):
         raise DimensionError(f"{parity} identity needs an {parity} base set, got {len(base)} indices")

@@ -284,6 +284,8 @@ def butterfly_params(rec: RecurrenceData, g: GaugeParams,
     actually realizes (see determine_diagonal_convention).
     """
     n = rec.order
+    if n < 1:
+        raise DimensionError("butterfly needs order >= 1")
     if g.order != n:
         raise ValueError(f"gauge order {g.order} != recurrence order {n}")
     _require_positive_beta(rec)

@@ -9,9 +9,8 @@ import time
 from fractions import Fraction
 
 from lsopkit.lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
-from lsopkit.lsop import (even_to_op, hankel_det,
-                          kodama_residuals, kodama_sops, lsop_via_pfaffian,
-                          lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
+from lsopkit.lsop import (even_to_op, hankel_det, kodama_residuals, kodama_sops,
+                          lsop_via_recurrence, op_via_hankel, pfaffian_route,
                           random_family, recurrence_from_measure, shifted_hankel_det)
 from lsopkit.moments import MomentTable, c_moment, mu_from_c
 from lsopkit.numerics import dense_det, dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
@@ -116,10 +115,10 @@ def test_criterion_03_cross_route_equality():
     for seed, n in _measure_orders(6, 6):
         fv = random_family(seed, n, "rational")
         m = fv.measure
-        table = MomentTable.from_measure(m, n)
+        route = pfaffian_route(MomentTable.from_measure(m, n), 2 * n)
         qs = lsop_via_recurrence(fv.rec, n)
         for k in range(2 * n + 1):
-            ok = ok and lsop_via_pfaffian(table, k) == qs[k]
+            ok = ok and route.member(k) == qs[k]
     elapsed = time.time() - t0
     _report(3, ok and elapsed < 10,
             f"moment-minor route == recurrence route coefficientwise, N <= 6 ({elapsed:.1f}s)")
@@ -169,7 +168,7 @@ def test_criterion_05_pfaffian_hankel_identity():
                                 **{k: mus[k - 1] for k in range(1, len(mus) + 1)},
                                 **{-k: -mus[k - 1] for k in range(1, len(mus) + 1)}},
                             c={i: cs[i] for i in range(len(cs))}, order=n)
-        rec = moment_pfaffian_table(table, n)
+        rec = pfaffian_route(table, 2 * n).recurrence_data()
         for k in range(n + 1):
             ok = ok and rec.tau[k] == hankel_det(cs, k)
             ok = ok and rec.sigma[k] == shifted_hankel_det(cs, k)

@@ -32,8 +32,8 @@ PUBLIC = {
     "lsolp": "GaugeParams LsolpFamily gauge_transform_scaled gram_schmidt_lsolp lsolp_from_lsop "
              "lsolp_from_values multiplication_matrix",
     "lsop": "FamilyValues RecurrenceData evaluate_family even_to_op kodama_residuals kodama_sops "
-            "lsop_via_pfaffian lsop_via_recurrence moment_pfaffian_table op_via_hankel "
-            "orthonormalize random_family recurrence_from_measure verify_pfaffian_det",
+            "lsop_via_recurrence op_via_hankel orthonormalize pfaffian_route random_family "
+            "recurrence_from_measure verify_pfaffian_det",
     "moments": "DiscreteMeasure MomentTable c_moment mu_from_c mu_moment skew_inner",
     "numerics": "SymTridiag dense_det dense_eigs spectra_distance sym_tridiag_eigs",
     "pfaffian": "SkewArray minor_identity pf_eliminate pf_expand pf_indices",
@@ -80,7 +80,7 @@ def test_public_name_is_its_home_modules_object(module, name):
 
 def test_namespace_lists_every_public_name():
     names = {name for _, name in NAMES}
-    assert set(lsopkit.__all__) == names and len(lsopkit.__all__) == 63
+    assert set(lsopkit.__all__) == names and len(lsopkit.__all__) == 62
     assert names <= set(dir(lsopkit))
     assert {"cli", "modes", "serialize", "verify", "__version__"} <= set(dir(lsopkit))
     assert lsopkit.verify is verify and lsopkit.spectra is spectra and lsopkit.cli is cli

@@ -8,20 +8,20 @@ import pytest
 
 from lsopkit.errors import AdmissibilityError, DegeneracyError, StructureError
 from lsopkit.laurent import LaurentPoly
-from lsopkit.lsop import (evaluate_family, even_to_op,
-                          hankel_det, kodama_residuals, kodama_sops, lsop_via_pfaffian,
-                          lsop_via_recurrence, moment_pfaffian_table, op_via_hankel,
-                          orthonormalize, pfaffian_route, random_family, recurrence_from_measure,
+from lsopkit.lsop import (evaluate_family, even_to_op, hankel_det, kodama_residuals,
+                          kodama_sops, lsop_via_recurrence, op_via_hankel, orthonormalize,
+                          pfaffian_route, random_family, recurrence_from_measure,
                           shifted_hankel_det, skew_pattern_defect, support_gram,
                           support_pairing, verify_pfaffian_det)
 from lsopkit.moments import DiscreteMeasure, MomentTable, mu_moment, skew_inner
+from lsopkit.verify import RunConfig
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])
 REF_TABLE = MomentTable.from_measure(REF, 1)
 
 
 def test_reference_minors():
-    rec = moment_pfaffian_table(REF_TABLE, 1)
+    rec = pfaffian_route(REF_TABLE, 2).recurrence_data()
     assert rec.tau[0] == 1 and rec.sigma[0] == 0
     assert rec.tau[1] == Fraction(3, 2)       # Pf(0,1) = mu_1
     assert rec.sigma[1] == Fraction(15, 4)    # Pf(0,2) = mu_2
@@ -30,14 +30,14 @@ def test_reference_minors():
 
 def test_tau1_is_mu1():
     m = random_family(8, 3, "rational").measure
-    rec = moment_pfaffian_table(MomentTable.from_measure(m, 3), 3)
+    rec = pfaffian_route(MomentTable.from_measure(m, 3), 6).recurrence_data()
     assert rec.tau[1] == mu_moment(m, 1)
 
 
 def test_routes_give_identical_coefficient_data():
     fv = random_family(11, 4, "rational")
     m = fv.measure
-    by_pfaffian = moment_pfaffian_table(MomentTable.from_measure(m, 4), 4)
+    by_pfaffian = pfaffian_route(MomentTable.from_measure(m, 4), 8).recurrence_data()
     by_stieltjes = fv.rec
     assert by_pfaffian.tau == by_stieltjes.tau
     assert by_pfaffian.sigma == by_stieltjes.sigma
@@ -46,9 +46,10 @@ def test_routes_give_identical_coefficient_data():
 
 
 def test_first_three_members():
-    assert lsop_via_pfaffian(REF_TABLE, 0) == LaurentPoly.constant(Fraction(1))
-    assert lsop_via_pfaffian(REF_TABLE, 1) == LaurentPoly.monomial(1, Fraction(1))
-    q2 = lsop_via_pfaffian(REF_TABLE, 2)
+    route = pfaffian_route(REF_TABLE, 2)
+    assert route.member(0) == LaurentPoly.constant(Fraction(1))
+    assert route.member(1) == LaurentPoly.monomial(1, Fraction(1))
+    q2 = route.member(2)
     assert q2 == LaurentPoly({2: Fraction(1), 1: Fraction(-5, 2), 0: Fraction(1)})
 
 
@@ -56,9 +57,9 @@ def test_pfaffian_member_coefficient_types():
     # q_0 and q_1 come from size-1 tables with no entry: exactness is the moment table's
     for mode, kind in (("rational", Fraction), ("double", float)):
         m = random_family(12, 3, mode).measure
-        table = MomentTable.from_measure(m, 3)
+        route = pfaffian_route(MomentTable.from_measure(m, 3), 6)
         for n in range(7):
-            q = lsop_via_pfaffian(table, n)
+            q = route.member(n)
             assert q.coeff(n) == 1
             assert all(type(c) is kind for c in q.coeffs.values()), (mode, n, q)
 
@@ -68,9 +69,10 @@ def test_order_zero_table_gives_q0_and_tau0(mode):
     # q_0 = 1 and tau_0 = 1 read no moment; an order-0 table holds only mu_0
     one = Fraction(1) if mode == "rational" else 1.0
     table = MomentTable.from_measure(random_family(3, 2, mode).measure, 0)
-    q0 = lsop_via_pfaffian(table, 0)
+    route = pfaffian_route(table, 0)
+    q0 = route.member(0)
     assert q0 == LaurentPoly.constant(one) and type(q0.coeff(0)) is type(one)
-    rec = moment_pfaffian_table(table, 0)
+    rec = route.recurrence_data()
     assert (rec.order, rec.tau, rec.sigma, rec.alpha, rec.beta) == (0, (one,), (0,), (0,), (0,))
     assert all(type(v) is type(one) for v in rec.tau + rec.sigma + rec.alpha + rec.beta)
 
@@ -79,8 +81,7 @@ def test_order_zero_table_gives_q0_and_tau0(mode):
 def test_negative_degrees_and_orders_refused(mode):
     fv = random_family(3, 2, mode)
     mu = MomentTable.from_measure(fv.measure, 2)
-    for call in (lambda: pfaffian_route(mu, -1), lambda: lsop_via_pfaffian(mu, -1),
-                 lambda: moment_pfaffian_table(mu, -1), lambda: pfaffian_route(mu, 4).member(-1),
+    for call in (lambda: pfaffian_route(mu, -1), lambda: pfaffian_route(mu, 4).member(-1),
                  lambda: lsop_via_recurrence(fv.rec, -1), lambda: evaluate_family(fv.measure, -1),
                  lambda: MomentTable.from_measure(fv.measure, -1)):
         with pytest.raises(ValueError):
@@ -101,8 +102,9 @@ def test_cross_route_equality_full_family():
     table = MomentTable.from_measure(m, 4)
     rec = fv.rec
     qs = lsop_via_recurrence(rec, 4)
+    route = pfaffian_route(table, 8)
     for n in range(9):
-        assert lsop_via_pfaffian(table, n) == qs[n]
+        assert route.member(n) == qs[n]
 
 
 def test_odd_members_have_no_subtop_term():
@@ -135,7 +137,7 @@ def test_degeneracy_detected_exactly():
     table = MomentTable.from_measure(m, 2)
     assert mu_moment(m, 1) == 0
     with pytest.raises(DegeneracyError):
-        moment_pfaffian_table(table, 2)
+        pfaffian_route(table, 4).recurrence_data()
 
 
 def test_orthonormalize_reference_scale():
@@ -278,7 +280,7 @@ def test_three_term_for_reduced_members():
 def test_verify_pfaffian_det_exact_and_perturbed():
     m = random_family(22, 4, "rational").measure
     table = MomentTable.from_measure(m, 4)
-    rec = moment_pfaffian_table(table, 4)
+    rec = pfaffian_route(table, 8).recurrence_data()
     cs = table.c_list(8)
     report = verify_pfaffian_det(rec, cs, 4)
     assert report.exact_match and report.max_relative == 0
@@ -311,6 +313,15 @@ def test_stieltjes_order_cap():
     m = random_family(1, 2, "double").measure
     with pytest.raises(DegeneracyError):
         recurrence_from_measure(m, 3)
+
+
+@pytest.mark.parametrize("mode", ["Rational", "exact", ""])
+def test_random_family_refuses_an_unknown_mode(mode):
+    # the same refusal as RunConfig's, not a silent binary64 family
+    with pytest.raises(ValueError, match="unknown scalar mode"):
+        random_family(1, 4, mode)
+    with pytest.raises(ValueError, match="unknown scalar mode"):
+        RunConfig(seed=1, order=4, mode=mode)
 
 
 def _same_value(x, y):

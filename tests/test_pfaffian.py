@@ -32,12 +32,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lsopkit import lsop
 from lsopkit.errors import DegeneracyError, DimensionError, ExpansionLimitError, IncompleteTableError
 from lsopkit.laurent import LaurentPoly
-from lsopkit.lsop import (_recurrence_from_minors, lsop_via_pfaffian, lsop_via_recurrence,
-                          moment_pfaffian_table, moment_skew_array, pfaffian_route,
-                          random_family, recurrence_from_measure)
+from lsopkit.lsop import (_recurrence_from_minors, lsop_via_recurrence, moment_skew_array,
+                          pfaffian_route, random_family, recurrence_from_measure)
 from lsopkit.moments import DiscreteMeasure, MomentTable
 from lsopkit.numerics import dense_det
 from lsopkit.pfaffian import (SkewArray, _eliminate, _swap_sym, _working_rows, minor_identity,
@@ -94,7 +92,7 @@ def pf_bordered_minors(s):
     """[(-1)^p Pf(s without p) for p < n] of an odd exact table from one pivoted
     fraction-free elimination, the unit border columns carried as n extra
     columns of every row: the unpivoted index's border row, signed and divided
-    by L^((n-1)/2).  The exact route of lsop_via_pfaffian before the one-pass
+    by L^((n-1)/2).  The exact per-member route before the one-pass
     elimination replaced it; kept as its reference."""
     n = s.size
     if n % 2 == 0:
@@ -133,7 +131,7 @@ def double_fixed_measure(n):
 
 def old_float_lsop_via_pfaffian(mu, n):
     """Monic q_n of a float moment table from its own bordered table, one
-    pivoted Pfaffian per minor: the float branch of lsop_via_pfaffian before
+    pivoted Pfaffian per minor: the float per-member route before
     pfaffian_route served both modes."""
     exponents = list(range(2 * (n // 2))) + [n]
     minors = LaurentPoly(dict(zip(exponents, per_minor(moment_skew_array(mu, exponents)))))
@@ -145,8 +143,8 @@ def old_float_lsop_via_pfaffian(mu, n):
 
 def old_float_moment_pfaffian_table(mu, n):
     """Recurrence data of a float moment table, one pivoted Pfaffian per tau_k
-    and per sigma_k: the float branch of moment_pfaffian_table before
-    pfaffian_route served both modes."""
+    and per sigma_k: the float minor route before pfaffian_route served
+    both modes."""
     table = moment_skew_array(mu, range(2 * n + 1))
     tau, sigma = [1.0], [0.0]
     scale = 1.0
@@ -212,7 +210,7 @@ def one_pass_matches_per_member(m, n):
 
 def bordered_minors_agree(mu, k):
     """The reference's one pivoted elimination against a Pfaffian per minor on
-    the table that lsop_via_pfaffian borders for q_k."""
+    the table that pfaffian_route borders for q_k."""
     exponents = list(range(2 * (k // 2))) + [k]
     table = moment_skew_array(mu, exponents)
     return pf_bordered_minors(table) == per_minor(table)
@@ -374,11 +372,12 @@ def test_one_pass_route_matches_per_member_route(n):
     for seed in range(1, 11):
         m = random_family(seed, n, "rational").measure
         assert one_pass_matches_per_member(m, n), seed
-        # the public routes read the same elimination
+        # a route through degree n, over its own scale L, reads the same members and minors
         mu = MomentTable.from_measure(m, n)
-        route = pfaffian_route(mu, 2 * n)
-        assert moment_pfaffian_table(mu, n) == route.recurrence_data()
-        assert all(lsop_via_pfaffian(mu, k) == route.member(k) for k in (n, 2 * n))
+        route, short = pfaffian_route(mu, 2 * n), pfaffian_route(mu, n)
+        assert all(short.member(k) == route.member(k) for k in range(n + 1))
+        rec, short_rec = route.recurrence_data(), short.recurrence_data()
+        assert (short_rec.tau, short_rec.sigma) == (rec.tau[:n // 2 + 1], rec.sigma[:n // 2 + 1])
 
 
 def test_one_pass_route_on_the_fixed_measure():
@@ -395,17 +394,17 @@ def test_zero_pivot_raises_where_the_per_member_route_did():
     assert len(route.rows) == 5
     for k in range(5):
         if k in (2, 3):
-            for member in (route.member, lambda k: lsop_via_pfaffian(mu, k),
+            for member in (route.member, lambda k: pfaffian_route(mu, k).member(k),
                            lambda k: old_lsop_via_pfaffian(mu, k)):
                 with pytest.raises(DegeneracyError, match=fr"^tau_1 = 0: q_{k} does not exist$"):
                     member(k)
         else:
-            assert route.member(k) == lsop_via_pfaffian(mu, k) == old_lsop_via_pfaffian(mu, k)
+            assert (route.member(k) == pfaffian_route(mu, k).member(k)
+                    == old_lsop_via_pfaffian(mu, k))
     assert old_minor_taus(mu, 2)[0][2] != 0
-    for rec in (route.recurrence_data, lambda: moment_pfaffian_table(mu, 2)):
-        with pytest.raises(DegeneracyError,
-                           match="^tau_1 = 0: the skew orthogonal family does not exist$"):
-            rec()
+    with pytest.raises(DegeneracyError,
+                       match="^tau_1 = 0: the skew orthogonal family does not exist$"):
+        route.recurrence_data()
 
 
 def test_double_route_is_the_float_per_member_route():
@@ -413,26 +412,6 @@ def test_double_route_is_the_float_per_member_route():
         for seed in range(1, 11):
             assert double_route_matches_per_member(random_family(seed, n).measure, n), (seed, n)
     assert double_route_matches_per_member(double_fixed_measure(8), 8)
-
-
-def test_float_lsop_via_pfaffian_takes_only_its_own_row(monkeypatch):
-    # q_16 borders the moment table over the exponents 0..16: 17 minors, where
-    # the whole route through degree 16 takes 145
-    mu = MomentTable.from_measure(double_fixed_measure(8), 8)
-    route = pfaffian_route(mu, 16)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return pf_indices(*args)
-
-    monkeypatch.setattr(lsop, "pf_indices", counted)
-    for n, minors in ((16, 17), (15, 15), (0, 1)):
-        calls.clear()
-        q = lsop_via_pfaffian(mu, n).to_pairs()
-        assert len(calls) == minors, n
-        ref = route.member(n).to_pairs()
-        assert same_scalars([x for pair in q for x in pair], [x for pair in ref for x in pair]), n
 
 
 def expanded_over_fractions(s):
@@ -640,6 +619,21 @@ def test_identity_base_parity_enforced():
         minor_identity(s, [0], (1, 2, 3, 4), "even")
     with pytest.raises(DimensionError):
         minor_identity(s, [0, 1], (2, 3, 4, 5), "odd")
+
+
+@pytest.mark.parametrize("parity", ["Even", "ODD", "", "both"])
+def test_identity_parity_name_checked(parity):
+    s = rational_skew(random.Random(13), 8)
+    with pytest.raises(ValueError, match="'even' or 'odd'"):
+        minor_identity(s, [0, 1], (2, 3, 4, 5), parity)
+
+
+@pytest.mark.parametrize("extra", [(), (2, 3, 4), (2, 3, 4, 5, 6)])
+def test_identity_needs_four_extra_indices(extra):
+    s = rational_skew(random.Random(14), 8)
+    for base, parity in (([0, 1], "even"), ([0], "odd")):
+        with pytest.raises(DimensionError, match="four extra indices"):
+            minor_identity(s, base, extra, parity)
 
 
 def per_minor_identity(s, base, extra, parity):

@@ -427,6 +427,18 @@ def test_cli_lsop_pencil_butterfly(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["double", "rational"])
+def test_cli_empty_measure_is_one_error_line(tmp_path, capsys, mode):
+    # an order-0 measure has no pencil and no butterfly: exit 1 with one line
+    mfile = tmp_path / "empty.json"
+    mfile.write_text('{"nodes": [], "weights": []}')
+    for cmd, message in (("butterfly", "butterfly needs order >= 1"),
+                         ("pencil", "pencil needs order >= 1"),
+                         ("verify", "order must be >= 1")):
+        assert run_cli(cmd, str(mfile), "--mode", mode) == 1, cmd
+        assert capsys.readouterr().err == f"error: {message}\n", cmd
+
+
+@pytest.mark.parametrize("mode", ["double", "rational"])
 def test_cli_pencil_reports_the_verify_pencil_numbers(tmp_path, mode):
     # lsopkit pencil and lsopkit verify read one measure file and must report
     # the same pencil eigenvalue mismatch, recurrence-layout residual and,
