@@ -6,10 +6,11 @@ Two independent routes build the same monic family {q_n}:
   of monomials, over tau (the oracle path).  pfaffian_route is its one
   entry point in both scalar modes: pfaffian_route(mu, n).member(n) is q_n
   and pfaffian_route(mu, 2n).recurrence_data() holds tau_m and sigma_m
-  through n.  An exact table gives every row from one unpivoted
-  elimination; the rows that elimination does not reach, those past a
-  vanishing tau and every row of a float table, take one pivoted Pfaffian
-  per minor (bordered_pfaffian);
+  through n.  An exact table is scaled per index to the int table
+  d_i d_j mu_{j-i} (balanced_scaling), which gives every row from one
+  unpivoted fraction-free elimination; the rows that elimination does not
+  reach, those past a vanishing tau and every row of a float table, take
+  one pivoted Pfaffian per minor (bordered_pfaffian);
 * the recurrence route: q_0 = 1, q_1 = z, then the two coupled relations
 
       z (q_2n   - beta_n  q_2n-2) = q_2n+1 - alpha_n q_2n
@@ -140,21 +141,19 @@ def bordered_pfaffian(table: SkewArray, exponents: Sequence[int]) -> LaurentPoly
 class PfaffianRoute:
     """The moment-table route through degree len(rows) - 1 (pfaffian_route).
 
-    rows[i] is L^m times the moment table over the exponents {0..2m-1, i},
-    m = i // 2, bordered by the monomial column (bordered_pfaffian): its z^i
-    coefficient is L^m tau_m, so rows[i] = L^m tau_m q_i.  scale is L, the
-    lcm of an exact table's denominators, and None for a float table (L = 1).
+    An exact table is eliminated as the int congruence D A D, D = diag(d),
+    so its Pfaffian over an index set S is prod_{s in S} d_s times that of
+    A.  rows[i] is the table over S = {0..2m-1, i}, m = i // 2, bordered by
+    the monomial column (bordered_pfaffian): its z^c coefficient is
+    prod_{s in S} d_s / d_c times that of tau_m q_i, an int.  d is None for
+    a float table, whose rows are those of A itself (every d_s = 1).
     """
 
     rows: Tuple[LaurentPoly, ...]
-    scale: Optional[int]
-
-    def _quotient(self, a: Scalar, b: Scalar) -> Scalar:
-        """a / b, a Fraction on an exact route (its rows hold integers)."""
-        return a / b if self.scale is None else Fraction(a, b)
+    d: Optional[Tuple[int, ...]]
 
     def member(self, n: int) -> LaurentPoly:
-        """Monic q_n = rows[n] / (L^m tau_m), m = n // 2:
+        """Monic q_n, q_n[c] = rows[n][c] d_c / (rows[n][n] d_n):
 
         q_2m(z)   = sum_k (-1)^k z^k Pf({0..2m} \\ {k}) / tau_m
         q_2m+1(z) = z^(2m+1) + sum_{k<2m} (-1)^k z^k Pf(({0..2m-1} \\ {k}) + {2m+1}) / tau_m
@@ -166,53 +165,88 @@ class PfaffianRoute:
         tau = row.coeff(n)
         if tau == 0:
             raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
-        return LaurentPoly({e: self._quotient(c, tau) for e, c in row.coeffs.items()})
+        if self.d is None:
+            return LaurentPoly({e: c / tau for e, c in row.coeffs.items()})
+        d = self.d
+        den = tau * d[n]
+        return LaurentPoly({e: Fraction(c * d[e], den) for e, c in row.coeffs.items()})
 
     def recurrence_data(self) -> RecurrenceData:
-        """tau_k = Pf(0..2k-1), read off rows[2k] as its z^2k coefficient / L^k,
-        and sigma_k = Pf(0..2k-2, 2k) as minus its z^(2k-1) coefficient / L^k,
-        for every even row.  A vanishing tau_k (exactly on an exact route,
-        below 1e-8 x the running scale max(1, |tau_j|, |sigma_j| : j <= k) on
-        a float one) raises, since the family does not exist."""
+        """tau_k = Pf(0..2k-1) and sigma_k = Pf(0..2k-2, 2k), read off every
+        even row: with P = prod_{s<2k} d_s, tau_k = rows[2k][2k] / P and
+        sigma_k = -rows[2k][2k-1] d_{2k-1} / (P d_{2k}).  A vanishing tau_k
+        (exactly on an exact route, below 1e-8 x the running scale
+        max(1, |tau_j|, |sigma_j| : j <= k) on a float one) raises, since the
+        family does not exist."""
         tau, sigma = [], []
         running = 1.0
+        below = 1  # prod_{s < 2k} d_s on an exact route
         for k, row in enumerate(self.rows[::2]):
-            power = 1 if self.scale is None else self.scale ** k
-            t = self._quotient(row.coeff(2 * k), power)
-            s = self._quotient(-row.coeff(2 * k - 1), power)
-            if self.scale is not None:
-                if t == 0:
-                    raise DegeneracyError(f"tau_{k} = 0: the skew orthogonal family does not exist")
-            else:
+            if self.d is None:
+                # / 1 keeps the float route's scalar types: an int 0 or 1 reads 0.0 or 1.0
+                t, s = row.coeff(2 * k) / 1, -row.coeff(2 * k - 1) / 1
                 running = max(running, abs(float(t)), abs(float(s)))
                 if abs(float(t)) <= TAU_DEGENERACY_RELATIVE * running:
                     raise DegeneracyError(
                         f"tau_{k} = {float(t):.3e} below degeneracy threshold "
                         f"({TAU_DEGENERACY_RELATIVE:g} x scale {running:.3e})"
                     )
+            else:
+                d = self.d
+                t = Fraction(row.coeff(2 * k), below)
+                s = (Fraction(-row.coeff(2 * k - 1) * d[2 * k - 1], below * d[2 * k])
+                     if k else Fraction(0))
+                if t == 0:
+                    raise DegeneracyError(f"tau_{k} = 0: the skew orthogonal family does not exist")
+                below *= math.prod(d[2 * k:2 * k + 2])
             tau.append(t)
             sigma.append(s)
         return _recurrence_from_minors(tau, sigma)
 
 
+def balanced_scaling(mu: MomentTable, n: int) -> Tuple[int, ...]:
+    """Per-index scales d_0..d_n that make every d_i d_j mu_{j-i} an int.
+
+    The indices are placed outward from the centre h = n // 2 (h, h-1, h+1,
+    h-2, ...), d_h = 1, and each new index i takes the least d_i that clears
+    its entries against every index j placed before it:
+    d_i = lcm_j den(mu_|i-j|) / gcd(den(mu_|i-j|), d_j).  On a measure,
+    whose mu_k have denominators like W P^k, d_i grows like P^|i-h|, where
+    one lcm L for the whole table puts L^m into every 2m-index Pfaffian."""
+    den = [mu.mu_at(k).denominator for k in range(n + 1)]
+    h = n // 2
+    d = [0] * (n + 1)
+    placed = []
+    for i in sorted(range(n + 1), key=lambda i: (abs(i - h), i)):
+        pairs = ((den[abs(i - j)], d[j]) for j in placed)
+        d[i] = math.lcm(*(q // math.gcd(q, dj) for q, dj in pairs))
+        placed.append(i)
+    return tuple(d)
+
+
 def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
     """q_0..q_n, and tau and sigma through n // 2, of a moment table.
 
-    An exact table gives its rows from one pf_leading_borders elimination.
-    The rows it does not reach, those past a vanishing tau and every row of
-    a float table, take bordered_pfaffian's pivoted Pfaffian per minor.
+    An exact table gives its rows from one pf_leading_borders elimination of
+    the int table d_i d_j mu_{j-i} (balanced_scaling).  The rows it does not
+    reach, those past a vanishing tau and every row of a float table, take
+    bordered_pfaffian's pivoted Pfaffian per minor, of that int table or of
+    the float moment table.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    rows, scale = [], None
+    rows, d = [], None
     if mu.exact:
-        borders, scale = pf_leading_borders(moment_skew_array(mu, range(n + 1)))
-        rows = [LaurentPoly(dict(enumerate(row))) for row in borders]
+        d = balanced_scaling(mu, n)
+        lag = [(v.numerator, v.denominator) for v in map(mu.mu_at, range(n + 1))]
+        ints = SkewArray.from_entry_fn(
+            n + 1, lambda i, j: lag[j - i][0] * (d[i] * d[j] // lag[j - i][1]))
+        rows = [LaurentPoly(dict(enumerate(row))) for row in pf_leading_borders(ints)[0]]
     for i in range(len(rows), n + 1):
         exponents = list(range(2 * (i // 2))) + [i]
-        minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
-        rows.append(minors if scale is None else minors.scale(scale ** (i // 2)))
-    return PfaffianRoute(rows=tuple(rows), scale=scale)
+        table = moment_skew_array(mu, exponents) if d is None else ints.submatrix(exponents)
+        rows.append(bordered_pfaffian(table, exponents))
+    return PfaffianRoute(rows=tuple(rows), d=d)
 
 
 def _recurrence_from_minors(tau: List[Scalar], sigma: List[Scalar]) -> RecurrenceData:

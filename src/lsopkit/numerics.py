@@ -1,11 +1,14 @@
 """Dense linear-algebra kernels at desk scale (n <= 64).
 
 Everything here is implemented in-repo on plain lists so that the numerical
-oracles stay auditable: one pivoted forward elimination (exact on
-Fractions) that serves the determinant, the linear solves, the inverse and
-the pencil's transfer matrix V^-1 U, an implicit-shift QL eigensolver for
-symmetric tridiagonal matrices, and a Hessenberg + double-shift QR
-eigensolver for general real matrices.
+oracles stay auditable: one forward elimination that serves the
+determinant, the linear solves, the inverse and the pencil's transfer
+matrix V^-1 U (partial pivoting and division in binary64; on all-exact
+input, int/Fraction, each row cleared to ints by the lcm of its
+denominators, each column divided by its gcd, and the int table
+eliminated fraction-free, Bareiss, with one Fraction per result), an
+implicit-shift QL eigensolver for symmetric tridiagonal matrices, and a
+Hessenberg + double-shift QR eigensolver for general real matrices.
 """
 
 from __future__ import annotations
@@ -95,31 +98,39 @@ def _check_square(a: Matrix) -> int:
     return n
 
 
-def _exact_matrix(a: Matrix) -> bool:
-    return all(is_exact(x) for row in a for x in row)
-
-
 # ---------------------------------------------------------------------------
 # determinant and linear solves: one pivoted elimination
 # ---------------------------------------------------------------------------
 
 def _eliminate(a: Matrix, cols: Sequence[Sequence[Scalar]] = ()):
-    """Forward elimination with partial pivoting of a, carrying the
-    right-hand-side columns cols along.
+    """Forward elimination of a, carrying the right-hand-side columns cols
+    along.
 
-    Returns (rows, pivots, sign): the reduced augmented rows, the pivots in
-    order and the sign of the row permutation.  Fewer than n pivots means
+    Returns (rows, pivots, sign, scale): the reduced augmented rows, the
+    pivots in order, the sign of the row permutation and, when every entry
+    is exact, the int scaling (None otherwise).  Fewer than n pivots means
     a is singular; elimination stopped at the first column without one.
     Pivots are chosen from a alone, so every column sees the same steps.
+
+    Float rows take partial pivoting and division.  Exact rows are cleared
+    to ints first: each augmented row times the lcm of its own
+    denominators, then each column of a divided by the gcd of its entries.
+    scale is (r, g), r the product of the row lcms and g the column gcds,
+    so the int system is R a G^-1 (G x) = R b.  It is eliminated
+    fraction-free (Bareiss) under the first nonzero pivot of each column:
+    each update divides exactly by the previous pivot, so the last pivot
+    is the determinant of the int matrix, det a = sign * last * prod(g) / r,
+    and no gcd runs during the elimination.
     """
     n = _check_square(a)
     width = n + len(cols)
     m = [list(row) + [col[i] for col in cols] for i, row in enumerate(a)]
-    exact = _exact_matrix(a) and all(is_exact(x) for col in cols for x in col)
+    if all(is_exact(x) for row in m for x in row):
+        return _eliminate_ints(m, n)
     pivots: List[Scalar] = []
     sign = 1
     for k in range(n):
-        p = _pick_pivot(m, k, exact)
+        p = _pick_pivot(m, k)
         if p is None:
             break
         if p != k:
@@ -134,15 +145,54 @@ def _eliminate(a: Matrix, cols: Sequence[Sequence[Scalar]] = ()):
                 f = row_i[k] / piv
                 for j in range(k, width):
                     row_i[j] -= f * row_k[j]
-    return m, pivots, sign
+    return m, pivots, sign, None
+
+
+def _eliminate_ints(m: Matrix, n: int):
+    """_eliminate's exact branch on the augmented rows m: rows cleared by
+    their lcms, then the first n columns divided by their gcds (a Hankel
+    table's denominators grow along both axes, so clearing the rows alone
+    leaves a common factor in each column), then fraction-free steps."""
+    r = 1
+    for i, row in enumerate(m):
+        row_lcm = math.lcm(*(x.denominator for x in row))
+        m[i] = [x.numerator * (row_lcm // x.denominator) for x in row]
+        r *= row_lcm
+    g = [math.gcd(*col) or 1 for col in zip(*(row[:n] for row in m))]
+    for row in m:
+        row[:n] = [x // gj for x, gj in zip(row, g)]
+    pivots: List[int] = []
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if p is None:
+            break
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        row_k = m[k]
+        piv = row_k[k]
+        pivots.append(piv)
+        for i in range(k + 1, n):
+            row_i = m[i]
+            f = row_i[k]
+            row_i[k:] = [(piv * x - f * y) // prev for x, y in zip(row_i[k:], row_k[k:])]
+        prev = piv
+    return m, pivots, sign, (r, g)
 
 
 def dense_det(a: Matrix) -> Scalar:
-    """Determinant by pivoted elimination; exact when all entries are exact."""
+    """Determinant by pivoted elimination; a Fraction when every entry is
+    exact (int or Fraction), built once from the last int pivot."""
     if not a:
         return 1
-    m, pivots, sign = _eliminate(a)
-    det = Fraction(1) if _exact_matrix(a) else 1.0
+    m, pivots, sign, scale = _eliminate(a)
+    if scale is not None:
+        if len(pivots) < len(m):
+            return Fraction(0)
+        r, g = scale
+        return Fraction(sign * pivots[-1] * math.prod(g), r)
+    det = 1.0
     for piv in pivots:
         det *= piv
     if len(pivots) < len(m):
@@ -153,13 +203,16 @@ def dense_det(a: Matrix) -> Scalar:
 def solve_columns(a: Matrix, cols: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
     """Solve a x = b for every column b in cols with one elimination of a.
 
-    Exact on Fraction input; raises ValueError on a singular system
-    (callers wrap it in the domain-specific error).
+    Exact (Fractions) when every entry of a and cols is an int or a
+    Fraction; raises ValueError on a singular system (callers wrap it in the
+    domain-specific error).
     """
-    m, pivots, _ = _eliminate(a, cols)
+    m, pivots, _, scale = _eliminate(a, cols)
     n = len(m)
     if len(pivots) < n:
         raise ValueError("singular linear system")
+    if scale is not None:
+        return _back_substitute_ints(m, n, len(cols), scale[1])
     out = []
     for c in range(n, n + len(cols)):
         x: List[Scalar] = [0] * n
@@ -172,20 +225,34 @@ def solve_columns(a: Matrix, cols: Sequence[Sequence[Scalar]]) -> List[List[Scal
     return out
 
 
+def _back_substitute_ints(m: Matrix, n: int, count: int, g: List[int]) -> List[List[Scalar]]:
+    """The solutions of the fraction-free triangular rows m, one Fraction per
+    unknown.  With d the last pivot, d G x is an int vector (Cramer's rule
+    on the int system), so it is back-substituted in ints, each step
+    dividing exactly by its row's pivot, and x_j is that over d g_j."""
+    d = m[n - 1][n - 1] if n else 1
+    out = []
+    for c in range(n, n + count):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            acc = d * row[c]
+            for j in range(i + 1, n):
+                acc -= row[j] * y[j]
+            y[i] = acc // row[i]
+        out.append([Fraction(v, d * gj) for v, gj in zip(y, g)])
+    return out
+
+
 def solve_linear(a: Matrix, b: Sequence[Scalar]) -> List[Scalar]:
-    """Solve a x = b by Gaussian elimination with partial pivoting."""
+    """Solve a x = b: solve_columns with the one column b."""
     return solve_columns(a, [b])[0]
 
 
-def _pick_pivot(m: Matrix, k: int, exact: bool):
-    n = len(m)
-    if exact:
-        for i in range(k, n):
-            if m[i][k] != 0:
-                return i
-        return None
+def _pick_pivot(m: Matrix, k: int):
+    """The row at or below k with the largest |m[i][k]|, None if all are 0."""
     best, arg = 0.0, None
-    for i in range(k, n):
+    for i in range(k, len(m)):
         v = abs(float(m[i][k]))
         if v > best:
             best, arg = v, i

@@ -16,18 +16,20 @@ is scaled by the lcm L of its denominators to an int table and eliminated
 fraction-free (Bareiss): each step divides exactly by the previous pivot,
 every intermediate entry is a bordered Pfaffian minor of L*A, and the last
 pivot is Pf(L*A) = L^(n/2) Pf(A).  No gcd runs until the one Fraction
-built from that last pivot.  The ints carry the factor L^(n/2), which
-reduced Fractions shed, so on moment tables, whose denominators grow with
-the lag, Fraction division is the faster exact update past about 24
-indices; the coefficient routes stay well below that.  On exact input
-expansion and elimination agree identically; elimination returns an exact
-structural 0 when a pivot step finds no nonzero entry.
+built from that last pivot.  The ints carry the factor L^(n/2); on
+moment tables, whose denominators grow with the lag, that doubles their
+bits, so the moment-table route (lsop.pfaffian_route) clears its table
+per index instead, as the int congruence D A D, and hands the int table
+here.  On exact input expansion and elimination agree identically;
+elimination returns an exact structural 0 when a pivot step finds no
+nonzero entry.
 
 ``pf_leading_borders`` runs the same fraction-free update without pivoting
 on an exact table, its unit border columns carried along.  Row i is final
 once the pairs below it are eliminated, so one pass gives every leading
 bordered minor: the border of the Pfaffian over {0..2m-1, i}, m = i // 2,
-for each i at once (the moment-table members q_i, tau_m and sigma_m).
+for each i at once (the moment-table members q_i, tau_m and sigma_m, from
+the int table D A D).
 
 ``minor_identity`` evaluates the two minor identities that relate a
 Pfaffian bordered by four extra indices to three-fold products of smaller

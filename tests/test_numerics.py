@@ -5,6 +5,8 @@ dense_eigs, solve_columns and dense_det on the inputs of _KERNEL_CASES: the
 butterflies and pencil transfer matrices of the eigensolve benchmark's seed-1
 inputs, seeded random matrices, and singular and special-value systems.  They
 pin every bit of the kernels' output, on each Python that CI runs (3.10-3.13).
+The exact branch of the elimination is checked against the Fraction-division
+elimination it replaced (fraction_eliminate) on hypothesis-drawn systems.
 Running the module prints the digests of the code as it stands:
 
     PYTHONPATH=src python tests/test_numerics.py
@@ -20,6 +22,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsopkit.errors import ConvergenceError, DimensionError
 from lsopkit.lsop import RecurrenceData, recurrence_from_measure
@@ -59,6 +62,113 @@ def test_solve_exact():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     x = solve_linear(a, [Fraction(5), Fraction(10)])
     assert x == [Fraction(1), Fraction(3)]
+
+
+def test_all_int_input_is_exact():
+    # int / int used to turn an all-int elimination into binary64
+    det = dense_det([[1, 2], [3, 4]])
+    assert det == -2 and type(det) is Fraction
+    x = solve_linear([[2, 1], [1, 3]], [1, 2])
+    assert x == [Fraction(1, 5), Fraction(3, 5)] and all(type(v) is Fraction for v in x)
+    assert solve_columns([[0, 1], [1, 0]], [[3, 4], [5, 6]]) == [[4, 3], [6, 5]]
+
+
+# -- Fraction-division elimination oracle --------------------------------------
+
+def fraction_eliminate(a, cols=()):
+    """Forward elimination of a over Fractions with the first nonzero pivot
+    of each column, the right-hand-side columns carried along: the exact
+    branch of _eliminate before it became fraction-free.  Returns (rows,
+    pivots, sign)."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(col[i]) for col in cols] for i, row in enumerate(a)]
+    pivots, sign = [], 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if p is None:
+            break
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        piv = m[k][k]
+        pivots.append(piv)
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] / piv
+                for j in range(k, len(m[i])):
+                    m[i][j] -= f * m[k][j]
+    return m, pivots, sign
+
+
+def fraction_det(a):
+    m, pivots, sign = fraction_eliminate(a)
+    det = Fraction(sign)
+    for piv in pivots:
+        det *= piv
+    return det if len(pivots) == len(a) else Fraction(0)
+
+
+def fraction_solve(a, cols):
+    m, pivots, _ = fraction_eliminate(a, cols)
+    n = len(a)
+    if len(pivots) < n:
+        raise ValueError("singular linear system")
+    out = []
+    for c in range(n, n + len(cols)):
+        x = [Fraction(0)] * n
+        for i in range(n - 1, -1, -1):
+            acc = m[i][c]
+            for j in range(i + 1, n):
+                acc -= m[i][j] * x[j]
+            x[i] = acc / m[i][i]
+        out.append(x)
+    return out
+
+
+_SMALL_EXACT = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@st.composite
+def exact_systems(draw):
+    """(a, cols): an int/Fraction matrix of size 1-8 with 1-3 columns; kind
+    'swap' zeroes the leading entries of the first rows, so the first
+    pivot comes from further down, and 'singular' makes one row a
+    combination of the others (zeroes the one entry at size 1)."""
+    n = draw(st.integers(1, 8))
+    a = [[draw(_SMALL_EXACT) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(("plain", "swap", "singular")))
+    if kind == "swap":
+        for i in range(draw(st.integers(0, n - 1)) + 1):
+            a[i][0] = 0
+        a[-1][0] = draw(st.sampled_from((1, -3, Fraction(2, 7))))
+    elif kind == "singular" and n == 1:
+        a[0][0] = 0
+    elif kind == "singular":
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.sampled_from([r for r in range(n) if r != i]))
+        s, t = draw(_SMALL_EXACT), draw(_SMALL_EXACT)
+        a[i] = [s * x + t * y for x, y in zip(a[j], a[k])]
+    cols = [[draw(_SMALL_EXACT) for _ in range(n)] for _ in range(draw(st.integers(1, 3)))]
+    return a, cols
+
+
+def _solve_or_error(solve, a, cols):
+    try:
+        return solve(a, cols)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(exact_systems())
+@settings(max_examples=200, deadline=None)
+def test_fraction_free_elimination_equals_the_fraction_oracle(system):
+    a, cols = system
+    det = dense_det(a)
+    assert det == fraction_det(a) and type(det) is Fraction
+    got, ref = _solve_or_error(solve_columns, a, cols), _solve_or_error(fraction_solve, a, cols)
+    assert got == ref
+    assert isinstance(got, str) or all(type(v) is Fraction for x in got for v in x)
+    assert isinstance(got, str) == (det == 0)
 
 
 def mat_inverse(a):

@@ -6,7 +6,10 @@ on seeded tables, the moment-table Pfaffians of the rational fixed measure
 against the exact folded walk's tau_k at N = 6, the exact route
 (lsop.pfaffian_route) against the per-member route its one-pass elimination
 replaced, kept here (old_lsop_via_pfaffian, old_minor_taus), on rational
-seeds 1-10 at orders 1-6 and on the rational fixed measure at N = 12, and
+seeds 1-10 at orders 1-6 and on the rational fixed measure at N = 12, the
+per-index (balanced) scaling of the exact route against the uniform-lcm
+route it replaced, kept here too (uniform_lcm_rows), on rational seeds
+1-10 at orders 1-8, on a hand-made moment dict and past a zero pivot, and
 the double route against the float per-member route, kept here too
 (old_float_lsop_via_pfaffian, old_float_moment_pfaffian_table), bit for bit
 on double seeds 1-10 at orders 1-4 and on the fixed measure at N = 8.  The
@@ -34,8 +37,9 @@ from hypothesis import given, settings, strategies as st
 
 from lsopkit.errors import DegeneracyError, DimensionError, ExpansionLimitError, IncompleteTableError
 from lsopkit.laurent import LaurentPoly
-from lsopkit.lsop import (_recurrence_from_minors, lsop_via_recurrence, moment_skew_array,
-                          pfaffian_route, random_family, recurrence_from_measure)
+from lsopkit.lsop import (_recurrence_from_minors, balanced_scaling, bordered_pfaffian,
+                          lsop_via_recurrence, moment_skew_array, pfaffian_route, random_family,
+                          recurrence_from_measure)
 from lsopkit.moments import DiscreteMeasure, MomentTable
 from lsopkit.numerics import dense_det
 from lsopkit.pfaffian import (SkewArray, _eliminate, _swap_sym, _working_rows, minor_identity,
@@ -121,6 +125,58 @@ def old_minor_taus(mu, n):
     return ([Fraction(1)] + [pf_indices(table, list(range(2 * k))) for k in range(1, n + 1)],
             [Fraction(0)] + [pf_indices(table, list(range(2 * k - 1)) + [2 * k])
                              for k in range(1, n + 1)])
+
+
+def uniform_lcm_rows(mu, n):
+    """(rows, L): the rows of the exact route through degree n with the whole
+    moment table cleared by the lcm L of its denominators, row i holding L^m
+    times the bordered minors over {0..2m-1, i}, m = i // 2, and the rows
+    past a vanishing tau from a Pfaffian per minor: the exact route before
+    the per-index scaling replaced it."""
+    borders, scale = pf_leading_borders(moment_skew_array(mu, range(n + 1)))
+    rows = [LaurentPoly(dict(enumerate(row))) for row in borders]
+    for i in range(len(rows), n + 1):
+        exponents = list(range(2 * (i // 2))) + [i]
+        minors = bordered_pfaffian(moment_skew_array(mu, exponents), exponents)
+        rows.append(minors.scale(scale ** (i // 2)))
+    return rows, scale
+
+
+def uniform_lcm_readings(mu, n):
+    """(q_0..q_n, (tau, sigma) through n // 2) of the uniform-lcm rows, each
+    member, and the minors, replaced by the DegeneracyError message where the
+    route raised one."""
+    rows, scale = uniform_lcm_rows(mu, n)
+    members = []
+    for k, row in enumerate(rows):
+        tau = row.coeff(k)
+        members.append(f"tau_{k // 2} = 0: q_{k} does not exist" if tau == 0 else
+                       LaurentPoly({e: Fraction(c, tau) for e, c in row.coeffs.items()}))
+    tau, sigma = [], []
+    for k, row in enumerate(rows[::2]):
+        tau.append(Fraction(row.coeff(2 * k), scale ** k))
+        sigma.append(Fraction(-row.coeff(2 * k - 1), scale ** k))
+        if tau[-1] == 0:
+            return members, f"tau_{k} = 0: the skew orthogonal family does not exist"
+    return members, (tau, sigma)
+
+
+def balanced_matches_uniform(mu, n):
+    """The route through degree n equals the uniform-lcm route: every q_k by
+    value and coefficient type, tau and sigma by value and type, or the same
+    degeneracy errors."""
+    route = pfaffian_route(mu, n)
+    members, minors = uniform_lcm_readings(mu, n)
+    for k in range(n + 1):
+        q = degeneracy_or(lambda: route.member(k))
+        if q != members[k] or not isinstance(q, str) and any(
+                type(c) is not Fraction for c in q.coeffs.values()):
+            return False
+    rec = degeneracy_or(route.recurrence_data)
+    if isinstance(rec, str) or isinstance(minors, str):
+        return rec == minors
+    return (list(rec.tau), list(rec.sigma)) == minors and all(
+        type(v) is Fraction for v in rec.tau + rec.sigma)
 
 
 def double_fixed_measure(n):
@@ -405,6 +461,48 @@ def test_zero_pivot_raises_where_the_per_member_route_did():
     with pytest.raises(DegeneracyError,
                        match="^tau_1 = 0: the skew orthogonal family does not exist$"):
         route.recurrence_data()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_balanced_route_matches_the_uniform_lcm_route(n):
+    for seed in range(1, 11):
+        mu = MomentTable.from_measure(random_family(seed, n, "rational").measure, n)
+        assert balanced_matches_uniform(mu, 2 * n), seed
+
+
+def test_balanced_route_on_a_hand_made_moment_dict():
+    # lag denominators 14, 1, 33, 225, 13, 384, 1, 1309, 1001, 92 share no
+    # W * P^l pattern; ints sit among them
+    lags = [Fraction(3, 14), 2, Fraction(-5, 33), Fraction(7, 225), Fraction(-1, 13),
+            Fraction(11, 384), -4, Fraction(9, 1309), Fraction(2, 1001), Fraction(-15, 92)]
+    mu = {0: 0}
+    for k, v in enumerate(lags, 1):
+        mu[k], mu[-k] = v, -v
+    table = MomentTable(mu=mu, c={}, order=len(lags) // 2)
+    for n in range(len(lags) + 1):
+        d = balanced_scaling(table, n)
+        assert all(type(x) is int and x > 0 for x in d) and d[n // 2] == 1
+        assert all((d[i] * d[j] * mu[j - i]).denominator == 1
+                   for i in range(n + 1) for j in range(i + 1, n + 1)), n
+        assert balanced_matches_uniform(table, n), n
+
+
+def test_balanced_route_matches_uniform_past_a_zero_pivot():
+    # tau_1 = 0 while tau_2 does not vanish: rows 4 on come from a Pfaffian per minor
+    m = DiscreteMeasure([2, 3], [1, Fraction(-9, 16)], strict=False)
+    mu = MomentTable.from_measure(m, 2)
+    assert all(balanced_matches_uniform(mu, n) for n in range(5))
+
+
+def test_balanced_route_halves_the_bits_on_the_fixed_measure():
+    # the z^16 coefficient of row 16 is tau_8 times prod d_s (2961 bits),
+    # against L^8 tau_8 (5843 bits) under one lcm
+    n = 8
+    mu = MomentTable.from_measure(rational_fixed_measure(n), n)
+    assert balanced_matches_uniform(mu, 2 * n)
+    balanced = pfaffian_route(mu, 2 * n).rows[2 * n].coeff(2 * n)
+    uniform = uniform_lcm_rows(mu, 2 * n)[0][2 * n].coeff(2 * n)
+    assert type(balanced) is int and 2 * balanced.bit_length() < 1.05 * uniform.bit_length()
 
 
 def test_double_route_is_the_float_per_member_route():
