@@ -8,10 +8,9 @@ values: every operation returns a fresh polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .modes import Scalar
+from .modes import Scalar, clear_denominators
 
 
 class LaurentPoly:
@@ -129,13 +128,13 @@ class LaurentPoly:
         return total
 
     def integer_form(self) -> Optional[Tuple[Dict[int, int], int]]:
-        """({e: C_e}, D) with integer C_e and c_e = C_e / D, D the lcm of the
-        coefficient denominators; None when a coefficient is not int/Fraction."""
+        """({e: C_e}, D), the coefficients through clear_denominators:
+        c_e = C_e / D; None when a coefficient is not int/Fraction."""
         try:
-            d = lcm(*(c.denominator for c in self.coeffs.values()))
+            ints, d = clear_denominators(self.coeffs.values())
         except AttributeError:  # a float or complex coefficient
             return None
-        return {e: c.numerator * (d // c.denominator) for e, c in self.coeffs.items()}, d
+        return dict(zip(self.coeffs, ints)), d
 
     # -- comparisons -----------------------------------------------------
 

@@ -418,24 +418,6 @@ def support_pairing(weights: Sequence[Scalar], node_rows, recip_rows, a: int, b:
     return tot
 
 
-def cleared_columns(node_rows, recip_rows,
-                    width: int) -> Tuple[List[List[int]], List[List[int]], List[int]]:
-    """(node, recip, lcms) for the columns j < width of exact value tables:
-    lcms[j] is the lcm over both tables of the denominators in column j,
-    and node[j][k] = lcms[j] f_j(z_k), recip[j][k] = lcms[j] f_j(1/z_k) are
-    ints, one list per column.  The big part of a walk value's denominator
-    comes from the recurrence coefficients, not the node, so these lcms
-    stay close to the largest single denominator."""
-    node, recip, lcms = [], [], []
-    for j in range(width):
-        zs, rs = [row[j] for row in node_rows], [row[j] for row in recip_rows]
-        scale = math.lcm(*(v.denominator for v in zs + rs))
-        node.append([v.numerator * (scale // v.denominator) for v in zs])
-        recip.append([v.numerator * (scale // v.denominator) for v in rs])
-        lcms.append(scale)
-    return node, recip, lcms
-
-
 def support_gram(weights: Sequence[Scalar], node_rows, recip_rows) -> List[List[Scalar]]:
     """Gram matrix <f_a | f_b> of every member of the value tables.  Each
     pairing with b >= a is summed once, the diagonal included so that a

@@ -67,10 +67,6 @@ class DiscreteMeasure:
     def size(self) -> int:
         return len(self.nodes)
 
-    def is_real_canonical(self) -> bool:
-        """True when every node is a real scalar with |z| > 1 (eigensolver path)."""
-        return all(not isinstance(z, complex) and abs(z) > 1 for z in self.nodes)
-
     def is_exact(self) -> bool:
         return all(is_exact(z) for z in self.nodes) and all(is_exact(w) for w in self.weights)
 

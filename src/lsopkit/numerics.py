@@ -4,9 +4,9 @@ Everything here is implemented in-repo on plain lists so that the numerical
 oracles stay auditable: one forward elimination that serves the
 determinant, the linear solves, the inverse and the pencil's transfer
 matrix V^-1 U (partial pivoting and division in binary64; on all-exact
-input, int/Fraction, each row cleared to ints by the lcm of its
-denominators, each column divided by its gcd, and the int table
-eliminated fraction-free, Bareiss, with one Fraction per result), an
+input, int/Fraction, each row cleared to ints by modes.clear_denominators,
+each column divided by its gcd, and the int table eliminated
+fraction-free, Bareiss, with one Fraction per result), an
 implicit-shift QL eigensolver for symmetric tridiagonal matrices, and a
 Hessenberg + double-shift QR eigensolver for general real matrices.
 """
@@ -20,7 +20,7 @@ from itertools import repeat
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import ConvergenceError, DimensionError
-from .modes import Scalar, is_exact
+from .modes import Scalar, clear_denominators, is_exact
 
 Matrix = List[List[Scalar]]
 
@@ -113,10 +113,10 @@ def _eliminate(a: Matrix, cols: Sequence[Sequence[Scalar]] = ()):
     Pivots are chosen from a alone, so every column sees the same steps.
 
     Float rows take partial pivoting and division.  Exact rows are cleared
-    to ints first: each augmented row times the lcm of its own
-    denominators, then each column of a divided by the gcd of its entries.
-    scale is (r, g), r the product of the row lcms and g the column gcds,
-    so the int system is R a G^-1 (G x) = R b.  It is eliminated
+    to ints first (_eliminate_ints): each augmented row by
+    clear_denominators, then each column of a divided by the gcd of its
+    entries.  scale is (r, g), r the product of the row scales and g the
+    column gcds, so the int system is R a G^-1 (G x) = R b.  It is eliminated
     fraction-free (Bareiss) under the first nonzero pivot of each column:
     each update divides exactly by the previous pivot, so the last pivot
     is the determinant of the int matrix, det a = sign * last * prod(g) / r,
@@ -149,15 +149,14 @@ def _eliminate(a: Matrix, cols: Sequence[Sequence[Scalar]] = ()):
 
 
 def _eliminate_ints(m: Matrix, n: int):
-    """_eliminate's exact branch on the augmented rows m: rows cleared by
-    their lcms, then the first n columns divided by their gcds (a Hankel
-    table's denominators grow along both axes, so clearing the rows alone
-    leaves a common factor in each column), then fraction-free steps."""
+    """_eliminate's exact branch on the augmented rows m: each row through
+    clear_denominators, then the first n columns divided by their gcds (a
+    Hankel table's denominators grow along both axes, so clearing the rows
+    alone leaves a common factor in each column), then fraction-free steps."""
     r = 1
     for i, row in enumerate(m):
-        row_lcm = math.lcm(*(x.denominator for x in row))
-        m[i] = [x.numerator * (row_lcm // x.denominator) for x in row]
-        r *= row_lcm
+        m[i], row_scale = clear_denominators(row)
+        r *= row_scale
     g = [math.gcd(*col) or 1 for col in zip(*(row[:n] for row in m))]
     for row in m:
         row[:n] = [x // gj for x, gj in zip(row, g)]

@@ -5,24 +5,24 @@ Two independent evaluation routes are provided:
 * ``pf_expand``    -- exact recursive expansion along the last index, with
                       alternating signs; exponential cost, size-capped, the
                       ground-truth oracle; an exact table is expanded over
-                      the ints of L*A (L below) and divided by L^(n/2) once;
+                      the ints of L*A and divided by L^(n/2) once;
 * ``pf_eliminate`` -- cubic-cost skew-symmetric Gaussian elimination with
                       greedy full pivoting on the largest-magnitude entry.
 
 Both return 1 for the empty array.  Elimination has two update rules
 behind one pivot/swap loop.  A table with a float entry is eliminated in
 place by division, in binary64.  A table whose entries are all int/Fraction
-is scaled by the lcm L of its denominators to an int table and eliminated
-fraction-free (Bareiss): each step divides exactly by the previous pivot,
-every intermediate entry is a bordered Pfaffian minor of L*A, and the last
-pivot is Pf(L*A) = L^(n/2) Pf(A).  No gcd runs until the one Fraction
-built from that last pivot.  The ints carry the factor L^(n/2); on
-moment tables, whose denominators grow with the lag, that doubles their
-bits, so the moment-table route (lsop.pfaffian_route) clears its table
-per index instead, as the int congruence D A D, and hands the int table
-here.  On exact input expansion and elimination agree identically;
-elimination returns an exact structural 0 when a pivot step finds no
-nonzero entry.
+is cleared to the int table L*A by modes.clear_denominators over its strict
+upper triangle and eliminated fraction-free (Bareiss): each step divides
+exactly by the previous pivot, every intermediate entry is a bordered
+Pfaffian minor of L*A, and the last pivot is Pf(L*A) = L^(n/2) Pf(A).  No
+gcd runs until the one Fraction built from that last pivot.  The ints
+carry the factor L^(n/2); on moment tables, whose denominators grow with
+the lag, that doubles their bits, so the moment-table route
+(lsop.pfaffian_route) clears its table per index instead, as the int
+congruence D A D, and hands the int table here.  On exact input
+expansion and elimination agree identically; elimination returns an exact
+structural 0 when a pivot step finds no nonzero entry.
 
 ``pf_leading_borders`` runs the same fraction-free update without pivoting
 on an exact table, its unit border columns carried along.  Row i is final
@@ -46,11 +46,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionError, ExpansionLimitError, IncompleteTableError
-from .modes import Scalar
+from .modes import Scalar, clear_denominators
 
 EXPANSION_CAP = 10
 
@@ -118,8 +118,8 @@ def pf_expand(s: SkewArray) -> Scalar:
 
     Refuses sizes above EXPANSION_CAP (the term count grows like (2n-1)!!);
     use pf_eliminate for larger arrays.  An exact table is expanded over
-    the ints of L times it, L the lcm of its denominators, and divided by
-    L^(n/2) once; an all-int table gives an int, a float table the float sum.
+    the ints of L times it (_working_rows) and divided by L^(n/2) once; an
+    all-int table gives an int, a float table the float sum.
     """
     if s.size % 2:
         raise DimensionError(f"Pfaffian needs even size, got {s.size}")
@@ -185,7 +185,7 @@ def pf_leading_borders(s: SkewArray) -> Tuple[List[List[int]], int]:
     the coefficient of x_c in the Pfaffian over the indices {0..2m-1, i}
     bordered by a column x, that is (-1)^p Pf({0..2m-1, i} without c) with p
     the position of c (0 for c off that set); rows[i][i] = L^m Pf(0..2m-1).
-    L is the lcm of the table's denominators.  A vanishing Pf(0..2m-1) is a
+    L is the table's common denominator.  A vanishing Pf(0..2m-1) is a
     zero pivot: rows 2m and 2m+1 are the last returned."""
     n = s.size
     m, scale = _working_rows(s)
@@ -277,19 +277,16 @@ def minor_identity(s: SkewArray, base: Sequence[int], extra: Sequence[int],
 
 def _working_rows(s: SkewArray) -> Tuple[List[List[Scalar]], Optional[int]]:
     """Rows holding the strict upper triangle of s, to eliminate in place,
-    and the lcm of the denominators when every entry is exact, in which case
-    the rows hold the entries times that lcm as ints; None for float tables."""
+    and the scale: on an exact table one clear_denominators over the whole
+    triangle, the rows holding its ints and the scale its L; on a float
+    table copies of the rows and None."""
     rows = s.rows
     try:
-        # moment tables repeat each lag's entry along a diagonal, so there
-        # are few distinct denominators
-        denominators = {v.denominator for i, row in enumerate(rows) for v in row[i + 1:]}
-    except AttributeError:  # a float entry (ints and Fractions have a denominator)
+        ints, scale = clear_denominators([v for i, row in enumerate(rows) for v in row[i + 1:]])
+    except AttributeError:  # a float entry
         return [row[:] for row in rows], None
-    scale = lcm(*denominators)
-    factor = {d: scale // d for d in denominators}
-    return [[0] * (i + 1) + [v.numerator * factor[v.denominator] for v in row[i + 1:]]
-            for i, row in enumerate(rows)], scale
+    flat = iter(ints)
+    return [[0] * (i + 1) + list(islice(flat, len(row) - i - 1)) for i, row in enumerate(rows)], scale
 
 
 def _eliminate(m: List[List[Scalar]], n: int, scale: Optional[int]) -> Tuple[int, Scalar]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -37,11 +36,11 @@ from .laurent import LaurentPoly
 from .lsolp import (GaugeParams, LsolpFamily, butterfly_sparsity_defect,
                     gauge_transform_scaled, gram_schmidt_lsolp, gram_schmidt_pairs,
                     lsolp_from_values, multiplication_matrix)
-from .lsop import (FamilyValues, PfaffianRoute, RecurrenceData, cleared_columns, evaluate_family,
+from .lsop import (FamilyValues, PfaffianRoute, RecurrenceData, evaluate_family,
                    even_to_op, kodama_residuals, kodama_sops, lsop_via_recurrence,
                    op_via_hankel, pfaffian_route, random_family, skew_pattern_defect,
                    verify_pfaffian_det)
-from .modes import Scalar, validate_mode
+from .modes import Scalar, clear_denominators, validate_mode
 from .moments import DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment, skew_inner
 from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, nan_max, spectra_distance,
                        sym_tridiag_eigs)
@@ -428,18 +427,20 @@ def claim_orthonormality(ctx: _Context) -> Measured:
 def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
     # <q_2m|q_2n+1> tau_n/tau_{n+1} = delta_mn plus vanishing same-parity
     # pairings: exactly equivalent to orthonormality of the scaled family.
-    # Member column a is cleared by the lcm L_a of its denominators and the
-    # weights by the lcm W of theirs, so the int
+    # clear_denominators gives L_a for member column a over both value
+    # tables and W for the weights, so the int
     # S_ab = sum_k w_k (R_a Z_b - Z_a R_b) is W L_a L_b <q_a|q_b>; each test
     # compares ints, and a Fraction is built only for a nonzero deviation.
     # The pairing is exactly skew on exact tables (<f|f> = 0 and
     # <g|f> = -<f|g>), so each same-parity pair is computed once.
     n = ctx.cfg.order
-    node, recip, lcms = cleared_columns(*ctx.fv.monic_values(), 2 * n)
+    node_rows, recip_rows = ctx.fv.monic_values()
+    size = len(node_rows)
+    cleared = [clear_denominators([row[a] for row in node_rows + recip_rows]) for a in range(2 * n)]
+    node = [ints[:size] for ints, _ in cleared]
+    recip = [ints[size:] for ints, _ in cleared]
     # the exact weights the walk folded (a double-mode measure's are lifted)
-    weights = [Fraction(w) for w in ctx.measure.weights]
-    wscale = lcm(*(w.denominator for w in weights))
-    ws = [w.numerator * (wscale // w.denominator) for w in weights]
+    ws, wscale = clear_denominators([Fraction(w) for w in ctx.measure.weights])
     wnode = [list(map(mul, ws, col)) for col in node]
     wrecip = [list(map(mul, ws, col)) for col in recip]
     scales = ctx.fv.exact_rec.scale_squares()
@@ -447,7 +448,7 @@ def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
     def deviation(a: int, b: int, target: int, scale: Scalar) -> Tuple[int, int]:
         """<q_a|q_b> scale - target as the numerator over the denominator."""
         pairing = sum(map(mul, wrecip[a], node[b])) - sum(map(mul, wnode[a], recip[b]))
-        den = wscale * lcms[a] * lcms[b] * scale.denominator
+        den = wscale * cleared[a][1] * cleared[b][1] * scale.denominator
         return pairing * scale.numerator - target * den, den
 
     worst = 0.0

@@ -5,7 +5,8 @@ home module on first access.  Each subcommand, run in a fresh interpreter
 the way `python -m lsopkit.cli` runs it, writes the same bytes and exits
 with the same status as `cli.main` in process, and loads only the modules
 it runs: gen-measure and lsop never load verify, spectra or lsolp, and
-pencil, butterfly and solve-butterfly never load verify.
+pencil, butterfly and solve-butterfly never load verify.  `lsopkit.modes`,
+which every other module imports, loads no other lsopkit module.
 """
 
 import importlib
@@ -102,6 +103,13 @@ def test_import_loads_no_submodule():
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lsopkit'))))")
     assert json.loads(_fresh("-c", code)) == ["lsopkit", "lsopkit.laurent", "lsopkit.modes",
                                               "lsopkit.moments"]
+
+
+def test_modes_imports_no_other_lsopkit_module():
+    # modes holds the scalar kernels every module imports, so it sits below them all
+    code = ("import json, sys, lsopkit.modes; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lsopkit'))))")
+    assert json.loads(_fresh("-c", code)) == ["lsopkit", "lsopkit.modes"]
 
 
 def test_cli_exit_tolerances_are_the_claim_tolerances():

@@ -232,7 +232,7 @@ def test_generator_contract():
     m8 = random_family(4, 8, "double").measure
     nodes = sorted(m8.nodes)
     assert all(b - a >= 0.1 for a, b in zip(nodes, nodes[1:]))
-    assert m8.is_real_canonical()
+    assert all(z > 1 for z in m8.nodes)
 
 
 def test_generator_determinism():

@@ -6,7 +6,8 @@ butterflies and pencil transfer matrices of the eigensolve benchmark's seed-1
 inputs, seeded random matrices, and singular and special-value systems.  They
 pin every bit of the kernels' output, on each Python that CI runs (3.10-3.13).
 The exact branch of the elimination is checked against the Fraction-division
-elimination it replaced (fraction_eliminate) on hypothesis-drawn systems.
+elimination it replaced (fraction_eliminate) on hypothesis-drawn systems, and
+modes.clear_denominators, which clears its rows, on hypothesis-drawn lists.
 Running the module prints the digests of the code as it stands:
 
     PYTHONPATH=src python tests/test_numerics.py
@@ -26,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from lsopkit.errors import ConvergenceError, DimensionError
 from lsopkit.lsop import RecurrenceData, recurrence_from_measure
-from lsopkit.modes import is_exact
+from lsopkit.modes import clear_denominators, is_exact
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import (SymTridiag, dense_det, dense_eigs, dot, inf_norm, mat_mul, mat_vec,
                               max_abs_diff, min_cost_assignment, nan_max, solve_columns,
@@ -169,6 +170,28 @@ def test_fraction_free_elimination_equals_the_fraction_oracle(system):
     assert got == ref
     assert isinstance(got, str) or all(type(v) is Fraction for x in got for v in x)
     assert isinstance(got, str) == (det == 0)
+
+
+_CLEARABLE = st.one_of(st.integers(-10**6, 10**6),
+                       st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+
+
+@given(st.lists(_CLEARABLE, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_clear_denominators_gives_ints_over_the_least_common_denominator(values):
+    ints, scale = clear_denominators(values)
+    assert all(type(v) is int for v in ints)
+    assert [Fraction(v, scale) for v in ints] == values
+    assert scale == math.lcm(*(Fraction(x).denominator for x in values))
+    # all-int input comes back unchanged over 1
+    assert clear_denominators(ints) == (ints, 1)
+
+
+def test_clear_denominators_of_nothing_and_of_a_float():
+    assert clear_denominators([]) == ([], 1)
+    for inexact in (0.5, 1j):
+        with pytest.raises(AttributeError):
+            clear_denominators([Fraction(1, 3), inexact, 2])
 
 
 def mat_inverse(a):
