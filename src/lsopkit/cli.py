@@ -195,13 +195,12 @@ def cmd_lsop(args) -> int:
 
 
 def cmd_pencil(args) -> int:
-    from .numerics import spectra_distance
-    from .spectra import (PENCIL_EIGENVALUES_TOL, pencil_eigenvalues, pencil_residual,
-                          support_spectrum)
+    from .numerics import dense_eigs, spectra_distance
+    from .spectra import PENCIL_EIGENVALUES_TOL, pencil_residual, support_spectrum
 
     fv = _family(args, _mode(args))
     report = pencil_residual(fv)
-    eigs = pencil_eigenvalues(report.recurrence.pencil)
+    eigs = dense_eigs(report.recurrence.transfer)
     mismatch = spectra_distance(eigs, support_spectrum(fv.measure))
     doc = {
         "order": fv.order,

@@ -27,8 +27,7 @@ numerical ground truth the butterfly assembly in `spectra` is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
 from .laurent import LaurentPoly
@@ -41,18 +40,26 @@ PAIRING_VALIDATION_TOL = 1e-8
 REPRESENTATION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GaugeParams:
-    """Per-pair gauge data: nonzero scalings r_n and shear parameters lambda_n."""
-
+class _Gauge(NamedTuple):
     r: Tuple[float, ...]
     lam: Tuple[float, ...]
 
-    def __post_init__(self):
-        if len(self.r) != len(self.lam):
+
+class GaugeParams(_Gauge):
+    """Per-pair gauge data: nonzero scalings r_n and shear parameters lambda_n."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: Tuple[float, ...], lam: Tuple[float, ...]):
+        if len(r) != len(lam):
             raise ValueError("r and lambda must have equal length")
-        if any(x == 0 for x in self.r):
+        if any(x == 0 for x in r):
             raise AdmissibilityError("gauge scalings r_n must be nonzero")
+        return super().__new__(cls, r, lam)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates its copy
+        return cls(*fields)
 
     @staticmethod
     def trivial(n: int) -> "GaugeParams":
@@ -70,8 +77,7 @@ class GaugeParams:
         return len(self.r)
 
 
-@dataclass(frozen=True)
-class LsolpFamily:
+class LsolpFamily(NamedTuple):
     """A skew orthonormal family in the alternating basis, as value tables:
     node_values[k][j] and recip_values[k][j] hold member j at z_k and 1/z_k."""
 

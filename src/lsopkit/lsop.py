@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (AdmissibilityError, DegeneracyError, GenerationError, LsopkitError,
                      StructureError)
@@ -66,8 +65,15 @@ ONE = LaurentPoly.constant(1)
 Z = LaurentPoly.monomial(1)
 
 
-@dataclass(frozen=True)
-class RecurrenceData:
+class _Coefficients(NamedTuple):
+    order: int
+    alpha: Tuple[Scalar, ...]
+    beta: Tuple[Scalar, ...]
+    tau: Tuple[Scalar, ...]
+    sigma: Tuple[Scalar, ...]
+
+
+class RecurrenceData(_Coefficients):
     """Recurrence coefficients and Pfaffian minors of one measure.
 
     alpha[n] = sigma_n / tau_n for n = 0..order (alpha[0] = 0);
@@ -76,18 +82,19 @@ class RecurrenceData:
     tau[0] = 1, sigma[0] = 0.
     """
 
-    order: int
-    alpha: Tuple[Scalar, ...]
-    beta: Tuple[Scalar, ...]
-    tau: Tuple[Scalar, ...]
-    sigma: Tuple[Scalar, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.order
-        if not (len(self.alpha) == len(self.beta) == len(self.tau) == len(self.sigma) == n + 1):
+    def __new__(cls, order: int, alpha: Tuple[Scalar, ...], beta: Tuple[Scalar, ...],
+                tau: Tuple[Scalar, ...], sigma: Tuple[Scalar, ...]):
+        if not (len(alpha) == len(beta) == len(tau) == len(sigma) == order + 1):
             raise ValueError("coefficient arrays must all have length order + 1")
-        if self.alpha[0] != 0 or self.sigma[0] != 0 or self.tau[0] != 1:
+        if alpha[0] != 0 or sigma[0] != 0 or tau[0] != 1:
             raise ValueError("conventions violated: alpha_0 = sigma_0 = 0, tau_0 = 1")
+        return super().__new__(cls, order, alpha, beta, tau, sigma)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates its copy
+        return cls(*fields)
 
     def is_admissible(self) -> bool:
         """tau_n > 0 for all n <= order, equivalently beta_n > 0 inside."""
@@ -137,8 +144,7 @@ def bordered_pfaffian(table: SkewArray, exponents: Sequence[int]) -> LaurentPoly
                         for p, e in enumerate(exponents)})
 
 
-@dataclass(frozen=True)
-class PfaffianRoute:
+class PfaffianRoute(NamedTuple):
     """The moment-table route through degree len(rows) - 1 (pfaffian_route).
 
     An exact table is eliminated as the int congruence D A D, D = diag(d),
@@ -446,8 +452,12 @@ def skew_pattern_defect(gram: Sequence[Sequence[float]]) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class FamilyValues:
+class _FamilyKey(NamedTuple):
+    measure: DiscreteMeasure
+    order: int
+
+
+class FamilyValues(_FamilyKey):
     """One fold of a measure (see evaluate_family) and the family read off it.
 
     rec holds the recurrence data: exact for an exact measure, float for a
@@ -456,12 +466,20 @@ class FamilyValues:
     tables, not the coefficient arrays, are the numerically trustworthy
     representation.  prefix(n) gives the lower-order family of the same
     fold.  exact_rec and monic_values() are the exact walk's own data and
-    refuse a float fold.
+    refuse a float fold.  The fold and what is cached from it live in the
+    instance dict, not in the tuple, so equality and repr read the measure
+    and the order only.
     """
 
-    measure: DiscreteMeasure
-    order: int
-    fold: _Fold = field(repr=False, compare=False)
+    fold: _Fold
+
+    def __new__(cls, measure: DiscreteMeasure, order: int, fold: _Fold):
+        self = super().__new__(cls, measure, order)
+        vars(self)["fold"] = fold
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FamilyValues is immutable: cannot set {name!r}")
 
     @cached_property
     def exact_rec(self) -> RecurrenceData:
@@ -709,8 +727,7 @@ def shifted_hankel_det(c: Sequence[Scalar], n: int) -> Scalar:
     return dense_det(rows)
 
 
-@dataclass(frozen=True)
-class PfaffianDetReport:
+class PfaffianDetReport(NamedTuple):
     """Comparison of Pfaffian minors against (shifted) Hankel determinants."""
 
     tau_deviation: Tuple[float, ...]

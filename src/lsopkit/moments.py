@@ -19,16 +19,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, homogeneous, int_power
 from .modes import Scalar, is_exact
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class _Support(NamedTuple):
+    nodes: tuple
+    weights: tuple
+
+
+class DiscreteMeasure(_Support):
     """Finite node/weight list defining the skew inner product.
 
     Canonical measures keep every node real with |z| > 1 (the pair {z, 1/z}
@@ -36,14 +39,14 @@ class DiscreteMeasure:
     the inner-product layer itself only needs nodes to be nonzero, distinct,
     and not mutually reciprocal.  Pass strict=False to skip the distinctness
     checks when deliberately building a degenerate measure.  Int nodes and
-    weights are stored as Fractions; non-finite ones are refused.
+    weights are stored as Fractions; non-finite ones are refused.  strict is
+    kept in the instance dict, not in the tuple, so equality reads the nodes
+    and weights only.
     """
 
-    nodes: tuple
-    weights: tuple
-    strict: bool = field(default=True, compare=False)
+    strict: bool
 
-    def __init__(self, nodes: Sequence[Scalar], weights: Sequence[Scalar], strict: bool = True):
+    def __new__(cls, nodes: Sequence[Scalar], weights: Sequence[Scalar], strict: bool = True):
         nodes = tuple(_checked_scalar(z, "node") for z in nodes)
         weights = tuple(_checked_scalar(w, "weight") for w in weights)
         if len(nodes) != len(weights):
@@ -59,9 +62,16 @@ class DiscreteMeasure:
                         raise ValueError(f"duplicate node {zi}")
                     if zi * zj == 1:
                         raise ValueError(f"nodes {zi} and {zj} are reciprocal")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "strict", strict)
+        self = super().__new__(cls, nodes, weights)
+        vars(self)["strict"] = strict
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DiscreteMeasure is immutable: cannot set {name!r}")
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates its copy
+        return cls(*fields)
 
     @property
     def size(self) -> int:
@@ -147,8 +157,7 @@ def c_moment(m: DiscreteMeasure, i: int) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(NamedTuple):
     """Skew moments mu_n (n in Z) and folded moments c_i (i >= 0) of one measure.
 
     A table of order N serves the family through q_2N: its moment tables

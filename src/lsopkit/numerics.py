@@ -14,10 +14,9 @@ Hessenberg + double-shift QR eigensolver for general real matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import ConvergenceError, DimensionError
 from .modes import Scalar, clear_denominators, is_exact
@@ -262,23 +261,29 @@ def _pick_pivot(m: Matrix, k: int):
 # symmetric tridiagonal eigenvalues (implicit-shift QL)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymTridiag:
-    """Symmetric tridiagonal matrix given by its diagonal and off-diagonal."""
-
+class _Tridiag(NamedTuple):
     diag: Tuple[float, ...]
     offdiag: Tuple[float, ...]
 
-    def __init__(self, diag: Sequence[Scalar], offdiag: Sequence[Scalar]):
+
+class SymTridiag(_Tridiag):
+    """Symmetric tridiagonal matrix given by its diagonal and off-diagonal."""
+
+    __slots__ = ()
+
+    def __new__(cls, diag: Sequence[Scalar], offdiag: Sequence[Scalar]):
         if len(offdiag) != max(len(diag) - 1, 0):
             raise DimensionError(
                 f"offdiag length {len(offdiag)} inconsistent with diag length {len(diag)}"
             )
-        vals = tuple(float(x) for x in diag) + tuple(float(x) for x in offdiag)
-        if any(math.isnan(v) or math.isinf(v) for v in vals):
+        diag, offdiag = tuple(float(x) for x in diag), tuple(float(x) for x in offdiag)
+        if any(math.isnan(v) or math.isinf(v) for v in diag + offdiag):
             raise ValueError("tridiagonal entries must be finite")
-        object.__setattr__(self, "diag", tuple(float(x) for x in diag))
-        object.__setattr__(self, "offdiag", tuple(float(x) for x in offdiag))
+        return super().__new__(cls, diag, offdiag)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates its copy
+        return cls(*fields)
 
     @property
     def size(self) -> int:

@@ -26,7 +26,6 @@ map lambda = z + 1/z all live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import AdmissibilityError, DimensionError
@@ -51,8 +50,7 @@ CONVENTION_DIFFERENCE = "difference-of-alphas"
 CONVENTION_PLAIN = "plain-alpha"
 
 
-@dataclass(frozen=True)
-class PencilPair:
+class PencilPair(NamedTuple):
     """A 2N x 2N generalized eigenvalue pencil (U, V)."""
 
     u: Matrix
@@ -61,10 +59,6 @@ class PencilPair:
     @property
     def size(self) -> int:
         return len(self.u)
-
-    @property
-    def half(self) -> int:
-        return len(self.u) // 2
 
 
 def _require_positive_beta(rec: RecurrenceData) -> None:
@@ -116,12 +110,14 @@ def pencil_from_recurrence(rec: RecurrenceData) -> PencilPair:
 
 
 class PencilLayout(NamedTuple):
-    """A pencil, its support residual and its unscaled symplecticity residuals:
-    pencil_symplecticity(G, H) and transfer_symplecticity."""
+    """A pencil, its support residual, its unscaled symplecticity residuals
+    (pencil_symplecticity(G, H) and transfer_symplecticity) and its transfer
+    matrix S = V^-1 U, solved once for both the check and the eigensolve."""
     pencil: PencilPair
     support_residual: float
     pencil_symplecticity: float
     transfer_symplecticity: float
+    transfer: Matrix
 
 
 class PencilReport(NamedTuple):
@@ -140,8 +136,9 @@ def pencil_residual(fv: FamilyValues) -> PencilReport:
     structural = pencil_symplecticity(g, h)
 
     def layout(p: PencilPair) -> PencilLayout:
-        return PencilLayout(p, _pencil_support_residual(p, fv), structural,
-                            transfer_symplecticity(p))
+        residual = _pencil_support_residual(p, fv)
+        s = transfer_matrix(p)
+        return PencilLayout(p, residual, structural, transfer_symplecticity(s), s)
 
     textbook = layout(build_pencil(fv.rec))
     recurrence = layout(pencil_from_recurrence(fv.rec))
@@ -196,19 +193,19 @@ def pencil_symplecticity(g: Matrix, h: Matrix) -> float:
     return nan_max(*(inf_norm(mat_sub(a, transpose(a))) for a in (h, g)))
 
 
-def transfer_symplecticity(p: PencilPair) -> float:
-    """|S J S^T - J|_inf with S = V^-1 U: certifies membership of the
-    transfer matrix in the symplectic group; requires V invertible."""
-    s = transfer_matrix(p)
-    return inf_norm(mat_sub(mat_mul(_times_j(s), transpose(s)), symplectic_j(p.half)))
+def transfer_symplecticity(s: Matrix) -> float:
+    """|S J S^T - J|_inf of a transfer matrix S = V^-1 U (transfer_matrix):
+    certifies its membership in the symplectic group."""
+    return inf_norm(mat_sub(mat_mul(_times_j(s), transpose(s)), symplectic_j(len(s) // 2)))
 
 
 def symplectic_pencil_check(p: PencilPair) -> Tuple[float, float]:
-    """(|U J U^T - V J V^T|_inf by dense products, transfer_symplecticity(p))
-    for any pencil; pencil_residual reads the first off the blocks instead."""
+    """(|U J U^T - V J V^T|_inf by dense products, transfer_symplecticity)
+    for any pencil with V invertible; pencil_residual reads the first off the
+    blocks instead."""
     lhs = mat_mul(_times_j(p.u), transpose(p.u))
     rhs = mat_mul(_times_j(p.v), transpose(p.v))
-    return inf_norm(mat_sub(lhs, rhs)), transfer_symplecticity(p)
+    return inf_norm(mat_sub(lhs, rhs)), transfer_symplecticity(transfer_matrix(p))
 
 
 def transfer_matrix(p: PencilPair) -> Matrix:
@@ -243,8 +240,14 @@ def build_tridiagonal(rec: RecurrenceData) -> SymTridiag:
 # butterfly matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ButterflyParams:
+class _Quadruples(NamedTuple):
+    a: Tuple[float, ...]
+    b: Tuple[float, ...]
+    c: Tuple[float, ...]
+    d: Tuple[float, ...]
+
+
+class ButterflyParams(_Quadruples):
     """Parameter quadruples of the butterfly form.
 
     0-based storage of the 1-based quadruples: a[i], b[i], c[i] carry
@@ -252,17 +255,20 @@ class ButterflyParams:
     i = 0..N-2 (the coupling between pairs i and i+1).
     """
 
-    a: Tuple[float, ...]
-    b: Tuple[float, ...]
-    c: Tuple[float, ...]
-    d: Tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.a)
-        if not (len(self.b) == len(self.c) == n and len(self.d) == max(n - 1, 0)):
+    def __new__(cls, a: Tuple[float, ...], b: Tuple[float, ...], c: Tuple[float, ...],
+                d: Tuple[float, ...]):
+        n = len(a)
+        if not (len(b) == len(c) == n and len(d) == max(n - 1, 0)):
             raise DimensionError("parameter lengths must be (N, N, N, N-1)")
-        if any(x == 0 for x in self.a):
+        if any(x == 0 for x in a):
             raise AdmissibilityError("butterfly parameters a_i must be nonzero")
+        return super().__new__(cls, a, b, c, d)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates its copy
+        return cls(*fields)
 
     @property
     def order(self) -> int:

@@ -26,10 +26,10 @@ run configuration, so a report is byte-identical across runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import serialize
 from .laurent import LaurentPoly
@@ -48,8 +48,8 @@ from .pfaffian import SkewArray, minor_identity, pf_eliminate, pf_expand
 from .spectra import (BUTTERFLY_ROUNDTRIP_TOL, BUTTERFLY_SPECTRUM_TOL, CONVENTION_DIFFERENCE,
                       PENCIL_EIGENVALUES_TOL, ButterflyParams, PencilReport, build_butterfly,
                       build_tridiagonal, butterfly_params, determine_diagonal_convention,
-                      gauge_similarity_defect, inversion_closure_defect, pencil_eigenvalues,
-                      pencil_residual, solve_butterfly, support_spectrum)
+                      gauge_similarity_defect, inversion_closure_defect, pencil_residual,
+                      solve_butterfly, support_spectrum)
 
 GAUGE_INVARIANCE_TRIALS = 20
 # coefficient-route comparisons are capped: conditioning caps the double
@@ -58,25 +58,38 @@ COEFF_ORDER_CAP_DOUBLE = 4
 COEFF_ORDER_CAP_EXACT = 6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One verification run: seed, family order, scalar mode, tolerances."""
+class _RunFields(NamedTuple):
+    seed: int
+    order: int
+    mode: str
+    tolerances: Mapping[str, float]
 
-    seed: int = 1
-    order: int = 4
-    mode: str = "double"
-    tolerances: Dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.order < 1:
+class RunConfig(_RunFields):
+    """One verification run: seed, family order, scalar mode, tolerances.
+
+    tolerances holds a read-only copy of the overrides passed in, so a later
+    edit of the caller's dict can neither change the run nor skip the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, seed: int = 1, order: int = 4, mode: str = "double",
+                tolerances: Optional[Mapping[str, float]] = None):
+        if order < 1:
             raise ValueError("order must be >= 1")
-        validate_mode(self.mode)
-        for name, value in self.tolerances.items():
+        validate_mode(mode)
+        tolerances = MappingProxyType(dict(tolerances or {}))
+        for name, value in tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 known = ", ".join(sorted(DEFAULT_TOLERANCES))
                 raise ValueError(f"unknown tolerance {name!r}; known names: {known}")
             if not value > 0:
                 raise ValueError(f"tolerance {name} must be positive")
+        return super().__new__(cls, seed, order, mode, tolerances)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates its copy
+        return cls(*fields)
 
     def tolerance(self, claim_id: str) -> float:
         return self.tolerances.get(claim_id, DEFAULT_TOLERANCES[claim_id])
@@ -92,8 +105,7 @@ class Measured(NamedTuple):
     exact: bool = False
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     summary: str
     convention: str
@@ -114,8 +126,7 @@ class ClaimResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     config: RunConfig
     claims: Tuple[ClaimResult, ...]
 
@@ -599,7 +610,7 @@ def claim_transfer_symplecticity(ctx: _Context) -> Measured:
 
 
 def claim_pencil_eigenvalues(ctx: _Context) -> Measured:
-    eigs = pencil_eigenvalues(ctx.pencil_report.recurrence.pencil)
+    eigs = dense_eigs(ctx.pencil_report.recurrence.transfer)
     expected = support_spectrum(ctx.measure)
     dist = spectra_distance(eigs, expected)
     return Measured(dist, "generalized eigenvalues are the nodes and their reciprocals",

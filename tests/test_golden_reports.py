@@ -224,16 +224,16 @@ def test_report_builds_each_artifact_once(build_count, mode):
         m = DiscreteMeasure([Fraction(z) for z in m.nodes], [Fraction(w) for w in m.weights])
     report = run_verification(RunConfig(seed=1, order=6, mode=mode), m)
     assert report.all_pass
-    # one textbook pencil, one rederived layout, one transfer symplecticity
-    # check per layout (each with its transfer matrix) plus the eigenvalue
-    # route's transfer matrix, and one reduction per even member up to the
-    # coefficient-route order (6, 4).  Both Pfaffian-route claims read one
+    # one textbook pencil, one rederived layout, one transfer matrix and one
+    # transfer symplecticity check per layout (the eigenvalue claim reads the
+    # recurrence layout's matrix), and one reduction per even member up to
+    # the coefficient-route order (6, 4).  Both Pfaffian-route claims read one
     # route of the moment table: rational mode eliminates it once, double
     # mode takes lsop's Pfaffians one per minor, 41 for q_0..q_8, whose rows
     # hold tau_1..4 and sigma_1..4 too
     pfaffians = {"pf_leading_borders": 1} if mode == "rational" else {"pf_indices": 41}
     assert build_count == {"build_pencil": 1, "pencil_from_recurrence": 1,
-                           "transfer_symplecticity": 2, "transfer_matrix": 3,
+                           "transfer_symplecticity": 2, "transfer_matrix": 2,
                            "lsolp_from_values": 1, "pfaffian_route": 1,
                            "even_to_op": 7 if mode == "rational" else 5, **pfaffians}
 

@@ -5,8 +5,10 @@ home module on first access.  Each subcommand, run in a fresh interpreter
 the way `python -m lsopkit.cli` runs it, writes the same bytes and exits
 with the same status as `cli.main` in process, and loads only the modules
 it runs: gen-measure and lsop never load verify, spectra or lsolp, and
-pencil, butterfly and solve-butterfly never load verify.  `lsopkit.modes`,
-which every other module imports, loads no other lsopkit module.
+pencil, butterfly and solve-butterfly never load verify.  No subcommand
+loads `dataclasses` or the `inspect` module it imports: every record is a
+`typing.NamedTuple`.  `lsopkit.modes`, which every other module imports,
+loads no other lsopkit module.
 """
 
 import importlib
@@ -52,7 +54,12 @@ SPECTRA = FAMILY | {"spectra", "lsolp"}
 ALLOWED = {"gen-measure": FAMILY, "lsop": FAMILY, "pencil": SPECTRA, "butterfly": SPECTRA,
            "solve-butterfly": SPECTRA, "verify": SPECTRA | {"verify"}}
 
+# stdlib modules no subcommand may load: each costs a fresh process
+# milliseconds of import time
+UNUSED_STDLIB = ["dataclasses", "inspect"]
+
 # runs lsopkit.cli as `python -m` does, then prints the lsopkit modules loaded
+# and those of UNUSED_STDLIB
 RUN_CLI = """
 import json, runpy, sys
 sys.argv = ["lsopkit", *sys.argv[1:]]
@@ -60,8 +67,9 @@ try:
     runpy.run_module("lsopkit.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lsopkit"))]))
-"""
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lsopkit")),
+                  [m for m in %r if m in sys.modules]]))
+""" % UNUSED_STDLIB
 
 
 def _fresh(*args: str) -> str:
@@ -140,8 +148,9 @@ def test_fresh_cli_process_matches_in_process_and_loads_only_what_it_runs(
     argv = _argv(command, measure_file)
     inside, fresh = tmp_path / "inside.json", tmp_path / "fresh.json"
     code = cli.main([*argv, "--out", str(inside)])
-    fresh_code, loaded = json.loads(_fresh("-c", RUN_CLI, *argv, "--out", str(fresh)))
+    fresh_code, loaded, stdlib = json.loads(_fresh("-c", RUN_CLI, *argv, "--out", str(fresh)))
     assert fresh_code == code
     assert fresh.read_bytes() == inside.read_bytes()
     assert loaded[0] == "lsopkit"
     assert {m.removeprefix("lsopkit.") for m in loaded[1:]} <= ALLOWED[command]
+    assert stdlib == []

@@ -1,6 +1,5 @@
 """Verification reports, file formats, and the command-line interface."""
 
-import dataclasses
 import json
 import math
 import os
@@ -222,7 +221,7 @@ def test_moved_butterfly_flags_gauge_invariance(monkeypatch, move):
         clean = trivial in (g, built[-1])
         built.append(g)
         if not clean and move == "parameter":
-            bp = dataclasses.replace(bp, d=(bp.d[0] + 1e-6,) + bp.d[1:])
+            bp = bp._replace(d=(bp.d[0] + 1e-6,) + bp.d[1:])
         bt = spectra.butterfly_from_params(bp)
         if not clean and move == "entry":
             bt[0][0] += 1e-6
