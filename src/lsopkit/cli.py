@@ -10,7 +10,7 @@ Subcommands:
 
 Exit status: 0 when everything passed, 2 when any claim or comparison was
 flagged, 1 on usage errors (including precondition refusals).  The scalar
-mode defaults to the LSOPKIT_MODE environment variable, then to "double".
+mode defaults to "double".
 
 Each subcommand imports the modules it runs when it runs, so a fresh
 process compiles only those: gen-measure and lsop never load verify,
@@ -20,14 +20,13 @@ spectra or lsolp, and only verify loads verify.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from . import serialize
 from .errors import LsopkitError
-from .modes import MODES, validate_mode
+from .modes import MODES
 from .moments import DiscreteMeasure
 
 if TYPE_CHECKING:
@@ -65,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, measure_arg: bool = False) -> None:
         p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
         p.add_argument("--order", type=int, default=4, help="family order N (default 4)")
-        p.add_argument("--mode", choices=MODES, default=None,
-                       help="scalar backend (default: LSOPKIT_MODE or double)")
+        p.add_argument("--mode", choices=MODES, default="double",
+                       help="scalar backend (default double)")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
         if measure_arg:
             p.add_argument("measure", nargs="?", default=None,
@@ -106,11 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mode(args) -> str:
-    return validate_mode(getattr(args, "mode", None)
-                         or os.environ.get("LSOPKIT_MODE", "").strip() or "double")
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -119,31 +113,30 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _measure_file(args, mode: str) -> Optional[DiscreteMeasure]:
+def _measure_file(args) -> Optional[DiscreteMeasure]:
     if not args.measure:
         return None
     with open(args.measure) as fh:
-        return serialize.load_measure(fh.read(), mode)
+        return serialize.load_measure(fh.read(), args.mode)
 
 
-def _family(args, mode: str) -> FamilyValues:
+def _family(args) -> FamilyValues:
     """The fold of the measure file at its full size, or the seeded family
     at --order, folded once by the generator."""
     from .lsop import evaluate_family, random_family
 
-    m = _measure_file(args, mode)
-    return random_family(args.seed, args.order, mode) if m is None else evaluate_family(m)
+    m = _measure_file(args)
+    return random_family(args.seed, args.order, args.mode) if m is None else evaluate_family(m)
 
 
 def cmd_gen_measure(args) -> int:
     from .lsop import NODE_RANGE, random_family
 
-    mode = _mode(args)
-    fv = random_family(args.seed, args.order, mode)
+    fv = random_family(args.seed, args.order, args.mode)
     metadata = {
         "seed": args.seed,
         "order": args.order,
-        "mode": mode,
+        "mode": args.mode,
         "node_range": list(NODE_RANGE),
         "tau": list(fv.rec.tau),
     }
@@ -154,10 +147,9 @@ def cmd_gen_measure(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import RunConfig, run_verification
 
-    mode = _mode(args)
     tolerances = _parse_tolerances(args.tol)
-    m = _measure_file(args, mode)
-    cfg = RunConfig(seed=args.seed, order=args.order if m is None else m.size, mode=mode,
+    m = _measure_file(args)
+    cfg = RunConfig(seed=args.seed, order=args.order if m is None else m.size, mode=args.mode,
                     tolerances=tolerances)
     report = run_verification(cfg, m)
     _emit(args, report.render())
@@ -177,13 +169,12 @@ def _parse_tolerances(items: List[str]) -> Dict[str, float]:
 def cmd_lsop(args) -> int:
     from .lsop import lsop_via_recurrence
 
-    mode = _mode(args)
-    fv = _family(args, mode)
+    fv = _family(args)
     n, rec = fv.order, fv.rec
     qs = lsop_via_recurrence(rec, n)
     doc = {
         "order": n,
-        "mode": mode,
+        "mode": args.mode,
         "monic": [serialize.poly_pairs(q) for q in qs],
         "alpha": list(rec.alpha),
         "beta": list(rec.beta),
@@ -198,7 +189,7 @@ def cmd_pencil(args) -> int:
     from .numerics import dense_eigs, spectra_distance
     from .spectra import PENCIL_EIGENVALUES_TOL, pencil_residual, support_spectrum
 
-    fv = _family(args, _mode(args))
+    fv = _family(args)
     report = pencil_residual(fv)
     eigs = dense_eigs(report.recurrence.transfer)
     mismatch = spectra_distance(eigs, support_spectrum(fv.measure))
@@ -230,7 +221,7 @@ def cmd_butterfly(args) -> int:
     from .spectra import (BUTTERFLY_SPECTRUM_TOL, butterfly_from_params, butterfly_params,
                           determine_diagonal_convention, support_spectrum)
 
-    fv = _family(args, _mode(args))
+    fv = _family(args)
     n = fv.order
     if args.gauge_seed is None:
         gauge = GaugeParams.trivial(n)

@@ -282,15 +282,27 @@ def folded_support(m: DiscreteMeasure) -> Tuple[List[Scalar], List[Scalar]]:
     return xs, ws
 
 
-class _Fold:
-    """Three-term data (a_j, b_j, h_j) of the folded measure, j < n, and
-    value tables p_values[j][k] = p_j(x_k) of its orthogonal polynomials.
-    Step j depends only on the steps before it, so the first n steps of a
-    longer fold are the fold of order n."""
+class FamilyValues:
+    """One fold of a measure to order n (see evaluate_family) and the family
+    read off it.
+
+    A fold holds the measure folded, its order n, its nodes z_k (the exact
+    walk keeps their exact image) and the three-term data (a_j, b_j, h_j),
+    j < n, of the folded measure, with value tables p_values[j][k] =
+    p_j(z_k + 1/z_k) of its orthogonal polynomials.  Its two subclasses are
+    the exact walk, _FoldedWalk, and the float Lanczos fold, _FloatFold.
+    rec holds the recurrence data: exact for an exact measure, float for a
+    double one.  qt_node[k][j] = qt_j(z_k) and qt_recip[k][j] = qt_j(1/z_k)
+    for j = 0..2n-1 are built on first use and need tau > 0; these tables,
+    not the coefficient arrays, are the numerically trustworthy
+    representation.  exact_rec and monic_values() are the exact walk's own
+    data and refuse a float fold.  A fold compares by identity.
+    """
 
     exact: bool
 
-    def recurrence_data(self, n: int) -> RecurrenceData:
+    def _recurrence_data(self) -> RecurrenceData:
+        n = self.order
         one = Fraction(1) if self.exact else 1.0
         tau, alpha, beta = [one], [one * 0], [one * 0]
         for k in range(n):
@@ -301,9 +313,59 @@ class _Fold:
         return RecurrenceData(order=n, alpha=tuple(alpha), beta=tuple(beta),
                               tau=tuple(tau), sigma=tuple(sigma))
 
+    @cached_property
+    def exact_rec(self) -> RecurrenceData:
+        if not self.exact:
+            raise StructureError("exact recurrence data needs the exact walk; "
+                                 "this family was folded in binary64")
+        return self._recurrence_data()
 
-class _FoldedWalk(_Fold):
-    """Exact discrete Stieltjes walk on the folded measure.
+    @cached_property
+    def rec(self) -> RecurrenceData:
+        if not self.exact:
+            return self._recurrence_data()
+        return self.exact_rec if self.measure.is_exact() else self.exact_rec.as_float()
+
+    @cached_property
+    def _tables(self):
+        if self.exact:
+            self.exact_rec.require_admissible()
+        alpha = [float(x) for x in self.rec.alpha]
+        sqrt_b = [0.0] + [math.sqrt(float(x)) for x in self.rec.beta[1:]]
+        # the walk carries monic p_j, the float fold orthonormal ones
+        scale = [math.sqrt(float(x)) for x in self.h] if self.exact else [1.0] * self.order
+        rows = [_member_rows(float(z), [float(p[k]) for p in self.p_values], scale, alpha, sqrt_b)
+                for k, z in enumerate(self.nodes)]
+        return tuple(tuple(vz) for vz, _ in rows), tuple(tuple(vr) for _, vr in rows)
+
+    @property
+    def qt_node(self) -> Tuple[Tuple[float, ...], ...]:
+        return self._tables[0]
+
+    @property
+    def qt_recip(self) -> Tuple[Tuple[float, ...], ...]:
+        return self._tables[1]
+
+    def monic_values(self):
+        """Exact monic values (node, recip): node[k][j] = q_j(z_k) and
+        recip[k][j] = q_j(1/z_k) as Fractions for j = 0..2*order, where
+        q_2order vanishes on the support."""
+        n = self.order
+        rec = self.exact_rec
+        node, recip = [], []
+        for k, z in enumerate(self.nodes):
+            vz, vr = _member_rows(z, [p[k] for p in self.p_values], [1] * n, rec.alpha, rec.beta)
+            node.append(vz + [Fraction(0)])
+            recip.append(vr + [Fraction(0)])
+        return node, recip
+
+    def gram(self) -> List[List[float]]:
+        return support_gram(self.measure.weights, self.qt_node, self.qt_recip)
+
+
+class _FoldedWalk(FamilyValues):
+    """Exact discrete Stieltjes walk on the folded measure, run on the
+    measure's rational image, whose nodes it keeps.
 
     Carries the monic folded polynomials p_j by their values on the support
     (all the functional ever sees).
@@ -311,9 +373,10 @@ class _FoldedWalk(_Fold):
 
     exact = True
 
-    def __init__(self, m_exact: DiscreteMeasure, n: int):
-        xs, ws = folded_support(m_exact)
-        self.nodes = m_exact.nodes
+    def __init__(self, m: DiscreteMeasure, n: int):
+        lifted = _lift_exact(m)
+        xs, ws = folded_support(lifted)
+        self.measure, self.order, self.nodes = m, n, lifted.nodes
         self.a, self.b, self.h, self.p_values = [], [Fraction(0)], [], []
         p_prev = [Fraction(0)] * len(xs)
         p_cur = [Fraction(1)] * len(xs)
@@ -334,7 +397,7 @@ class _FoldedWalk(_Fold):
             p_prev, p_cur = p_cur, p_next
 
 
-class _FloatFold(_Fold):
+class _FloatFold(FamilyValues):
     """Binary64 Lanczos on diag(x) from q_0 = sqrt(w) / |sqrt(w)|, each
     three-term step orthogonalized twice more against every earlier vector:
     the reconstruction of the folded Jacobi matrix from its spectral data
@@ -346,8 +409,8 @@ class _FloatFold(_Fold):
 
     exact = False
 
-    def __init__(self, nodes: Sequence[Scalar], xs: List[float], ws: List[float], n: int):
-        self.nodes = nodes
+    def __init__(self, m: DiscreteMeasure, n: int, xs: List[float], ws: List[float]):
+        self.measure, self.order, self.nodes = m, n, m.nodes
         self.a, self.b, self.h, self.p_values = [], [0.0], [], []
         vectors: List[List[float]] = []
         sqrt_w = [math.sqrt(w) for w in ws]
@@ -382,11 +445,13 @@ def _float_support(m: DiscreteMeasure) -> Optional[Tuple[List[float], List[float
 
 
 def _lift_exact(m: DiscreteMeasure) -> DiscreteMeasure:
+    """The exact image of m, not checked for distinct nodes again: distinct
+    floats lift to distinct Fractions, and an exact product of 1 is a float 1."""
     if m.is_exact():
         return m
     try:
         return DiscreteMeasure([Fraction(z) for z in m.nodes],
-                               [Fraction(w) for w in m.weights], strict=m.strict)
+                               [Fraction(w) for w in m.weights], strict=False)
     except TypeError:
         raise AdmissibilityError("the folded walk needs real nodes and weights") from None
 
@@ -452,92 +517,6 @@ def skew_pattern_defect(gram: Sequence[Sequence[float]]) -> float:
     return worst
 
 
-class _FamilyKey(NamedTuple):
-    measure: DiscreteMeasure
-    order: int
-
-
-class FamilyValues(_FamilyKey):
-    """One fold of a measure (see evaluate_family) and the family read off it.
-
-    rec holds the recurrence data: exact for an exact measure, float for a
-    double one.  qt_node[k][j] = qt_j(z_k) and qt_recip[k][j] = qt_j(1/z_k)
-    for j = 0..2*order-1 are built on first use and need tau > 0; these
-    tables, not the coefficient arrays, are the numerically trustworthy
-    representation.  prefix(n) gives the lower-order family of the same
-    fold.  exact_rec and monic_values() are the exact walk's own data and
-    refuse a float fold.  The fold and what is cached from it live in the
-    instance dict, not in the tuple, so equality and repr read the measure
-    and the order only.
-    """
-
-    fold: _Fold
-
-    def __new__(cls, measure: DiscreteMeasure, order: int, fold: _Fold):
-        self = super().__new__(cls, measure, order)
-        vars(self)["fold"] = fold
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FamilyValues is immutable: cannot set {name!r}")
-
-    @cached_property
-    def exact_rec(self) -> RecurrenceData:
-        if not self.fold.exact:
-            raise StructureError("exact recurrence data needs the exact walk; "
-                                 "this family was folded in binary64")
-        return self.fold.recurrence_data(self.order)
-
-    @cached_property
-    def rec(self) -> RecurrenceData:
-        if not self.fold.exact:
-            return self.fold.recurrence_data(self.order)
-        return self.exact_rec if self.measure.is_exact() else self.exact_rec.as_float()
-
-    @cached_property
-    def _tables(self):
-        n, fold = self.order, self.fold
-        if fold.exact:
-            self.exact_rec.require_admissible()
-        alpha = [float(x) for x in self.rec.alpha]
-        sqrt_b = [0.0] + [math.sqrt(float(x)) for x in self.rec.beta[1:]]
-        # the walk carries monic p_j, the float fold orthonormal ones
-        scale = [math.sqrt(float(x)) for x in fold.h[:n]] if fold.exact else [1.0] * n
-        rows = [_member_rows(float(z), [float(p[k]) for p in fold.p_values[:n]],
-                             scale, alpha, sqrt_b)
-                for k, z in enumerate(fold.nodes)]
-        return tuple(tuple(vz) for vz, _ in rows), tuple(tuple(vr) for _, vr in rows)
-
-    @property
-    def qt_node(self) -> Tuple[Tuple[float, ...], ...]:
-        return self._tables[0]
-
-    @property
-    def qt_recip(self) -> Tuple[Tuple[float, ...], ...]:
-        return self._tables[1]
-
-    def monic_values(self):
-        """Exact monic values (node, recip): node[k][j] = q_j(z_k) and
-        recip[k][j] = q_j(1/z_k) as Fractions for j = 0..2*order, where
-        q_2order vanishes on the support."""
-        n = self.order
-        rec = self.exact_rec
-        node, recip = [], []
-        for k, z in enumerate(self.fold.nodes):
-            vz, vr = _member_rows(z, [p[k] for p in self.fold.p_values[:n]], [1] * n,
-                                  rec.alpha, rec.beta)
-            node.append(vz + [Fraction(0)])
-            recip.append(vr + [Fraction(0)])
-        return node, recip
-
-    def prefix(self, n: int) -> "FamilyValues":
-        """The family of order n <= order, read off the same fold."""
-        return FamilyValues(measure=self.measure, order=n, fold=self.fold)
-
-    def gram(self) -> List[List[float]]:
-        return support_gram(self.measure.weights, self.qt_node, self.qt_recip)
-
-
 def evaluate_family(m: DiscreteMeasure, n: Optional[int] = None) -> FamilyValues:
     """Fold m once to order n (default: every node); the family read off it.
 
@@ -557,8 +536,7 @@ def evaluate_family(m: DiscreteMeasure, n: Optional[int] = None) -> FamilyValues
     if n > m.size:
         raise DegeneracyError(f"order {n} exceeds the measure's {m.size} nodes")
     support = _float_support(m)
-    fold = _FloatFold(m.nodes, *support, n) if support else _FoldedWalk(_lift_exact(m), n)
-    return FamilyValues(measure=m, order=n, fold=fold)
+    return _FloatFold(m, n, *support) if support else _FoldedWalk(m, n)
 
 
 def recurrence_from_measure(m: DiscreteMeasure, n: Optional[int] = None) -> RecurrenceData:

@@ -39,12 +39,10 @@ class DiscreteMeasure(_Support):
     the inner-product layer itself only needs nodes to be nonzero, distinct,
     and not mutually reciprocal.  Pass strict=False to skip the distinctness
     checks when deliberately building a degenerate measure.  Int nodes and
-    weights are stored as Fractions; non-finite ones are refused.  strict is
-    kept in the instance dict, not in the tuple, so equality reads the nodes
-    and weights only.
+    weights are stored as Fractions; non-finite ones are refused.
     """
 
-    strict: bool
+    __slots__ = ()
 
     def __new__(cls, nodes: Sequence[Scalar], weights: Sequence[Scalar], strict: bool = True):
         nodes = tuple(_checked_scalar(z, "node") for z in nodes)
@@ -62,12 +60,7 @@ class DiscreteMeasure(_Support):
                         raise ValueError(f"duplicate node {zi}")
                     if zi * zj == 1:
                         raise ValueError(f"nodes {zi} and {zj} are reciprocal")
-        self = super().__new__(cls, nodes, weights)
-        vars(self)["strict"] = strict
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DiscreteMeasure is immutable: cannot set {name!r}")
+        return super().__new__(cls, nodes, weights)
 
     @classmethod
     def _make(cls, fields):  # so that _replace validates its copy

@@ -260,7 +260,9 @@ class ButterflyParams(_Quadruples):
     def __new__(cls, a: Tuple[float, ...], b: Tuple[float, ...], c: Tuple[float, ...],
                 d: Tuple[float, ...]):
         n = len(a)
-        if not (len(b) == len(c) == n and len(d) == max(n - 1, 0)):
+        if n < 1:
+            raise DimensionError("butterfly needs order >= 1")
+        if not (len(b) == len(c) == n and len(d) == n - 1):
             raise DimensionError("parameter lengths must be (N, N, N, N-1)")
         if any(x == 0 for x in a):
             raise AdmissibilityError("butterfly parameters a_i must be nonzero")
@@ -290,8 +292,6 @@ def butterfly_params(rec: RecurrenceData, g: GaugeParams,
     actually realizes (see determine_diagonal_convention).
     """
     n = rec.order
-    if n < 1:
-        raise DimensionError("butterfly needs order >= 1")
     if g.order != n:
         raise ValueError(f"gauge order {g.order} != recurrence order {n}")
     _require_positive_beta(rec)

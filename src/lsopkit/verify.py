@@ -25,6 +25,7 @@ run configuration, so a report is byte-identical across runs.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -37,7 +38,7 @@ from .lsolp import (GaugeParams, LsolpFamily, butterfly_sparsity_defect,
                     gauge_transform_scaled, gram_schmidt_lsolp, gram_schmidt_pairs,
                     lsolp_from_values, multiplication_matrix)
 from .lsop import (FamilyValues, PfaffianRoute, RecurrenceData, evaluate_family,
-                   even_to_op, kodama_residuals, kodama_sops, lsop_via_recurrence,
+                   even_to_op, folded_support, kodama_residuals, kodama_sops, lsop_via_recurrence,
                    op_via_hankel, pfaffian_route, random_family, skew_pattern_defect,
                    verify_pfaffian_det)
 from .modes import Scalar, clear_denominators, validate_mode
@@ -83,8 +84,8 @@ class RunConfig(_RunFields):
             if name not in DEFAULT_TOLERANCES:
                 known = ", ".join(sorted(DEFAULT_TOLERANCES))
                 raise ValueError(f"unknown tolerance {name!r}; known names: {known}")
-            if not value > 0:
-                raise ValueError(f"tolerance {name} must be positive")
+            if not 0 < value < math.inf:
+                raise ValueError(f"tolerance {name} must be positive and finite")
         return super().__new__(cls, seed, order, mode, tolerances)
 
     @classmethod
@@ -162,18 +163,19 @@ class _Context:
     """Shared artifacts for the claims of one run.
 
     Each artifact is built on first read and cached for the rest of the
-    run: the fold fv (the recurrence data, the value tables and the exact
-    monic tables all come from it; without a given measure it is the fold
-    random_family drew the measure with), the monic family qs, its even
-    members reduced to w = z + 1/z, the moment table, its Pfaffian route
-    (every q_k, tau_k and sigma_k that lsop-route-agreement and
+    run: the fold fv, a FamilyValues that holds the recurrence data, the
+    value tables and the exact monic tables (without a given measure it is
+    the fold random_family drew the measure with), the monic family qs, its
+    even members reduced to w = z + 1/z, the moment table, its Pfaffian
+    route (every q_k, tau_k and sigma_k that lsop-route-agreement and
     pfaffian-hankel-identity read, in both modes), the pencil report
     (spectra.pencil_residual, which lsopkit pencil prints too) and the
-    full-order alternating-basis family lsolp.  The pencil, tridiagonal and
-    butterfly builders read the recurrence data through float(), exact or
-    not.  A builder that raises is cached as its failure: the error surfaces
-    inside each claim that reads the artifact, never aborts the suite, and
-    is never rebuilt.
+    full-order alternating-basis family lsolp (the gauged butterfly claims
+    read it, and lsolp-construction-agreement its first members).  The
+    pencil, tridiagonal and butterfly builders read the recurrence data
+    through float(), exact or not.  A builder that raises is cached as its
+    failure: the error surfaces inside each claim that reads the artifact,
+    never aborts the suite, and is never rebuilt.
     """
 
     def __init__(self, cfg: RunConfig, measure: Optional[DiscreteMeasure]):
@@ -493,12 +495,8 @@ def claim_folded_orthogonality(ctx: _Context) -> Measured:
     if ctx.exact:
         # each reduced member evaluated once per node: sum_k r_a(x_k) r_b(x_k) (z_k - 1/z_k) w_k
         n = ctx.coeff_order
-        m = ctx.measure
         rbars = [ctx.reduced(k) for k in range(n + 1)]
-        nodes = []
-        for z, w in zip(m.nodes, m.weights):
-            zi = 1 / z
-            nodes.append(([r(z + zi) for r in rbars], (z - zi) * w))
+        nodes = [([r(x) for r in rbars], weight) for x, weight in zip(*folded_support(ctx.measure))]
         worst = 0.0
         for a in range(n + 1):
             for b in range(a):
@@ -644,10 +642,10 @@ def claim_lsolp_construction(ctx: _Context) -> Measured:
                         "alternating-basis Gram-Schmidt reproduces the shifted family "
                         "(exact, leading-normalized)", exact=exact_ok)
     n = min(ctx.cfg.order, 4)
-    fam_shift = lsolp_from_values(ctx.fv.prefix(n))
+    fam = ctx.lsolp  # the full-order family, compared on its first 2n members
     fam_gs = gram_schmidt_lsolp(ctx.measure, 2 * n)
-    worst = nan_max(max_abs_diff(fam_shift.node_values, fam_gs.node_values),
-                max_abs_diff(fam_shift.recip_values, fam_gs.recip_values))
+    worst = nan_max(max_abs_diff([row[:2 * n] for row in fam.node_values], fam_gs.node_values),
+                    max_abs_diff([row[:2 * n] for row in fam.recip_values], fam_gs.recip_values))
     return Measured(worst,
                     f"Gram-Schmidt and shift constructions agree on the support (order {n})")
 

@@ -20,7 +20,7 @@ import pytest
 
 from lsopkit import lsop
 from lsopkit.errors import AdmissibilityError, DegeneracyError, StructureError
-from lsopkit.lsop import FamilyValues, evaluate_family
+from lsopkit.lsop import evaluate_family
 from lsopkit.moments import DiscreteMeasure
 
 # Largest relative errors measured at N = 4, 8, 12 over the six measures:
@@ -57,11 +57,9 @@ def _relative(values, exact) -> float:
 def fold_errors(m: DiscreteMeasure, n: int) -> dict:
     """Relative errors of the float fold of m against the exact walk: its
     three-term data, its orthonormal folded values and the qt tables."""
-    fv = evaluate_family(m, n)
-    assert type(fv.fold) is lsop._FloatFold
-    walk = lsop._FoldedWalk(lsop._lift_exact(m), n)
-    exact = FamilyValues(measure=m, order=n, fold=walk)
-    fold = fv.fold
+    fold = evaluate_family(m, n)
+    assert type(fold) is lsop._FloatFold
+    walk = lsop._FoldedWalk(m, n)
     orthonormal = [[p / Fraction(math.sqrt(walk.h[j])) for p in walk.p_values[j]] for j in range(n)]
     return {
         "a": max(abs(fold.a[j] / float(walk.a[j]) - 1) for j in range(n)),
@@ -69,8 +67,8 @@ def fold_errors(m: DiscreteMeasure, n: int) -> dict:
         "h": max(abs(fold.h[j] / float(walk.h[j]) - 1) for j in range(n)),
         "values": max(_relative(fold.p_values[j], orthonormal[j]) for j in range(n)),
         "tables": max(_relative([row[j] for row in mine], [row[j] for row in theirs])
-                      for mine, theirs in ((fv.qt_node, exact.qt_node),
-                                           (fv.qt_recip, exact.qt_recip))
+                      for mine, theirs in ((fold.qt_node, walk.qt_node),
+                                           (fold.qt_recip, walk.qt_recip))
                       for j in range(2 * n)),
     }
 
@@ -84,14 +82,23 @@ def test_float_fold_matches_exact_walk(n, seed):
     assert max(errors.values()) <= BOUND, errors
 
 
-@pytest.mark.parametrize("m", [fixed_measure(12), spread_measure(3, 12)])
+@pytest.mark.parametrize("m", [fixed_measure(12), spread_measure(3, 12),
+                               DiscreteMeasure(*(map(Fraction, col) for col in fixed_measure(8)))])
 def test_prefix_is_the_lower_order_fold(m):
+    # step j of a fold reads only the steps before it, so the order-n fold is
+    # the first n steps of the full one: its folded data, its recurrence
+    # entries through n (beta_n = 0 closes it) and the first 2n columns of
+    # both value tables
     full = evaluate_family(m)
-    for n in range(1, 13):
-        low, prefix = evaluate_family(m, n), full.prefix(n)
-        assert prefix.rec == low.rec
-        assert prefix.qt_node == low.qt_node and prefix.qt_recip == low.qt_recip
-        assert full.fold.p_values[:n] == low.fold.p_values
+    for n in range(1, m.size + 1):
+        low = evaluate_family(m, n)
+        assert (low.a, low.b, low.h) == (full.a[:n], full.b[:n], full.h[:n])
+        assert low.p_values == full.p_values[:n]
+        for name in ("alpha", "tau", "sigma"):
+            assert getattr(low.rec, name) == getattr(full.rec, name)[:n + 1], name
+        assert low.rec.beta[:n] == full.rec.beta[:n] and low.rec.beta[n] == 0
+        for mine, theirs in ((low.qt_node, full.qt_node), (low.qt_recip, full.qt_recip)):
+            assert mine == tuple(row[:2 * n] for row in theirs)
 
 
 @pytest.mark.parametrize("nodes, error, message", [

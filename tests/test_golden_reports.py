@@ -87,8 +87,7 @@ def _cli_digest(argv, out: pathlib.Path, main=cli.main) -> list:
 def _cli_process(argv) -> int:
     """cli.main(argv) as `python -m lsopkit.cli` in a fresh interpreter that
     compiles the package from source."""
-    env = {k: v for k, v in os.environ.items() if k != "LSOPKIT_MODE"}
-    env.update(PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]),
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]),
                PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, "-m", "lsopkit.cli", *argv], env=env).returncode
 
@@ -195,7 +194,7 @@ def build_count(monkeypatch):
     """Counts calls of the pencil, transfer and alternating-family builders,
     of the even-member reduction, of the one-pass Pfaffian route and its
     elimination, and of the Pfaffians lsop takes one per minor, wherever a
-    module has bound them; lsolp_from_values counts full-order families only."""
+    module has bound them."""
     counts = collections.Counter()
     watched = {
         "build_pencil": spectra, "pencil_from_recurrence": spectra,
@@ -207,8 +206,7 @@ def build_count(monkeypatch):
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            if _name != "lsolp_from_values" or args[0].order == 6:
-                counts[_name] += 1
+            counts[_name] += 1
             return _original(*args, **kwargs)
 
         for mod in (spectra, lsolp, lsop, verify):

@@ -74,7 +74,6 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lsopkit")
 
 def _fresh(*args: str) -> str:
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
-    env.pop("LSOPKIT_MODE", None)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           check=True).stdout
 

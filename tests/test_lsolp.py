@@ -80,7 +80,7 @@ def test_validation_rejects_non_orthonormal():
 
 def test_validation_rejects_nan_values():
     fv = random_family(33, 3, "double")
-    fv.fold.p_values[1][0] = float("nan")
+    fv.p_values[1][0] = float("nan")
     with pytest.raises(StructureError, match="defect nan"):
         lsolp_from_values(fv)
 

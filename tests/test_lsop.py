@@ -207,11 +207,10 @@ def test_complex_nodes_refused_by_the_walk():
 
 def test_lower_order_family_is_a_prefix_of_the_walk():
     full = random_family(3, 6, "double")
-    m = full.measure
     for n in range(1, 7):
-        low, prefix = evaluate_family(m, n), full.prefix(n)
-        assert prefix.rec == low.rec
-        assert prefix.qt_node == low.qt_node and prefix.qt_recip == low.qt_recip
+        low = evaluate_family(full.measure, n)
+        assert low.rec.alpha == full.rec.alpha[:n + 1] and low.rec.tau == full.rec.tau[:n + 1]
+        assert low.rec.beta[:n] == full.rec.beta[:n]
         for row_full, row_low in zip(full.qt_node, low.qt_node):
             assert row_full[:2 * n] == row_low
 

@@ -243,7 +243,7 @@ def test_generator_determinism():
 
 def test_generator_rational_taus_positive():
     fv = random_family(2, 8, "rational")
-    assert fv.measure.is_exact() and fv.fold.exact
+    assert fv.measure.is_exact() and fv.exact
     assert all(t > 0 for t in fv.rec.tau[1:])
 
 

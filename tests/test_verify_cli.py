@@ -2,7 +2,7 @@
 
 import json
 import math
-import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +25,8 @@ def test_run_config_validation():
         RunConfig(tolerances={"no-such-claim": 1e-3})
     with pytest.raises(ValueError):
         RunConfig(tolerances={"skew-orthonormality": -1.0})
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        RunConfig(tolerances={"unit-modulus-pairs": math.inf})
 
 
 def test_every_claim_has_default_tolerance():
@@ -43,14 +45,16 @@ def test_status_and_records_are_decided_in_one_place(monkeypatch):
         ("tridiagonal-spectrum", lambda ctx: verify.Measured(1e-8, "at tolerance", "c", True)),
         ("pencil-eigenvalues", aborts),
     ))
-    rep = run_verification(RunConfig(seed=1, order=2, tolerances={"pencil-eigenvalues": math.inf}))
+    # the largest finite tolerance still flags an aborted claim
+    rep = run_verification(RunConfig(seed=1, order=2,
+                                     tolerances={"pencil-eigenvalues": sys.float_info.max}))
     assert [c.record() for c in rep.claims] == [
         {"id": "lsop-odd-normalization", "summary": "tiny", "convention": "",
          "residual": 1e-300, "tolerance": 0.0, "status": "flag", "exact": False},
         {"id": "tridiagonal-spectrum", "summary": "at tolerance", "convention": "c",
          "residual": 1e-8, "tolerance": 1e-8, "status": "pass", "exact": True},
         {"id": "pencil-eigenvalues", "summary": "evaluation aborted (ValueError): no measurement",
-         "convention": "", "residual": math.inf, "tolerance": math.inf, "status": "flag",
+         "convention": "", "residual": math.inf, "tolerance": sys.float_info.max, "status": "flag",
          "exact": False},
     ]
 
@@ -119,7 +123,7 @@ def test_corrupted_measure_flags_without_aborting():
 def test_nan_in_the_value_tables_flags(monkeypatch):
     fv = random_family(2, 3, "double")
     m = fv.measure
-    fv.fold.p_values[1][0] = float("nan")  # one folded value, before any table is built
+    fv.p_values[1][0] = float("nan")  # one folded value, before any table is built
     monkeypatch.setattr(verify, "evaluate_family", lambda *args: fv)
     claims = {c.claim_id: c for c in run_verification(RunConfig(seed=2, order=3), m).claims}
     for cid in ("skew-orthonormality", "folded-functional-orthogonality",
@@ -392,21 +396,12 @@ def test_cli_usage_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown tolerance 'no-such'; known names: ")
     assert err.rstrip("\n").split("known names: ")[1] == ", ".join(sorted(DEFAULT_TOLERANCES))
+    # an infinite tolerance would pass an infinite residual
+    assert run_cli("verify", "--tol", "unit-modulus-pairs=inf") == 1
+    assert capsys.readouterr().err == "error: tolerance unit-modulus-pairs must be positive and finite\n"
     assert run_cli("verify", str(tmp_path / "missing.json")) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert run_cli("no-such-command") == 1
-
-
-def test_cli_mode_from_environment(tmp_path):
-    out = tmp_path / "m.json"
-    os.environ["LSOPKIT_MODE"] = "rational"
-    try:
-        assert run_cli("gen-measure", "--seed", "1", "--order", "2", "--out", str(out)) == 0
-        doc = json.loads(out.read_text())
-        assert doc["metadata"]["mode"] == "rational"
-        assert isinstance(doc["nodes"][0], str) and "/" in doc["nodes"][0]
-    finally:
-        del os.environ["LSOPKIT_MODE"]
 
 
 def test_cli_lsop_pencil_butterfly(tmp_path):
@@ -427,13 +422,16 @@ def test_cli_lsop_pencil_butterfly(tmp_path):
 
 @pytest.mark.parametrize("mode", ["double", "rational"])
 def test_cli_empty_measure_is_one_error_line(tmp_path, capsys, mode):
-    # an order-0 measure has no pencil and no butterfly: exit 1 with one line
-    mfile = tmp_path / "empty.json"
+    # an order-0 measure has no pencil and no butterfly, and empty quadruples
+    # no butterfly solve: exit 1 with one line
+    mfile, pfile = tmp_path / "empty.json", tmp_path / "params.json"
     mfile.write_text('{"nodes": [], "weights": []}')
-    for cmd, message in (("butterfly", "butterfly needs order >= 1"),
-                         ("pencil", "pencil needs order >= 1"),
-                         ("verify", "order must be >= 1")):
-        assert run_cli(cmd, str(mfile), "--mode", mode) == 1, cmd
+    pfile.write_text('{"a": [], "b": [], "c": [], "d": []}')
+    for cmd, path, message in (("butterfly", mfile, "butterfly needs order >= 1"),
+                               ("pencil", mfile, "pencil needs order >= 1"),
+                               ("verify", mfile, "order must be >= 1"),
+                               ("solve-butterfly", pfile, "butterfly needs order >= 1")):
+        assert run_cli(cmd, str(path), "--mode", mode) == 1, cmd
         assert capsys.readouterr().err == f"error: {message}\n", cmd
 
 
