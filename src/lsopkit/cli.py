@@ -13,8 +13,12 @@ flagged, 1 on usage errors (including precondition refusals).  The scalar
 mode defaults to "double".
 
 Each subcommand imports the modules it runs when it runs, so a fresh
-process compiles only those: gen-measure and lsop never load verify,
-spectra or lsolp, and only verify loads verify.
+process compiles only those.  Beyond the parser's cli, errors, modes,
+serialize, moments and laurent, gen-measure and lsop load lsop alone;
+pencil loads lsop, spectra and numerics, and butterfly lsolp as well;
+solve-butterfly loads spectra and numerics but no family module; only
+verify loads pfaffian and verify.  --order sizes the seeded measure: a
+measure file is folded at its full size.
 """
 
 from __future__ import annotations
@@ -63,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, measure_arg: bool = False) -> None:
         p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
-        p.add_argument("--order", type=int, default=4, help="family order N (default 4)")
+        p.add_argument("--order", type=int, default=4,
+                       help="order N of the seeded measure (default 4)"
+                       + ("; a measure file is folded at its full size" if measure_arg else ""))
         p.add_argument("--mode", choices=MODES, default="double",
                        help="scalar backend (default double)")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")

@@ -35,6 +35,7 @@ from .lsop import FamilyValues, skew_pattern_defect, support_gram, support_pairi
 from .modes import is_exact
 from .moments import DiscreteMeasure, skew_inner
 from .numerics import dot, nan_max
+from .spectra import family_vector_order
 
 PAIRING_VALIDATION_TOL = 1e-8
 REPRESENTATION_TOL = 1e-8
@@ -267,11 +268,6 @@ def gauge_transform_scaled(fam: LsolpFamily, g: GaugeParams) -> LsolpFamily:
 # ---------------------------------------------------------------------------
 # multiplication-by-z operator
 # ---------------------------------------------------------------------------
-
-def family_vector_order(n: int) -> List[int]:
-    """Member indices in eigenvector order (Q_1, Q_3, ..., Q_2N-1, Q_0, ..., Q_2N-2)."""
-    return [2 * k + 1 for k in range(n)] + [2 * k for k in range(n)]
-
 
 def multiplication_matrix(fam: LsolpFamily) -> List[List[float]]:
     """Matrix A of the multiplication operator f -> z f in the gauged basis.

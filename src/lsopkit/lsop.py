@@ -44,15 +44,19 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (AdmissibilityError, DegeneracyError, GenerationError, LsopkitError,
                      StructureError)
 from .laurent import LaurentPoly
 from .modes import Scalar, is_exact, validate_mode
 from .moments import DiscreteMeasure, MomentTable
-from .numerics import dense_det, nan_max, solve_linear
-from .pfaffian import SkewArray, pf_indices, pf_leading_borders
+
+# pfaffian and numerics are imported by the functions that run them (the
+# moment-table route, the Hankel references and skew_pattern_defect), so a
+# process that only folds a measure compiles neither
+if TYPE_CHECKING:
+    from .pfaffian import SkewArray
 
 TAU_DEGENERACY_RELATIVE = 1e-8
 NODE_RANGE = (1.2, 5.0)
@@ -131,6 +135,8 @@ class RecurrenceData(_Coefficients):
 def moment_skew_array(mu: MomentTable, exponents: Sequence[int]) -> SkewArray:
     """Skew table over positions p < len(exponents) with entries
     <z^e_p|z^e_q> = mu_{e_q - e_p}."""
+    from .pfaffian import SkewArray
+
     return SkewArray.from_entry_fn(len(exponents),
                                    lambda i, j: mu.mu_at(exponents[j] - exponents[i]))
 
@@ -139,6 +145,8 @@ def bordered_pfaffian(table: SkewArray, exponents: Sequence[int]) -> LaurentPoly
     """The Pfaffian of an odd-size skew table bordered by the column of
     monomials z^e_p, expanded along that column: the coefficient of z^e_p is
     (-1)^p Pf(table without position p), one pivoted Pfaffian per minor."""
+    from .pfaffian import pf_indices
+
     positions = range(len(exponents))
     return LaurentPoly({e: (-1) ** p * pf_indices(table, [i for i in positions if i != p])
                         for p, e in enumerate(exponents)})
@@ -239,6 +247,8 @@ def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
     bordered_pfaffian's pivoted Pfaffian per minor, of that int table or of
     the float moment table.
     """
+    from .pfaffian import SkewArray, pf_leading_borders
+
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     rows, d = [], None
@@ -507,6 +517,8 @@ def support_gram(weights: Sequence[Scalar], node_rows, recip_rows) -> List[List[
 def skew_pattern_defect(gram: Sequence[Sequence[float]]) -> float:
     """Largest deviation of a Gram matrix from the canonical skew pattern:
     <f_2m | f_2m+1> = 1 = -<f_2m+1 | f_2m>, every other pairing 0."""
+    from .numerics import nan_max
+
     worst = 0.0
     for a, row in enumerate(gram):
         for b, value in enumerate(row):
@@ -673,6 +685,8 @@ def op_via_hankel(c: Sequence[Scalar], n: int) -> LaurentPoly:
     Solves the Hankel system sum_j x_j c_{i+j} = -c_{i+n} (i < n) by dense
     elimination; equivalent to the bordered-determinant ratio.
     """
+    from .numerics import solve_linear
+
     if n == 0:
         return ONE
     if len(c) < 2 * n:
@@ -690,6 +704,8 @@ def op_via_hankel(c: Sequence[Scalar], n: int) -> LaurentPoly:
 
 def hankel_det(c: Sequence[Scalar], n: int) -> Scalar:
     """det (c_{i+j}), 0 <= i, j < n; the order-0 determinant is 1."""
+    from .numerics import dense_det
+
     return dense_det([[c[i + j] for j in range(n)] for i in range(n)])
 
 
@@ -699,6 +715,8 @@ def shifted_hankel_det(c: Sequence[Scalar], n: int) -> Scalar:
     Rows (c_i, ..., c_{i+n-2}, c_{i+n}); the order-0 value is 0 by the
     sigma_0 convention.
     """
+    from .numerics import dense_det
+
     if n == 0:
         return 0
     rows = [[c[i + j] for j in range(n - 1)] + [c[i + n]] for i in range(n)]

@@ -84,7 +84,10 @@ def nan_max(*values: float) -> float:
 
 
 def max_abs_diff(a: Matrix, b: Matrix) -> float:
-    """Largest entrywise |a - b| of two equally shaped tables; NaN if any is."""
+    """Largest entrywise |a - b| of two equally shaped tables; NaN if any is.
+    Tables of different shapes raise DimensionError."""
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        raise DimensionError("max_abs_diff needs equally shaped tables")
     return nan_max(*(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)))
 
 

@@ -26,15 +26,19 @@ map lambda = z + 1/z all live here.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from .errors import AdmissibilityError, DimensionError
-from .lsop import FamilyValues, RecurrenceData
-from .lsolp import GaugeParams, family_vector_order
-from .moments import DiscreteMeasure
 from .numerics import (Matrix, SymTridiag, dense_eigs, identity, inf_norm, mat_mul,
                        mat_sub, mat_vec, max_abs_diff, nan_max, solve_columns, sort_complex,
                        spectra_distance, sym_tridiag_eigs, transpose, zeros)
+
+# spectra reads families, gauges and measures through their fields, so their
+# modules are named for the annotations only
+if TYPE_CHECKING:
+    from .lsolp import GaugeParams
+    from .lsop import FamilyValues, RecurrenceData
+    from .moments import DiscreteMeasure
 
 DOUBLE_ROOT_TOL = 1e-12
 # Largest spectral distance that passes, for the pencil eigenvalues and the
@@ -84,6 +88,11 @@ def _pencil_blocks(rec: RecurrenceData) -> Tuple[Matrix, Matrix, Matrix]:
     for k in range(1, n):
         h[k][k] = float(rec.alpha[k])
     return f, g, h
+
+
+def family_vector_order(n: int) -> List[int]:
+    """Member indices in eigenvector order (Q_1, Q_3, ..., Q_2N-1, Q_0, ..., Q_2N-2)."""
+    return [2 * k + 1 for k in range(n)] + [2 * k for k in range(n)]
 
 
 def build_pencil(rec: RecurrenceData) -> PencilPair:

@@ -191,11 +191,15 @@ def test_zero_tau_measure_aborts_each_route_where_it_did():
 
 @pytest.fixture
 def build_count(monkeypatch):
-    """Counts calls of the pencil, transfer and alternating-family builders,
-    of the even-member reduction, of the one-pass Pfaffian route and its
-    elimination, and of the Pfaffians lsop takes one per minor, wherever a
-    module has bound them."""
+    """Counts the calls that code in spectra, lsolp, lsop and verify makes of
+    the pencil, transfer and alternating-family builders, of the even-member
+    reduction, of the one-pass Pfaffian route and its elimination, and of the
+    Pfaffians lsop takes one per minor.  Each is swapped in its home module,
+    which lsop's imports at call time read, and wherever a module has bound
+    it; the Pfaffians pfaffian takes itself (minor_identity's) do not count."""
     counts = collections.Counter()
+    callers = (spectra, lsolp, lsop, verify)
+    counted_in = {mod.__name__ for mod in callers}
     watched = {
         "build_pencil": spectra, "pencil_from_recurrence": spectra,
         "transfer_symplecticity": spectra, "transfer_matrix": spectra,
@@ -206,10 +210,11 @@ def build_count(monkeypatch):
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            if sys._getframe(1).f_globals["__name__"] in counted_in:
+                counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for mod in (spectra, lsolp, lsop, verify):
+        for mod in (home, *callers):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return counts

@@ -3,9 +3,12 @@
 `import lsopkit` loads no submodule; each public name is imported from its
 home module on first access.  Each subcommand, run in a fresh interpreter
 the way `python -m lsopkit.cli` runs it, writes the same bytes and exits
-with the same status as `cli.main` in process, and loads only the modules
-it runs: gen-measure and lsop never load verify, spectra or lsolp, and
-pencil, butterfly and solve-butterfly never load verify.  No subcommand
+with the same status as `cli.main` in process, and loads exactly the modules
+it runs: beyond the parser's, gen-measure and lsop load lsop alone, pencil
+lsop, spectra and numerics, butterfly lsolp as well, solve-butterfly
+spectra and numerics but no family module, and only verify loads pfaffian
+and verify.  `import lsopkit.lsop` loads neither the Pfaffian nor the dense
+kernels, and `import lsopkit.spectra` no family module.  No subcommand
 loads `dataclasses` or the `inspect` module it imports: every record is a
 `typing.NamedTuple`.  `lsopkit.modes`, which every other module imports,
 loads no other lsopkit module.
@@ -47,12 +50,14 @@ PUBLIC = {
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names.split()]
 
-# lsopkit modules each subcommand may load; the parser alone loads BASE
-BASE = {"cli", "errors", "modes", "serialize", "moments", "laurent"}
-FAMILY = BASE | {"lsop", "numerics", "pfaffian"}
-SPECTRA = FAMILY | {"spectra", "lsolp"}
-ALLOWED = {"gen-measure": FAMILY, "lsop": FAMILY, "pencil": SPECTRA, "butterfly": SPECTRA,
-           "solve-butterfly": SPECTRA, "verify": SPECTRA | {"verify"}}
+# the lsopkit modules each subcommand loads besides lsopkit.cli, which runs
+# as __main__; the parser alone loads BASE
+BASE = {"errors", "modes", "serialize", "moments", "laurent"}
+FAMILY = BASE | {"lsop"}
+PENCIL = FAMILY | {"spectra", "numerics"}
+LOADED = {"gen-measure": FAMILY, "lsop": FAMILY, "pencil": PENCIL, "butterfly": PENCIL | {"lsolp"},
+          "solve-butterfly": BASE | {"spectra", "numerics"},
+          "verify": PENCIL | {"lsolp", "pfaffian", "verify"}}
 
 # stdlib modules no subcommand may load: each costs a fresh process
 # milliseconds of import time
@@ -112,11 +117,27 @@ def test_import_loads_no_submodule():
                                               "lsopkit.moments"]
 
 
+def _loaded_by(module: str):
+    code = (f"import json, sys, lsopkit.{module}; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lsopkit'))))")
+    return json.loads(_fresh("-c", code))
+
+
 def test_modes_imports_no_other_lsopkit_module():
     # modes holds the scalar kernels every module imports, so it sits below them all
-    code = ("import json, sys, lsopkit.modes; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lsopkit'))))")
-    assert json.loads(_fresh("-c", code)) == ["lsopkit", "lsopkit.modes"]
+    assert _loaded_by("modes") == ["lsopkit", "lsopkit.modes"]
+
+
+def test_lsop_loads_neither_the_pfaffian_nor_the_dense_kernels():
+    # only the moment-table route and the Hankel references run them
+    loaded = _loaded_by("lsop")
+    assert "lsopkit.pfaffian" not in loaded and "lsopkit.numerics" not in loaded
+
+
+def test_spectra_loads_no_family_module():
+    # spectra reads a family through its fields, never through its constructors
+    loaded = _loaded_by("spectra")
+    assert not {"lsopkit.lsop", "lsopkit.lsolp", "lsopkit.pfaffian"} & set(loaded)
 
 
 def test_cli_exit_tolerances_are_the_claim_tolerances():
@@ -141,7 +162,7 @@ def _argv(command: str, measure_file: pathlib.Path):
     return [command, str(measure_file), *(["--gauge-seed", "9"] if command == "butterfly" else [])]
 
 
-@pytest.mark.parametrize("command", list(ALLOWED))
+@pytest.mark.parametrize("command", list(LOADED))
 def test_fresh_cli_process_matches_in_process_and_loads_only_what_it_runs(
         command, measure_file, tmp_path):
     argv = _argv(command, measure_file)
@@ -151,5 +172,5 @@ def test_fresh_cli_process_matches_in_process_and_loads_only_what_it_runs(
     assert fresh_code == code
     assert fresh.read_bytes() == inside.read_bytes()
     assert loaded[0] == "lsopkit"
-    assert {m.removeprefix("lsopkit.") for m in loaded[1:]} <= ALLOWED[command]
+    assert {m.removeprefix("lsopkit.") for m in loaded[1:]} == LOADED[command]
     assert stdlib == []

@@ -274,6 +274,14 @@ def test_largest_value_keeps_nan():
     assert inf_norm([[1.0, -2.0], [0.5, 0.0]]) == 3.0 and inf_norm([]) == 0.0
 
 
+def test_largest_difference_refuses_tables_of_different_shapes():
+    # a table that lost a column or a row does not compare on its common part
+    for a, b in (([[1.0, 2.0]], [[1.0]]), ([[1.0], [5.0]], [[1.0]]), ([[1.0]], [[1.0], [5.0]])):
+        with pytest.raises(DimensionError, match="equally shaped"):
+            max_abs_diff(a, b)
+    assert max_abs_diff([[1.0], [5.0]], [[1.0], [4.0]]) == 1.0
+
+
 def test_tridiag_singleton():
     assert sym_tridiag_eigs(SymTridiag([2.5], [])) == [2.5]
 
