@@ -25,11 +25,14 @@ A double-mode measure with positive folded weights on pairwise distinct
 folded nodes takes the float fold, Lanczos on diag(x) (the reconstruction
 of a Jacobi matrix from its spectral data); every other measure takes the
 exact Stieltjes walk on its rational image, rounded once at the outputs in
-double mode.  Neither route rebuilds the value tables from float
-coefficients, a brutally ill-conditioned parameterization of the family:
-correctly rounded (alpha, beta) alone cap the skew-orthonormality defect
-near 1e-7 at order 8, while tables rounded from the exact walk, or read off
-the Lanczos vectors, reach about 1e-11.
+double mode.  The exact layer (the walk's value vectors, the monic member
+columns, an exact coefficient family) runs on ints over one denominator per
+vector or member and builds a Fraction only at its outputs.  Neither route
+rebuilds the value tables from float coefficients, a brutally
+ill-conditioned parameterization of the family: correctly rounded
+(alpha, beta) alone cap the skew-orthonormality defect near 1e-7 at order
+8, while tables rounded from the exact walk, or read off the Lanczos
+vectors, reach about 1e-11.
 
 Even-degree members fold into monic orthogonal polynomials in w = z + 1/z;
 that reduction and its Hankel-determinant counterpart live here too,
@@ -44,17 +47,19 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (AdmissibilityError, DegeneracyError, GenerationError, LsopkitError,
                      StructureError)
 from .laurent import LaurentPoly
-from .modes import Scalar, is_exact, validate_mode
+from .modes import Scalar, clear_denominators, is_exact, validate_mode
 from .moments import DiscreteMeasure, MomentTable
 
 # pfaffian and numerics are imported by the functions that run them (the
-# moment-table route, the Hankel references and skew_pattern_defect), so a
-# process that only folds a measure compiles neither
+# moment-table route, the Hankel references and skew_pattern_defect), and
+# exact by the exact walk and the exact coefficient family, so a process
+# that only folds a double measure compiles none of them
 if TYPE_CHECKING:
     from .pfaffian import SkewArray
 
@@ -299,7 +304,8 @@ class FamilyValues:
     A fold holds the measure folded, its order n, its nodes z_k (the exact
     walk keeps their exact image) and the three-term data (a_j, b_j, h_j),
     j < n, of the folded measure, with value tables p_values[j][k] =
-    p_j(z_k + 1/z_k) of its orthogonal polynomials.  Its two subclasses are
+    p_j(z_k + 1/z_k) of its orthogonal polynomials (the exact walk holds
+    them as int vectors, columns).  Its two subclasses are
     the exact walk, _FoldedWalk, and the float Lanczos fold, _FloatFold.
     rec holds the recurrence data: exact for an exact measure, float for a
     double one.  qt_node[k][j] = qt_j(z_k) and qt_recip[k][j] = qt_j(1/z_k)
@@ -340,11 +346,15 @@ class FamilyValues:
     def _tables(self):
         if self.exact:
             self.exact_rec.require_admissible()
+            # int true division is correctly rounded, as float() of the Fraction
+            values = [[v / e for v in p] for p, e in self.columns]
+        else:
+            values = self.p_values
         alpha = [float(x) for x in self.rec.alpha]
         sqrt_b = [0.0] + [math.sqrt(float(x)) for x in self.rec.beta[1:]]
         # the walk carries monic p_j, the float fold orthonormal ones
         scale = [math.sqrt(float(x)) for x in self.h] if self.exact else [1.0] * self.order
-        rows = [_member_rows(float(z), [float(p[k]) for p in self.p_values], scale, alpha, sqrt_b)
+        rows = [_member_rows(float(z), [p[k] for p in values], scale, alpha, sqrt_b)
                 for k, z in enumerate(self.nodes)]
         return tuple(tuple(vz) for vz, _ in rows), tuple(tuple(vr) for _, vr in rows)
 
@@ -356,18 +366,15 @@ class FamilyValues:
     def qt_recip(self) -> Tuple[Tuple[float, ...], ...]:
         return self._tables[1]
 
-    def monic_values(self):
-        """Exact monic values (node, recip): node[k][j] = q_j(z_k) and
-        recip[k][j] = q_j(1/z_k) as Fractions for j = 0..2*order, where
-        q_2order vanishes on the support."""
-        n = self.order
+    def monic_values(self) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+        """Exact monic member columns (node, recip, den), j = 0..2*order-1, in
+        lowest terms: q_j(z_k) = node[j][k] / den[j] and q_j(1/z_k) =
+        recip[j][k] / den[j], in ints from the walk's value vectors
+        (exact.member_columns, on the recurrence line of _member_rows)."""
+        from .exact import member_columns
+
         rec = self.exact_rec
-        node, recip = [], []
-        for k, z in enumerate(self.nodes):
-            vz, vr = _member_rows(z, [p[k] for p in self.p_values], [1] * n, rec.alpha, rec.beta)
-            node.append(vz + [Fraction(0)])
-            recip.append(vr + [Fraction(0)])
-        return node, recip
+        return member_columns(self.nodes, self.columns, rec.alpha, rec.beta)
 
     def gram(self) -> List[List[float]]:
         return support_gram(self.measure.weights, self.qt_node, self.qt_recip)
@@ -378,33 +385,41 @@ class _FoldedWalk(FamilyValues):
     measure's rational image, whose nodes it keeps.
 
     Carries the monic folded polynomials p_j by their values on the support
-    (all the functional ever sees).
+    (all the functional ever sees), each as ints over one denominator:
+    columns[j] = (P, E), p_j(x_k) = P[k] / E.  With the folded nodes and
+    weights cleared once, a step takes one gcd each for the Fractions a_j,
+    b_j and h_j and one over its new vector, none per operation (Bareiss
+    1968); p_values builds the Fraction values on each read.
     """
 
     exact = True
 
     def __init__(self, m: DiscreteMeasure, n: int):
+        from .exact import lowest_terms, three_term
+
         lifted = _lift_exact(m)
-        xs, ws = folded_support(lifted)
+        (xs, dx), (ws, dw) = map(clear_denominators, folded_support(lifted))
         self.measure, self.order, self.nodes = m, n, lifted.nodes
-        self.a, self.b, self.h, self.p_values = [], [Fraction(0)], [], []
-        p_prev = [Fraction(0)] * len(xs)
-        p_cur = [Fraction(1)] * len(xs)
+        self.a, self.b, self.h, self.columns = [], [Fraction(0)], [], []
+        prev, cur = ([0] * len(xs), 1), ([1] * len(xs), 1)
         for j in range(n):
-            self.p_values.append(list(p_cur))
-            hj = sum(w * p * p for w, p in zip(ws, p_cur))
-            if hj == 0:
+            self.columns.append(cur)
+            p, e = cur
+            wpp = [w * v * v for w, v in zip(ws, p)]
+            norm = sum(wpp)
+            if norm == 0:
                 raise DegeneracyError(f"folded norm h_{j} vanished; tau_{j + 1} = 0")
-            self.h.append(hj)
-            aj = sum(w * x * p * p for w, x, p in zip(ws, xs, p_cur)) / hj
-            self.a.append(aj)
+            self.h.append(Fraction(norm, dw * e * e))
+            self.a.append(Fraction(sum(map(mul, wpp, xs)), dx * norm))
             if j >= 1:
                 self.b.append(self.h[j] / self.h[j - 1])
-            p_next = [
-                (x - aj) * pc - (self.b[j] * pp if j >= 1 else 0)
-                for x, pc, pp in zip(xs, p_cur, p_prev)
-            ]
-            p_prev, p_cur = p_cur, p_next
+            if j + 1 < n:
+                nxt = three_term(xs, dx, -self.a[j], self.b[j], cur, prev)
+                prev, cur = cur, lowest_terms(*nxt)
+
+    @property
+    def p_values(self) -> List[List[Fraction]]:
+        return [[Fraction(v, e) for v in p] for p, e in self.columns]
 
 
 class _FloatFold(FamilyValues):
@@ -472,8 +487,8 @@ def _member_rows(z: Scalar, pvs: Sequence[Scalar], scale: Sequence[Scalar],
 
     Even members are z^j pvs[j] / scale[j], reflected exactly for 1/z; odd
     members follow the recurrence line v_2j+1 = z (v_2j - coef_j v_2j-2) +
-    alpha_j v_2j.  Exact on Fractions; on floats the running power and the
-    division by z keep the rounding of the orthonormal tables.
+    alpha_j v_2j.  The running power and the division by z keep the rounding
+    of the orthonormal tables.
     """
     n = len(pvs)
     vz, vr = [0] * (2 * n), [0] * (2 * n)
@@ -606,9 +621,23 @@ def random_family(seed: int, n: int, mode: str = "double") -> FamilyValues:
 # ---------------------------------------------------------------------------
 
 def lsop_via_recurrence(rec: RecurrenceData, n: int) -> List[LaurentPoly]:
-    """Monic q_0..q_2n by the coupled two-term recurrences."""
+    """Monic q_0..q_2n by the coupled two-term recurrences: on integer forms
+    (exact.axpy_form) for exact coefficients, with one Fraction per
+    coefficient at the end, and on LaurentPoly arithmetic for float ones."""
     if not 0 <= n <= rec.order:
         raise ValueError(f"order {n} is outside 0..{rec.order} of the recurrence data")
+    if all(map(is_exact, rec.alpha[:n + 1] + rec.beta[:n])):
+        from .exact import axpy_form, form_poly, lowest_form, shifted_form
+
+        # z x - s (z y) is z (x - s y), coefficients and types alike
+        forms = [({0: 1}, 1, {0}), ({1: 1}, 1, {1})]
+        for k in range(n):
+            if k >= 1:
+                q = shifted_form(axpy_form(forms[2 * k], -rec.beta[k], forms[2 * k - 2]))
+                forms.append(lowest_form(axpy_form(q, rec.alpha[k], forms[2 * k])))
+            q = shifted_form(axpy_form(forms[2 * k + 1], -rec.alpha[k + 1], forms[2 * k]))
+            forms.append(lowest_form(axpy_form(q, 1, forms[2 * k])))
+        return [form_poly(f) for f in forms[: 2 * n + 1]]
     qs = [ONE, Z]
     for k in range(n):
         if k >= 1:
@@ -733,13 +762,22 @@ class PfaffianDetReport(NamedTuple):
 
 
 def verify_pfaffian_det(rec: RecurrenceData, c: Sequence[Scalar], n: int) -> PfaffianDetReport:
-    """Check tau_k = Hankel_k(c) and sigma_k = shifted-Hankel_k(c) for k <= n."""
+    """Check tau_k = Hankel_k(c) and sigma_k = shifted-Hankel_k(c) for k <= n.
+    Exact moments take every determinant through the first vanishing
+    Hankel minor from one elimination (exact.hankel_minors); the orders
+    past it, and every order of float moments, a pivoted dense_det each."""
+    dets = []
+    if all(map(is_exact, c[:2 * n])):
+        from .exact import hankel_minors
+
+        dets = hankel_minors(c, n)
+    dets += [(hankel_det(c, k), shifted_hankel_det(c, k)) for k in range(len(dets), n + 1)]
     tau_dev, sigma_dev = [], []
     max_rel = 0.0
     exact = True
-    for k in range(n + 1):
-        td = rec.tau[k] - hankel_det(c, k)
-        sd = rec.sigma[k] - shifted_hankel_det(c, k)
+    for k, (hk, sk) in zip(range(n + 1), dets):
+        td = rec.tau[k] - hk
+        sd = rec.sigma[k] - sk
         exact = exact and td == 0 and sd == 0
         tau_dev.append(abs(float(td)))
         sigma_dev.append(abs(float(sd)))

@@ -15,7 +15,8 @@ formulated so that no square root is ever required there.
 
 ``clear_denominators`` is the exact layer's one common-denominator step
 from Fractions to ints, taken by the fraction-free (Bareiss) eliminations,
-the integer Laurent evaluation and the integer skew Gram.  The moment-table
+the integer Laurent evaluation, the exact walk (lsopkit.exact holds its
+integer kernels) and the integer skew Gram.  The moment-table
 route's per-index scaling (lsop.balanced_scaling) is a congruence, not a
 common denominator, and stays apart.
 """

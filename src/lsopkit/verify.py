@@ -440,18 +440,14 @@ def claim_orthonormality(ctx: _Context) -> Measured:
 def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
     # <q_2m|q_2n+1> tau_n/tau_{n+1} = delta_mn plus vanishing same-parity
     # pairings: exactly equivalent to orthonormality of the scaled family.
-    # clear_denominators gives L_a for member column a over both value
-    # tables and W for the weights, so the int
+    # monic_values gives member column a as ints over L_a at the nodes and
+    # the reciprocals, and clear_denominators the weights over W, so the int
     # S_ab = sum_k w_k (R_a Z_b - Z_a R_b) is W L_a L_b <q_a|q_b>; each test
     # compares ints, and a Fraction is built only for a nonzero deviation.
     # The pairing is exactly skew on exact tables (<f|f> = 0 and
     # <g|f> = -<f|g>), so each same-parity pair is computed once.
     n = ctx.cfg.order
-    node_rows, recip_rows = ctx.fv.monic_values()
-    size = len(node_rows)
-    cleared = [clear_denominators([row[a] for row in node_rows + recip_rows]) for a in range(2 * n)]
-    node = [ints[:size] for ints, _ in cleared]
-    recip = [ints[size:] for ints, _ in cleared]
+    node, recip, dens = ctx.fv.monic_values()
     # the exact weights the walk folded (a double-mode measure's are lifted)
     ws, wscale = clear_denominators([Fraction(w) for w in ctx.measure.weights])
     wnode = [list(map(mul, ws, col)) for col in node]
@@ -461,7 +457,7 @@ def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
     def deviation(a: int, b: int, target: int, scale: Scalar) -> Tuple[int, int]:
         """<q_a|q_b> scale - target as the numerator over the denominator."""
         pairing = sum(map(mul, wrecip[a], node[b])) - sum(map(mul, wnode[a], recip[b]))
-        den = wscale * cleared[a][1] * cleared[b][1] * scale.denominator
+        den = wscale * dens[a] * dens[b] * scale.denominator
         return pairing * scale.numerator - target * den, den
 
     worst = 0.0

@@ -22,6 +22,8 @@ from lsopkit.spectra import (CONVENTION_DIFFERENCE, ButterflyParams, build_butte
                              pencil_eigenvalues, pencil_residual, symplectic_pencil_check)
 from lsopkit.verify import RunConfig, run_verification
 
+from fraction_oracle import as_tables
+
 
 def _report(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number:02d} [{'pass' if ok else 'FAIL'}] {detail}")
@@ -89,7 +91,7 @@ def test_criterion_02_skew_orthonormality():
         # rational mode: exactly 0 / 1 through the scale-squared identity
         fam = random_family(seed, n, "rational")
         mr = fam.measure
-        node_vals, recip_vals = fam.monic_values()
+        node_vals, recip_vals = as_tables(*fam.monic_values())
         rec = fam.rec
         scales = rec.scale_squares()
         for a in range(n):

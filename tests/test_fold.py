@@ -5,8 +5,9 @@ weights are all positive and its folded nodes pairwise distinct, and walks
 the measure's exact rational image otherwise; the exact walk stays the
 oracle.  The suite compares the two at N = 4, 8 and 12 on the fixed
 high-order measure and five spread seeded measures.  The same comparison at
-N = 16, 20 and 24 on the fixed measure (about a minute, nearly all of it the
-exact walk) runs with
+N = 16, 20 and 24 on the fixed measure (about 20 s, most of it the exact
+walk of the measure's rational image, whose dyadic denominators run to
+2^52) runs with
 
     PYTHONPATH=src python tests/test_fold.py
 """
@@ -60,7 +61,8 @@ def fold_errors(m: DiscreteMeasure, n: int) -> dict:
     fold = evaluate_family(m, n)
     assert type(fold) is lsop._FloatFold
     walk = lsop._FoldedWalk(m, n)
-    orthonormal = [[p / Fraction(math.sqrt(walk.h[j])) for p in walk.p_values[j]] for j in range(n)]
+    orthonormal = [[p / Fraction(math.sqrt(h)) for p in values]
+                   for h, values in zip(walk.h, walk.p_values)]
     return {
         "a": max(abs(fold.a[j] / float(walk.a[j]) - 1) for j in range(n)),
         "b": max((abs(fold.b[j] / float(walk.b[j]) - 1) for j in range(1, n)), default=0.0),

@@ -8,10 +8,10 @@ it runs: beyond the parser's, gen-measure and lsop load lsop alone, pencil
 lsop, spectra and numerics, butterfly lsolp as well, solve-butterfly
 spectra and numerics but no family module, and only verify loads pfaffian
 and verify.  `import lsopkit.lsop` loads neither the Pfaffian nor the dense
-kernels, and `import lsopkit.spectra` no family module.  No subcommand
-loads `dataclasses` or the `inspect` module it imports: every record is a
-`typing.NamedTuple`.  `lsopkit.modes`, which every other module imports,
-loads no other lsopkit module.
+kernels nor the exact layer's integer kernels, and `import lsopkit.spectra`
+no family module.  No subcommand loads `dataclasses` or the `inspect`
+module it imports: every record is a `typing.NamedTuple`.  `lsopkit.modes`,
+which every other module imports, loads no other lsopkit module.
 """
 
 import importlib
@@ -129,9 +129,10 @@ def test_modes_imports_no_other_lsopkit_module():
 
 
 def test_lsop_loads_neither_the_pfaffian_nor_the_dense_kernels():
-    # only the moment-table route and the Hankel references run them
+    # only the moment-table route and the Hankel references run them, and
+    # only the exact walk and the exact coefficient family the integer kernels
     loaded = _loaded_by("lsop")
-    assert "lsopkit.pfaffian" not in loaded and "lsopkit.numerics" not in loaded
+    assert not {"lsopkit.pfaffian", "lsopkit.numerics", "lsopkit.exact"} & set(loaded)
 
 
 def test_spectra_loads_no_family_module():

@@ -7,14 +7,17 @@ from fractions import Fraction
 import pytest
 
 from lsopkit.errors import AdmissibilityError, DegeneracyError, StructureError
+from lsopkit.exact import hankel_minors
 from lsopkit.laurent import LaurentPoly
-from lsopkit.lsop import (evaluate_family, even_to_op, hankel_det, kodama_residuals,
+from lsopkit.lsop import (RecurrenceData, evaluate_family, even_to_op, hankel_det, kodama_residuals,
                           kodama_sops, lsop_via_recurrence, op_via_hankel, orthonormalize,
                           pfaffian_route, random_family, recurrence_from_measure,
                           shifted_hankel_det, skew_pattern_defect, support_gram,
                           support_pairing, verify_pfaffian_det)
 from lsopkit.moments import DiscreteMeasure, MomentTable, mu_moment, skew_inner
 from lsopkit.verify import RunConfig
+
+from fraction_oracle import as_tables
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])
 REF_TABLE = MomentTable.from_measure(REF, 1)
@@ -183,10 +186,10 @@ def test_family_gram_is_canonical():
 def test_exact_support_values_consistent():
     fam = random_family(18, 3, "rational")
     m = fam.measure
-    node_vals, recip_vals = fam.monic_values()
+    node_vals, recip_vals = as_tables(*fam.monic_values())
     qs = lsop_via_recurrence(fam.rec, 3)
     for k, z in enumerate(m.nodes):
-        for j in range(7):
+        for j in range(6):
             assert node_vals[k][j] == qs[j](z)
             assert recip_vals[k][j] == qs[j](1 / z)
 
@@ -290,6 +293,31 @@ def test_verify_pfaffian_det_exact_and_perturbed():
     assert not verify_pfaffian_det(rec, bad, 4).exact_match
 
 
+@pytest.mark.parametrize("case", [f"seed/{s}/{n}" for s in (7, 8, 22) for n in (1, 4, 6)]
+                         + ["c0-vanishes", "order-2-vanishes", "order-3-vanishes"])
+def test_one_elimination_gives_every_hankel_minor(case):
+    # every order's Hankel and shifted Hankel determinant from the one
+    # fraction-free elimination, against a pivoted dense_det each; the
+    # elimination stops at a zero pivot, and verify_pfaffian_det takes the
+    # orders past it from dense_det
+    kind, *rest = case.split("/")
+    if kind == "seed":
+        seed, n = map(int, rest)
+        cs = MomentTable.from_measure(random_family(seed, n, "rational").measure, n).c_list(2 * n)
+    else:
+        cs = {"c0-vanishes": [0, 1, 2, 3, 5, 7], "order-2-vanishes": [1, 2, 4, 3, 5, 7],
+              "order-3-vanishes": [1, 2, 3, 5, 8, 13, 21, Fraction(69, 2)]}[kind]
+        cs, n = [Fraction(x) for x in cs], len(cs) // 2
+    minors = hankel_minors(cs, n)
+    expected = [(hankel_det(cs, k), shifted_hankel_det(cs, k)) for k in range(n + 1)]
+    if kind == "seed":
+        assert minors == expected
+    else:
+        assert minors == expected[:len(minors)] and minors[-1][0] == 0 and len(minors) <= n
+    rec = RecurrenceData(n, (0,) * (n + 1), (0,) * (n + 1), *map(tuple, zip(*expected)))
+    assert verify_pfaffian_det(rec, cs, n).exact_match
+
+
 def test_kodama_construction():
     qs = kodama_sops([Fraction(0)], [Fraction(0)], 0)
     assert qs[0] == LaurentPoly.constant(1)
@@ -332,7 +360,7 @@ def test_support_gram_is_the_full_pairing_table(mode):
     # support_gram sums each pairing with b >= a once and negates it below the
     # diagonal; the full table sums every pairing
     nan, inf = float("nan"), float("inf")
-    tables = [(fv.measure.weights,) + (fv.monic_values() if mode == "rational" else
+    tables = [(fv.measure.weights,) + (as_tables(*fv.monic_values()) if mode == "rational" else
                                        (fv.qt_node, fv.qt_recip))
               for fv in (random_family(seed, order, mode) for seed in (1, 2) for order in (2, 4))]
     special = ([0.5, 1.5], [[1.0, nan, 2.0], [0.5, 3.0, inf]], [[2.0, 1.0, -1.0], [inf, 0.25, 1.0]])

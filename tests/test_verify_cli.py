@@ -15,6 +15,8 @@ from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import inf_norm
 from lsopkit.verify import CLAIMS, DEFAULT_TOLERANCES, RunConfig, run_verification
 
+from fraction_oracle import as_tables, fraction_columns, fraction_tables
+
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
@@ -140,13 +142,21 @@ def test_moved_monic_value_flags_exact_orthonormality(monkeypatch, member):
     monic_values = FamilyValues.monic_values
 
     def moved(fv):
-        node, recip = monic_values(fv)
-        node[1][member] += Fraction(1, 10**6)
-        return node, recip
+        # q_member(z_1) + 1/10^6: the member's columns over 10^6 times their
+        # denominator, and that denominator added at node 1
+        node, recip, den = monic_values(fv)
+        node[member] = [v * 10**6 for v in node[member]]
+        recip[member] = [v * 10**6 for v in recip[member]]
+        node[member][1] += den[member]
+        den[member] *= 10**6
+        return node, recip, den
 
     monkeypatch.setattr(FamilyValues, "monic_values", moved)
     fv = random_family(3, 4, "rational")
-    node, recip = fv.monic_values()
+    node, recip = as_tables(*fv.monic_values())
+    clean_node, clean_recip = fraction_tables(fv)
+    assert recip == clean_recip and node[1][member] - clean_node[1][member] == Fraction(1, 10**6)
+    assert sum(a != b for row, clean in zip(node, clean_node) for a, b in zip(row, clean)) == 1
     gram = support_gram(fv.measure.weights, node, recip)
     scales = fv.exact_rec.scale_squares()
     full = max(abs(float(v)) for a in range(4) for b in range(4)
@@ -192,7 +202,7 @@ def test_integer_gram_equals_fraction_pairings(monkeypatch, case):
     kind, k = case.split("/")
     fv = (random_family(int(k), 3 + int(k) % 4, "rational") if kind == "seed"
           else evaluate_family(_rational_fixed_measure(int(k))))
-    clean = FamilyValues.monic_values(fv)
+    clean = as_tables(*FamilyValues.monic_values(fv))
     n = fv.order
     moves = [None, ("node", 1, int(k) % (2 * n), Fraction(1, 10**6)),
              ("recip", n - 1, (3 * int(k)) % (2 * n), Fraction(-7, 3 * 10**5))]
@@ -202,7 +212,8 @@ def test_integer_gram_equals_fraction_pairings(monkeypatch, case):
         if move:
             table, row, col, delta = move
             (node if table == "node" else recip)[row][col] += delta
-        monkeypatch.setattr(FamilyValues, "monic_values", lambda self: (node, recip))
+        monkeypatch.setattr(FamilyValues, "monic_values",
+                            lambda self: fraction_columns(node, recip))
         ctx = verify._Context(RunConfig(seed=1, order=n, mode="rational"), fv.measure)
         ctx._cache["fv"] = (True, fv)
         got = verify._exact_orthonormality(ctx)
