@@ -32,7 +32,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 from .errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
 from .laurent import LaurentPoly
 from .lsop import FamilyValues, skew_pattern_defect, support_gram, support_pairing
-from .modes import is_exact
+from .modes import is_exact, validated_make
 from .moments import DiscreteMeasure, skew_inner
 from .numerics import dot, nan_max
 from .spectra import family_vector_order
@@ -58,9 +58,7 @@ class GaugeParams(_Gauge):
             raise AdmissibilityError("gauge scalings r_n must be nonzero")
         return super().__new__(cls, r, lam)
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace validates its copy
-        return cls(*fields)
+    _make = classmethod(validated_make)
 
     @staticmethod
     def trivial(n: int) -> "GaugeParams":

@@ -10,7 +10,7 @@ Two independent routes build the same monic family {q_n}:
   d_i d_j mu_{j-i} (balanced_scaling), which gives every row from one
   unpivoted fraction-free elimination; the rows that elimination does not
   reach, those past a vanishing tau and every row of a float table, take
-  one pivoted Pfaffian per minor (bordered_pfaffian);
+  one pivoted Pfaffian per minor of a sub-table (bordered_pfaffian);
 * the recurrence route: q_0 = 1, q_1 = z, then the two coupled relations
 
       z (q_2n   - beta_n  q_2n-2) = q_2n+1 - alpha_n q_2n
@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import (AdmissibilityError, DegeneracyError, GenerationError, LsopkitError,
                      StructureError)
 from .laurent import LaurentPoly
-from .modes import Scalar, clear_denominators, is_exact, validate_mode
+from .modes import Scalar, clear_denominators, is_exact, validate_mode, validated_make
 from .moments import DiscreteMeasure, MomentTable
 
 # pfaffian and numerics are imported by the functions that run them (the
@@ -101,9 +101,7 @@ class RecurrenceData(_Coefficients):
             raise ValueError("conventions violated: alpha_0 = sigma_0 = 0, tau_0 = 1")
         return super().__new__(cls, order, alpha, beta, tau, sigma)
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace validates its copy
-        return cls(*fields)
+    _make = classmethod(validated_make)
 
     def is_admissible(self) -> bool:
         """tau_n > 0 for all n <= order, equivalently beta_n > 0 inside."""
@@ -246,11 +244,12 @@ def balanced_scaling(mu: MomentTable, n: int) -> Tuple[int, ...]:
 def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
     """q_0..q_n, and tau and sigma through n // 2, of a moment table.
 
-    An exact table gives its rows from one pf_leading_borders elimination of
-    the int table d_i d_j mu_{j-i} (balanced_scaling).  The rows it does not
-    reach, those past a vanishing tau and every row of a float table, take
-    bordered_pfaffian's pivoted Pfaffian per minor, of that int table or of
-    the float moment table.
+    The route table is the int table d_i d_j mu_{j-i} (balanced_scaling) of
+    an exact moment table, and the float moment table itself otherwise.  An
+    exact one gives its rows from one pf_leading_borders elimination; the
+    rows it does not reach, those past a vanishing tau and every row of a
+    float one, take bordered_pfaffian's pivoted Pfaffian per minor of a
+    sub-table of the route table.
     """
     from .pfaffian import SkewArray, pf_leading_borders
 
@@ -260,13 +259,14 @@ def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
     if mu.exact:
         d = balanced_scaling(mu, n)
         lag = [(v.numerator, v.denominator) for v in map(mu.mu_at, range(n + 1))]
-        ints = SkewArray.from_entry_fn(
+        table = SkewArray.from_entry_fn(
             n + 1, lambda i, j: lag[j - i][0] * (d[i] * d[j] // lag[j - i][1]))
-        rows = [LaurentPoly(dict(enumerate(row))) for row in pf_leading_borders(ints)[0]]
+        rows = [LaurentPoly(dict(enumerate(row))) for row in pf_leading_borders(table)[0]]
+    else:
+        table = moment_skew_array(mu, range(n + 1))
     for i in range(len(rows), n + 1):
         exponents = list(range(2 * (i // 2))) + [i]
-        table = moment_skew_array(mu, exponents) if d is None else ints.submatrix(exponents)
-        rows.append(bordered_pfaffian(table, exponents))
+        rows.append(bordered_pfaffian(table.submatrix(exponents), exponents))
     return PfaffianRoute(rows=tuple(rows), d=d)
 
 

@@ -18,7 +18,8 @@ from Fractions to ints, taken by the fraction-free (Bareiss) eliminations,
 the integer Laurent evaluation, the exact walk (lsopkit.exact holds its
 integer kernels) and the integer skew Gram.  The moment-table
 route's per-index scaling (lsop.balanced_scaling) is a congruence, not a
-common denominator, and stays apart.
+common denominator, and stays apart.  ``validated_make`` is the ``_make``
+of every record whose ``__new__`` validates its fields.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ def validate_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"unknown scalar mode {mode!r}; expected one of {MODES}")
     return mode
+
+
+def validated_make(cls, fields):
+    """cls(*fields): as a record's _make, sends the copy _replace builds
+    through the record's validating __new__."""
+    return cls(*fields)
 
 
 def is_exact(x: object) -> bool:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, homogeneous, int_power
-from .modes import Scalar, is_exact
+from .modes import Scalar, is_exact, validated_make
 
 
 class _Support(NamedTuple):
@@ -62,9 +62,7 @@ class DiscreteMeasure(_Support):
                         raise ValueError(f"nodes {zi} and {zj} are reciprocal")
         return super().__new__(cls, nodes, weights)
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace validates its copy
-        return cls(*fields)
+    _make = classmethod(validated_make)
 
     @property
     def size(self) -> int:

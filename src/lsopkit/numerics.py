@@ -19,7 +19,7 @@ from itertools import repeat
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import ConvergenceError, DimensionError
-from .modes import Scalar, clear_denominators, is_exact
+from .modes import Scalar, clear_denominators, is_exact, validated_make
 
 Matrix = List[List[Scalar]]
 
@@ -284,9 +284,7 @@ class SymTridiag(_Tridiag):
             raise ValueError("tridiagonal entries must be finite")
         return super().__new__(cls, diag, offdiag)
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace validates its copy
-        return cls(*fields)
+    _make = classmethod(validated_make)
 
     @property
     def size(self) -> int:

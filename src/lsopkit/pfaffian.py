@@ -34,12 +34,17 @@ the int table D A D).
 ``minor_identity`` evaluates the two minor identities that relate a
 Pfaffian bordered by four extra indices to three-fold products of smaller
 Pfaffians (the even identity fixes an even-cardinality base set, the odd
-identity an odd one).  A float table takes pf_indices per Pfaffian.  An
-exact table is scaled to ints once, and each of the eight Pfaffians is its
-own pivoted fraction-free elimination of an int sub-table: sharing one
-elimination, or a Schur complement, would make the identity hold by
-construction.  Both sides carry the factor L^(|base|+2), so the residual
-is one int difference and each product one Fraction.
+identity an odd one).  The table's working rows are taken once, and each
+of the eight Pfaffians is its own pivoted elimination of a sub-table of
+them: sharing one elimination, or a Schur complement, would make the
+identity hold by construction.  On an exact table both sides carry the
+factor L^(|base|+2), so the residual is one int difference and each
+product one Fraction.
+
+_working_rows is the one place that tests a table's scalar type: it
+returns the int rows of L*A and L, or float copies of the rows and None,
+and every operation after it reads those rows alike up to the final
+scaling; only _eliminate picks its update rule by the scale.
 """
 
 from __future__ import annotations
@@ -128,7 +133,7 @@ def pf_expand(s: SkewArray) -> Scalar:
             f"expansion refused for size {s.size} > cap {EXPANSION_CAP}; use pf_eliminate instead"
         )
     rows, scale = _working_rows(s)
-    entry = s.entry if scale is None else (lambda i, j: rows[i][j] if i < j else -rows[j][i])
+    entry = lambda i, j: rows[i][j] if i < j else -rows[j][i]
 
     @lru_cache(maxsize=None)
     def rec(indices: Tuple[int, ...]) -> Scalar:
@@ -171,10 +176,8 @@ def pf_eliminate(s: SkewArray) -> Scalar:
         return 1
     m, scale = _working_rows(s)
     sign, last = _eliminate(m, n, scale)
-    if sign == 0:
-        return 0
-    if scale is None:
-        return last if sign > 0 else -last
+    if sign == 0 or scale is None:
+        return sign * last
     return Fraction(sign * last, scale ** (n // 2))
 
 
@@ -239,9 +242,10 @@ def minor_identity(s: SkewArray, base: Sequence[int], extra: Sequence[int],
     odd:  LHS = Pf(base,a,b,c) Pf(base,d), RHS = Pf(base,a,b,d) Pf(base,c)
           - Pf(base,a,c,d) Pf(base,b) + Pf(base,b,c,d) Pf(base,a).
 
-    On an exact table each Pfaffian of k indices is L^(k/2) times itself,
-    eliminated from the int sub-table of L*A, and the residual and each
-    product are one Fraction over L^(|base|+2).
+    Each Pfaffian is one pivoted elimination of a sub-table of the working
+    rows (_working_rows), in both modes; on an exact table a Pfaffian of k
+    indices is L^(k/2) times itself, and the residual and each product are
+    one Fraction over L^(|base|+2).
     """
     if parity not in _MINOR_IDENTITIES:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -252,18 +256,15 @@ def minor_identity(s: SkewArray, base: Sequence[int], extra: Sequence[int],
         raise DimensionError(f"{parity} identity needs an {parity} base set, got {len(base)} indices")
     (left, right), products = _MINOR_IDENTITIES[parity]
     rows, scale = _working_rows(s)
-    if scale is None:
-        pf = lambda pos: pf_indices(s, base + [extra[i] for i in pos])
-    else:
-        ints = SkewArray._of_rows(rows)
+    work = SkewArray._of_rows(rows)
 
-        def pf(pos: Sequence[int]) -> int:
-            idx = base + [extra[i] for i in pos]
-            sub = ints.submatrix(idx)
-            if len(set(idx)) != len(idx):
-                return 0
-            sign, last = _eliminate(sub.rows, len(idx), scale)
-            return sign * last
+    def pf(pos: Sequence[int]) -> Scalar:
+        idx = base + [extra[i] for i in pos]
+        sub = work.submatrix(idx)
+        if len(set(idx)) != len(idx):
+            return 0
+        sign, last = _eliminate(sub.rows, len(idx), scale)
+        return sign * last
 
     lhs = pf(left) * pf(right)
     first, second, third = (pf(p) * pf(q) for p, q in products)
@@ -293,7 +294,7 @@ def _eliminate(m: List[List[Scalar]], n: int, scale: Optional[int]) -> Tuple[int
     """n // 2 pivoted 2x2 steps in place over the indices 0..n-1 of the rows m: by
     division on float rows (scale None), fraction-free on int rows
     (_bareiss_step).  The swaps' sign (0 when a step finds no nonzero entry)
-    and the float pivots' product or the last int pivot."""
+    and the float pivots' product or the last int pivot (1 when n is 0)."""
     sign = 1
     result = None  # float route: running product, seeded by the first pivot to keep the scalar type
     prev = 1  # exact route: the previous pivot, which divides every update exactly
@@ -329,7 +330,7 @@ def _eliminate(m: List[List[Scalar]], n: int, scale: Optional[int]) -> Tuple[int
         else:
             _bareiss_step(m, k, n, a, prev)
             prev = a
-    return sign, (result if scale is None else prev)
+    return sign, (prev if result is None else result)
 
 
 def _bareiss_step(m: List[List[int]], k: int, n: int, a: int, prev: int) -> None:

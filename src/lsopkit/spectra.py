@@ -29,6 +29,7 @@ import math
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from .errors import AdmissibilityError, DimensionError
+from .modes import validated_make
 from .numerics import (Matrix, SymTridiag, dense_eigs, identity, inf_norm, mat_mul,
                        mat_sub, mat_vec, max_abs_diff, nan_max, solve_columns, sort_complex,
                        spectra_distance, sym_tridiag_eigs, transpose, zeros)
@@ -277,9 +278,7 @@ class ButterflyParams(_Quadruples):
             raise AdmissibilityError("butterfly parameters a_i must be nonzero")
         return super().__new__(cls, a, b, c, d)
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace validates its copy
-        return cls(*fields)
+    _make = classmethod(validated_make)
 
     @property
     def order(self) -> int:
@@ -311,24 +310,6 @@ def butterfly_params(rec: RecurrenceData, g: GaugeParams,
     d = [float(g.r[i]) * float(g.r[i + 1]) * math.sqrt(float(rec.beta[i + 1]))
          for i in range(n - 1)]
     return ButterflyParams(a=tuple(a), b=tuple(b), c=tuple(c), d=tuple(d))
-
-
-def butterfly_inverse_params(bp: ButterflyParams) -> Tuple[List[float], List[float], List[float], List[float]]:
-    """Recover (alpha, beta, r^2, lambda) from the quadruples.
-
-    alpha is the cumulative sum of gamma_i = a_i c_i + b_i with alpha_0 = 0;
-    beta_{i+1} = d_{i+1}^2 a_i a_{i+1}; r is determined up to sign, so the
-    squares are returned.
-    """
-    n = bp.order
-    r2 = [1.0 / bp.a[i] for i in range(n)]
-    lam = list(bp.b)
-    gamma = [bp.a[i] * bp.c[i] + bp.b[i] for i in range(n)]
-    alpha = [0.0]
-    for i in range(n):
-        alpha.append(alpha[-1] + gamma[i])
-    beta = [0.0] + [bp.d[i] ** 2 * bp.a[i] * bp.a[i + 1] for i in range(n - 1)] + [0.0]
-    return alpha, beta[: n + 1], r2, lam
 
 
 def butterfly_from_params(bp: ButterflyParams) -> Matrix:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from numbers import Real
 from operator import mul
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
@@ -41,7 +42,7 @@ from .lsop import (FamilyValues, PfaffianRoute, RecurrenceData, evaluate_family,
                    even_to_op, folded_support, kodama_residuals, kodama_sops, lsop_via_recurrence,
                    op_via_hankel, pfaffian_route, random_family, skew_pattern_defect,
                    verify_pfaffian_det)
-from .modes import Scalar, clear_denominators, validate_mode
+from .modes import Scalar, clear_denominators, validate_mode, validated_make
 from .moments import DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment, skew_inner
 from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, nan_max, spectra_distance,
                        sym_tridiag_eigs)
@@ -69,8 +70,9 @@ class _RunFields(NamedTuple):
 class RunConfig(_RunFields):
     """One verification run: seed, family order, scalar mode, tolerances.
 
-    tolerances holds a read-only copy of the overrides passed in, so a later
-    edit of the caller's dict can neither change the run nor skip the checks."""
+    tolerances holds a read-only copy of the overrides passed in, each as a
+    float, so a later edit of the caller's dict can neither change the run
+    nor skip the checks."""
 
     __slots__ = ()
 
@@ -79,18 +81,19 @@ class RunConfig(_RunFields):
         if order < 1:
             raise ValueError("order must be >= 1")
         validate_mode(mode)
-        tolerances = MappingProxyType(dict(tolerances or {}))
-        for name, value in tolerances.items():
+        checked = {}
+        for name, value in (tolerances or {}).items():
             if name not in DEFAULT_TOLERANCES:
                 known = ", ".join(sorted(DEFAULT_TOLERANCES))
                 raise ValueError(f"unknown tolerance {name!r}; known names: {known}")
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"tolerance {name} must be a real number, got {value!r}")
             if not 0 < value < math.inf:
                 raise ValueError(f"tolerance {name} must be positive and finite")
-        return super().__new__(cls, seed, order, mode, tolerances)
+            checked[name] = float(value)
+        return super().__new__(cls, seed, order, mode, MappingProxyType(checked))
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace validates its copy
-        return cls(*fields)
+    _make = classmethod(validated_make)
 
     def tolerance(self, claim_id: str) -> float:
         return self.tolerances.get(claim_id, DEFAULT_TOLERANCES[claim_id])
@@ -187,6 +190,8 @@ class _Context:
             measure, self._cache["fv"] = family.measure, (True, family)
         if measure.size < cfg.order:
             raise ValueError(f"measure has {measure.size} nodes, need {cfg.order}")
+        if self.exact and not measure.is_exact():
+            raise ValueError("a rational-mode run needs an exact (int/Fraction) measure")
         self.measure = measure
         cap = COEFF_ORDER_CAP_EXACT if self.exact else COEFF_ORDER_CAP_DOUBLE
         self.coeff_order = min(cfg.order, cap)
@@ -448,8 +453,7 @@ def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
     # <g|f> = -<f|g>), so each same-parity pair is computed once.
     n = ctx.cfg.order
     node, recip, dens = ctx.fv.monic_values()
-    # the exact weights the walk folded (a double-mode measure's are lifted)
-    ws, wscale = clear_denominators([Fraction(w) for w in ctx.measure.weights])
+    ws, wscale = clear_denominators(ctx.measure.weights)
     wnode = [list(map(mul, ws, col)) for col in node]
     wrecip = [list(map(mul, ws, col)) for col in recip]
     scales = ctx.fv.exact_rec.scale_squares()

@@ -6,8 +6,8 @@ run_verification(RunConfig(seed=s, order=n, mode=m)).render() for seeds
 1-10, orders 1-8 and both modes.  All were last recorded when
 butterfly-gauge-invariance became the explicit gauge similarity and
 pencil-symplecticity the exact block check; every other claim record stayed
-byte for byte.  The suite checks orders 1-5; the whole grid (about a minute)
-runs with
+byte for byte.  Every record flagged exact must read residual 0.  The
+suite checks orders 1-5; the whole grid (about a minute) runs with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -55,8 +55,10 @@ CLI_COMMANDS = ("gen-measure", "lsop", "pencil", "butterfly", "solve-butterfly")
 
 
 def _digest(seed: int, order: int, mode: str) -> str:
-    text = run_verification(RunConfig(seed=seed, order=order, mode=mode)).render()
-    return hashlib.sha256(text.encode()).hexdigest()
+    report = run_verification(RunConfig(seed=seed, order=order, mode=mode))
+    inexact = [c.claim_id for c in report.claims if c.exact and c.residual != 0]
+    assert not inexact, f"{mode}/{order}/{seed}: exact records with a nonzero residual: {inexact}"
+    return hashlib.sha256(report.render().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("mode", MODES)

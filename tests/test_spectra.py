@@ -23,9 +23,8 @@ from lsopkit.numerics import (SymTridiag, dense_eigs, inf_norm, mat_mul, mat_sub
                               sym_tridiag_eigs)
 from lsopkit.spectra import (CONVENTION_DIFFERENCE, CONVENTION_PLAIN, ButterflyParams,
                              build_butterfly, build_pencil, build_tridiagonal,
-                             butterfly_from_params, butterfly_inverse_params,
-                             butterfly_params, butterfly_to_tridiagonal, canonical_z_list,
-                             determine_diagonal_convention, eig_correspondence,
+                             butterfly_from_params, butterfly_params, butterfly_to_tridiagonal,
+                             canonical_z_list, determine_diagonal_convention, eig_correspondence,
                              gauge_similarity_defect, inversion_closure_defect, pencil_eigenvalues,
                              pencil_from_recurrence, pencil_residual, pencil_symplecticity,
                              symplectic_pencil_check, transfer_matrix)
@@ -337,14 +336,19 @@ def test_butterfly_parameter_roundtrip():
     rec = random_family(64, 4, "double").rec
     g = random_gauge(rng, 4)
     bp = butterfly_params(rec, g)
-    alpha, beta, r2, lam = butterfly_inverse_params(bp)
+    # a and b carry 1/r^2 and lambda; the tridiagonal reduction carries
+    # gamma_i = alpha_i+1 - alpha_i and sqrt(beta_i+1)
+    t = butterfly_to_tridiagonal(bp)
+    alpha = [0.0]
+    for gamma in t.diag:
+        alpha.append(alpha[-1] + gamma)
     for a, b in zip(alpha, rec.alpha):
         assert a == pytest.approx(float(b), rel=1e-10, abs=1e-10)
-    for a, b in zip(beta, rec.beta):
-        assert a == pytest.approx(float(b), rel=1e-10, abs=1e-10)
-    for a, r in zip(r2, g.r):
-        assert a == pytest.approx(r * r, rel=1e-12)
-    assert tuple(lam) == g.lam
+    for off, b in zip(t.offdiag, rec.beta[1:]):
+        assert off * off == pytest.approx(float(b), rel=1e-10, abs=1e-10)
+    for a, r in zip(bp.a, g.r):
+        assert 1.0 / a == pytest.approx(r * r, rel=1e-12)
+    assert bp.b == g.lam
 
 
 def test_butterfly_param_validation():

@@ -31,6 +31,23 @@ def test_run_config_validation():
         RunConfig(tolerances={"unit-modulus-pairs": math.inf})
 
 
+@pytest.mark.parametrize("value", [True, False, "1e-3", None, 1j])
+def test_run_config_refuses_non_real_tolerances(value):
+    with pytest.raises(ValueError, match="must be a real number"):
+        RunConfig(tolerances={"skew-orthonormality": value})
+
+
+def test_tolerance_overrides_are_stored_as_floats():
+    cfg = RunConfig(tolerances={"skew-orthonormality": Fraction(1, 8), "butterfly-spectrum": 2})
+    assert dict(cfg.tolerances) == {"skew-orthonormality": 0.125, "butterfly-spectrum": 2.0}
+    assert all(type(v) is float for v in cfg.tolerances.values())
+    doc = run_verification(cfg._replace(order=1)).document()
+    assert doc["environment"]["tolerance_overrides"] == {"butterfly-spectrum": 2.0,
+                                                        "skew-orthonormality": 0.125}
+    records = {r["id"]: r for r in doc["claims"]}
+    assert type(records["skew-orthonormality"]["tolerance"]) is float
+
+
 def test_every_claim_has_default_tolerance():
     ids = [cid for cid, _ in CLAIMS]
     assert len(ids) == len(set(ids)) == 32
@@ -93,6 +110,19 @@ def test_rational_run_exact_claims_zero():
             assert c.exact and c.residual == 0.0, c.claim_id
         if c.claim_id == "butterfly-gauge-invariance":
             assert c.residual <= 1e-13
+
+
+def test_rational_run_refuses_a_binary64_measure():
+    # toleranced float residuals would be reported exact; its exact twin runs
+    nodes, weights = [2.0, 3.0, 4.5], [0.5, 0.7, 0.2]
+    cfg = RunConfig(seed=1, order=3, mode="rational")
+    with pytest.raises(ValueError, match="needs an exact"):
+        run_verification(cfg, DiscreteMeasure(nodes, weights))
+    twin = DiscreteMeasure([Fraction(z) for z in nodes], [Fraction(w) for w in weights])
+    rep = run_verification(cfg, twin)
+    exact = [c for c in rep.claims if c.exact]
+    assert exact and all(c.residual == 0 for c in exact), [c.claim_id for c in exact if c.residual]
+    assert "skew-orthonormality" in {c.claim_id for c in exact}
 
 
 def test_double_run_within_tolerances():
