@@ -82,9 +82,6 @@ class LaurentPoly:
             acc[k] = acc.get(k, 0) - c
         return LaurentPoly(acc)
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self.coeffs.items()})
-
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             acc: Dict[int, Scalar] = {}

@@ -85,10 +85,6 @@ class LsolpFamily(NamedTuple):
     node_values: Tuple[Tuple[float, ...], ...]
     recip_values: Tuple[Tuple[float, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return 2 * self.order
-
     def pairing(self, a: int, b: int) -> float:
         return support_pairing(self.measure.weights, self.node_values, self.recip_values, a, b)
 

@@ -61,10 +61,6 @@ class PencilPair(NamedTuple):
     u: Matrix
     v: Matrix
 
-    @property
-    def size(self) -> int:
-        return len(self.u)
-
 
 def _require_positive_beta(rec: RecurrenceData) -> None:
     for k in range(1, rec.order):

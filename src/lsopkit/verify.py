@@ -4,16 +4,17 @@ Every structural statement the package relies on is checked here against
 an independent route (exact expansion, alternative construction, direct
 summation, dense eigensolver) and reported as one record: claim id, the
 convention under which the statement holds, the measured residual, the
-tolerance applied, and pass/flag status.  Exact-arithmetic claims report
-residual 0 with the exact flag set when run in rational mode.
+tolerance applied, pass/flag status and the exact flag.
 
 Each claim is declared once, in the suite table _SUITE at the end of this
-module: its id, its default tolerance and its claim function, in report
-order.  CLAIMS and DEFAULT_TOLERANCES are derived from that table.  A claim
-function returns only what it measured, a Measured (residual, summary,
-convention, exact flag); run_verification looks up the tolerance, decides
-the status (residual == 0 under a zero tolerance, residual <= tolerance
-otherwise) and builds every record, that of an aborted claim included.
+module: its id, its default tolerance, the modes in which it compares in
+exact arithmetic and its claim function, in report order.  CLAIMS and
+DEFAULT_TOLERANCES are derived from that table.  A claim function returns
+only what it measured, a Measured (residual, summary, convention);
+run_verification alone decides the status and the exact flag and builds
+every record, that of an aborted claim included.  In one of its exact modes
+a claim passes only at residual 0, and its record is exact exactly when it
+passes; in any other mode it passes at residual <= tolerance.
 
 Where the source conventions are ambiguous the suite does not guess: it
 measures both candidates and records the winner (see the pencil layout and
@@ -100,13 +101,12 @@ class RunConfig(_RunFields):
 
 
 class Measured(NamedTuple):
-    """What one claim function measured.  The claim's id, tolerance and
-    status are run_verification's business."""
+    """What one claim function measured.  The claim's id, tolerance, status
+    and exact flag are run_verification's business."""
 
     residual: float
     summary: str
     convention: str = ""
-    exact: bool = False
 
 
 class ClaimResult(NamedTuple):
@@ -188,7 +188,7 @@ class _Context:
         if measure is None:
             family = random_family(cfg.seed, cfg.order, cfg.mode)
             measure, self._cache["fv"] = family.measure, (True, family)
-        if measure.size < cfg.order:
+        if measure.size != cfg.order:
             raise ValueError(f"measure has {measure.size} nodes, need {cfg.order}")
         if self.exact and not measure.is_exact():
             raise ValueError("a rational-mode run needs an exact (int/Fraction) measure")
@@ -251,8 +251,9 @@ class _Context:
 
 
 def _residual(ctx: _Context, size: float, scale: Scalar = 1.0) -> float:
-    """Residual of one comparison: its size in rational mode, where only an
-    exact match passes, and its size relative to max(1, |scale|) in double."""
+    """Residual of one comparison: its size in rational mode, where the
+    claims that call this compare exactly and pass only at 0, and its size
+    relative to max(1, |scale|) in double."""
     return size if ctx.exact else size / max(1.0, abs(float(scale)))
 
 
@@ -267,15 +268,13 @@ def _random_skew(ctx: _Context, rng: random.Random, size: int) -> SkewArray:
 def claim_pfaffian_routes(ctx: _Context) -> Measured:
     rng = ctx.rng(11)
     worst = 0.0
-    exact_all = ctx.exact
     for size in range(0, 11, 2):
         for _ in range(5):
             s = _random_skew(ctx, rng, size)
             a = pf_eliminate(s)
             b = pf_expand(s)
             worst = nan_max(worst, _residual(ctx, abs(float(a - b)), b))
-    return Measured(worst, "elimination equals recursive expansion on sizes 0..10",
-                    exact=exact_all)
+    return Measured(worst, "elimination equals recursive expansion on sizes 0..10")
 
 
 def claim_pfaffian_determinant(ctx: _Context) -> Measured:
@@ -287,8 +286,7 @@ def claim_pfaffian_determinant(ctx: _Context) -> Measured:
             pf = pf_eliminate(s)
             det = dense_det(s.dense())
             worst = nan_max(worst, _residual(ctx, abs(float(pf * pf - det)), det))
-    return Measured(worst, "squared Pfaffian equals the dense determinant, sizes 2..8",
-                    exact=ctx.exact)
+    return Measured(worst, "squared Pfaffian equals the dense determinant, sizes 2..8")
 
 
 def claim_minor_identity_even(ctx: _Context) -> Measured:
@@ -312,8 +310,7 @@ def _minor_identity(ctx: _Context, parity: str, offset: int, base_size_of) -> Me
                                          range(base_size, base_size + 4), parity)
         scale = max(abs(float(p)) for p in products)
         worst = nan_max(worst, _residual(ctx, float(resid), scale))
-    return Measured(worst, f"{parity}-base bordered-minor identity on 50 seeded tables",
-                    exact=ctx.exact)
+    return Measured(worst, f"{parity}-base bordered-minor identity on 50 seeded tables")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +334,7 @@ def claim_sign_convention(ctx: _Context) -> Measured:
     return Measured(worst_ours,
                     "moment-table entry <z^i|z^j> equals mu_{j-i}; the opposite "
                     f"sign misses by {worst_flipped:.3e}",
-                    convention=convention, exact=ctx.exact and worst_ours == 0)
+                    convention=convention)
 
 
 def claim_shift_invariance(ctx: _Context) -> Measured:
@@ -349,8 +346,7 @@ def claim_shift_invariance(ctx: _Context) -> Measured:
         lhs = skew_inner(m, LaurentPoly.monomial(i + k), LaurentPoly.monomial(j + k))
         rhs = skew_inner(m, LaurentPoly.monomial(i), LaurentPoly.monomial(j))
         worst = nan_max(worst, _residual(ctx, abs(float(lhs - rhs)), rhs))
-    return Measured(worst, "pairings of monomials depend only on the exponent difference",
-                    exact=ctx.exact)
+    return Measured(worst, "pairings of monomials depend only on the exponent difference")
 
 
 def claim_argument_symmetry(ctx: _Context) -> Measured:
@@ -363,8 +359,7 @@ def claim_argument_symmetry(ctx: _Context) -> Measured:
         lhs = skew_inner(m, f, g)
         rhs = skew_inner(m, g.reciprocal_arg(), f.reciprocal_arg())
         worst = nan_max(worst, _residual(ctx, abs(float(lhs - rhs)), lhs))
-    return Measured(worst, "<f(z)|g(z)> equals <g(1/z)|f(1/z)> for random Laurent polynomials",
-                    exact=ctx.exact)
+    return Measured(worst, "<f(z)|g(z)> equals <g(1/z)|f(1/z)> for random Laurent polynomials")
 
 
 def _random_laurent(ctx: _Context, rng: random.Random) -> LaurentPoly:
@@ -380,8 +375,7 @@ def claim_moment_roundtrip(ctx: _Context) -> Measured:
     for n in range(1, n_hi + 1):
         diff = mus[n - 1] - mu_moment(m, n)
         worst = nan_max(worst, _residual(ctx, abs(float(diff)), mus[n - 1]))
-    return Measured(worst, "binomial transform of folded moments reproduces the skew moments",
-                    exact=ctx.exact)
+    return Measured(worst, "binomial transform of folded moments reproduces the skew moments")
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +390,7 @@ def claim_route_agreement(ctx: _Context) -> Measured:
         diff = ctx.pfaffian_route.member(k) - qs[k]
         worst = nan_max(worst, _residual(ctx, diff.max_abs_coeff(), qs[k].max_abs_coeff()))
     return Measured(worst,
-                    f"moment-minor and recurrence constructions agree through degree {2 * n}",
-                    exact=ctx.exact)
+                    f"moment-minor and recurrence constructions agree through degree {2 * n}")
 
 
 def claim_odd_normalization(ctx: _Context) -> Measured:
@@ -405,19 +398,17 @@ def claim_odd_normalization(ctx: _Context) -> Measured:
     for k in range(ctx.cfg.order):
         c = ctx.qs[2 * k + 1].coeff(2 * k)
         worst = nan_max(worst, abs(float(c)))
-    return Measured(worst, "odd members carry no subleading (one-below-top) term", exact=True)
+    return Measured(worst, "odd members carry no subleading (one-below-top) term")
 
 
 def claim_self_reciprocity(ctx: _Context) -> Measured:
     worst = 0.0
-    exact_ok = True
     for k in range(ctx.cfg.order + 1):
         q = ctx.qs[2 * k]
         for e, c in q.coeffs.items():
             diff = q.coeff(2 * k - e) - c
-            exact_ok = exact_ok and diff == 0
             worst = nan_max(worst, _residual(ctx, abs(float(diff)), q.max_abs_coeff()))
-    return Measured(worst, "even members are self-reciprocal", exact=ctx.exact and exact_ok)
+    return Measured(worst, "even members are self-reciprocal")
 
 
 def claim_top_factorization(ctx: _Context) -> Measured:
@@ -428,21 +419,18 @@ def claim_top_factorization(ctx: _Context) -> Measured:
     for z in m.nodes:
         prod = prod * LaurentPoly({1: one, 0: -z}) * LaurentPoly({1: one, 0: -1 / z})
     worst = _residual(ctx, (ctx.qs[2 * n] - prod).max_abs_coeff(), prod.max_abs_coeff())
-    return Measured(worst, "the first member beyond the family vanishes on nodes and reciprocals",
-                    exact=ctx.exact)
+    return Measured(worst, "the first member beyond the family vanishes on nodes and reciprocals")
 
 
 def claim_orthonormality(ctx: _Context) -> Measured:
     if ctx.exact:
-        worst, exact_ok = _exact_orthonormality(ctx)
-        return Measured(worst,
-                        "scaled family pairs to the canonical skew pattern (exact identity)",
-                        exact=exact_ok)
+        return Measured(_exact_orthonormality(ctx),
+                        "scaled family pairs to the canonical skew pattern (exact identity)")
     return Measured(skew_pattern_defect(ctx.fv.gram()),
                     "orthonormal family pairs to the canonical skew pattern on the support")
 
 
-def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
+def _exact_orthonormality(ctx: _Context) -> float:
     # <q_2m|q_2n+1> tau_n/tau_{n+1} = delta_mn plus vanishing same-parity
     # pairings: exactly equivalent to orthonormality of the scaled family.
     # monic_values gives member column a as ints over L_a at the nodes and
@@ -465,7 +453,6 @@ def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
         return pairing * scale.numerator - target * den, den
 
     worst = 0.0
-    ok = True
     for a in range(n):
         for b in range(n):
             devs = [deviation(2 * a, 2 * b + 1, int(a == b), scales[b])]
@@ -473,9 +460,8 @@ def _exact_orthonormality(ctx: _Context) -> Tuple[float, bool]:
                 devs += (deviation(2 * a, 2 * b, 0, 1), deviation(2 * a + 1, 2 * b + 1, 0, 1))
             for num, den in devs:
                 if num != 0:
-                    ok = False
                     worst = nan_max(worst, abs(float(Fraction(num, den))))
-    return worst, ok
+    return worst
 
 
 def claim_folded_reduction(ctx: _Context) -> Measured:
@@ -487,8 +473,7 @@ def claim_folded_reduction(ctx: _Context) -> Measured:
         via_hankel = op_via_hankel(cs, k)
         diff = via_fold - via_hankel
         worst = nan_max(worst, _residual(ctx, diff.max_abs_coeff(), via_hankel.max_abs_coeff()))
-    return Measured(worst, "peeling even members to w = z + 1/z matches the Hankel construction",
-                    exact=ctx.exact)
+    return Measured(worst, "peeling even members to w = z + 1/z matches the Hankel construction")
 
 
 def claim_folded_orthogonality(ctx: _Context) -> Measured:
@@ -505,8 +490,7 @@ def claim_folded_orthogonality(ctx: _Context) -> Measured:
                     v += values[a] * values[b] * weight
                 if v != 0:
                     worst = nan_max(worst, abs(float(v)))
-        return Measured(worst, "reduced members are orthogonal under the folded functional",
-                        exact=True)
+        return Measured(worst, "reduced members are orthogonal under the folded functional")
     # double mode: the normalized folded Gram from the value tables,
     # r_n(x_k) = qt_2n(z_k) / z_k^n, must be the identity
     n = ctx.cfg.order
@@ -539,7 +523,7 @@ def claim_three_term(ctx: _Context) -> Measured:
     return Measured(worst,
                     "reduced members satisfy the three-term recurrence with "
                     "difference diagonal and beta off-diagonal",
-                    convention="diagonal-difference-of-alphas", exact=ctx.exact)
+                    convention="diagonal-difference-of-alphas")
 
 
 def claim_pfaffian_hankel(ctx: _Context) -> Measured:
@@ -555,8 +539,7 @@ def claim_pfaffian_hankel(ctx: _Context) -> Measured:
     rep = verify_pfaffian_det(rec_pf, cs, n)
     minors = max(rep.tau_deviation + rep.sigma_deviation) if ctx.exact else rep.max_relative
     worst = nan_max(minors, link)
-    return Measured(worst, f"leading minors equal (shifted) Hankel determinants through order {n}",
-                    exact=ctx.exact)
+    return Measured(worst, f"leading minors equal (shifted) Hankel determinants through order {n}")
 
 
 def claim_squared_variable(ctx: _Context) -> Measured:
@@ -570,8 +553,7 @@ def claim_squared_variable(ctx: _Context) -> Measured:
         for res in kodama_residuals(qs, a, b):
             worst = nan_max(worst, res.max_abs_coeff())
     return Measured(worst,
-                    "the squared-variable family satisfies its two-line recurrence identically",
-                    exact=ctx.exact)
+                    "the squared-variable family satisfies its two-line recurrence identically")
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +580,7 @@ def _symplecticity(ctx: _Context, field: str) -> float:
 
 def claim_pencil_symplecticity(ctx: _Context) -> Measured:
     return Measured(_symplecticity(ctx, "pencil_symplecticity"),
-                    "U J U^T = V J V^T for both pencil layouts, read off the F, G, H blocks",
-                    exact=True)
+                    "U J U^T = V J V^T for both pencil layouts, read off the F, G, H blocks")
 
 
 def claim_transfer_symplecticity(ctx: _Context) -> Measured:
@@ -626,21 +607,15 @@ def claim_tridiagonal_spectrum(ctx: _Context) -> Measured:
 def claim_lsolp_construction(ctx: _Context) -> Measured:
     if ctx.exact:
         worst = 0.0
-        exact_ok = True
         pairs = gram_schmidt_pairs(ctx.measure, 2 * min(ctx.cfg.order, 4))
         for k, (p_even, p_odd, kappa) in enumerate(pairs):
-            target_even = ctx.qs[2 * k].shift(-k)
-            target_odd = ctx.qs[2 * k].shift(-k - 1)
-            d1 = p_even - target_even
-            d2 = p_odd - target_odd
+            d1 = p_even - ctx.qs[2 * k].shift(-k)
+            d2 = p_odd - ctx.qs[2 * k].shift(-k - 1)
             d3 = kappa + ctx.rec.kappa(k)  # pairing = -tau_{k+1}/tau_k
-            for bad in (d1.max_abs_coeff(), d2.max_abs_coeff(), abs(float(d3))):
-                if bad != 0:
-                    exact_ok = False
-                    worst = nan_max(worst, bad)
+            worst = nan_max(worst, d1.max_abs_coeff(), d2.max_abs_coeff(), abs(float(d3)))
         return Measured(worst,
                         "alternating-basis Gram-Schmidt reproduces the shifted family "
-                        "(exact, leading-normalized)", exact=exact_ok)
+                        "(exact, leading-normalized)")
     n = min(ctx.cfg.order, 4)
     fam = ctx.lsolp  # the full-order family, compared on its first 2n members
     fam_gs = gram_schmidt_lsolp(ctx.measure, 2 * n)
@@ -741,62 +716,74 @@ def _gauged_multiplication(ctx: _Context, offset: int):
     return g, multiplication_matrix(gauge_transform_scaled(ctx.lsolp, g))
 
 
-# The suite in report order: (claim id, default tolerance, claim function).
-# A tolerance of 0 passes only an exact zero; any other passes residual <= tolerance.
-_SUITE: Tuple[Tuple[str, float, Callable[[_Context], Measured]], ...] = (
-    ("pfaffian-route-agreement", 1e-12, claim_pfaffian_routes),
-    ("pfaffian-square-determinant", 1e-10, claim_pfaffian_determinant),
-    ("pfaffian-minor-identity-even", 1e-10, claim_minor_identity_even),
-    ("pfaffian-minor-identity-odd", 1e-10, claim_minor_identity_odd),
-    ("skew-moment-sign-convention", 1e-12, claim_sign_convention),
-    ("moment-shift-invariance", 1e-12, claim_shift_invariance),
-    ("laurent-argument-symmetry", 1e-12, claim_argument_symmetry),
-    ("chebyshev-moment-roundtrip", 1e-9, claim_moment_roundtrip),
-    ("lsop-route-agreement", 1e-8, claim_route_agreement),
-    ("lsop-odd-normalization", 0.0, claim_odd_normalization),
-    ("lsop-self-reciprocity", 1e-9, claim_self_reciprocity),
-    ("lsop-top-factorization", 1e-8, claim_top_factorization),
-    ("skew-orthonormality", 1e-9, claim_orthonormality),
-    ("folded-reduction-agreement", 1e-8, claim_folded_reduction),
-    ("folded-functional-orthogonality", 1e-9, claim_folded_orthogonality),
-    ("three-term-relation", 1e-9, claim_three_term),
-    ("pfaffian-hankel-identity", 1e-8, claim_pfaffian_hankel),
-    ("squared-variable-recurrence", 1e-10, claim_squared_variable),
-    ("pencil-recurrence-residual", 1e-10, claim_pencil_residual),
-    ("pencil-symplecticity", 0.0, claim_pencil_symplecticity),
-    ("transfer-symplecticity", 1e-8, claim_transfer_symplecticity),
-    ("pencil-eigenvalues", PENCIL_EIGENVALUES_TOL, claim_pencil_eigenvalues),
-    ("tridiagonal-spectrum", 1e-8, claim_tridiagonal_spectrum),
-    ("lsolp-construction-agreement", 1e-9, claim_lsolp_construction),
-    ("lsolp-multiplication-sparsity", 1e-9, claim_multiplication_sparsity),
-    ("butterfly-diagonal-convention", 1e-9, claim_diagonal_convention),
-    ("butterfly-vs-multiplication", 1e-9, claim_butterfly_vs_multiplication),
-    ("butterfly-spectrum", BUTTERFLY_SPECTRUM_TOL, claim_butterfly_spectrum),
-    ("butterfly-gauge-invariance", 1e-8, claim_gauge_invariance),
-    ("butterfly-tridiagonal-roundtrip", BUTTERFLY_ROUNDTRIP_TOL, claim_butterfly_roundtrip),
-    ("unit-modulus-pairs", 1e-12, claim_unit_modulus),
-    ("spectrum-inversion-closure", 1e-7, claim_inversion_closure),
+# The modes in which a claim compares in exact arithmetic: none for a float
+# check, rational mode for a statement rational in the measure, and both for
+# a structural zero.
+_FLOAT: Tuple[str, ...] = ()
+_RATIONAL = ("rational",)
+_BOTH = ("double", "rational")
+
+# The suite in report order: (claim id, default tolerance, exact modes, claim
+# function).  In its exact modes a claim passes only at residual 0, and
+# otherwise at residual <= tolerance.
+_SUITE: Tuple[Tuple[str, float, Tuple[str, ...], Callable[[_Context], Measured]], ...] = (
+    ("pfaffian-route-agreement", 1e-12, _RATIONAL, claim_pfaffian_routes),
+    ("pfaffian-square-determinant", 1e-10, _RATIONAL, claim_pfaffian_determinant),
+    ("pfaffian-minor-identity-even", 1e-10, _RATIONAL, claim_minor_identity_even),
+    ("pfaffian-minor-identity-odd", 1e-10, _RATIONAL, claim_minor_identity_odd),
+    ("skew-moment-sign-convention", 1e-12, _RATIONAL, claim_sign_convention),
+    ("moment-shift-invariance", 1e-12, _RATIONAL, claim_shift_invariance),
+    ("laurent-argument-symmetry", 1e-12, _RATIONAL, claim_argument_symmetry),
+    ("chebyshev-moment-roundtrip", 1e-9, _RATIONAL, claim_moment_roundtrip),
+    ("lsop-route-agreement", 1e-8, _RATIONAL, claim_route_agreement),
+    ("lsop-odd-normalization", 0.0, _BOTH, claim_odd_normalization),
+    ("lsop-self-reciprocity", 1e-9, _RATIONAL, claim_self_reciprocity),
+    ("lsop-top-factorization", 1e-8, _RATIONAL, claim_top_factorization),
+    ("skew-orthonormality", 1e-9, _RATIONAL, claim_orthonormality),
+    ("folded-reduction-agreement", 1e-8, _RATIONAL, claim_folded_reduction),
+    ("folded-functional-orthogonality", 1e-9, _RATIONAL, claim_folded_orthogonality),
+    ("three-term-relation", 1e-9, _RATIONAL, claim_three_term),
+    ("pfaffian-hankel-identity", 1e-8, _RATIONAL, claim_pfaffian_hankel),
+    ("squared-variable-recurrence", 1e-10, _RATIONAL, claim_squared_variable),
+    ("pencil-recurrence-residual", 1e-10, _FLOAT, claim_pencil_residual),
+    ("pencil-symplecticity", 0.0, _BOTH, claim_pencil_symplecticity),
+    ("transfer-symplecticity", 1e-8, _FLOAT, claim_transfer_symplecticity),
+    ("pencil-eigenvalues", PENCIL_EIGENVALUES_TOL, _FLOAT, claim_pencil_eigenvalues),
+    ("tridiagonal-spectrum", 1e-8, _FLOAT, claim_tridiagonal_spectrum),
+    ("lsolp-construction-agreement", 1e-9, _RATIONAL, claim_lsolp_construction),
+    ("lsolp-multiplication-sparsity", 1e-9, _FLOAT, claim_multiplication_sparsity),
+    ("butterfly-diagonal-convention", 1e-9, _FLOAT, claim_diagonal_convention),
+    ("butterfly-vs-multiplication", 1e-9, _FLOAT, claim_butterfly_vs_multiplication),
+    ("butterfly-spectrum", BUTTERFLY_SPECTRUM_TOL, _FLOAT, claim_butterfly_spectrum),
+    ("butterfly-gauge-invariance", 1e-8, _FLOAT, claim_gauge_invariance),
+    ("butterfly-tridiagonal-roundtrip", BUTTERFLY_ROUNDTRIP_TOL, _FLOAT, claim_butterfly_roundtrip),
+    ("unit-modulus-pairs", 1e-12, _FLOAT, claim_unit_modulus),
+    ("spectrum-inversion-closure", 1e-7, _FLOAT, claim_inversion_closure),
 )
 
 CLAIMS: Tuple[Tuple[str, Callable[[_Context], Measured]], ...] = tuple(
-    (claim_id, fn) for claim_id, _, fn in _SUITE)
-DEFAULT_TOLERANCES: Dict[str, float] = {claim_id: tol for claim_id, tol, _ in _SUITE}
+    (claim_id, fn) for claim_id, _, _, fn in _SUITE)
+DEFAULT_TOLERANCES: Dict[str, float] = {claim_id: tol for claim_id, tol, _, _ in _SUITE}
+_EXACT_MODES: Dict[str, Tuple[str, ...]] = {claim_id: modes for claim_id, _, modes, _ in _SUITE}
 
 
 def run_verification(cfg: RunConfig, measure: Optional[DiscreteMeasure] = None) -> VerificationReport:
     """Evaluate every claim of CLAIMS, read at call time, and decide its status
-    against the run's tolerance; failures are recorded per claim, never raised."""
+    and exact flag: a claim in one of its exact modes passes only at residual
+    0, and is exact exactly when it does; any other passes at residual <= the
+    run's tolerance.  Failures are recorded per claim, never raised."""
     ctx = _Context(cfg, measure)
     results = []
     for claim_id, fn in CLAIMS:
         tol = cfg.tolerance(claim_id)
+        exact = cfg.mode in _EXACT_MODES[claim_id]
         try:
-            residual, summary, convention, exact = fn(ctx)
-            ok = residual == 0 if tol == 0 else residual <= tol
+            residual, summary, convention = fn(ctx)
+            ok = residual == 0 if exact else residual <= tol
         except Exception as exc:  # per-claim failures must never abort the suite
-            residual, convention, exact, ok = float("inf"), "", False, False
+            residual, convention, ok = float("inf"), "", False
             summary = f"evaluation aborted ({type(exc).__name__}): {exc}"
         results.append(ClaimResult(claim_id=claim_id, summary=summary, convention=convention,
                                    residual=float(residual), tolerance=tol,
-                                   status="pass" if ok else "flag", exact=exact))
+                                   status="pass" if ok else "flag", exact=exact and ok))
     return VerificationReport(config=cfg, claims=tuple(results))

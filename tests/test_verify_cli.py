@@ -16,6 +16,7 @@ from lsopkit.numerics import inf_norm
 from lsopkit.verify import CLAIMS, DEFAULT_TOLERANCES, RunConfig, run_verification
 
 from fraction_oracle import as_tables, fraction_columns, fraction_tables
+from test_golden_reports import _fixed_measure
 
 
 def test_run_config_validation():
@@ -58,24 +59,34 @@ def test_status_and_records_are_decided_in_one_place(monkeypatch):
     def aborts(ctx):
         raise ValueError("no measurement")
 
-    # run_verification reads CLAIMS when called, so a swapped suite runs as is
+    # run_verification reads CLAIMS when called, so a swapped suite runs as
+    # is; it looks up each claim's exact modes by the claim's id
     monkeypatch.setattr(verify, "CLAIMS", (
         ("lsop-odd-normalization", lambda ctx: verify.Measured(1e-300, "tiny")),
-        ("tridiagonal-spectrum", lambda ctx: verify.Measured(1e-8, "at tolerance", "c", True)),
+        ("pencil-symplecticity", lambda ctx: verify.Measured(0.0, "zero")),
+        ("lsop-route-agreement", lambda ctx: verify.Measured(1e-12, "small", "c")),
+        ("tridiagonal-spectrum", lambda ctx: verify.Measured(1e-8, "at tolerance")),
         ("pencil-eigenvalues", aborts),
     ))
-    # the largest finite tolerance still flags an aborted claim
-    rep = run_verification(RunConfig(seed=1, order=2,
-                                     tolerances={"pencil-eigenvalues": sys.float_info.max}))
-    assert [c.record() for c in rep.claims] == [
-        {"id": "lsop-odd-normalization", "summary": "tiny", "convention": "",
-         "residual": 1e-300, "tolerance": 0.0, "status": "flag", "exact": False},
-        {"id": "tridiagonal-spectrum", "summary": "at tolerance", "convention": "c",
-         "residual": 1e-8, "tolerance": 1e-8, "status": "pass", "exact": True},
-        {"id": "pencil-eigenvalues", "summary": "evaluation aborted (ValueError): no measurement",
-         "convention": "", "residual": math.inf, "tolerance": sys.float_info.max, "status": "flag",
-         "exact": False},
-    ]
+    # the largest finite tolerance still flags an aborted claim, and an
+    # override of a claim that is exact in rational mode applies in double only
+    tolerances = {"pencil-eigenvalues": sys.float_info.max, "lsop-route-agreement": 1e-3}
+    for mode, route_status in (("double", "pass"), ("rational", "flag")):
+        rep = run_verification(RunConfig(seed=1, order=2, mode=mode, tolerances=tolerances))
+        assert [c.record() for c in rep.claims] == [
+            {"id": "lsop-odd-normalization", "summary": "tiny", "convention": "",
+             "residual": 1e-300, "tolerance": 0.0, "status": "flag", "exact": False},
+            {"id": "pencil-symplecticity", "summary": "zero", "convention": "",
+             "residual": 0.0, "tolerance": 0.0, "status": "pass", "exact": True},
+            {"id": "lsop-route-agreement", "summary": "small", "convention": "c",
+             "residual": 1e-12, "tolerance": 1e-3, "status": route_status, "exact": False},
+            {"id": "tridiagonal-spectrum", "summary": "at tolerance", "convention": "",
+             "residual": 1e-8, "tolerance": 1e-8, "status": "pass", "exact": False},
+            {"id": "pencil-eigenvalues",
+             "summary": "evaluation aborted (ValueError): no measurement", "convention": "",
+             "residual": math.inf, "tolerance": sys.float_info.max, "status": "flag",
+             "exact": False},
+        ], mode
 
 
 def test_report_contains_each_claim_once():
@@ -91,25 +102,47 @@ def test_report_deterministic_bytes():
     assert run_verification(cfg).render() == run_verification(cfg).render()
 
 
+# the two structural zeros, exact in both modes
+EXACT_IN_BOTH = {"lsop-odd-normalization", "pencil-symplecticity"}
+
+
 def test_rational_run_exact_claims_zero():
     rep = run_verification(RunConfig(seed=3, order=4, mode="rational"))
     assert rep.all_pass
-    exact_ids = {
+    exact_ids = EXACT_IN_BOTH | {
         "pfaffian-route-agreement", "pfaffian-square-determinant",
         "pfaffian-minor-identity-even", "pfaffian-minor-identity-odd",
-        "moment-shift-invariance", "laurent-argument-symmetry",
-        "chebyshev-moment-roundtrip", "lsop-route-agreement",
-        "lsop-self-reciprocity", "lsop-top-factorization",
+        "skew-moment-sign-convention", "moment-shift-invariance",
+        "laurent-argument-symmetry", "chebyshev-moment-roundtrip",
+        "lsop-route-agreement", "lsop-self-reciprocity", "lsop-top-factorization",
         "skew-orthonormality", "folded-reduction-agreement",
         "folded-functional-orthogonality", "three-term-relation",
         "pfaffian-hankel-identity", "squared-variable-recurrence",
-        "lsolp-construction-agreement", "pencil-symplecticity",
+        "lsolp-construction-agreement",
     }
+    assert len(exact_ids) == 20
+    assert {c.claim_id for c in rep.claims if c.exact} == exact_ids
     for c in rep.claims:
         if c.claim_id in exact_ids:
-            assert c.exact and c.residual == 0.0, c.claim_id
+            assert c.residual == 0.0, c.claim_id
         if c.claim_id == "butterfly-gauge-invariance":
             assert c.residual <= 1e-13
+
+
+def test_double_run_exact_claims_zero():
+    rep = run_verification(RunConfig(seed=3, order=4, mode="double"))
+    assert rep.all_pass
+    assert {c.claim_id for c in rep.claims if c.exact} == EXACT_IN_BOTH
+    assert all(c.residual == 0.0 for c in rep.claims if c.exact)
+
+
+@pytest.mark.parametrize("order", [4, 9])
+def test_report_runs_at_its_measure_full_size(order):
+    # at order 4 on 8 nodes, zip paired 4 tridiagonal eigenvalues with the 4
+    # smallest of 8 targets and the spectral claims aborted
+    with pytest.raises(ValueError, match=f"measure has 8 nodes, need {order}"):
+        run_verification(RunConfig(seed=1, order=order), _fixed_measure(8))
+    assert run_verification(RunConfig(seed=1, order=8), _fixed_measure(8)).all_pass
 
 
 def test_rational_run_refuses_a_binary64_measure():
@@ -199,7 +232,7 @@ def test_moved_monic_value_flags_exact_orthonormality(monkeypatch, member):
 
 
 def fraction_orthonormality(fv, node, recip):
-    """(worst, ok) of the exact skew Gram check summed as Fractions, one
+    """The residual of the exact skew Gram check summed as Fractions, one
     support_pairing per entry: the check before its integer form."""
     n = fv.order
     scales = fv.exact_rec.scale_squares()
@@ -207,7 +240,7 @@ def fraction_orthonormality(fv, node, recip):
     def pairing(a, b):
         return support_pairing(fv.measure.weights, node, recip, a, b)
 
-    worst, ok = 0.0, True
+    worst = 0.0
     for a in range(n):
         for b in range(n):
             vals = [pairing(2 * a, 2 * b + 1) * scales[b] - (1 if a == b else 0)]
@@ -215,14 +248,8 @@ def fraction_orthonormality(fv, node, recip):
                 vals += (pairing(2 * a, 2 * b), pairing(2 * a + 1, 2 * b + 1))
             for v in vals:
                 if v != 0:
-                    ok = False
                     worst = numerics.nan_max(worst, abs(float(v)))
-    return worst, ok
-
-
-def _rational_fixed_measure(n):
-    return DiscreteMeasure([Fraction(6, 5) + Fraction(19, 5) * Fraction(k, n) for k in range(n)],
-                           [Fraction(1, 2) + Fraction((7 * k) % 5, 10) for k in range(n)])
+    return worst
 
 
 @pytest.mark.parametrize("case", [f"seed/{s}" for s in range(1, 11)] + ["fixed/12"])
@@ -231,7 +258,7 @@ def test_integer_gram_equals_fraction_pairings(monkeypatch, case):
     # by a small fraction, so that worst is a nonzero float in both forms
     kind, k = case.split("/")
     fv = (random_family(int(k), 3 + int(k) % 4, "rational") if kind == "seed"
-          else evaluate_family(_rational_fixed_measure(int(k))))
+          else evaluate_family(_fixed_measure(int(k), "rational")))
     clean = as_tables(*FamilyValues.monic_values(fv))
     n = fv.order
     moves = [None, ("node", 1, int(k) % (2 * n), Fraction(1, 10**6)),
@@ -249,8 +276,8 @@ def test_integer_gram_equals_fraction_pairings(monkeypatch, case):
         got = verify._exact_orthonormality(ctx)
         assert got == fraction_orthonormality(fv, node, recip), move
         seen.append(got)
-    assert seen[0] == (0.0, True)
-    assert all(worst > 0 and not ok for worst, ok in seen[1:])
+    assert seen[0] == 0.0
+    assert all(worst > 0 for worst in seen[1:])
 
 
 @pytest.mark.parametrize("move", ["entry", "parameter"])
