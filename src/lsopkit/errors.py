@@ -14,7 +14,7 @@ class ExpansionLimitError(LsopkitError):
 
 
 class IncompleteTableError(LsopkitError):
-    """A required entry of a skew table is missing."""
+    """An index outside a skew table."""
 
 
 class DegeneracyError(LsopkitError):

@@ -37,8 +37,8 @@ class LaurentPoly:
         return LaurentPoly({0: c})
 
     @staticmethod
-    def monomial(exponent: int, c: Scalar = 1) -> "LaurentPoly":
-        return LaurentPoly({exponent: c})
+    def monomial(exponent: int) -> "LaurentPoly":
+        return LaurentPoly({exponent: 1})
 
     def to_pairs(self) -> List[Tuple[int, Scalar]]:
         """Sorted [exponent, coefficient] pairs (the serialization form)."""
@@ -140,9 +140,6 @@ class LaurentPoly:
             return NotImplemented
         keys = set(self.coeffs) | set(other.coeffs)
         return all(self.coeff(k) == other.coeff(k) for k in keys)
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
 
     def max_abs_coeff(self) -> float:
         return max((abs(float(c)) for c in self.coeffs.values()), default=0.0)

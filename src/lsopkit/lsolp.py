@@ -85,19 +85,12 @@ class LsolpFamily(NamedTuple):
     node_values: Tuple[Tuple[float, ...], ...]
     recip_values: Tuple[Tuple[float, ...], ...]
 
-    def pairing(self, a: int, b: int) -> float:
-        return support_pairing(self.measure.weights, self.node_values, self.recip_values, a, b)
-
     def gram(self) -> List[List[float]]:
         return support_gram(self.measure.weights, self.node_values, self.recip_values)
 
-    def pairing_defect(self) -> float:
-        """Max deviation of the Gram matrix from the canonical skew pattern."""
-        return skew_pattern_defect(self.gram())
-
 
 def _require_orthonormal(fam: LsolpFamily, where: str) -> None:
-    defect = fam.pairing_defect()
+    defect = skew_pattern_defect(fam.gram())
     if not defect <= PAIRING_VALIDATION_TOL:  # a NaN defect fails too
         raise StructureError(f"{where}: family is not skew orthonormal "
                              f"(defect {defect:.3e} > {PAIRING_VALIDATION_TOL:g})")

@@ -52,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionError, ExpansionLimitError, IncompleteTableError
 from .modes import Scalar, clear_denominators
@@ -61,40 +61,24 @@ EXPANSION_CAP = 10
 
 
 class SkewArray:
-    """Skew-symmetric array stored as the rows of its strict upper triangle:
-    rows[i][j] = e(i,j) for j > i, and nothing else is read.  The accessors
-    supply e(j,i) = -e(i,j) and e(i,i) = 0.  Bounds and completeness are
-    checked once, when the table is built; an index outside range(size)
+    """Skew-symmetric array stored as the rows of its strict upper triangle,
+    taken as given: rows[i][j] = e(i,j) for j > i, and nothing else is read
+    (from_entry_fn builds the rows from an entry function).  The accessors
+    supply e(j,i) = -e(i,j) and e(i,i) = 0; an index outside range(size)
     raises IncompleteTableError.  Odd sizes are rejected by the Pfaffian
     operations, not the container.
     """
 
     __slots__ = ("size", "rows")
 
-    def __init__(self, size: int, upper: Dict[Tuple[int, int], Scalar]):
-        if size < 0:
-            raise DimensionError(f"table size must be >= 0, got {size}")
-        rows = [[0] * size for _ in range(size)]
-        for (i, j), v in upper.items():
-            if not (0 <= i < j < size):
-                raise IncompleteTableError(f"entry ({i},{j}) outside strict upper triangle of size {size}")
-            rows[i][j] = v
-        if len(upper) != size * (size - 1) // 2:
-            i, j = next((i, j) for i in range(size) for j in range(i + 1, size) if (i, j) not in upper)
-            raise IncompleteTableError(f"entry ({i},{j}) missing")
-        self.size, self.rows = size, rows
-
-    @classmethod
-    def _of_rows(cls, rows: List[List[Scalar]]) -> "SkewArray":
-        s = cls.__new__(cls)
-        s.size, s.rows = len(rows), rows
-        return s
+    def __init__(self, rows: List[List[Scalar]]):
+        self.size, self.rows = len(rows), rows
 
     @staticmethod
     def from_entry_fn(size: int, fn: Callable[[int, int], Scalar]) -> "SkewArray":
         """The table e(i,j) = fn(i,j), calling fn row by row over i < j."""
-        return SkewArray._of_rows([[0] * (i + 1) + [fn(i, j) for j in range(i + 1, size)]
-                                   for i in range(size)])
+        return SkewArray([[0] * (i + 1) + [fn(i, j) for j in range(i + 1, size)]
+                          for i in range(size)])
 
     def entry(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.size and 0 <= j < self.size):
@@ -114,8 +98,8 @@ class SkewArray:
             if not 0 <= a < self.size:
                 raise IncompleteTableError(f"index {a} outside a table of size {self.size}")
         e = self.rows
-        return SkewArray._of_rows([[0] * (p + 1) + [e[a][b] if a < b else -e[b][a] if a > b else 0
-                                                    for b in idx[p + 1:]] for p, a in enumerate(idx)])
+        return SkewArray([[0] * (p + 1) + [e[a][b] if a < b else -e[b][a] if a > b else 0
+                                           for b in idx[p + 1:]] for p, a in enumerate(idx)])
 
 
 def pf_expand(s: SkewArray) -> Scalar:
@@ -256,7 +240,7 @@ def minor_identity(s: SkewArray, base: Sequence[int], extra: Sequence[int],
         raise DimensionError(f"{parity} identity needs an {parity} base set, got {len(base)} indices")
     (left, right), products = _MINOR_IDENTITIES[parity]
     rows, scale = _working_rows(s)
-    work = SkewArray._of_rows(rows)
+    work = SkewArray(rows)
 
     def pf(pos: Sequence[int]) -> Scalar:
         idx = base + [extra[i] for i in pos]

@@ -79,6 +79,8 @@ class RunConfig(_RunFields):
 
     def __new__(cls, seed: int = 1, order: int = 4, mode: str = "double",
                 tolerances: Optional[Mapping[str, float]] = None):
+        if type(seed) is not int or type(order) is not int:  # a bool is refused too
+            raise ValueError(f"seed and order must be ints, got {seed!r} and {order!r}")
         if order < 1:
             raise ValueError("order must be >= 1")
         validate_mode(mode)
@@ -250,7 +252,7 @@ class _Context:
         return rng.uniform(lo, hi)
 
 
-def _residual(ctx: _Context, size: float, scale: Scalar = 1.0) -> float:
+def _residual(ctx: _Context, size: float, scale: Scalar) -> float:
     """Residual of one comparison: its size in rational mode, where the
     claims that call this compare exactly and pass only at 0, and its size
     relative to max(1, |scale|) in double."""
@@ -537,7 +539,7 @@ def claim_pfaffian_hankel(ctx: _Context) -> Measured:
         diff = mus_from_c[k - 1] - mu.mu_at(k)
         link = nan_max(link, abs(float(diff)))
     rep = verify_pfaffian_det(rec_pf, cs, n)
-    minors = max(rep.tau_deviation + rep.sigma_deviation) if ctx.exact else rep.max_relative
+    minors = rep.max_absolute if ctx.exact else rep.max_relative
     worst = nan_max(minors, link)
     return Measured(worst, f"leading minors equal (shifted) Hankel determinants through order {n}")
 

@@ -26,12 +26,7 @@ from lsopkit.lsop import RecurrenceData, evaluate_family, lsop_via_recurrence, r
 from lsopkit.moments import DiscreteMeasure
 
 from fraction_oracle import FractionWalk, as_tables, fraction_tables, laurent_recurrence
-
-
-def fixed_measure(n: int) -> DiscreteMeasure:
-    """The rational fixed measure of the golden reports."""
-    return DiscreteMeasure([Fraction(6, 5) + Fraction(19, 5) * Fraction(k, n) for k in range(n)],
-                           [Fraction(1, 2) + Fraction((7 * k) % 5, 10) for k in range(n)])
+from test_golden_reports import _fixed_measure
 
 
 def typed(q):
@@ -57,7 +52,7 @@ def walk_mismatches(fv) -> list:
 def test_integer_forms_equal_the_fraction_oracles(case):
     kind, *rest = case.split("/")
     fv = (random_family(int(rest[0]), int(rest[1]), "rational") if kind == "seed"
-          else evaluate_family(fixed_measure(int(rest[0]))))
+          else evaluate_family(_fixed_measure(int(rest[0]), "rational")))
     assert walk_mismatches(fv) == []
     node, recip, den = fv.monic_values()
     assert len(node) == len(recip) == len(den) == 2 * fv.order
@@ -96,7 +91,7 @@ if __name__ == "__main__":
     ok = True
     for n in (24, 32):
         t0 = time.perf_counter()
-        bad = walk_mismatches(evaluate_family(fixed_measure(n)))
+        bad = walk_mismatches(evaluate_family(_fixed_measure(n, "rational")))
         print(f"N = {n}: walk and q_0..q_{2 * n} against the Fraction oracles: "
               f"{'equal' if not bad else 'DIFFER in ' + ', '.join(bad)} "
               f"({time.perf_counter() - t0:.1f} s)", flush=True)

@@ -24,6 +24,8 @@ from lsopkit.errors import AdmissibilityError, DegeneracyError, StructureError
 from lsopkit.lsop import evaluate_family
 from lsopkit.moments import DiscreteMeasure
 
+from test_golden_reports import _fixed_measure
+
 # Largest relative errors measured at N = 4, 8, 12 over the six measures:
 # a_j 6.7e-16, b_j 2.0e-15, h_j 3.6e-15, orthonormal folded values 2.4e-15
 # (relative to each member's largest value over the support); at N = 16, 20,
@@ -33,11 +35,6 @@ from lsopkit.moments import DiscreteMeasure
 # 1.4e-13 at N = 16, 20, 24 (both sides go through the same float assembly).
 BOUND = 1e-13
 TABLE_BOUND = 1e-12
-
-
-def fixed_measure(n: int) -> DiscreteMeasure:
-    return DiscreteMeasure([1.2 + 3.8 * k / n for k in range(n)],
-                           [0.5 + 0.5 * ((7 * k) % 5) / 5 for k in range(n)])
 
 
 def spread_measure(seed: int, n: int) -> DiscreteMeasure:
@@ -78,14 +75,14 @@ def fold_errors(m: DiscreteMeasure, n: int) -> dict:
 @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [4, 8, 12])
 def test_float_fold_matches_exact_walk(n, seed):
-    m = fixed_measure(n) if seed is None else spread_measure(seed, n)
+    m = _fixed_measure(n) if seed is None else spread_measure(seed, n)
     errors = fold_errors(m, n)
     assert errors.pop("tables") <= TABLE_BOUND
     assert max(errors.values()) <= BOUND, errors
 
 
-@pytest.mark.parametrize("m", [fixed_measure(12), spread_measure(3, 12),
-                               DiscreteMeasure(*(map(Fraction, col) for col in fixed_measure(8)))])
+@pytest.mark.parametrize("m", [_fixed_measure(12), spread_measure(3, 12),
+                               DiscreteMeasure(*(map(Fraction, col) for col in _fixed_measure(8)))])
 def test_prefix_is_the_lower_order_fold(m):
     # step j of a fold reads only the steps before it, so the order-n fold is
     # the first n steps of the full one: its folded data, its recurrence
@@ -118,7 +115,7 @@ def test_other_measures_take_the_exact_walk(nodes, error, message):
 
 
 def test_exact_data_refuse_the_float_fold():
-    fv = evaluate_family(fixed_measure(4))
+    fv = evaluate_family(_fixed_measure(4))
     with pytest.raises(StructureError, match="exact walk"):
         fv.exact_rec
     with pytest.raises(StructureError, match="exact walk"):
@@ -132,7 +129,7 @@ def test_exact_data_refuse_the_float_fold():
 if __name__ == "__main__":
     ok = True
     for n in (16, 20, 24):
-        errors = fold_errors(fixed_measure(n), n)
+        errors = fold_errors(_fixed_measure(n), n)
         print(f"N = {n}: " + ", ".join(f"{k} {v:.2e}" for k, v in errors.items()), flush=True)
         ok = ok and errors.pop("tables") <= TABLE_BOUND and max(errors.values()) <= BOUND
     print(f"bounds {BOUND:g} (three-term data, folded values), {TABLE_BOUND:g} (qt tables):",

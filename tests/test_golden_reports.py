@@ -102,7 +102,8 @@ def test_cli_output_matches_golden_digest(command, tmp_path):
 
 def _fixed_measure(n: int, mode: str = "double") -> DiscreteMeasure:
     """Nodes spread over [1.2, 5), weights in [0.5, 0.9]; the rational
-    measure is its exact twin, not the binary64 one."""
+    measure is its exact twin, not the binary64 one.  The one copy of the
+    fixed measure: the other test modules import it from here."""
     if mode == "rational":
         return DiscreteMeasure([Fraction(6, 5) + Fraction(19, 5) * Fraction(k, n) for k in range(n)],
                                [Fraction(1, 2) + Fraction((7 * k) % 5, 10) for k in range(n)])

@@ -11,7 +11,8 @@ from lsopkit.lsolp import (GaugeParams, butterfly_sparsity_defect, gauge_transfo
                            gram_schmidt_lsolp, gram_schmidt_pairs, lsolp_from_lsop,
                            lsolp_from_values, multiplication_matrix)
 from lsopkit.lsop import (bordered_pfaffian, evaluate_family, lsop_via_recurrence,
-                          moment_skew_array, orthonormalize, random_family, recurrence_from_measure)
+                          moment_skew_array, orthonormalize, random_family, recurrence_from_measure,
+                          skew_pattern_defect)
 from lsopkit.moments import DiscreteMeasure, MomentTable
 from lsopkit.numerics import dense_eigs, spectra_distance
 
@@ -38,8 +39,9 @@ def test_shift_construction_reference():
     for z, row in ((2.0, fam.node_values[0]), (0.5, fam.recip_values[0])):
         q0 = float(qt[0](z))
         assert row == pytest.approx((q0, -q0 / z), rel=1e-15)
-    assert fam.pairing(0, 1) == pytest.approx(1.0)
-    assert fam.pairing(0, 0) == pytest.approx(0.0)
+    gram = fam.gram()
+    assert gram[0][1] == pytest.approx(1.0)
+    assert gram[0][0] == pytest.approx(0.0)
 
 
 def test_odd_member_is_shifted_even():
@@ -145,7 +147,7 @@ def test_gauge_preserves_pairings():
     fam = lsolp_from_values(random_family(37, 4, "double"))
     for _ in range(5):
         g = random_gauge(rng, 4)
-        assert gauge_transform_scaled(fam, g).pairing_defect() < 1e-9
+        assert skew_pattern_defect(gauge_transform_scaled(fam, g).gram()) < 1e-9
 
 
 def test_multiplication_matrix_order_one():

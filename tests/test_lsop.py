@@ -51,7 +51,7 @@ def test_routes_give_identical_coefficient_data():
 def test_first_three_members():
     route = pfaffian_route(REF_TABLE, 2)
     assert route.member(0) == LaurentPoly.constant(Fraction(1))
-    assert route.member(1) == LaurentPoly.monomial(1, Fraction(1))
+    assert route.member(1) == LaurentPoly({1: Fraction(1)})
     q2 = route.member(2)
     assert q2 == LaurentPoly({2: Fraction(1), 1: Fraction(-5, 2), 0: Fraction(1)})
 
@@ -95,7 +95,7 @@ def test_recurrence_seeds_and_q2():
     rec = recurrence_from_measure(REF, 1)
     qs = lsop_via_recurrence(rec, 1)
     assert qs[0] == LaurentPoly.constant(Fraction(1))
-    assert qs[1] == LaurentPoly.monomial(1, Fraction(1))
+    assert qs[1] == LaurentPoly({1: Fraction(1)})
     assert qs[2] == LaurentPoly({2: Fraction(1), 1: -rec.alpha[1], 0: Fraction(1)})
 
 
@@ -285,12 +285,12 @@ def test_verify_pfaffian_det_exact_and_perturbed():
     rec = pfaffian_route(table, 8).recurrence_data()
     cs = table.c_list(8)
     report = verify_pfaffian_det(rec, cs, 4)
-    assert report.exact_match and report.max_relative == 0
+    assert report == (0.0, 0.0)
     assert rec.tau[1] == hankel_det(cs, 1) == cs[0]
     assert rec.sigma[1] == shifted_hankel_det(cs, 1) == cs[1]
     bad = list(cs)
     bad[2] += 1
-    assert not verify_pfaffian_det(rec, bad, 4).exact_match
+    assert min(verify_pfaffian_det(rec, bad, 4)) > 0
 
 
 @pytest.mark.parametrize("case", [f"seed/{s}/{n}" for s in (7, 8, 22) for n in (1, 4, 6)]
@@ -315,7 +315,7 @@ def test_one_elimination_gives_every_hankel_minor(case):
     else:
         assert minors == expected[:len(minors)] and minors[-1][0] == 0 and len(minors) <= n
     rec = RecurrenceData(n, (0,) * (n + 1), (0,) * (n + 1), *map(tuple, zip(*expected)))
-    assert verify_pfaffian_det(rec, cs, n).exact_match
+    assert verify_pfaffian_det(rec, cs, n) == (0.0, 0.0)
 
 
 def test_kodama_construction():

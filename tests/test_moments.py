@@ -55,7 +55,7 @@ def test_skew_inner_of_equal_arguments_vanishes():
 
 def test_skew_inner_reference_value():
     one = LaurentPoly.constant(Fraction(1))
-    z = LaurentPoly.monomial(1, Fraction(1))
+    z = LaurentPoly({1: Fraction(1)})
     assert skew_inner(REF, one, z) == Fraction(3, 2)
 
 

@@ -28,13 +28,14 @@ from hypothesis import given, settings, strategies as st
 from lsopkit.errors import ConvergenceError, DimensionError
 from lsopkit.lsop import RecurrenceData, recurrence_from_measure
 from lsopkit.modes import clear_denominators, is_exact
-from lsopkit.moments import DiscreteMeasure
 from lsopkit.numerics import (SymTridiag, dense_det, dense_eigs, dot, inf_norm, mat_mul, mat_vec,
                               max_abs_diff, min_cost_assignment, nan_max, solve_columns,
                               solve_linear, sort_complex, spectra_distance, sym_tridiag_eigs,
                               transpose)
 from lsopkit.spectra import (ButterflyParams, build_pencil, butterfly_from_params,
                              pencil_from_recurrence, transfer_matrix)
+
+from test_golden_reports import _fixed_measure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -220,9 +221,7 @@ def test_inverse_exact_on_fractions():
 @pytest.mark.parametrize("layout", [build_pencil, pencil_from_recurrence])
 def test_transfer_matrix_equals_columnwise_solves(layout):
     n = 8
-    m = DiscreteMeasure([1.2 + 3.8 * k / n for k in range(n)],
-                        [0.5 + 0.5 * ((7 * k) % 5) / 5 for k in range(n)])
-    p = layout(recurrence_from_measure(m, n))
+    p = layout(recurrence_from_measure(_fixed_measure(n), n))
     cols = [solve_linear(p.v, col) for col in transpose(p.u)]
     assert transfer_matrix(p) == transpose(cols)
 

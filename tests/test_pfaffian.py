@@ -45,6 +45,8 @@ from lsopkit.numerics import dense_det
 from lsopkit.pfaffian import (SkewArray, _eliminate, _swap_sym, _working_rows, minor_identity,
                               pf_eliminate, pf_expand, pf_indices, pf_leading_borders)
 
+from test_golden_reports import _fixed_measure
+
 
 def rational_skew(rng, size):
     return SkewArray.from_entry_fn(size, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -71,17 +73,10 @@ def exact_skew(rng, size, kind):
         x[i][p] * x[j][p + 1] - x[i][p + 1] * x[j][p] for p in range(0, rank, 2)))
 
 
-def rational_fixed_measure(n):
-    """The fixed high-order measure with exact nodes 6/5 + 19k/(5n) and
-    weights 1/2 + ((7k) mod 5)/10."""
-    return DiscreteMeasure([Fraction(6, 5) + Fraction(19 * k, 5 * n) for k in range(n)],
-                           [Fraction(1, 2) + Fraction((7 * k) % 5, 10) for k in range(n)])
-
-
 def moment_taus(n):
     """Pf(0..2k-1) of the moment table of the rational fixed measure for
     k = 0..n, and the exact folded walk's tau_0..tau_n."""
-    m = rational_fixed_measure(n)
+    m = _fixed_measure(n, "rational")
     table = moment_skew_array(MomentTable.from_measure(m, n), range(2 * n))
     return ([pf_eliminate(table.submatrix(range(2 * k))) for k in range(n + 1)],
             list(recurrence_from_measure(m, n).tau))
@@ -179,12 +174,6 @@ def balanced_matches_uniform(mu, n):
         type(v) is Fraction for v in rec.tau + rec.sigma)
 
 
-def double_fixed_measure(n):
-    """The binary64 fixed measure: nodes 1.2 + 3.8k/n, weights 0.5 + 0.5((7k) mod 5)/5."""
-    return DiscreteMeasure([1.2 + 3.8 * k / n for k in range(n)],
-                           [0.5 + 0.5 * ((7 * k) % 5) / 5 for k in range(n)])
-
-
 def old_float_lsop_via_pfaffian(mu, n):
     """Monic q_n of a float moment table from its own bordered table, one
     pivoted Pfaffian per minor: the float per-member route before
@@ -276,7 +265,7 @@ def walk_agrees_with_one_pass(n, members):
     """tau and sigma of the one-pass route of the rational fixed measure at
     order n against the exact walk's, and with members, q_0..q_2n against
     lsop_via_recurrence of the walk."""
-    m = rational_fixed_measure(n)
+    m = _fixed_measure(n, "rational")
     route = pfaffian_route(MomentTable.from_measure(m, n), 2 * n)
     rec = recurrence_from_measure(m, n)
     got = route.recurrence_data()
@@ -288,26 +277,26 @@ def walk_agrees_with_one_pass(n, members):
 
 
 def test_empty_array_is_one():
-    s = SkewArray(0, {})
+    s = SkewArray([])
     assert pf_expand(s) == 1
     assert pf_eliminate(s) == 1
 
 
 def test_size_two_is_the_single_entry():
-    s = SkewArray(2, {(0, 1): Fraction(7, 3)})
+    s = SkewArray([[0, Fraction(7, 3)], [0, 0]])
     assert pf_expand(s) == Fraction(7, 3)
     assert pf_eliminate(s) == Fraction(7, 3)
 
 
 def test_size_four_worked_value():
     # entries 01:1 02:2 03:3 12:4 13:5 23:6 -> 1*6 - 2*5 + 3*4 = 8
-    s = SkewArray(4, {(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 4, (1, 3): 5, (2, 3): 6})
+    s = SkewArray([[0, 1, 2, 3], [0, 0, 4, 5], [0, 0, 0, 6], [0, 0, 0, 0]])
     assert pf_expand(s) == 8
     assert pf_eliminate(s) == 8
 
 
 def test_odd_size_rejected():
-    s = SkewArray(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+    s = SkewArray.from_entry_fn(3, lambda i, j: 1)
     with pytest.raises(DimensionError):
         pf_expand(s)
     with pytest.raises(DimensionError):
@@ -320,14 +309,6 @@ def test_expansion_cap():
     with pytest.raises(ExpansionLimitError):
         pf_expand(s)
     pf_eliminate(s)  # elimination has no cap
-
-
-def test_missing_entry_detected():
-    # a table missing an entry is refused when it is built, before any Pfaffian
-    with pytest.raises(IncompleteTableError, match=r"entry \(2,3\) missing"):
-        SkewArray(4, {(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 4, (1, 3): 5})
-    with pytest.raises(IncompleteTableError, match=r"entry \(0,1\) missing"):
-        SkewArray(2, {})
 
 
 @pytest.mark.parametrize("bad", [4, -1])
@@ -355,19 +336,13 @@ def test_rows_hold_the_upper_triangle():
     s = SkewArray.from_entry_fn(4, lambda i, j: calls.append((i, j)) or 10 * i + j)
     assert calls == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert s.dense() == [[0, 1, 2, 3], [-1, 0, 12, 13], [-2, -12, 0, 23], [-3, -13, -23, 0]]
-    assert SkewArray(4, {(i, j): 10 * i + j for i, j in calls}).dense() == s.dense()
+    assert s.rows == [[0, 1, 2, 3], [0, 0, 12, 13], [0, 0, 0, 23], [0, 0, 0, 0]]
+    assert SkewArray(s.rows).dense() == s.dense()
     sub = s.submatrix([3, 0, 2, 2])
     assert sub.dense() == [[0, -3, -23, -23], [3, 0, 2, 2], [23, -2, 0, 0], [23, -2, 0, 0]]
     # 1*23 - 2*13 + 3*12; [3, 0, 2, 1] is an even permutation, [1, 0, 2, 3] odd
     assert pf_expand(s) == pf_eliminate(s) == pf_indices(s, [3, 0, 2, 1]) == 33
     assert pf_indices(s, [1, 0, 2, 3]) == -33
-
-
-def test_entry_table_bounds_checked():
-    with pytest.raises(IncompleteTableError):
-        SkewArray(2, {(1, 0): 1})
-    with pytest.raises(DimensionError):
-        SkewArray(-2, {})
 
 
 def test_routes_agree_exactly_up_to_ten():
@@ -392,7 +367,7 @@ def test_bordered_minors_match_per_minor_pfaffians():
                 minors = pf_bordered_minors(s)
                 assert minors == per_minor(s), (size, kind)
                 assert all(type(v) is Fraction for v in minors)
-    assert pf_bordered_minors(SkewArray(1, {})) == [1]
+    assert pf_bordered_minors(SkewArray([[0]])) == [1]
     with pytest.raises(DimensionError):
         pf_bordered_minors(rational_skew(rng, 4))
 
@@ -437,7 +412,7 @@ def test_one_pass_route_matches_per_member_route(n):
 
 
 def test_one_pass_route_on_the_fixed_measure():
-    assert one_pass_matches_per_member(rational_fixed_measure(12), 12)
+    assert one_pass_matches_per_member(_fixed_measure(12, "rational"), 12)
 
 
 def test_zero_pivot_raises_where_the_per_member_route_did():
@@ -498,7 +473,7 @@ def test_balanced_route_halves_the_bits_on_the_fixed_measure():
     # the z^16 coefficient of row 16 is tau_8 times prod d_s (2961 bits),
     # against L^8 tau_8 (5843 bits) under one lcm
     n = 8
-    mu = MomentTable.from_measure(rational_fixed_measure(n), n)
+    mu = MomentTable.from_measure(_fixed_measure(n, "rational"), n)
     assert balanced_matches_uniform(mu, 2 * n)
     balanced = pfaffian_route(mu, 2 * n).rows[2 * n].coeff(2 * n)
     uniform = uniform_lcm_rows(mu, 2 * n)[0][2 * n].coeff(2 * n)
@@ -509,7 +484,7 @@ def test_double_route_is_the_float_per_member_route():
     for n in range(1, 5):
         for seed in range(1, 11):
             assert double_route_matches_per_member(random_family(seed, n).measure, n), (seed, n)
-    assert double_route_matches_per_member(double_fixed_measure(8), 8)
+    assert double_route_matches_per_member(_fixed_measure(8), 8)
 
 
 def expanded_over_fractions(s):
@@ -535,7 +510,7 @@ def expanded_over_fractions(s):
 
 def test_integer_expansion_matches_the_fraction_recursion():
     rng = random.Random(31)
-    assert type(pf_expand(SkewArray(0, {}))) is int
+    assert type(pf_expand(SkewArray([]))) is int
     for size in range(0, 11, 2):
         for kind in ("rational", "int", "mixed", "zero-row", "rank-deficient"):
             if size == 0 and kind != "rational":
@@ -623,7 +598,7 @@ def test_moment_table_routes_agree():
     # entries mu_{j-i} of the rational fixed measure at N = 6: the
     # denominators grow from 30 bits at lag 1 to 270 bits at lag 9
     n = 6
-    table = moment_skew_array(MomentTable.from_measure(rational_fixed_measure(n), n), range(10))
+    table = moment_skew_array(MomentTable.from_measure(_fixed_measure(n, "rational"), n), range(10))
     for k in range(6):
         assert pf_eliminate(table.submatrix(range(2 * k))) == pf_expand(table.submatrix(range(2 * k)))
     assert pf_indices(table, [0, 1, 2, 3, 4, 6]) == pf_expand(table.submatrix([0, 1, 2, 3, 4, 6]))
@@ -632,7 +607,7 @@ def test_moment_table_routes_agree():
 
 
 def test_structural_zero_on_zero_column():
-    s = SkewArray(4, {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 0, (1, 3): 0, (2, 3): 0})
+    s = SkewArray([[0] * 4 for _ in range(4)])
     v = pf_eliminate(s)
     assert v == 0 and not isinstance(v, float) or v == 0.0
 
@@ -808,7 +783,7 @@ if __name__ == "__main__":
               f"for k <= {n}: {agree}", flush=True)
         ok = ok and agree
     t0 = time.perf_counter()
-    mu = MomentTable.from_measure(rational_fixed_measure(8), 8)
+    mu = MomentTable.from_measure(_fixed_measure(8, "rational"), 8)
     agree = all(bordered_minors_agree(mu, k) for k in range(17))
     print(f"the reference's bordered minors of q_0..q_16's moment tables (up to 17 indices) "
           f"equal the per-minor Pfaffians: {agree} ({time.perf_counter() - t0:.1f} s)", flush=True)
@@ -822,7 +797,7 @@ if __name__ == "__main__":
     t0 = time.perf_counter()
     agree = all(double_route_matches_per_member(random_family(seed, n).measure, n)
                 for n in (5, 6, 7, 8) for seed in range(1, 11))
-    agree = agree and all(double_route_matches_per_member(double_fixed_measure(n), n)
+    agree = agree and all(double_route_matches_per_member(_fixed_measure(n), n)
                           for n in (12, 16))
     print(f"the double route equals the float per-member route bit for bit on double seeds "
           f"1-10 at orders 5-8 and on the fixed measure at N = 12 and 16: {agree} "

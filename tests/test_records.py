@@ -35,8 +35,7 @@ RECORDS = [
     (SymTridiag, dict(diag=(1.0, 2.0), offdiag=(0.5,))),
     (MomentTable, dict(mu={0: 0.0}, c={0: 1.0}, order=0)),
     (PfaffianRoute, dict(rows=(LaurentPoly.constant(1),), d=None)),
-    (PfaffianDetReport, dict(tau_deviation=(0.0,), sigma_deviation=(0.0,), max_relative=0.0,
-                             exact_match=True)),
+    (PfaffianDetReport, dict(max_absolute=0.0, max_relative=0.0)),
     (PencilPair, dict(u=[[1.0, 0.0], [0.0, 1.0]], v=[[0.0, 1.0], [-1.0, 0.0]])),
     (LsolpFamily, dict(measure=MEASURE, order=1, node_values=((1.0, 2.0),),
                        recip_values=((1.0, 0.5),))),

@@ -29,6 +29,8 @@ from lsopkit.spectra import (CONVENTION_DIFFERENCE, CONVENTION_PLAIN, ButterflyP
                              pencil_from_recurrence, pencil_residual, pencil_symplecticity,
                              symplectic_pencil_check, transfer_matrix)
 
+from test_golden_reports import _fixed_measure
+
 REF = DiscreteMeasure([2.0], [1.0])
 
 
@@ -302,11 +304,6 @@ def test_butterfly_matches_multiplication_operator():
     winner, residuals = determine_diagonal_convention(mult, rec, g)
     assert winner == CONVENTION_DIFFERENCE
     assert residuals[CONVENTION_PLAIN] > 1e-2
-
-
-def _fixed_measure(n):
-    return DiscreteMeasure([1.2 + 3.8 * k / n for k in range(n)],
-                           [0.5 + 0.5 * ((7 * k) % 5) / 5 for k in range(n)])
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -38,6 +38,17 @@ def test_run_config_refuses_non_real_tolerances(value):
         RunConfig(tolerances={"skew-orthonormality": value})
 
 
+@pytest.mark.parametrize("field,value", [("order", True), ("order", 2.0), ("order", "2"),
+                                         ("seed", True), ("seed", 1.5), ("seed", None)])
+def test_run_config_refuses_non_int_seed_and_order(field, value):
+    # a bool would render as true, a float seed as 1.5, and a float order
+    # would fail later inside random_family
+    with pytest.raises(ValueError, match="seed and order must be ints"):
+        RunConfig(**{field: value})
+    with pytest.raises(ValueError, match="seed and order must be ints"):
+        RunConfig(seed=3, order=2)._replace(**{field: value})
+
+
 def test_tolerance_overrides_are_stored_as_floats():
     cfg = RunConfig(tolerances={"skew-orthonormality": Fraction(1, 8), "butterfly-spectrum": 2})
     assert dict(cfg.tolerances) == {"skew-orthonormality": 0.125, "butterfly-spectrum": 2.0}
