@@ -25,15 +25,15 @@ _EXPORTS = {
                "ExpansionLimitError", "GenerationError", "IncompleteTableError", "LsopkitError",
                "RepresentationError", "StructureError"),
     "laurent": ("LaurentPoly",),
-    "lsolp": ("GaugeParams", "LsolpFamily", "gauge_transform_scaled", "gram_schmidt_lsolp",
-              "lsolp_from_lsop", "lsolp_from_values", "multiplication_matrix"),
-    "lsop": ("FamilyValues", "RecurrenceData", "evaluate_family", "even_to_op",
-             "kodama_residuals", "kodama_sops", "lsop_via_recurrence", "op_via_hankel",
-             "orthonormalize", "pfaffian_route", "random_family", "recurrence_from_measure",
-             "verify_pfaffian_det"),
-    "moments": ("DiscreteMeasure", "MomentTable", "c_moment", "mu_from_c", "mu_moment",
-                "skew_inner"),
+    "lsolp": ("GaugeParams", "LsolpFamily", "gauge_transform_scaled", "lsolp_from_values",
+              "multiplication_matrix"),
+    "lsop": ("FamilyValues", "RecurrenceData", "evaluate_family", "lsop_via_recurrence",
+             "random_family", "recurrence_from_measure"),
+    "moments": ("DiscreteMeasure",),
     "numerics": ("SymTridiag", "dense_det", "dense_eigs", "spectra_distance", "sym_tridiag_eigs"),
+    "oracles": ("MomentTable", "c_moment", "even_to_op", "gram_schmidt_lsolp", "kodama_residuals",
+                "kodama_sops", "lsolp_from_lsop", "mu_from_c", "mu_moment", "op_via_hankel",
+                "orthonormalize", "pfaffian_route", "skew_inner", "verify_pfaffian_det"),
     "pfaffian": ("SkewArray", "minor_identity", "pf_eliminate", "pf_expand", "pf_indices"),
     "spectra": ("ButterflyParams", "PencilPair", "build_butterfly", "build_pencil",
                 "build_tridiagonal", "butterfly_from_params", "butterfly_params",

@@ -14,10 +14,12 @@ mode defaults to "double".
 
 Each subcommand imports the modules it runs when it runs, so a fresh
 process compiles only those.  Beyond the parser's cli, errors, modes,
-serialize, moments and laurent, gen-measure and lsop load lsop alone;
-pencil loads lsop, spectra and numerics, and butterfly lsolp as well;
-solve-butterfly loads spectra and numerics but no family module; only
-verify loads pfaffian and verify.  --order sizes the seeded measure: a
+serialize and moments, gen-measure loads lsop alone and lsop laurent as
+well; pencil loads lsop, spectra and numerics, and butterfly lsolp as
+well; solve-butterfly loads spectra and numerics but no family module;
+only verify loads laurent, lsolp, the reference routes (oracles),
+pfaffian and verify on top of pencil's set.  Exact input adds the integer
+kernels (exact) where it runs them.  --order sizes the seeded measure: a
 measure file is folded at its full size.
 """
 

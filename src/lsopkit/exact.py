@@ -1,9 +1,9 @@
 """Integer kernels of the exact layer, with no gcd per operation.
 
-The exact walk, its monic member columns, the exact coefficient family and
-the Hankel references of the Pfaffian minors run on ints over one
-denominator per vector, member or table (Bareiss 1968) and build a Fraction
-only at their outputs:
+The exact walk, its monic member columns, the exact coefficient family,
+the Hankel references of the Pfaffian minors and the dense kernels' exact
+elimination run on ints over one denominator per vector, member, table or
+row (Bareiss 1968) and build a Fraction only at their outputs:
 
 * three_term, one step of a three-term recurrence on int value vectors, and
   lowest_terms, one gcd that puts such a vector in lowest terms (the folded
@@ -15,7 +15,10 @@ only at their outputs:
   do on LaurentPoly, coefficient types included, and lowest_form puts one
   in lowest terms;
 * hankel_minors, every leading Hankel and shifted Hankel minor from one
-  fraction-free elimination.
+  fraction-free elimination;
+* eliminate_ints and back_substitute_ints, the exact branch of numerics'
+  determinant and linear solves: one fraction-free elimination of a
+  cleared int table, then one Fraction per determinant or unknown.
 
 Only exact computations import this module, so a double-mode command
 compiles none of it.
@@ -133,3 +136,56 @@ def hankel_minors(c: Sequence[Scalar], n: int) -> List[Tuple[Scalar, Scalar]]:
             low[t + 1:] = [(piv * x - f * y) // prev for x, y in zip(low[t + 1:], row[t + 1:])]
         prev, gs = piv, gs * g[t]
     return minors
+
+
+def eliminate_ints(m: List[List[Scalar]], n: int):
+    """numerics._eliminate's exact branch on the augmented rows m: each row
+    through clear_denominators, then the first n columns divided by their
+    gcds (a Hankel table's denominators grow along both axes, so clearing
+    the rows alone leaves a common factor in each column), then
+    fraction-free steps."""
+    r = 1
+    for i, row in enumerate(m):
+        m[i], row_scale = clear_denominators(row)
+        r *= row_scale
+    g = [math.gcd(*col) or 1 for col in zip(*(row[:n] for row in m))]
+    for row in m:
+        row[:n] = [x // gj for x, gj in zip(row, g)]
+    pivots: List[int] = []
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if p is None:
+            break
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        row_k = m[k]
+        piv = row_k[k]
+        pivots.append(piv)
+        for i in range(k + 1, n):
+            row_i = m[i]
+            f = row_i[k]
+            row_i[k:] = [(piv * x - f * y) // prev for x, y in zip(row_i[k:], row_k[k:])]
+        prev = piv
+    return m, pivots, sign, (r, g)
+
+
+def back_substitute_ints(m: List[List[int]], n: int, count: int,
+                         g: List[int]) -> List[List[Fraction]]:
+    """The solutions of the fraction-free triangular rows m, one Fraction per
+    unknown.  With d the last pivot, d G x is an int vector (Cramer's rule
+    on the int system), so it is back-substituted in ints, each step
+    dividing exactly by its row's pivot, and x_j is that over d g_j."""
+    d = m[n - 1][n - 1] if n else 1
+    out = []
+    for c in range(n, n + count):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            acc = d * row[c]
+            for j in range(i + 1, n):
+                acc -= row[j] * y[j]
+            y[i] = acc // row[i]
+        out.append([Fraction(v, d * gj) for v, gj in zip(y, g)])
+    return out

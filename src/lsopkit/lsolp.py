@@ -7,15 +7,14 @@ family {qt_n} into Laurent members
     Q_2m+1(z) = -z^-m-1   qt_2m(z),
 
 with skew orthonormality <Q_2m|Q_2n+1> = delta_mn and vanishing same-parity
-pairings.  The same family also arises by skew Gram-Schmidt directly in the
-alternating basis, and unnormalized from lsop.bordered_pfaffian over the
-alternating exponents, a route the tests keep as an oracle; all three
-constructions are cross-checked.
+pairings.  The same family also arises from orthonormal coefficient
+polynomials and by skew Gram-Schmidt directly in the alternating basis;
+those reference constructions live in oracles, and the claim suite
+cross-checks all three.
 
 A family has one representation: value tables at the measure's nodes and
-their reciprocals.  The reference routes (shifted coefficient polynomials,
-alternating-basis Gram-Schmidt) build polynomials and keep only their
-values; gram_schmidt_pairs returns the unnormalized polynomials themselves.
+their reciprocals.  The production path, lsolp_from_values, reads them off
+the orthonormal value tables of a fold.
 
 One gauge action, gauge_transform_scaled, realizes the two freedoms of each
 pair that keep the pairing pattern: member scaling (r_n) and a shear of the
@@ -26,14 +25,12 @@ numerical ground truth the butterfly assembly in `spectra` is checked against.
 
 from __future__ import annotations
 
-import math
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
-from .laurent import LaurentPoly
+from .errors import AdmissibilityError, RepresentationError, StructureError
 from .lsop import FamilyValues, skew_pattern_defect, support_gram, support_pairing
-from .modes import is_exact, validated_make
-from .moments import DiscreteMeasure, skew_inner
+from .modes import validated_make
+from .moments import DiscreteMeasure
 from .numerics import dot, nan_max
 from .spectra import family_vector_order
 
@@ -89,7 +86,9 @@ class LsolpFamily(NamedTuple):
         return support_gram(self.measure.weights, self.node_values, self.recip_values)
 
 
-def _require_orthonormal(fam: LsolpFamily, where: str) -> None:
+def require_orthonormal(fam: LsolpFamily, where: str) -> None:
+    """Raise StructureError, naming where, unless fam is skew orthonormal to
+    PAIRING_VALIDATION_TOL."""
     defect = skew_pattern_defect(fam.gram())
     if not defect <= PAIRING_VALIDATION_TOL:  # a NaN defect fails too
         raise StructureError(f"{where}: family is not skew orthonormal "
@@ -118,108 +117,8 @@ def lsolp_from_values(fv: FamilyValues) -> LsolpFamily:
         recip_vals.append(tuple(row_r))
     fam = LsolpFamily(measure=fv.measure, order=n,
                       node_values=tuple(node_vals), recip_values=tuple(recip_vals))
-    _require_orthonormal(fam, "lsolp_from_values")
+    require_orthonormal(fam, "lsolp_from_values")
     return fam
-
-
-def lsolp_from_lsop(m: DiscreteMeasure, qtilde: Sequence[LaurentPoly]) -> LsolpFamily:
-    """Alternating-basis family from orthonormal coefficient polynomials.
-
-    Q_2m = z^-m qt_2m and Q_2m+1 = -z^-m-1 qt_2m; the odd members reuse the
-    even polynomial, so only the even inputs matter.  The members are
-    evaluated on the support and only their values are kept.  Coefficient
-    arithmetic is ill-conditioned at higher order; prefer lsolp_from_values
-    inside numerical pipelines.
-    """
-    if len(qtilde) % 2:
-        raise ValueError("expected an even count of family members")
-    n = len(qtilde) // 2
-    members: List[LaurentPoly] = []
-    for k in range(n):
-        members.append(qtilde[2 * k].shift(-k))
-        members.append(qtilde[2 * k].shift(-k - 1).scale(-1))
-    fam = _family_from_polys(m, members)
-    _require_orthonormal(fam, "lsolp_from_lsop")
-    return fam
-
-
-def _family_from_polys(m: DiscreteMeasure, members: Sequence[LaurentPoly]) -> LsolpFamily:
-    node_vals, recip_vals = [], []
-    for z in m.nodes:
-        zf = float(z)
-        node_vals.append(tuple(float(p(zf)) for p in members))
-        recip_vals.append(tuple(float(p(1.0 / zf)) for p in members))
-    return LsolpFamily(measure=m, order=len(members) // 2,
-                       node_values=tuple(node_vals), recip_values=tuple(recip_vals))
-
-
-# ---------------------------------------------------------------------------
-# independent construction: skew Gram-Schmidt in the alternating basis
-# ---------------------------------------------------------------------------
-
-def alternating_exponent(j: int) -> int:
-    """Exponent of the j-th alternating basis member: 0, -1, 1, -2, 2, ..."""
-    if j == 0:
-        return 0
-    return (j + 1) // 2 if j % 2 == 0 else -((j + 1) // 2)
-
-
-def gram_schmidt_pairs(m: DiscreteMeasure, count: int):
-    """Unnormalized skew Gram-Schmidt pairs (P_2k, P_2k+1, kappa_k).
-
-    P_2k has leading alternating-basis coefficient 1; P_2k+1 additionally
-    has vanishing z^k coefficient (the shear convention).  Both hold by
-    construction: the completed pairs span the exponents -k..k-1, so the
-    projection never touches z^k.  Exact on exact measures.  Raises on a
-    vanishing pairing kappa_k (rank deficiency).
-    """
-    pairs = []
-    npairs = (count + 1) // 2
-    for k in range(npairs):
-        p_even = _project(m, LaurentPoly.monomial(alternating_exponent(2 * k)), pairs)
-        p_odd = _project(m, LaurentPoly.monomial(alternating_exponent(2 * k + 1)), pairs)
-        kappa = skew_inner(m, p_even, p_odd)
-        if kappa == 0 or (not is_exact(kappa) and abs(float(kappa)) < 1e-13):
-            raise DegeneracyError(f"skew pairing of pair {k} vanished (rank-deficient support)")
-        pairs.append((p_even, p_odd, kappa))
-    return pairs
-
-
-def gram_schmidt_lsolp(m: DiscreteMeasure, count: int) -> LsolpFamily:
-    """Skew orthonormal family by Gram-Schmidt in the alternating basis.
-
-    Normalization matches the shift construction: the even leading
-    coefficient is positive and the odd leading coefficient is its negative.
-    An odd count rounds up to the full pair; the requested members are the
-    first `count` columns of the value tables.
-    """
-    pairs = gram_schmidt_pairs(m, count)
-    members: List[LaurentPoly] = []
-    for k, (p_even, p_odd, kappa) in enumerate(pairs):
-        p = p_even.coeff(k)
-        s = p_odd.coeff(-k - 1)
-        u_sq = -float(s) / (float(p) * float(kappa))
-        if not u_sq > 0:
-            raise DegeneracyError(f"pair {k} normalization square {u_sq} not positive")
-        u = math.sqrt(u_sq)
-        v = -u * float(p) / float(s)
-        members.append(p_even.as_float().scale(u))
-        members.append(p_odd.as_float().scale(v))
-    fam = _family_from_polys(m, members)
-    _require_orthonormal(fam, "gram_schmidt_lsolp")
-    return fam
-
-
-def _project(m: DiscreteMeasure, v: LaurentPoly, pairs) -> LaurentPoly:
-    # remove components along completed pairs: v -= <E|v>/k F - <F|v>/k E
-    for (e, f, kappa) in pairs:
-        ce = skew_inner(m, e, v)
-        cf = skew_inner(m, f, v)
-        if ce != 0:
-            v = v - f.scale(ce / kappa)
-        if cf != 0:
-            v = v + e.scale(cf / kappa)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +147,7 @@ def gauge_transform_scaled(fam: LsolpFamily, g: GaugeParams) -> LsolpFamily:
     out = LsolpFamily(measure=fam.measure, order=fam.order,
                       node_values=tuple(transform_row(r) for r in fam.node_values),
                       recip_values=tuple(transform_row(r) for r in fam.recip_values))
-    _require_orthonormal(out, "gauge_transform_scaled")
+    require_orthonormal(out, "gauge_transform_scaled")
     return out
 
 

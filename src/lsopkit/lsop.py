@@ -1,23 +1,15 @@
 """Construction of Laurent skew orthogonal polynomials over a discrete measure.
 
-Two independent routes build the same monic family {q_n}:
+The production route builds the monic family {q_n} from the recurrence
+coefficients: q_0 = 1, q_1 = z, then the two coupled relations
 
-* the moment-table route: q_n is the skew-moment table bordered by a column
-  of monomials, over tau (the oracle path).  pfaffian_route is its one
-  entry point in both scalar modes: pfaffian_route(mu, n).member(n) is q_n
-  and pfaffian_route(mu, 2n).recurrence_data() holds tau_m and sigma_m
-  through n.  An exact table is scaled per index to the int table
-  d_i d_j mu_{j-i} (balanced_scaling), which gives every row from one
-  unpivoted fraction-free elimination; the rows that elimination does not
-  reach, those past a vanishing tau and every row of a float table, take
-  one pivoted Pfaffian per minor of a sub-table (bordered_pfaffian);
-* the recurrence route: q_0 = 1, q_1 = z, then the two coupled relations
+    z (q_2n   - beta_n  q_2n-2) = q_2n+1 - alpha_n q_2n
+    z (q_2n+1 - alpha_n+1 q_2n) = q_2n+2 - q_2n
 
-      z (q_2n   - beta_n  q_2n-2) = q_2n+1 - alpha_n q_2n
-      z (q_2n+1 - alpha_n+1 q_2n) = q_2n+2 - q_2n
-
-  driven by alpha_n = sigma_n / tau_n and beta_n = tau_n+1 tau_n-1 / tau_n^2
-  (the production path).
+driven by alpha_n = sigma_n / tau_n and beta_n = tau_n+1 tau_n-1 / tau_n^2
+(lsop_via_recurrence).  The independent moment-table route that the claim
+suite compares it with, and the other reference constructions, live in
+oracles.
 
 The recurrence coefficients come from the folded measure (nodes z + 1/z,
 weights (z - 1/z) w), folded once per measure and order by evaluate_family.
@@ -32,13 +24,8 @@ rebuilds the value tables from float coefficients, a brutally
 ill-conditioned parameterization of the family: correctly rounded
 (alpha, beta) alone cap the skew-orthonormality defect near 1e-7 at order
 8, while tables rounded from the exact walk, or read off the Lanczos
-vectors, reach about 1e-11.
-
-Even-degree members fold into monic orthogonal polynomials in w = z + 1/z;
-that reduction and its Hankel-determinant counterpart live here too,
-together with the squared-variable comparison family q_2n = p_n(z^2),
-q_2n+1 = z p_n(z^2).  The seeded generator random_family draws a measure
-and returns its fold, the one its consumers read.
+vectors, reach about 1e-11.  The seeded generator random_family draws a
+measure and returns its fold, the one its consumers read.
 """
 
 from __future__ import annotations
@@ -52,26 +39,19 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (AdmissibilityError, DegeneracyError, GenerationError, LsopkitError,
                      StructureError)
-from .laurent import LaurentPoly
 from .modes import Scalar, clear_denominators, is_exact, validate_mode, validated_make
-from .moments import DiscreteMeasure, MomentTable
+from .moments import DiscreteMeasure
 
-# pfaffian and numerics are imported by the functions that run them (the
-# moment-table route, the Hankel references and skew_pattern_defect), and
-# exact by the exact walk and the exact coefficient family, so a process
-# that only folds a double measure compiles none of them
+# numerics is imported by skew_pattern_defect, laurent by the float
+# coefficient family and exact by the exact walk and the exact coefficient
+# family, so a process that only folds a double measure compiles none of them
 if TYPE_CHECKING:
-    from .pfaffian import SkewArray
+    from .laurent import LaurentPoly
 
 TAU_DEGENERACY_RELATIVE = 1e-8
 NODE_RANGE = (1.2, 5.0)
 NODE_MIN_GAP = 0.1
 GENERATOR_MAX_ATTEMPTS = 100
-# largest relative mirror defect of a float even member that even_to_op accepts
-REDUCTION_SYMMETRY_TOL = 1e-8
-
-ONE = LaurentPoly.constant(1)
-Z = LaurentPoly.monomial(1)
 
 
 class _Coefficients(NamedTuple):
@@ -129,158 +109,6 @@ class RecurrenceData(_Coefficients):
             tau=tuple(float(x) for x in self.tau),
             sigma=tuple(float(x) for x in self.sigma),
         )
-
-
-# ---------------------------------------------------------------------------
-# recurrence coefficients: Pfaffian route (oracle)
-# ---------------------------------------------------------------------------
-
-def moment_skew_array(mu: MomentTable, exponents: Sequence[int]) -> SkewArray:
-    """Skew table over positions p < len(exponents) with entries
-    <z^e_p|z^e_q> = mu_{e_q - e_p}."""
-    from .pfaffian import SkewArray
-
-    return SkewArray.from_entry_fn(len(exponents),
-                                   lambda i, j: mu.mu_at(exponents[j] - exponents[i]))
-
-
-def bordered_pfaffian(table: SkewArray, exponents: Sequence[int]) -> LaurentPoly:
-    """The Pfaffian of an odd-size skew table bordered by the column of
-    monomials z^e_p, expanded along that column: the coefficient of z^e_p is
-    (-1)^p Pf(table without position p), one pivoted Pfaffian per minor."""
-    from .pfaffian import pf_indices
-
-    positions = range(len(exponents))
-    return LaurentPoly({e: (-1) ** p * pf_indices(table, [i for i in positions if i != p])
-                        for p, e in enumerate(exponents)})
-
-
-class PfaffianRoute(NamedTuple):
-    """The moment-table route through degree len(rows) - 1 (pfaffian_route).
-
-    An exact table is eliminated as the int congruence D A D, D = diag(d),
-    so its Pfaffian over an index set S is prod_{s in S} d_s times that of
-    A.  rows[i] is the table over S = {0..2m-1, i}, m = i // 2, bordered by
-    the monomial column (bordered_pfaffian): its z^c coefficient is
-    prod_{s in S} d_s / d_c times that of tau_m q_i, an int.  d is None for
-    a float table, whose rows are those of A itself (every d_s = 1).
-    """
-
-    rows: Tuple[LaurentPoly, ...]
-    d: Optional[Tuple[int, ...]]
-
-    def member(self, n: int) -> LaurentPoly:
-        """Monic q_n, q_n[c] = rows[n][c] d_c / (rows[n][n] d_n):
-
-        q_2m(z)   = sum_k (-1)^k z^k Pf({0..2m} \\ {k}) / tau_m
-        q_2m+1(z) = z^(2m+1) + sum_{k<2m} (-1)^k z^k Pf(({0..2m-1} \\ {k}) + {2m+1}) / tau_m
-
-        so the odd members have no z^2m term by construction."""
-        if not 0 <= n < len(self.rows):
-            raise ValueError(f"q_{n} requested from a route through degree {len(self.rows) - 1}")
-        row = self.rows[n]
-        tau = row.coeff(n)
-        if tau == 0:
-            raise DegeneracyError(f"tau_{n // 2} = 0: q_{n} does not exist")
-        if self.d is None:
-            return LaurentPoly({e: c / tau for e, c in row.coeffs.items()})
-        d = self.d
-        den = tau * d[n]
-        return LaurentPoly({e: Fraction(c * d[e], den) for e, c in row.coeffs.items()})
-
-    def recurrence_data(self) -> RecurrenceData:
-        """tau_k = Pf(0..2k-1) and sigma_k = Pf(0..2k-2, 2k), read off every
-        even row: with P = prod_{s<2k} d_s, tau_k = rows[2k][2k] / P and
-        sigma_k = -rows[2k][2k-1] d_{2k-1} / (P d_{2k}).  A vanishing tau_k
-        (exactly on an exact route, below 1e-8 x the running scale
-        max(1, |tau_j|, |sigma_j| : j <= k) on a float one) raises, since the
-        family does not exist."""
-        tau, sigma = [], []
-        running = 1.0
-        below = 1  # prod_{s < 2k} d_s on an exact route
-        for k, row in enumerate(self.rows[::2]):
-            if self.d is None:
-                # / 1 keeps the float route's scalar types: an int 0 or 1 reads 0.0 or 1.0
-                t, s = row.coeff(2 * k) / 1, -row.coeff(2 * k - 1) / 1
-                running = max(running, abs(float(t)), abs(float(s)))
-                if abs(float(t)) <= TAU_DEGENERACY_RELATIVE * running:
-                    raise DegeneracyError(
-                        f"tau_{k} = {float(t):.3e} below degeneracy threshold "
-                        f"({TAU_DEGENERACY_RELATIVE:g} x scale {running:.3e})"
-                    )
-            else:
-                d = self.d
-                t = Fraction(row.coeff(2 * k), below)
-                s = (Fraction(-row.coeff(2 * k - 1) * d[2 * k - 1], below * d[2 * k])
-                     if k else Fraction(0))
-                if t == 0:
-                    raise DegeneracyError(f"tau_{k} = 0: the skew orthogonal family does not exist")
-                below *= math.prod(d[2 * k:2 * k + 2])
-            tau.append(t)
-            sigma.append(s)
-        return _recurrence_from_minors(tau, sigma)
-
-
-def balanced_scaling(mu: MomentTable, n: int) -> Tuple[int, ...]:
-    """Per-index scales d_0..d_n that make every d_i d_j mu_{j-i} an int.
-
-    The indices are placed outward from the centre h = n // 2 (h, h-1, h+1,
-    h-2, ...), d_h = 1, and each new index i takes the least d_i that clears
-    its entries against every index j placed before it:
-    d_i = lcm_j den(mu_|i-j|) / gcd(den(mu_|i-j|), d_j).  On a measure,
-    whose mu_k have denominators like W P^k, d_i grows like P^|i-h|, where
-    one lcm L for the whole table puts L^m into every 2m-index Pfaffian."""
-    den = [mu.mu_at(k).denominator for k in range(n + 1)]
-    h = n // 2
-    d = [0] * (n + 1)
-    placed = []
-    for i in sorted(range(n + 1), key=lambda i: (abs(i - h), i)):
-        pairs = ((den[abs(i - j)], d[j]) for j in placed)
-        d[i] = math.lcm(*(q // math.gcd(q, dj) for q, dj in pairs))
-        placed.append(i)
-    return tuple(d)
-
-
-def pfaffian_route(mu: MomentTable, n: int) -> PfaffianRoute:
-    """q_0..q_n, and tau and sigma through n // 2, of a moment table.
-
-    The route table is the int table d_i d_j mu_{j-i} (balanced_scaling) of
-    an exact moment table, and the float moment table itself otherwise.  An
-    exact one gives its rows from one pf_leading_borders elimination; the
-    rows it does not reach, those past a vanishing tau and every row of a
-    float one, take bordered_pfaffian's pivoted Pfaffian per minor of a
-    sub-table of the route table.
-    """
-    from .pfaffian import SkewArray, pf_leading_borders
-
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    rows, d = [], None
-    if mu.exact:
-        d = balanced_scaling(mu, n)
-        lag = [(v.numerator, v.denominator) for v in map(mu.mu_at, range(n + 1))]
-        table = SkewArray.from_entry_fn(
-            n + 1, lambda i, j: lag[j - i][0] * (d[i] * d[j] // lag[j - i][1]))
-        rows = [LaurentPoly(dict(enumerate(row))) for row in pf_leading_borders(table)[0]]
-    else:
-        table = moment_skew_array(mu, range(n + 1))
-    for i in range(len(rows), n + 1):
-        exponents = list(range(2 * (i // 2))) + [i]
-        rows.append(bordered_pfaffian(table.submatrix(exponents), exponents))
-    return PfaffianRoute(rows=tuple(rows), d=d)
-
-
-def _recurrence_from_minors(tau: List[Scalar], sigma: List[Scalar]) -> RecurrenceData:
-    n = len(tau) - 1
-    alpha = [tau[0] * 0] + [sigma[k] / tau[k] for k in range(1, n + 1)]
-    beta = [tau[0] * 0]
-    for k in range(1, n + 1):
-        if k < n:
-            beta.append(tau[k + 1] * tau[k - 1] / (tau[k] * tau[k]))
-        else:
-            beta.append(tau[0] * 0)  # finite-rank convention beta_order = 0
-    return RecurrenceData(order=n, alpha=tuple(alpha), beta=tuple(beta),
-                          tau=tuple(tau), sigma=tuple(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +445,7 @@ def random_family(seed: int, n: int, mode: str = "double") -> FamilyValues:
 
 
 # ---------------------------------------------------------------------------
-# the polynomials themselves (coefficient route)
+# the polynomials themselves (production coefficient route)
 # ---------------------------------------------------------------------------
 
 def lsop_via_recurrence(rec: RecurrenceData, n: int) -> List[LaurentPoly]:
@@ -638,183 +466,14 @@ def lsop_via_recurrence(rec: RecurrenceData, n: int) -> List[LaurentPoly]:
             q = shifted_form(axpy_form(forms[2 * k + 1], -rec.alpha[k + 1], forms[2 * k]))
             forms.append(lowest_form(axpy_form(q, 1, forms[2 * k])))
         return [form_poly(f) for f in forms[: 2 * n + 1]]
-    qs = [ONE, Z]
+    from .laurent import LaurentPoly
+
+    z = LaurentPoly.monomial(1)
+    qs = [LaurentPoly.constant(1), z]
     for k in range(n):
         if k >= 1:
-            q_odd = Z * qs[2 * k] - rec.beta[k] * (Z * qs[2 * k - 2]) + rec.alpha[k] * qs[2 * k]
+            q_odd = z * qs[2 * k] - rec.beta[k] * (z * qs[2 * k - 2]) + rec.alpha[k] * qs[2 * k]
             qs.append(q_odd)
-        q_even = Z * qs[2 * k + 1] - rec.alpha[k + 1] * (Z * qs[2 * k]) + qs[2 * k]
+        q_even = z * qs[2 * k + 1] - rec.alpha[k + 1] * (z * qs[2 * k]) + qs[2 * k]
         qs.append(q_even)
     return qs[: 2 * n + 1]
-
-
-def orthonormalize(qs: Sequence[LaurentPoly], rec: RecurrenceData) -> List[LaurentPoly]:
-    """Scaled family qt_2n = sqrt(tau_n / tau_{n+1}) q_2n (same scale on 2n+1).
-
-    The scales are irrational in general, so the output is float-valued;
-    exact statements about this family go through the scale squares (the
-    pairing <q_2m|q_2n+1> tau_n/tau_{n+1} = delta_mn is rational), and
-    numerical statements through FamilyValues tables.
-    """
-    scales = rec.scale_squares()
-    return [qs[j].as_float().scale(math.sqrt(float(scales[j // 2]))) for j in range(2 * rec.order)]
-
-
-# ---------------------------------------------------------------------------
-# reduction of even members to orthogonal polynomials in w = z + 1/z
-# ---------------------------------------------------------------------------
-
-def even_to_op(q2n: LaurentPoly) -> LaurentPoly:
-    """The unique monic P with q_2n(z) = z^n P(z + 1/z).
-
-    Peels c_k (z + 1/z)^k = c_k sum_i C(k, i) z^(k-2i) from the top.  Exact input
-    must be exactly self-reciprocal; float input is accepted up to a
-    relative symmetry defect of REDUCTION_SYMMETRY_TOL and symmetrized
-    before peeling (rounding breaks the mirror identity bitwise).
-    """
-    if q2n.is_zero():
-        raise StructureError("zero polynomial has no reduction")
-    order = q2n.max_exp
-    if order % 2 or q2n.min_exp < 0:
-        raise StructureError(f"expected an ordinary polynomial of even degree, got exponents "
-                             f"[{q2n.min_exp}, {order}]")
-    exact = all(is_exact(c) for c in q2n.coeffs.values())
-    if exact:
-        if not q2n.is_self_reciprocal(order):
-            raise StructureError("polynomial is not self-reciprocal; no representation in z + 1/z")
-        work = q2n
-    else:
-        scale = max(q2n.max_abs_coeff(), 1.0)
-        defect = max(abs(float(q2n.coeff(order - e)) - float(c)) for e, c in q2n.coeffs.items())
-        if defect > REDUCTION_SYMMETRY_TOL * scale:
-            raise StructureError(f"symmetry defect {defect:.3e} exceeds "
-                                 f"{REDUCTION_SYMMETRY_TOL:g} x scale; "
-                                 "no representation in z + 1/z")
-        sym = {}
-        for e in set(q2n.coeffs) | {order - e for e in q2n.coeffs}:
-            sym[e] = 0.5 * (float(q2n.coeff(e)) + float(q2n.coeff(order - e)))
-        work = LaurentPoly(sym)
-    n = order // 2
-    r = work.shift(-n)
-    coeffs = {}
-    for k in range(n, -1, -1):
-        c = r.coeff(k)
-        if c != 0:
-            coeffs[k] = c
-            r = r - LaurentPoly({k - 2 * i: math.comb(k, i) for i in range(k + 1)}).scale(c)
-    if exact and not r.is_zero():
-        raise StructureError("reduction left a remainder; input violates Laurent symmetry")
-    return LaurentPoly(coeffs)
-
-
-def op_via_hankel(c: Sequence[Scalar], n: int) -> LaurentPoly:
-    """Monic degree-n orthogonal polynomial of the moment sequence c.
-
-    Solves the Hankel system sum_j x_j c_{i+j} = -c_{i+n} (i < n) by dense
-    elimination; equivalent to the bordered-determinant ratio.
-    """
-    from .numerics import solve_linear
-
-    if n == 0:
-        return ONE
-    if len(c) < 2 * n:
-        raise ValueError(f"need {2 * n} moments for degree {n}, got {len(c)}")
-    h = [[c[i + j] for j in range(n)] for i in range(n)]
-    rhs = [-c[i + n] for i in range(n)]
-    try:
-        xs = solve_linear(h, rhs)
-    except ValueError as exc:
-        raise DegeneracyError(f"Hankel block of order {n} is singular") from exc
-    coeffs = {j: xs[j] for j in range(n)}
-    coeffs[n] = 1
-    return LaurentPoly(coeffs)
-
-
-def hankel_det(c: Sequence[Scalar], n: int) -> Scalar:
-    """det (c_{i+j}), 0 <= i, j < n; the order-0 determinant is 1."""
-    from .numerics import dense_det
-
-    return dense_det([[c[i + j] for j in range(n)] for i in range(n)])
-
-
-def shifted_hankel_det(c: Sequence[Scalar], n: int) -> Scalar:
-    """Hankel variant with the last column advanced by one index.
-
-    Rows (c_i, ..., c_{i+n-2}, c_{i+n}); the order-0 value is 0 by the
-    sigma_0 convention.
-    """
-    from .numerics import dense_det
-
-    if n == 0:
-        return 0
-    rows = [[c[i + j] for j in range(n - 1)] + [c[i + n]] for i in range(n)]
-    return dense_det(rows)
-
-
-class PfaffianDetReport(NamedTuple):
-    """Largest |tau_k - Hankel_k| or |sigma_k - shifted Hankel_k|, and relative."""
-
-    max_absolute: float
-    max_relative: float
-
-
-def verify_pfaffian_det(rec: RecurrenceData, c: Sequence[Scalar], n: int) -> PfaffianDetReport:
-    """Check tau_k = Hankel_k(c) and sigma_k = shifted-Hankel_k(c) for k <= n,
-    relative to max(1, |tau_k|, |sigma_k|) too; exact agreement reads (0, 0).
-    Exact moments take every determinant through the first vanishing
-    Hankel minor from one elimination (exact.hankel_minors); the orders
-    past it, and every order of float moments, a pivoted dense_det each."""
-    dets = []
-    if all(map(is_exact, c[:2 * n])):
-        from .exact import hankel_minors
-
-        dets = hankel_minors(c, n)
-    dets += [(hankel_det(c, k), shifted_hankel_det(c, k)) for k in range(len(dets), n + 1)]
-    max_abs = max_rel = 0.0
-    for t, s, (hk, sk) in zip(rec.tau, rec.sigma, dets):
-        td, sd = abs(float(t - hk)), abs(float(s - sk))
-        denom = max(1.0, abs(float(t)), abs(float(s)))
-        max_abs = max(max_abs, td, sd)
-        max_rel = max(max_rel, td / denom, sd / denom)
-    return PfaffianDetReport(max_abs, max_rel)
-
-
-# ---------------------------------------------------------------------------
-# squared-variable comparison construction
-# ---------------------------------------------------------------------------
-
-def kodama_sops(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> List[LaurentPoly]:
-    """Skew family q_2k = p_k(z^2), q_2k+1 = z p_k(z^2) from monic three-term
-    coefficients (a_k, b_k); returns q_0..q_{2n+1}."""
-    if len(a) < n or (n >= 2 and len(b) < n):
-        raise ValueError(f"need {n} a-coefficients and {n} b-coefficients")
-    # p_k in z^2 directly: p_{k+1}(u) = (u - a_k) p_k(u) - b_k p_{k-1}(u), u = z^2
-    ps = [ONE]
-    if n >= 1:
-        u = LaurentPoly.monomial(2)
-        ps.append(u - LaurentPoly.constant(a[0]))
-        for k in range(1, n):
-            ps.append((u - LaurentPoly.constant(a[k])) * ps[k] - ps[k - 1].scale(b[k]))
-    qs = []
-    for k in range(n + 1):
-        qs.append(ps[k])
-        qs.append(ps[k].shift(1))
-    return qs
-
-
-def kodama_residuals(qs: Sequence[LaurentPoly], a: Sequence[Scalar], b: Sequence[Scalar]) -> List[LaurentPoly]:
-    """Defects of z q_2k = q_2k+1 and z q_2k+1 = q_2k+2 + a_k q_2k + b_k q_2k-2.
-
-    All returned polynomials are identically zero when qs came from
-    kodama_sops with the same coefficients.
-    """
-    n = len(qs) // 2 - 1
-    out = []
-    for k in range(n + 1):
-        out.append(qs[2 * k].shift(1) - qs[2 * k + 1])
-        if k < n:
-            res = qs[2 * k + 1].shift(1) - qs[2 * k + 2] - qs[2 * k].scale(a[k])
-            if k >= 1:
-                res = res - qs[2 * k - 2].scale(b[k])
-            out.append(res)
-    return out

@@ -17,7 +17,7 @@ formulated so that no square root is ever required there.
 from Fractions to ints, taken by the fraction-free (Bareiss) eliminations,
 the integer Laurent evaluation, the exact walk (lsopkit.exact holds its
 integer kernels) and the integer skew Gram.  The moment-table
-route's per-index scaling (lsop.balanced_scaling) is a congruence, not a
+route's per-index scaling (oracles.balanced_scaling) is a congruence, not a
 common denominator, and stays apart.  ``validated_make`` is the ``_make``
 of every record whose ``__new__`` validates its fields.
 """

@@ -8,7 +8,9 @@ input, int/Fraction, each row cleared to ints by modes.clear_denominators,
 each column divided by its gcd, and the int table eliminated
 fraction-free, Bareiss, with one Fraction per result), an
 implicit-shift QL eigensolver for symmetric tridiagonal matrices, and a
-Hessenberg + double-shift QR eigensolver for general real matrices.
+Hessenberg + double-shift QR eigensolver for general real matrices.  The
+exact branch's integer kernels live in exact and are imported only on
+all-exact input, so a double-mode process compiles none of them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import repeat
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import ConvergenceError, DimensionError
-from .modes import Scalar, clear_denominators, is_exact, validated_make
+from .modes import Scalar, is_exact, validated_make
 
 Matrix = List[List[Scalar]]
 
@@ -115,7 +117,7 @@ def _eliminate(a: Matrix, cols: Sequence[Sequence[Scalar]] = ()):
     Pivots are chosen from a alone, so every column sees the same steps.
 
     Float rows take partial pivoting and division.  Exact rows are cleared
-    to ints first (_eliminate_ints): each augmented row by
+    to ints first (exact.eliminate_ints): each augmented row by
     clear_denominators, then each column of a divided by the gcd of its
     entries.  scale is (r, g), r the product of the row scales and g the
     column gcds, so the int system is R a G^-1 (G x) = R b.  It is eliminated
@@ -128,7 +130,9 @@ def _eliminate(a: Matrix, cols: Sequence[Sequence[Scalar]] = ()):
     width = n + len(cols)
     m = [list(row) + [col[i] for col in cols] for i, row in enumerate(a)]
     if all(is_exact(x) for row in m for x in row):
-        return _eliminate_ints(m, n)
+        from .exact import eliminate_ints
+
+        return eliminate_ints(m, n)
     pivots: List[Scalar] = []
     sign = 1
     for k in range(n):
@@ -148,38 +152,6 @@ def _eliminate(a: Matrix, cols: Sequence[Sequence[Scalar]] = ()):
                 for j in range(k, width):
                     row_i[j] -= f * row_k[j]
     return m, pivots, sign, None
-
-
-def _eliminate_ints(m: Matrix, n: int):
-    """_eliminate's exact branch on the augmented rows m: each row through
-    clear_denominators, then the first n columns divided by their gcds (a
-    Hankel table's denominators grow along both axes, so clearing the rows
-    alone leaves a common factor in each column), then fraction-free steps."""
-    r = 1
-    for i, row in enumerate(m):
-        m[i], row_scale = clear_denominators(row)
-        r *= row_scale
-    g = [math.gcd(*col) or 1 for col in zip(*(row[:n] for row in m))]
-    for row in m:
-        row[:n] = [x // gj for x, gj in zip(row, g)]
-    pivots: List[int] = []
-    sign, prev = 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if p is None:
-            break
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        row_k = m[k]
-        piv = row_k[k]
-        pivots.append(piv)
-        for i in range(k + 1, n):
-            row_i = m[i]
-            f = row_i[k]
-            row_i[k:] = [(piv * x - f * y) // prev for x, y in zip(row_i[k:], row_k[k:])]
-        prev = piv
-    return m, pivots, sign, (r, g)
 
 
 def dense_det(a: Matrix) -> Scalar:
@@ -213,7 +185,9 @@ def solve_columns(a: Matrix, cols: Sequence[Sequence[Scalar]]) -> List[List[Scal
     if len(pivots) < n:
         raise ValueError("singular linear system")
     if scale is not None:
-        return _back_substitute_ints(m, n, len(cols), scale[1])
+        from .exact import back_substitute_ints
+
+        return back_substitute_ints(m, n, len(cols), scale[1])
     out = []
     for c in range(n, n + len(cols)):
         x: List[Scalar] = [0] * n
@@ -223,25 +197,6 @@ def solve_columns(a: Matrix, cols: Sequence[Sequence[Scalar]]) -> List[List[Scal
                 acc -= m[i][j] * x[j]
             x[i] = acc / m[i][i]
         out.append(x)
-    return out
-
-
-def _back_substitute_ints(m: Matrix, n: int, count: int, g: List[int]) -> List[List[Scalar]]:
-    """The solutions of the fraction-free triangular rows m, one Fraction per
-    unknown.  With d the last pivot, d G x is an int vector (Cramer's rule
-    on the int system), so it is back-substituted in ints, each step
-    dividing exactly by its row's pivot, and x_j is that over d g_j."""
-    d = m[n - 1][n - 1] if n else 1
-    out = []
-    for c in range(n, n + count):
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = m[i]
-            acc = d * row[c]
-            for j in range(i + 1, n):
-                acc -= row[j] * y[j]
-            y[i] = acc // row[i]
-        out.append([Fraction(v, d * gj) for v, gj in zip(y, g)])
     return out
 
 

@@ -19,7 +19,7 @@ Pfaffian minor of L*A, and the last pivot is Pf(L*A) = L^(n/2) Pf(A).  No
 gcd runs until the one Fraction built from that last pivot.  The ints
 carry the factor L^(n/2); on moment tables, whose denominators grow with
 the lag, that doubles their bits, so the moment-table route
-(lsop.pfaffian_route) clears its table per index instead, as the int
+(oracles.pfaffian_route) clears its table per index instead, as the int
 congruence D A D, and hands the int table here.  On exact input
 expansion and elimination agree identically; elimination returns an exact
 structural 0 when a pivot step finds no nonzero entry.

@@ -37,14 +37,14 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 from . import serialize
 from .laurent import LaurentPoly
 from .lsolp import (GaugeParams, LsolpFamily, butterfly_sparsity_defect,
-                    gauge_transform_scaled, gram_schmidt_lsolp, gram_schmidt_pairs,
-                    lsolp_from_values, multiplication_matrix)
-from .lsop import (FamilyValues, PfaffianRoute, RecurrenceData, evaluate_family,
-                   even_to_op, folded_support, kodama_residuals, kodama_sops, lsop_via_recurrence,
-                   op_via_hankel, pfaffian_route, random_family, skew_pattern_defect,
-                   verify_pfaffian_det)
+                    gauge_transform_scaled, lsolp_from_values, multiplication_matrix)
+from .lsop import (FamilyValues, RecurrenceData, evaluate_family, folded_support,
+                   lsop_via_recurrence, random_family, skew_pattern_defect)
 from .modes import Scalar, clear_denominators, validate_mode, validated_make
-from .moments import DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment, skew_inner
+from .moments import DiscreteMeasure
+from .oracles import (MomentTable, PfaffianRoute, c_moment, even_to_op, gram_schmidt_lsolp,
+                      gram_schmidt_pairs, kodama_residuals, kodama_sops, mu_from_c, mu_moment,
+                      op_via_hankel, pfaffian_route, skew_inner, verify_pfaffian_det)
 from .numerics import (dense_det, dense_eigs, inf_norm, max_abs_diff, nan_max, spectra_distance,
                        sym_tridiag_eigs)
 from .pfaffian import SkewArray, minor_identity, pf_eliminate, pf_expand

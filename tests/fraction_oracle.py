@@ -15,8 +15,11 @@ the same work with a gcd on every operation, as the exact layer did before:
 from fractions import Fraction
 
 from lsopkit.errors import DegeneracyError
-from lsopkit.lsop import ONE, Z, folded_support
+from lsopkit.laurent import LaurentPoly
+from lsopkit.lsop import folded_support
 from lsopkit.modes import clear_denominators
+
+ONE, Z = LaurentPoly.constant(1), LaurentPoly.monomial(1)
 
 
 class FractionWalk:

@@ -9,10 +9,10 @@ import time
 from fractions import Fraction
 
 from lsopkit.lsolp import GaugeParams, gauge_transform_scaled, lsolp_from_values, multiplication_matrix
-from lsopkit.lsop import (even_to_op, hankel_det, kodama_residuals, kodama_sops,
-                          lsop_via_recurrence, op_via_hankel, pfaffian_route,
-                          random_family, recurrence_from_measure, shifted_hankel_det)
-from lsopkit.moments import MomentTable, c_moment, mu_from_c
+from lsopkit.lsop import lsop_via_recurrence, random_family, recurrence_from_measure
+from lsopkit.oracles import (MomentTable, c_moment, even_to_op, hankel_det, kodama_residuals,
+                             kodama_sops, mu_from_c, op_via_hankel, pfaffian_route,
+                             shifted_hankel_det)
 from lsopkit.numerics import dense_det, dense_eigs, inf_norm, spectra_distance, sym_tridiag_eigs
 from lsopkit.pfaffian import SkewArray, minor_identity, pf_eliminate, pf_expand
 from lsopkit.spectra import (CONVENTION_DIFFERENCE, ButterflyParams, build_butterfly,

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsopkit import cli, lsolp, lsop, pfaffian, serialize, spectra, verify
+from lsopkit import cli, lsolp, lsop, oracles, pfaffian, serialize, spectra, verify
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.verify import RunConfig, run_verification
 
@@ -194,20 +194,20 @@ def test_zero_tau_measure_aborts_each_route_where_it_did():
 
 @pytest.fixture
 def build_count(monkeypatch):
-    """Counts the calls that code in spectra, lsolp, lsop and verify makes of
-    the pencil, transfer and alternating-family builders, of the even-member
-    reduction, of the one-pass Pfaffian route and its elimination, and of the
-    Pfaffians lsop takes one per minor.  Each is swapped in its home module,
-    which lsop's imports at call time read, and wherever a module has bound
+    """Counts the calls that code in spectra, lsolp, lsop, oracles and verify
+    makes of the pencil, transfer and alternating-family builders, of the
+    even-member reduction, of the one-pass Pfaffian route and its
+    elimination, and of the Pfaffians oracles takes one per minor.  Each is
+    swapped in its home module and wherever one of those modules has bound
     it; the Pfaffians pfaffian takes itself (minor_identity's) do not count."""
     counts = collections.Counter()
-    callers = (spectra, lsolp, lsop, verify)
+    callers = (spectra, lsolp, lsop, oracles, verify)
     counted_in = {mod.__name__ for mod in callers}
     watched = {
         "build_pencil": spectra, "pencil_from_recurrence": spectra,
         "transfer_symplecticity": spectra, "transfer_matrix": spectra,
-        "lsolp_from_values": lsolp, "even_to_op": lsop,
-        "pfaffian_route": lsop, "pf_leading_borders": pfaffian, "pf_indices": pfaffian,
+        "lsolp_from_values": lsolp, "even_to_op": oracles,
+        "pfaffian_route": oracles, "pf_leading_borders": pfaffian, "pf_indices": pfaffian,
     }
     for name, home in watched.items():
         original = getattr(home, name)
@@ -235,7 +235,7 @@ def test_report_builds_each_artifact_once(build_count, mode):
     # recurrence layout's matrix), and one reduction per even member up to
     # the coefficient-route order (6, 4).  Both Pfaffian-route claims read one
     # route of the moment table: rational mode eliminates it once, double
-    # mode takes lsop's Pfaffians one per minor, 41 for q_0..q_8, whose rows
+    # mode takes oracles' Pfaffians one per minor, 41 for q_0..q_8, whose rows
     # hold tau_1..4 and sigma_1..4 too
     pfaffians = {"pf_leading_borders": 1} if mode == "rational" else {"pf_indices": 41}
     assert build_count == {"build_pencil": 1, "pencil_from_recurrence": 1,

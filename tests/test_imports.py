@@ -4,14 +4,17 @@
 home module on first access.  Each subcommand, run in a fresh interpreter
 the way `python -m lsopkit.cli` runs it, writes the same bytes and exits
 with the same status as `cli.main` in process, and loads exactly the modules
-it runs: beyond the parser's, gen-measure and lsop load lsop alone, pencil
-lsop, spectra and numerics, butterfly lsolp as well, solve-butterfly
-spectra and numerics but no family module, and only verify loads pfaffian
-and verify.  `import lsopkit.lsop` loads neither the Pfaffian nor the dense
-kernels nor the exact layer's integer kernels, and `import lsopkit.spectra`
-no family module.  No subcommand loads `dataclasses` or the `inspect`
-module it imports: every record is a `typing.NamedTuple`.  `lsopkit.modes`,
-which every other module imports, loads no other lsopkit module.
+it runs: beyond the parser's, gen-measure loads lsop alone and lsop laurent
+as well, pencil lsop, spectra and numerics, butterfly lsolp as well,
+solve-butterfly spectra and numerics but no family module, and only verify
+loads the reference routes (oracles), pfaffian and verify.
+`import lsopkit.lsop` loads neither the Pfaffian nor the dense kernels nor
+the exact layer's integer kernels; `import lsopkit.moments`, `lsopkit.lsop`
+and `lsopkit.lsolp` load neither laurent nor oracles, and
+`import lsopkit.spectra` no family module.  No subcommand loads
+`dataclasses` or the `inspect` module it imports: every record is a
+`typing.NamedTuple`.  `lsopkit.modes`, which every other module imports,
+loads no other lsopkit module.
 """
 
 import importlib
@@ -35,13 +38,15 @@ PUBLIC = {
               "ExpansionLimitError GenerationError IncompleteTableError LsopkitError "
               "RepresentationError StructureError",
     "laurent": "LaurentPoly",
-    "lsolp": "GaugeParams LsolpFamily gauge_transform_scaled gram_schmidt_lsolp lsolp_from_lsop "
-             "lsolp_from_values multiplication_matrix",
-    "lsop": "FamilyValues RecurrenceData evaluate_family even_to_op kodama_residuals kodama_sops "
-            "lsop_via_recurrence op_via_hankel orthonormalize pfaffian_route random_family "
-            "recurrence_from_measure verify_pfaffian_det",
-    "moments": "DiscreteMeasure MomentTable c_moment mu_from_c mu_moment skew_inner",
+    "lsolp": "GaugeParams LsolpFamily gauge_transform_scaled lsolp_from_values "
+             "multiplication_matrix",
+    "lsop": "FamilyValues RecurrenceData evaluate_family lsop_via_recurrence random_family "
+            "recurrence_from_measure",
+    "moments": "DiscreteMeasure",
     "numerics": "SymTridiag dense_det dense_eigs spectra_distance sym_tridiag_eigs",
+    "oracles": "MomentTable c_moment even_to_op gram_schmidt_lsolp kodama_residuals kodama_sops "
+               "lsolp_from_lsop mu_from_c mu_moment op_via_hankel orthonormalize pfaffian_route "
+               "skew_inner verify_pfaffian_det",
     "pfaffian": "SkewArray minor_identity pf_eliminate pf_expand pf_indices",
     "spectra": "ButterflyParams PencilPair build_butterfly build_pencil build_tridiagonal "
                "butterfly_from_params butterfly_params butterfly_to_tridiagonal "
@@ -52,12 +57,12 @@ NAMES = [(module, name) for module, names in PUBLIC.items() for name in names.sp
 
 # the lsopkit modules each subcommand loads besides lsopkit.cli, which runs
 # as __main__; the parser alone loads BASE
-BASE = {"errors", "modes", "serialize", "moments", "laurent"}
+BASE = {"errors", "modes", "serialize", "moments"}
 FAMILY = BASE | {"lsop"}
 PENCIL = FAMILY | {"spectra", "numerics"}
-LOADED = {"gen-measure": FAMILY, "lsop": FAMILY, "pencil": PENCIL, "butterfly": PENCIL | {"lsolp"},
-          "solve-butterfly": BASE | {"spectra", "numerics"},
-          "verify": PENCIL | {"lsolp", "pfaffian", "verify"}}
+LOADED = {"gen-measure": FAMILY, "lsop": FAMILY | {"laurent"}, "pencil": PENCIL,
+          "butterfly": PENCIL | {"lsolp"}, "solve-butterfly": BASE | {"spectra", "numerics"},
+          "verify": PENCIL | {"laurent", "lsolp", "oracles", "pfaffian", "verify"}}
 
 # stdlib modules no subcommand may load: each costs a fresh process
 # milliseconds of import time
@@ -113,8 +118,7 @@ def test_import_loads_no_submodule():
     # a public name loads its home module and what that imports, nothing more
     code = ("import json, sys, lsopkit; lsopkit.DiscreteMeasure; "
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lsopkit'))))")
-    assert json.loads(_fresh("-c", code)) == ["lsopkit", "lsopkit.laurent", "lsopkit.modes",
-                                              "lsopkit.moments"]
+    assert json.loads(_fresh("-c", code)) == ["lsopkit", "lsopkit.modes", "lsopkit.moments"]
 
 
 def _loaded_by(module: str):
@@ -133,6 +137,14 @@ def test_lsop_loads_neither_the_pfaffian_nor_the_dense_kernels():
     # only the exact walk and the exact coefficient family the integer kernels
     loaded = _loaded_by("lsop")
     assert not {"lsopkit.pfaffian", "lsopkit.numerics", "lsopkit.exact"} & set(loaded)
+
+
+@pytest.mark.parametrize("module", ["moments", "lsop", "lsolp"])
+def test_production_module_loads_no_reference_route(module):
+    # the moment sums, the moment-table route and the coefficient-polynomial
+    # constructions live in oracles, which alone of these needs laurent
+    loaded = _loaded_by(module)
+    assert not {"lsopkit.laurent", "lsopkit.oracles"} & set(loaded)
 
 
 def test_spectra_loads_no_family_module():

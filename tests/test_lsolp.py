@@ -8,12 +8,12 @@ import pytest
 
 from lsopkit.errors import AdmissibilityError, DegeneracyError, RepresentationError, StructureError
 from lsopkit.lsolp import (GaugeParams, butterfly_sparsity_defect, gauge_transform_scaled,
-                           gram_schmidt_lsolp, gram_schmidt_pairs, lsolp_from_lsop,
                            lsolp_from_values, multiplication_matrix)
-from lsopkit.lsop import (bordered_pfaffian, evaluate_family, lsop_via_recurrence,
-                          moment_skew_array, orthonormalize, random_family, recurrence_from_measure,
-                          skew_pattern_defect)
-from lsopkit.moments import DiscreteMeasure, MomentTable
+from lsopkit.lsop import (evaluate_family, lsop_via_recurrence, random_family,
+                          recurrence_from_measure, skew_pattern_defect)
+from lsopkit.moments import DiscreteMeasure
+from lsopkit.oracles import (MomentTable, bordered_pfaffian, gram_schmidt_lsolp, gram_schmidt_pairs,
+                             lsolp_from_lsop, moment_skew_array, orthonormalize)
 from lsopkit.numerics import dense_eigs, spectra_distance
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])

@@ -9,12 +9,13 @@ import pytest
 from lsopkit.errors import AdmissibilityError, DegeneracyError, StructureError
 from lsopkit.exact import hankel_minors
 from lsopkit.laurent import LaurentPoly
-from lsopkit.lsop import (RecurrenceData, evaluate_family, even_to_op, hankel_det, kodama_residuals,
-                          kodama_sops, lsop_via_recurrence, op_via_hankel, orthonormalize,
-                          pfaffian_route, random_family, recurrence_from_measure,
-                          shifted_hankel_det, skew_pattern_defect, support_gram,
-                          support_pairing, verify_pfaffian_det)
-from lsopkit.moments import DiscreteMeasure, MomentTable, mu_moment, skew_inner
+from lsopkit.lsop import (RecurrenceData, evaluate_family, lsop_via_recurrence, random_family,
+                          recurrence_from_measure, skew_pattern_defect, support_gram,
+                          support_pairing)
+from lsopkit.moments import DiscreteMeasure
+from lsopkit.oracles import (MomentTable, even_to_op, hankel_det, kodama_residuals, kodama_sops,
+                             mu_moment, op_via_hankel, orthonormalize, pfaffian_route,
+                             shifted_hankel_det, skew_inner, verify_pfaffian_det)
 from lsopkit.verify import RunConfig
 
 from fraction_oracle import as_tables

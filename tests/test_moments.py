@@ -1,6 +1,7 @@
 """Discrete measures, skew inner product, and moment transforms."""
 
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsopkit.laurent import LaurentPoly, int_power
-from lsopkit.lsop import moment_skew_array, random_family
-from lsopkit.moments import DiscreteMeasure, MomentTable, c_moment, mu_from_c, mu_moment, skew_inner
+from lsopkit.lsop import random_family
+from lsopkit.moments import DiscreteMeasure
+from lsopkit.oracles import (MomentTable, c_moment, moment_skew_array, mu_from_c, mu_moment,
+                             skew_inner)
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])
 
@@ -37,6 +40,15 @@ def test_measure_rejects_non_finite_entries():
         with pytest.raises(ValueError):
             DiscreteMeasure([2.0, bad], [1.0, 1.0])
         with pytest.raises(ValueError):
+            DiscreteMeasure([2.0, 3.0], [1.0, bad])
+
+
+def test_measure_refuses_bools_and_non_numbers():
+    # a bool is an int to isinstance, and a string or None fails only later
+    for bad in (True, False, None, "2", [2.0]):
+        with pytest.raises(ValueError, match=re.escape(f"node {bad!r} is not a number")):
+            DiscreteMeasure([2.0, bad], [1.0, 1.0])
+        with pytest.raises(ValueError, match=re.escape(f"weight {bad!r} is not a number")):
             DiscreteMeasure([2.0, 3.0], [1.0, bad])
 
 

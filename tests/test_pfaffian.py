@@ -4,7 +4,7 @@ route.
 The suite checks elimination against expansion and the dense determinant
 on seeded tables, the moment-table Pfaffians of the rational fixed measure
 against the exact folded walk's tau_k at N = 6, the exact route
-(lsop.pfaffian_route) against the per-member route its one-pass elimination
+(oracles.pfaffian_route) against the per-member route its one-pass elimination
 replaced, kept here (old_lsop_via_pfaffian, old_minor_taus), on rational
 seeds 1-10 at orders 1-6 and on the rational fixed measure at N = 12, the
 per-index (balanced) scaling of the exact route against the uniform-lcm
@@ -37,10 +37,10 @@ from hypothesis import given, settings, strategies as st
 
 from lsopkit.errors import DegeneracyError, DimensionError, ExpansionLimitError, IncompleteTableError
 from lsopkit.laurent import LaurentPoly
-from lsopkit.lsop import (_recurrence_from_minors, balanced_scaling, bordered_pfaffian,
-                          lsop_via_recurrence, moment_skew_array, pfaffian_route, random_family,
-                          recurrence_from_measure)
-from lsopkit.moments import DiscreteMeasure, MomentTable
+from lsopkit.lsop import lsop_via_recurrence, random_family, recurrence_from_measure
+from lsopkit.moments import DiscreteMeasure
+from lsopkit.oracles import (MomentTable, _recurrence_from_minors, balanced_scaling,
+                             bordered_pfaffian, moment_skew_array, pfaffian_route)
 from lsopkit.numerics import dense_det
 from lsopkit.pfaffian import (SkewArray, _eliminate, _swap_sym, _working_rows, minor_identity,
                               pf_eliminate, pf_expand, pf_indices, pf_leading_borders)

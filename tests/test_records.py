@@ -15,9 +15,10 @@ import pytest
 
 from lsopkit.errors import AdmissibilityError, DimensionError
 from lsopkit.lsolp import GaugeParams, LsolpFamily
-from lsopkit.lsop import PfaffianDetReport, PfaffianRoute, RecurrenceData
+from lsopkit.lsop import RecurrenceData
 from lsopkit.laurent import LaurentPoly
-from lsopkit.moments import DiscreteMeasure, MomentTable
+from lsopkit.moments import DiscreteMeasure
+from lsopkit.oracles import MomentTable, PfaffianDetReport, PfaffianRoute
 from lsopkit.numerics import SymTridiag
 from lsopkit.spectra import ButterflyParams, PencilPair
 from lsopkit.verify import ClaimResult, RunConfig, VerificationReport
