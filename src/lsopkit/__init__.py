@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("AdmissibilityError", "ConvergenceError", "DegeneracyError", "DimensionError",
-               "ExpansionLimitError", "GenerationError", "IncompleteTableError", "LsopkitError",
-               "RepresentationError", "StructureError"),
+               "ExpansionLimitError", "GenerationError", "LsopkitError", "RepresentationError",
+               "StructureError"),
     "laurent": ("LaurentPoly",),
     "lsolp": ("GaugeParams", "LsolpFamily", "gauge_transform_scaled", "lsolp_from_values",
               "multiplication_matrix"),
@@ -32,8 +32,8 @@ _EXPORTS = {
     "moments": ("DiscreteMeasure",),
     "numerics": ("SymTridiag", "dense_det", "dense_eigs", "spectra_distance", "sym_tridiag_eigs"),
     "oracles": ("MomentTable", "c_moment", "even_to_op", "gram_schmidt_lsolp", "kodama_residuals",
-                "kodama_sops", "lsolp_from_lsop", "mu_from_c", "mu_moment", "op_via_hankel",
-                "orthonormalize", "pfaffian_route", "skew_inner", "verify_pfaffian_det"),
+                "kodama_sops", "mu_from_c", "mu_moment", "op_via_hankel", "pfaffian_route",
+                "skew_inner", "verify_pfaffian_det"),
     "pfaffian": ("SkewArray", "minor_identity", "pf_eliminate", "pf_expand", "pf_indices"),
     "spectra": ("ButterflyParams", "PencilPair", "build_butterfly", "build_pencil",
                 "build_tridiagonal", "butterfly_from_params", "butterfly_params",

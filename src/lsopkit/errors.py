@@ -6,15 +6,12 @@ class LsopkitError(Exception):
 
 
 class DimensionError(LsopkitError):
-    """Array or index-list size is structurally wrong (e.g. odd-sized skew table)."""
+    """Array or index-list size is structurally wrong (e.g. odd-sized skew
+    table), or an index lies outside a table."""
 
 
 class ExpansionLimitError(LsopkitError):
     """Recursive Pfaffian expansion refused: input exceeds the configured size cap."""
-
-
-class IncompleteTableError(LsopkitError):
-    """An index outside a skew table."""
 
 
 class DegeneracyError(LsopkitError):

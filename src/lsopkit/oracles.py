@@ -19,15 +19,14 @@ verify can compare the two:
   fraction-free elimination; the rows that elimination does not reach,
   those past a vanishing tau and every row of a float table, take one
   pivoted Pfaffian per minor of a sub-table (bordered_pfaffian);
-* the coefficient references: orthonormalize scales a coefficient family,
-  even_to_op folds an even member into the monic orthogonal polynomial in
-  w = z + 1/z, and op_via_hankel, hankel_det, shifted_hankel_det and
-  verify_pfaffian_det are its Hankel-determinant counterparts;
+* the coefficient references: even_to_op folds an even member into the
+  monic orthogonal polynomial in w = z + 1/z, and op_via_hankel,
+  hankel_det, shifted_hankel_det and verify_pfaffian_det are its
+  Hankel-determinant counterparts;
 * the squared-variable comparison family q_2n = p_n(z^2),
   q_2n+1 = z p_n(z^2) (kodama_sops, kodama_residuals);
-* the alternating-basis family from coefficient polynomials
-  (lsolp_from_lsop) and by skew Gram-Schmidt in the alternating basis
-  (gram_schmidt_pairs, gram_schmidt_lsolp).
+* the alternating-basis family by skew Gram-Schmidt in the alternating
+  basis (gram_schmidt_pairs, gram_schmidt_lsolp).
 
 Only verify and the tests import this module, so no other subcommand
 compiles it.  The exact Hankel minors (exact.hankel_minors) are imported
@@ -326,22 +325,6 @@ def _recurrence_from_minors(tau: List[Scalar], sigma: List[Scalar]) -> Recurrenc
 
 
 # ---------------------------------------------------------------------------
-# the coefficient family, orthonormalized
-# ---------------------------------------------------------------------------
-
-def orthonormalize(qs: Sequence[LaurentPoly], rec: RecurrenceData) -> List[LaurentPoly]:
-    """Scaled family qt_2n = sqrt(tau_n / tau_{n+1}) q_2n (same scale on 2n+1).
-
-    The scales are irrational in general, so the output is float-valued;
-    exact statements about this family go through the scale squares (the
-    pairing <q_2m|q_2n+1> tau_n/tau_{n+1} = delta_mn is rational), and
-    numerical statements through FamilyValues tables.
-    """
-    scales = rec.scale_squares()
-    return [qs[j].as_float().scale(math.sqrt(float(scales[j // 2]))) for j in range(2 * rec.order)]
-
-
-# ---------------------------------------------------------------------------
 # reduction of even members to orthogonal polynomials in w = z + 1/z
 # ---------------------------------------------------------------------------
 
@@ -496,41 +479,6 @@ def kodama_residuals(qs: Sequence[LaurentPoly], a: Sequence[Scalar], b: Sequence
 
 
 # ---------------------------------------------------------------------------
-# the alternating-basis family from coefficient polynomials
-# ---------------------------------------------------------------------------
-
-def lsolp_from_lsop(m: DiscreteMeasure, qtilde: Sequence[LaurentPoly]) -> LsolpFamily:
-    """Alternating-basis family from orthonormal coefficient polynomials.
-
-    Q_2m = z^-m qt_2m and Q_2m+1 = -z^-m-1 qt_2m; the odd members reuse the
-    even polynomial, so only the even inputs matter.  The members are
-    evaluated on the support and only their values are kept.  Coefficient
-    arithmetic is ill-conditioned at higher order; prefer lsolp_from_values
-    inside numerical pipelines.
-    """
-    if len(qtilde) % 2:
-        raise ValueError("expected an even count of family members")
-    n = len(qtilde) // 2
-    members: List[LaurentPoly] = []
-    for k in range(n):
-        members.append(qtilde[2 * k].shift(-k))
-        members.append(qtilde[2 * k].shift(-k - 1).scale(-1))
-    fam = _family_from_polys(m, members)
-    require_orthonormal(fam, "lsolp_from_lsop")
-    return fam
-
-
-def _family_from_polys(m: DiscreteMeasure, members: Sequence[LaurentPoly]) -> LsolpFamily:
-    node_vals, recip_vals = [], []
-    for z in m.nodes:
-        zf = float(z)
-        node_vals.append(tuple(float(p(zf)) for p in members))
-        recip_vals.append(tuple(float(p(1.0 / zf)) for p in members))
-    return LsolpFamily(measure=m, order=len(members) // 2,
-                       node_values=tuple(node_vals), recip_values=tuple(recip_vals))
-
-
-# ---------------------------------------------------------------------------
 # independent construction: skew Gram-Schmidt in the alternating basis
 # ---------------------------------------------------------------------------
 
@@ -585,6 +533,16 @@ def gram_schmidt_lsolp(m: DiscreteMeasure, count: int) -> LsolpFamily:
     fam = _family_from_polys(m, members)
     require_orthonormal(fam, "gram_schmidt_lsolp")
     return fam
+
+
+def _family_from_polys(m: DiscreteMeasure, members: Sequence[LaurentPoly]) -> LsolpFamily:
+    node_vals, recip_vals = [], []
+    for z in m.nodes:
+        zf = float(z)
+        node_vals.append(tuple(float(p(zf)) for p in members))
+        recip_vals.append(tuple(float(p(1.0 / zf)) for p in members))
+    return LsolpFamily(measure=m, order=len(members) // 2,
+                       node_values=tuple(node_vals), recip_values=tuple(recip_vals))
 
 
 def _project(m: DiscreteMeasure, v: LaurentPoly, pairs) -> LaurentPoly:

@@ -54,7 +54,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import DimensionError, ExpansionLimitError, IncompleteTableError
+from .errors import DimensionError, ExpansionLimitError
 from .modes import Scalar, clear_denominators
 
 EXPANSION_CAP = 10
@@ -65,7 +65,7 @@ class SkewArray:
     taken as given: rows[i][j] = e(i,j) for j > i, and nothing else is read
     (from_entry_fn builds the rows from an entry function).  The accessors
     supply e(j,i) = -e(i,j) and e(i,i) = 0; an index outside range(size)
-    raises IncompleteTableError.  Odd sizes are rejected by the Pfaffian
+    raises DimensionError.  Odd sizes are rejected by the Pfaffian
     operations, not the container.
     """
 
@@ -82,7 +82,7 @@ class SkewArray:
 
     def entry(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.size and 0 <= j < self.size):
-            raise IncompleteTableError(f"entry ({i},{j}) outside a table of size {self.size}")
+            raise DimensionError(f"entry ({i},{j}) outside a table of size {self.size}")
         if i == j:
             return 0
         return self.rows[i][j] if i < j else -self.rows[j][i]
@@ -96,7 +96,7 @@ class SkewArray:
         idx = list(indices)
         for a in idx:
             if not 0 <= a < self.size:
-                raise IncompleteTableError(f"index {a} outside a table of size {self.size}")
+                raise DimensionError(f"index {a} outside a table of size {self.size}")
         e = self.rows
         return SkewArray([[0] * (p + 1) + [e[a][b] if a < b else -e[b][a] if a > b else 0
                                            for b in idx[p + 1:]] for p, a in enumerate(idx)])
@@ -195,7 +195,7 @@ def pf_indices(s: SkewArray, indices: Sequence[int]) -> Scalar:
     """Pfaffian of the sub-array picked out by an ordered index list.
 
     A repeated index forces the value 0 (antisymmetry); an index outside
-    the table raises IncompleteTableError, repeated or not.  The order of
+    the table raises DimensionError, repeated or not.  The order of
     the list matters: transposing two indices negates the result, which the
     sub-array construction realizes automatically.
     """

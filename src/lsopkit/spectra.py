@@ -14,13 +14,19 @@ H = diag(0, alpha_1..alpha_{N-1}).  Two assemblies are provided:
 
 pencil_residual builds the one pencil report that verify and the pencil
 command read: both layouts, each with how well it reproduces the recurrences
-on the support and its symplecticity residuals (the pencil's read off the
-F, G, H blocks, the transfer matrix's by dense products).  The butterfly
-matrix is the multiplication operator in a gauged alternating basis; its
-parameter quadruples (a, b, c, d), the bijection with (alpha, beta, r,
-lambda), the gauge similarity between two butterflies of one recurrence,
-the reduction to a symmetric tridiagonal matrix, and the two-way eigenvalue
-map lambda = z + 1/z all live here.
+on the support, its symplecticity residuals (the pencil's read off the
+F, G, H blocks, the transfer matrix's by dense products) and its transfer
+matrix V^-1 U, which the pencil-eigenvalues claim and the pencil command
+eigensolve by dense QR.  pencil_eigenvalues solves the recurrence layout by
+its fold instead: the symmetric tridiagonal J' read off the blocks, QL, and
+each eigenvalue x unfolded into the roots of z^2 - x z + 1; it refuses any
+other pencil.
+
+The butterfly matrix is the multiplication operator in a gauged
+alternating basis; its parameter quadruples (a, b, c, d), the bijection
+with (alpha, beta, r, lambda), the gauge similarity between two
+butterflies of one recurrence, the reduction to a symmetric tridiagonal
+matrix, and the two-way eigenvalue map lambda = z + 1/z all live here.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
-from .errors import AdmissibilityError, DimensionError
+from .errors import AdmissibilityError, DimensionError, StructureError
 from .modes import validated_make
 from .numerics import (Matrix, SymTridiag, dense_eigs, identity, inf_norm, mat_mul,
                        mat_sub, mat_vec, max_abs_diff, nan_max, solve_columns, sort_complex,
@@ -75,15 +81,20 @@ def _pencil_blocks(rec: RecurrenceData) -> Tuple[Matrix, Matrix, Matrix]:
     if n < 1:
         raise DimensionError("pencil needs order >= 1")
     _require_positive_beta(rec)
-    f = identity(n)
-    for k in range(1, n):
-        f[k][k - 1] = -math.sqrt(float(rec.beta[k]))
-    g = zeros(n, n)
+    return _blocks([-math.sqrt(float(rec.beta[k])) for k in range(1, n)],
+                   [float(rec.alpha[k + 1]) for k in range(n)],
+                   [0.0] + [float(rec.alpha[k]) for k in range(1, n)])
+
+
+def _blocks(f_sub: Sequence[float], g_diag: Sequence[float],
+            h_diag: Sequence[float]) -> Tuple[Matrix, Matrix, Matrix]:
+    """F unit lower bidiagonal with subdiagonal f_sub, G and H diagonal."""
+    n = len(g_diag)
+    f, g, h = identity(n), zeros(n, n), zeros(n, n)
     for k in range(n):
-        g[k][k] = float(rec.alpha[k + 1])
-    h = zeros(n, n)
-    for k in range(1, n):
-        h[k][k] = float(rec.alpha[k])
+        g[k][k], h[k][k] = g_diag[k], h_diag[k]
+        if k:
+            f[k][k - 1] = f_sub[k - 1]
     return f, g, h
 
 
@@ -108,8 +119,11 @@ def pencil_from_recurrence(rec: RecurrenceData) -> PencilPair:
     Row block 2:  -(F^T e)_n = z (o_n - alpha_{n+1} e_n)  (top line, beta_N = 0)
     giving U = [[I, -H], [O, -F^T]], V = [[O, F], [I, -G]].
     """
-    f, g, h = _pencil_blocks(rec)
-    n = rec.order
+    return _recurrence_layout(*_pencil_blocks(rec))
+
+
+def _recurrence_layout(f: Matrix, g: Matrix, h: Matrix) -> PencilPair:
+    n = len(f)
     u = _assemble(identity(n), _neg(h), zeros(n, n), _neg(transpose(f)))
     v = _assemble(zeros(n, n), f, identity(n), _neg(g))
     return PencilPair(u=u, v=v)
@@ -218,14 +232,44 @@ def transfer_matrix(p: PencilPair) -> Matrix:
     """S = V^-1 U: one elimination of V carries every column of U.  Raises
     ValueError on a NaN or infinite entry, which the pivot search would skip
     or read as a finite S."""
-    if not all(math.isfinite(x) for m in (p.u, p.v) for row in m for x in row):
-        raise ValueError("pencil entries must be finite")
+    _require_finite(p)
     return transpose(solve_columns(p.v, transpose(p.u)))
 
 
+def _require_finite(p: PencilPair) -> None:
+    if not all(math.isfinite(x) for m in (p.u, p.v) for row in m for x in row):
+        raise ValueError("pencil entries must be finite")
+
+
 def pencil_eigenvalues(p: PencilPair) -> List[complex]:
-    """Generalized eigenvalues of (U, V) through the transfer matrix."""
-    return dense_eigs(transfer_matrix(p))
+    """Generalized eigenvalues of a recurrence-layout pencil, by its fold.
+
+    For U = [[I, -H], [O, -F^T]], V = [[O, F], [I, -G]] the Schur complement
+    of U - zV on its identity block is T(z) = -F^T + z(G - H) - z^2 F, and
+    with D = diag(z^k), D^-1 T(z) D = -z (x I - J') at x = z + 1/z, where
+    J' is symmetric tridiagonal with diagonal G_kk - H_kk and off-diagonal
+    -F[k][k-1].  The identity holds for the stored binary64 blocks; forming
+    G_kk - H_kk is the one rounding.  det(U - zV) = (-1)^N prod_k
+    (z^2 - lambda_k z + 1) has degree 2N, so the unfolded roots of the QL
+    eigenvalues lambda_k of J' are the whole spectrum (det V = +-1).
+
+    The layout is checked exactly first: the identity and zero blocks, F
+    unit lower bidiagonal, U's bottom-right block -F^T, G and H diagonal.
+    Any other pencil, build_pencil's included, raises StructureError; its
+    general route is dense_eigs(transfer_matrix(p)).  Raises ValueError on
+    a NaN or infinite entry.
+    """
+    _require_finite(p)
+    n = len(p.u) // 2
+    if all(len(row) == 2 * n for row in p.u + p.v) and len(p.v) == 2 * n:
+        g = [-p.v[n + k][n + k] for k in range(n)]
+        h = [-p.u[k][n + k] for k in range(n)]
+        f_sub = [p.v[k][n + k - 1] for k in range(1, n)]
+        if _recurrence_layout(*_blocks(f_sub, g, h)) == (p.u, p.v):
+            tri = SymTridiag([a - b for a, b in zip(g, h)], [-x for x in f_sub])
+            return canonical_z_list(eig_correspondence(sym_tridiag_eigs(tri)))
+    raise StructureError("pencil_eigenvalues solves the recurrence layout only; "
+                         "use dense_eigs(transfer_matrix(p)) for a general pencil")
 
 
 # ---------------------------------------------------------------------------

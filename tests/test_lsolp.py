@@ -13,8 +13,10 @@ from lsopkit.lsop import (evaluate_family, lsop_via_recurrence, random_family,
                           recurrence_from_measure, skew_pattern_defect)
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.oracles import (MomentTable, bordered_pfaffian, gram_schmidt_lsolp, gram_schmidt_pairs,
-                             lsolp_from_lsop, moment_skew_array, orthonormalize)
+                             moment_skew_array)
 from lsopkit.numerics import dense_eigs, spectra_distance
+
+from coefficient_oracle import lsolp_from_lsop, orthonormalize
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])
 

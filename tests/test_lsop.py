@@ -14,10 +14,11 @@ from lsopkit.lsop import (RecurrenceData, evaluate_family, lsop_via_recurrence, 
                           support_pairing)
 from lsopkit.moments import DiscreteMeasure
 from lsopkit.oracles import (MomentTable, even_to_op, hankel_det, kodama_residuals, kodama_sops,
-                             mu_moment, op_via_hankel, orthonormalize, pfaffian_route,
-                             shifted_hankel_det, skew_inner, verify_pfaffian_det)
+                             mu_moment, op_via_hankel, pfaffian_route, shifted_hankel_det,
+                             skew_inner, verify_pfaffian_det)
 from lsopkit.verify import RunConfig
 
+from coefficient_oracle import orthonormalize
 from fraction_oracle import as_tables
 
 REF = DiscreteMeasure([Fraction(2)], [Fraction(1)])

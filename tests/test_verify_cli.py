@@ -538,9 +538,9 @@ def test_cli_pencil_reports_the_verify_pencil_numbers(tmp_path, mode):
 def test_cli_pencil_butterfly_flag_spectrum_mismatch(tmp_path, monkeypatch):
     mfile = tmp_path / "m.json"
     run_cli("gen-measure", "--seed", "5", "--order", "3", "--out", str(mfile))
-    # the subcommands import their routes when called, so patch them at home
-    pencil_eigenvalues, dense_eigs = spectra.pencil_eigenvalues, numerics.dense_eigs
-    monkeypatch.setattr(spectra, "pencil_eigenvalues", lambda p: [z + 1e-3 for z in pencil_eigenvalues(p)])
+    # the subcommands import their routes when called, so patch them at home;
+    # both eigensolve a dense matrix (pencil its stored transfer matrix)
+    dense_eigs = numerics.dense_eigs
     monkeypatch.setattr(numerics, "dense_eigs", lambda a: [z + 1e-3 for z in dense_eigs(a)])
     assert run_cli("pencil", str(mfile), "--out", str(tmp_path / "p.json")) == 2
     assert run_cli("butterfly", str(mfile), "--out", str(tmp_path / "b.json")) == 2
