@@ -15,6 +15,7 @@ all-exact input, so a double-mode process compiles none of them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import repeat
@@ -320,10 +321,18 @@ def dense_eigs(a: Matrix) -> List[complex]:
     stabilized-elimination Hessenberg reduction followed by Francis
     double-shift QR (tests/test_numerics.py holds the independent
     characteristic-polynomial oracle for sizes <= 6).  Raises ValueError on
-    a NaN or infinite entry, which would never deflate."""
+    a NaN or infinite entry, which would never deflate.
+
+    Each entry enters as float(x) + 0.0, so a -0.0 enters as +0.0.  Under
+    round-to-nearest a sum or difference is -0.0 only when an operand is
+    -0.0 (exact cancellation gives +0.0), so _hessenberg's working matrix
+    never holds -0.0 and its skipped updates change no bit.  dense_eigs(a)
+    therefore equals dense_eigs of a with every -0.0 made +0.0 and, as long
+    as no entry of the reduction overflows, the eigenvalues of the kernels
+    that perform every update (tests/qr_oracle.py), bit for bit."""
     if _check_square(a) == 0:
         return []
-    h = [[float(x) for x in row] for row in a]
+    h = [[float(x) + 0.0 for x in row] for row in a]
     if not all(math.isfinite(x) for row in h for x in row):
         raise ValueError("matrix entries must be finite")
     _hessenberg(h)
@@ -331,7 +340,12 @@ def dense_eigs(a: Matrix) -> List[complex]:
 
 
 def _hessenberg(a: Matrix) -> None:
-    """Reduce to upper Hessenberg in place by pivoted elementary similarity."""
+    """Reduce to upper Hessenberg in place by pivoted elementary similarity.
+
+    An update whose multiplicand is 0.0 is skipped: pivoting keeps each
+    multiplier within [-1, 1] while no entry has overflowed, so the skipped
+    product is +-0.0; and the working matrix holds no -0.0 (dense_eigs
+    admits none), the one value that adding +-0.0 can change."""
     n = len(a)
     for m in range(1, n - 1):
         x, piv = 0.0, m
@@ -345,16 +359,24 @@ def _hessenberg(a: Matrix) -> None:
                 row[piv], row[m] = row[m], row[piv]
         if x != 0.0:
             am = a[m]
+            # the column updates below move am[m] only, so the nonzero
+            # columns of am past m are found once per step
+            cols = [j for j in range(m + 1, n) if am[j] != 0.0]
             for i in range(m + 1, n):
                 ai = a[i]
                 y = ai[m - 1]
                 if y != 0.0:
                     y /= x
                     ai[m - 1] = 0.0
-                    for j in range(m, n):
+                    v = am[m]
+                    if v != 0.0:
+                        ai[m] -= y * v
+                    for j in cols:
                         ai[j] -= y * am[j]
                     for row in a:
-                        row[m] += y * row[i]
+                        v = row[i]
+                        if v != 0.0:
+                            row[m] += y * v
     for i in range(2, n):
         for j in range(i - 1):
             a[i][j] = 0.0
@@ -471,29 +493,43 @@ def _hqr(a: Matrix) -> List[complex]:
                 q /= p
                 r /= p
                 # rows k..k+2, then columns k..k+2 of rows l..min(nn, k+3);
-                # the last step (k = nn - 1) touches two rows and columns
-                r0, r1 = a[k], a[k + 1]
+                # the last step (k = nn - 1) touches two rows and columns.
+                # Each entry is read once and written back as u - p * x, the
+                # operations of u -= p * x in the same order.
+                k1 = k + 1
+                r0, r1 = a[k], a[k1]
                 if k == nn - 1:
                     for j in range(k, nn + 1):
-                        p = r0[j] + q * r1[j]
-                        r1[j] -= p * y
-                        r0[j] -= p * x
+                        u0 = r0[j]
+                        u1 = r1[j]
+                        p = u0 + q * u1
+                        r1[j] = u1 - p * y
+                        r0[j] = u0 - p * x
                     for row in a[l:nn + 1]:
-                        p = x * row[k] + y * row[k + 1]
-                        row[k + 1] -= p * q
-                        row[k] -= p
+                        u0 = row[k]
+                        u1 = row[k1]
+                        p = x * u0 + y * u1
+                        row[k1] = u1 - p * q
+                        row[k] = u0 - p
                 else:
-                    r2 = a[k + 2]
+                    k2 = k + 2
+                    r2 = a[k2]
                     for j in range(k, nn + 1):
-                        p = r0[j] + q * r1[j] + r * r2[j]
-                        r2[j] -= p * z
-                        r1[j] -= p * y
-                        r0[j] -= p * x
+                        u0 = r0[j]
+                        u1 = r1[j]
+                        u2 = r2[j]
+                        p = u0 + q * u1 + r * u2
+                        r2[j] = u2 - p * z
+                        r1[j] = u1 - p * y
+                        r0[j] = u0 - p * x
                     for row in a[l:min(nn, k + 3) + 1]:
-                        p = x * row[k] + y * row[k + 1] + z * row[k + 2]
-                        row[k + 2] -= p * r
-                        row[k + 1] -= p * q
-                        row[k] -= p
+                        u0 = row[k]
+                        u1 = row[k1]
+                        u2 = row[k2]
+                        p = x * u0 + y * u1 + z * u2
+                        row[k2] = u2 - p * r
+                        row[k1] = u1 - p * q
+                        row[k] = u0 - p
     return eigs
 
 
@@ -509,11 +545,14 @@ def min_cost_assignment(cost: Matrix) -> List[int]:
     """Optimal assignment for a square cost matrix (Hungarian with potentials).
 
     Returns match[i] = column assigned to row i, minimizing the total cost;
-    O(n^3), deterministic.
+    O(n^3), deterministic.  Raises ValueError on a NaN or infinite cost,
+    under which no column would ever be picked.
     """
     n = len(cost)
     if n == 0:
         return []
+    if not all(math.isfinite(float(c)) for row in cost for c in row):
+        raise ValueError("assignment costs must be finite")
     inf = float("inf")
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -560,12 +599,19 @@ def spectra_distance(xs: Sequence[complex], ys: Sequence[complex]) -> float:
     """Max pairing distance between two equally sized spectra.
 
     Pairs the multisets by the min-total-|difference| assignment and
-    reports the largest matched distance.
+    reports the largest matched distance: NaN if either spectrum holds a
+    NaN, else inf if either holds an infinity, without matching.  Raises
+    ValueError where the difference of two finite entries overflows.
     """
     if len(xs) != len(ys):
         raise DimensionError(f"spectra sizes differ: {len(xs)} vs {len(ys)}")
     xs_l = [complex(x) for x in xs]
     ys_l = [complex(y) for y in ys]
+    both = xs_l + ys_l
+    if any(cmath.isnan(z) for z in both):
+        return math.nan
+    if any(cmath.isinf(z) for z in both):
+        return math.inf
     cost = [[abs(x - y) for y in ys_l] for x in xs_l]
     match = min_cost_assignment(cost)
-    return max((cost[i][match[i]] for i in range(len(xs_l))), default=0.0)
+    return nan_max(0.0, *(cost[i][match[i]] for i in range(len(xs_l))))

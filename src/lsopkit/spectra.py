@@ -452,7 +452,8 @@ def eig_correspondence(lambdas: Sequence[float]) -> List[Tuple[complex, complex]
     |lambda| > 2: real pair listed with the |z| > 1 representative first;
     |lambda| = 2 (within 1e-12 on lambda^2 - 4): the double point z = +-1;
     |lambda| < 2: the unit-modulus conjugate pair (positive imaginary part
-    first).
+    first).  Where lambda^2 overflows (|lambda| > ~1.3e154), z = lambda: the
+    root differs from lambda by about 1/lambda, far below half an ulp.
     """
     out: List[Tuple[complex, complex]] = []
     for lam in lambdas:
@@ -462,8 +463,11 @@ def eig_correspondence(lambdas: Sequence[float]) -> List[Tuple[complex, complex]
             z = complex(lam / 2.0, 0.0)
             out.append((z, z))
         elif disc > 0:
-            root = math.sqrt(disc)
-            z = (lam + root) / 2.0 if lam > 0 else (lam - root) / 2.0
+            if math.isinf(disc):
+                z = lam
+            else:
+                root = math.sqrt(disc)
+                z = (lam + root) / 2.0 if lam > 0 else (lam - root) / 2.0
             out.append((complex(z, 0.0), complex(1.0 / z, 0.0)))
         else:
             im = math.sqrt(-disc) / 2.0

@@ -8,6 +8,8 @@ pin every bit of the kernels' output, on each Python that CI runs (3.10-3.13).
 The exact branch of the elimination is checked against the Fraction-division
 elimination it replaced (fraction_eliminate) on hypothesis-drawn systems, and
 modes.clear_denominators, which clears its rows, on hypothesis-drawn lists.
+dense_eigs is checked bit for bit against the kernels before their zero
+skips (tests/qr_oracle.py) on hypothesis-drawn matrices with signed zeros.
 Running the module prints the digests of the code as it stands:
 
     PYTHONPATH=src python tests/test_numerics.py
@@ -23,7 +25,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lsopkit.errors import ConvergenceError, DimensionError
 from lsopkit.lsop import RecurrenceData, recurrence_from_measure
@@ -35,6 +37,7 @@ from lsopkit.numerics import (SymTridiag, dense_det, dense_eigs, dot, inf_norm, 
 from lsopkit.spectra import (ButterflyParams, build_pencil, butterfly_from_params,
                              pencil_from_recurrence, transfer_matrix)
 
+from qr_oracle import canon, oracle_eigs, outcome
 from test_golden_reports import _fixed_measure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -438,20 +441,68 @@ def test_spectra_distance_handles_conjugate_jitter():
     assert spectra_distance(a, b) < 1e-13
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("xs, ys, expected", [
+    ([1.0, NAN], [1.0, 2.0], "nan"),  # the built-in max dropped the NaN: 0.0
+    ([1.0, 2.0, 3.0], [NAN, 2.0, 3.0], "nan"),  # the matching never returned
+    ([INF, 2.0], [INF, 2.0], "inf"),  # the matching never returned
+    ([complex(1.0, -INF)], [1.0], "inf"),
+    ([INF], [complex(0.0, NAN)], "nan"),
+])
+def test_spectra_distance_of_non_finite_spectra(xs, ys, expected):
+    assert repr(spectra_distance(xs, ys)) == expected
+
+
+@pytest.mark.parametrize("bad", [NAN, INF])
+def test_assignment_refuses_non_finite_cost(bad):
+    with pytest.raises(ValueError, match="assignment costs must be finite"):
+        min_cost_assignment([[1.0, 2.0], [bad, 0.5]])
+
+
+def test_spectra_distance_refuses_an_overflowing_difference():
+    # the cross pairs cost inf, though the best matching costs 0
+    with pytest.raises(ValueError, match="assignment costs must be finite"):
+        spectra_distance([1e308, -1e308], [-1e308, 1e308])
+
+
+# -- dense_eigs against the kernels before the zero skips (qr_oracle) ------------
+
+_SIGNED_ZERO_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-3, 3).map(float),
+    st.randoms(use_true_random=False).map(lambda r: r.gauss(0.0, 1.0)),
+)
+
+
+@st.composite
+def signed_zero_matrices(draw):
+    n = draw(st.integers(1, 12))
+    row = st.lists(_SIGNED_ZERO_ENTRIES, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@given(signed_zero_matrices())
+@example([[0.0, -0.0, 0.0], [2.0, 0.0, -0.0], [-0.0, -3.0, -1.0]])  # read as is: 2e-8 off
+@settings(max_examples=200, deadline=None)
+def test_dense_eigs_equals_the_qr_oracle_on_the_canonical_matrix(a):
+    assert outcome(dense_eigs, a) == outcome(oracle_eigs, canon(a))
+
+
+@given(signed_zero_matrices())
+@example([[-0.0, -2.0], [-1.0, 0.0]])  # read as is: the two roots swap their last bits
+@settings(max_examples=100, deadline=None)
+def test_dense_eigs_reads_negative_zero_as_positive_zero(a):
+    assert outcome(dense_eigs, a) == outcome(dense_eigs, canon(a))
+
+
 # -- kernel digests ---------------------------------------------------------
 
-def _outcome(f, *args) -> str:
-    """repr of f(*args), or the type and message of the error it raises."""
-    try:
-        return repr(f(*args))
-    except (ArithmeticError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _eigensolve_matrices(order: int):
-    """Butterfly and pencil transfer matrix of each seed-1 eigensolve input at
-    one order, built as the benchmark's worker builds them."""
-    for case in eigen_inputs(1):
+def _eigensolve_matrices(order: int, seed: int):
+    """Butterfly and pencil transfer matrix of each eigensolve input of one
+    seed at one order, built as the benchmark's worker builds them."""
+    for case in eigen_inputs(seed):
         if case["order"] != order:
             continue
         diag, off, g = case["tri"]["diag"], case["tri"]["off"], case["gauge"]
@@ -518,17 +569,17 @@ def _systems():
 
 
 def _eigs_case(make):
-    return lambda: [_outcome(dense_eigs, a) for a in make()]
+    return lambda: [outcome(dense_eigs, a) for a in make()]
 
 
 _KERNEL_CASES = {
-    **{f"dense_eigs/eigensolve/{n}": _eigs_case(lambda n=n: _eigensolve_matrices(n))
+    **{f"dense_eigs/eigensolve/{n}": _eigs_case(lambda n=n: _eigensolve_matrices(n, 1))
        for n in EIGEN_ORDERS},
     "dense_eigs/random": _eigs_case(_random_matrices),
     "dense_eigs/zero-subdiagonal": _eigs_case(_zero_subdiagonal_matrices),
     "dense_eigs/negative-zero": _eigs_case(_negative_zero_matrices),
-    "solve_columns": lambda: [(name, _outcome(solve_columns, a, cols)) for name, a, cols in _systems()],
-    "dense_det": lambda: [(name, _outcome(dense_det, a)) for name, a, _ in _systems()],
+    "solve_columns": lambda: [(name, outcome(solve_columns, a, cols)) for name, a, cols in _systems()],
+    "dense_det": lambda: [(name, outcome(dense_det, a)) for name, a, _ in _systems()],
 }
 
 

@@ -467,6 +467,14 @@ def test_eig_correspondence_cases():
     assert z.conjugate() == zbar and z.imag > 0
 
 
+def test_eig_correspondence_past_the_overflow_of_lambda_squared():
+    # lambda^2 overflows above ~1.3e154; the pairs used to come out as (inf, 0)
+    pairs = eig_correspondence([1e160, -2e160, 1.5e154])
+    assert pairs[0] == (complex(1e160), complex(1.0 / 1e160))
+    assert pairs[1] == (complex(-2e160), complex(-1.0 / 2e160))
+    assert pairs[2] == (complex(1.5e154), complex(1.0 / 1.5e154))
+
+
 if __name__ == "__main__":
     failed, worst_qr, worst_fold, total, converged = [], 0.0, 0.0, 0, 0
     for seed in range(1, 11):

@@ -598,6 +598,18 @@ def test_cli_solve_butterfly(tmp_path):
     assert doc["pairs"][0] == [[2.0, 0.0], [0.5, 0.0]]
 
 
+def test_cli_solve_butterfly_past_the_overflow_of_lambda_squared(tmp_path):
+    # lambda^2 overflows at lambda = 1e160: the pairs were (inf, 0), and matching
+    # them to the dense spectrum never returned.  Dense QR resolves the small
+    # members only to about eps * 2e160, so the command flags a finite mismatch.
+    pfile, out = tmp_path / "bp.json", tmp_path / "sol.json"
+    pfile.write_text('{"a": [1.0, 1.0], "b": [0.5, 0.25], "c": [1e160, 2e160], "d": [0.3]}')
+    assert run_cli("solve-butterfly", str(pfile), "--out", str(out)) == 2
+    doc = json.loads(out.read_text())
+    assert doc["pairs"] == [[[1e160, 0.0], [1e-160, 0.0]], [[2e160, 0.0], [5e-161, 0.0]]]
+    assert math.isfinite(doc["max_mismatch"])
+
+
 def test_cli_solve_butterfly_refuses_bad_hypothesis(tmp_path, capsys):
     # butterfly_to_tridiagonal's AdmissibilityError, printed by main
     pfile = tmp_path / "bp.json"
